@@ -53,8 +53,6 @@ from .symmetry import (
 
 MAX_RANK_BOUND = 8
 
-EXCEPTION_CASES = ("a", "b", "c")
-
 
 def onishchik_exception(family: str, rank: int, painted) -> str | None:
     """Exception tag for the three exceptional (g, h) families, else None."""
@@ -99,35 +97,25 @@ def simple_types(max_rank: int, families=None) -> list[tuple[str, int]]:
     return out
 
 
-_AUTOMORPHISM_PERMS = {}
-
-
-def _diagram_automorphisms(family: str, rank: int) -> list[dict[int, int]]:
-    key = (family, rank)
-    if key in _AUTOMORPHISM_PERMS:
-        return _AUTOMORPHISM_PERMS[key]
-    perms = [{i: i for i in range(1, rank + 1)}]
+@lru_cache(maxsize=None)
+def _diagram_automorphisms(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Dynkin diagram automorphisms; perm[i - 1] is the image of node i."""
+    nodes = tuple(range(1, rank + 1))
+    perms = [nodes]
     if family == "A" and rank >= 2:
-        perms.append({i: rank + 1 - i for i in range(1, rank + 1)})
+        perms.append(nodes[::-1])
     elif family == "D" and rank > 4:
-        swap = {i: i for i in range(1, rank + 1)}
-        swap[rank - 1], swap[rank] = rank, rank - 1
-        perms.append(swap)
+        perms.append(nodes[:-2] + (rank, rank - 1))
     elif family == "D" and rank == 4:
-        perms = []
-        for img in itertools.permutations((1, 3, 4)):
-            p = dict(zip((1, 3, 4), img))
-            p[2] = 2
-            perms.append(p)
+        perms = [(a, 2, b, c) for a, b, c in itertools.permutations((1, 3, 4))]
     elif family == "E" and rank == 6:
-        perms.append({1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4})
-    _AUTOMORPHISM_PERMS[key] = perms
-    return perms
+        perms.append((6, 2, 5, 4, 3, 1))
+    return tuple(perms)
 
 
 def _canonical_painting(family: str, rank: int, painted: frozenset) -> frozenset:
     images = [
-        frozenset(p[i] for i in painted) for p in _diagram_automorphisms(family, rank)
+        frozenset(p[i - 1] for i in painted) for p in _diagram_automorphisms(family, rank)
     ]
     return min(images, key=lambda s: tuple(sorted(s)))
 
@@ -247,6 +235,8 @@ def enumerate_flags(
     xi_samples: int = 3,
 ) -> EnumerationReport:
     """Sweep every nonempty painting of every simple type with rank <= max_rank."""
+    if xi_samples < 1:
+        raise ValueError("xi_samples must be at least 1")
     entries = []
     for family, rank in simple_types(max_rank, families):
         nodes = list(range(1, rank + 1))
@@ -322,6 +312,8 @@ def verify_theorem(report: EnumerationReport) -> tuple[bool, list[dict]]:
 def _analyze_record(
     pd: PaintedDiagram, xi: KahlerParam | None, seed, samples: int
 ) -> tuple[dict, SymmetryReport, FlagData]:
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     family, rank = pd.rs.family, pd.rs.rank
     flag = make_flag(pd)
     exc = onishchik_exception(family, rank, pd.painted)
@@ -404,6 +396,13 @@ def _write_dot(pd: PaintedDiagram, directory: str) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="flagsym",
@@ -421,7 +420,10 @@ def main(argv=None) -> int:
     p_an.add_argument("--json", action="store_true", help="emit a JSON record")
     p_an.add_argument("--seed", default="0", help="seed for the Kahler parameter sample")
     p_an.add_argument(
-        "--samples", type=int, default=5, help="number of sampled Kahler parameters"
+        "--samples",
+        type=_positive_int,
+        default=5,
+        help="number of sampled Kahler parameters",
     )
     p_an.add_argument("--dot", metavar="DIR", help="write painted/extended DOT files")
 
@@ -430,7 +432,7 @@ def main(argv=None) -> int:
     p_en.add_argument("--families", help="comma-separated subset, e.g. 'A,B,G'")
     p_en.add_argument("--out", help="write the JSON report to this file")
     p_en.add_argument("--seed", default="0")
-    p_en.add_argument("--xi-samples", type=int, default=3)
+    p_en.add_argument("--xi-samples", type=_positive_int, default=3)
     p_en.add_argument(
         "--dedup-automorphisms",
         action="store_true",
@@ -441,7 +443,7 @@ def main(argv=None) -> int:
     p_ve.add_argument("--max-rank", type=int, default=6)
     p_ve.add_argument("--families", help="comma-separated subset")
     p_ve.add_argument("--seed", default="0")
-    p_ve.add_argument("--xi-samples", type=int, default=3)
+    p_ve.add_argument("--xi-samples", type=_positive_int, default=3)
 
     args = parser.parse_args(argv)
 

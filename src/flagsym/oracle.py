@@ -7,7 +7,7 @@ every decomposition -a = beta + gamma with beta, gamma in R_m, the cyclic sum
 
 vanishes, where r(d) = epsilon_d * d(xi) * b(d) is the pairing of E_d with
 E_{-d} (a common factor -i is dropped; every significant term carries one).
-Everything is exact rational arithmetic: a sum is zero or it is not.
+Everything is exact arithmetic: a sum is zero or it is not.
 
 The shortcut variant evaluates the equivalent scalar condition
 
@@ -16,15 +16,24 @@ The shortcut variant evaluates the equivalent scalar condition
 without structure constants; the two must agree on every input.  Neither
 reuses the combinatorial criterion (a + R_m+) n R = empty from the symmetry
 module, so agreement with it is a genuine cross-check.
+
+Both oracles work in integers.  Once per call, xi is scaled by L, the lcm of
+the denominators of its coefficients, so d(xi) * L is an integer for every
+root d; b(d) = 2/(d, d) is 1, 2 or 3 and is checked to be integral.  Each
+cyclic sum and each scalar is linear in the d(xi), so scaling multiplies it
+by L > 0: its sign, and whether it is zero, are unchanged.  The witnesses the
+``*_violations`` functions report are divided by L again, so they are the
+exact rational values of the unscaled sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .chevalley import ChevalleyTable
 from .flag import FlagData, KahlerParam
-from .rootsystem import Root, rneg, rsub
+from .rootsystem import InternalConsistencyError, Root, rneg
 
 
 def pairing(flag: FlagData, xi: KahlerParam, table: ChevalleyTable, d: Root) -> Fraction:
@@ -34,45 +43,82 @@ def pairing(flag: FlagData, xi: KahlerParam, table: ChevalleyTable, d: Root) -> 
     return flag.epsilon(d) * flag.eval_root(xi, d) * table.b_of(d)
 
 
-def _r_values(flag: FlagData, xi: KahlerParam, table: ChevalleyTable) -> dict:
-    return {d: pairing(flag, xi, table, d) for d in flag.r_m}
+def _scaled_values(flag: FlagData, xi: KahlerParam) -> tuple[int, dict[Root, int]]:
+    """L and the integers d(xi) * L for every d in R_m."""
+    painted = sorted(flag.pd.painted)
+    coeffs = [xi.coeffs[i] for i in painted]
+    scale = lcm(*(c.denominator for c in coeffs))
+    weights = [
+        (i - 1, c.numerator * (scale // c.denominator)) for i, c in zip(painted, coeffs)
+    ]
+    return scale, {d: sum(d[j] * w for j, w in weights) for d in flag.r_m}
+
+
+def _int_b(table: ChevalleyTable, d: Root) -> int:
+    b = table.b_of(d)
+    if b.denominator != 1:
+        raise InternalConsistencyError(f"non-integral pairing weight b = {b}")
+    return b.numerator
 
 
 def _decompositions(flag: FlagData, a: Root):
     """Unordered pairs (beta, gamma) in R_m x R_m with beta + gamma = -a."""
-    na = rneg(a)
-    for beta in flag.r_m:
-        gamma = rsub(na, beta)
-        if gamma in flag.r_m and beta <= gamma:
+    r_m = flag.r_m
+    for beta, gamma in flag.rs.splittings[rneg(a)]:
+        if beta <= gamma and beta in r_m and gamma in r_m:
             yield beta, gamma
+
+
+def _cyclic_sums(flag: FlagData, table: ChevalleyTable, r: dict[Root, int], a: Root):
+    """Nonzero (beta, gamma, sum) over the decompositions of -a, in r's scale."""
+    sum_index = flag.rs.sum_index
+    r_h = flag.r_h
+    n = table.n
+
+    def n_m(x: Root, y: Root) -> int:
+        # m-projection: brackets landing in the isotropy algebra drop out
+        s = sum_index.get((x, y))
+        if s is None or s in r_h:
+            return 0
+        return n.get((x, y), 0)
+
+    ra = r[a]
+    for beta, gamma in _decompositions(flag, a):
+        total = n_m(beta, gamma) * ra + n_m(a, gamma) * r[beta] + n_m(beta, a) * r[gamma]
+        if total:
+            yield beta, gamma, total
+
+
+def _shortcut_sums(flag: FlagData, w: dict[Root, int], a: Root):
+    """Nonzero (beta, gamma, w(beta) + w(gamma)), w(d) = (1 + eps_d) d(xi) scaled."""
+    for beta, gamma in _decompositions(flag, a):
+        total = w[gamma] + w[beta]
+        if total:
+            yield beta, gamma, total
+
+
+def _pairings(flag: FlagData, xi: KahlerParam, table: ChevalleyTable) -> tuple[int, dict]:
+    scale, v = _scaled_values(flag, xi)
+    return scale, {d: flag.epsilon(d) * x * _int_b(table, d) for d, x in v.items()}
+
+
+def _shortcut_weights(flag: FlagData, xi: KahlerParam) -> tuple[int, dict]:
+    scale, v = _scaled_values(flag, xi)
+    return scale, {d: (1 + flag.epsilon(d)) * x for d, x in v.items()}
+
+
+def _check_candidate(flag: FlagData, a: Root) -> None:
+    if a not in flag.r_m_plus_set:
+        raise ValueError("transvection candidates live in R_m+")
 
 
 def transvection_violations(
     flag: FlagData, xi: KahlerParam, table: ChevalleyTable, a: Root
 ) -> list[tuple[Root, Root, Fraction]]:
     """Witnessing (beta, gamma, sum) tuples where the cyclic sum is nonzero."""
-    if a not in flag.r_m_plus_set:
-        raise ValueError("transvection candidates live in R_m+")
-    rs = flag.rs
-    r = _r_values(flag, xi, table)
-
-    def n_m(x: Root, y: Root) -> int:
-        # m-projection: brackets landing in the isotropy algebra drop out
-        s = rs.sum_root(x, y)
-        if s is None or s in flag.r_h:
-            return 0
-        return table.n_of(x, y)
-
-    out = []
-    for beta, gamma in _decompositions(flag, a):
-        total = (
-            n_m(beta, gamma) * r[a]
-            + n_m(a, gamma) * r[beta]
-            + n_m(beta, a) * r[gamma]
-        )
-        if total != 0:
-            out.append((beta, gamma, total))
-    return out
+    _check_candidate(flag, a)
+    scale, r = _pairings(flag, xi, table)
+    return [(b, g, Fraction(t, scale)) for b, g, t in _cyclic_sums(flag, table, r, a)]
 
 
 def transvection_check(
@@ -85,16 +131,9 @@ def shortcut_violations(
     flag: FlagData, xi: KahlerParam, a: Root
 ) -> list[tuple[Root, Root, Fraction]]:
     """Nonzero evaluations of ((1+eps_g) g + (1+eps_b) b)(xi) over decompositions."""
-    if a not in flag.r_m_plus_set:
-        raise ValueError("transvection candidates live in R_m+")
-    out = []
-    for beta, gamma in _decompositions(flag, a):
-        val = (1 + flag.epsilon(gamma)) * flag.eval_root(xi, gamma) + (
-            1 + flag.epsilon(beta)
-        ) * flag.eval_root(xi, beta)
-        if val != 0:
-            out.append((beta, gamma, val))
-    return out
+    _check_candidate(flag, a)
+    scale, w = _shortcut_weights(flag, xi)
+    return [(b, g, Fraction(t, scale)) for b, g, t in _shortcut_sums(flag, w, a)]
 
 
 def transvection_check_shortcut(flag: FlagData, xi: KahlerParam, a: Root) -> bool:
@@ -105,37 +144,15 @@ def transvection_set(
     flag: FlagData, xi: KahlerParam, table: ChevalleyTable
 ) -> frozenset:
     """All transvection roots for one Kahler parameter (structure constants)."""
-    rs = flag.rs
-    r = _r_values(flag, xi, table)
-    rm = flag.r_m
-    out = []
-    for a in flag.r_m_plus:
-        na = rneg(a)
-        good = True
-        for beta in rm:
-            gamma = rsub(na, beta)
-            if gamma not in rm or beta > gamma:
-                continue
-            sbg = rs.sum_root(beta, gamma)
-            sag = rs.sum_root(a, gamma)
-            sba = rs.sum_root(beta, a)
-            total = Fraction(0)
-            if sbg is not None and sbg not in flag.r_h:
-                total += table.n_of(beta, gamma) * r[a]
-            if sag is not None and sag not in flag.r_h:
-                total += table.n_of(a, gamma) * r[beta]
-            if sba is not None and sba not in flag.r_h:
-                total += table.n_of(beta, a) * r[gamma]
-            if total != 0:
-                good = False
-                break
-        if good:
-            out.append(a)
-    return frozenset(out)
+    _, r = _pairings(flag, xi, table)
+    return frozenset(
+        a for a in flag.r_m_plus if next(_cyclic_sums(flag, table, r, a), None) is None
+    )
 
 
 def shortcut_set(flag: FlagData, xi: KahlerParam) -> frozenset:
     """All transvection roots by the scalar condition (no structure constants)."""
+    _, w = _shortcut_weights(flag, xi)
     return frozenset(
-        a for a in flag.r_m_plus if transvection_check_shortcut(flag, xi, a)
+        a for a in flag.r_m_plus if next(_shortcut_sums(flag, w, a), None) is None
     )

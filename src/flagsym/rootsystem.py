@@ -348,13 +348,19 @@ class RootSystem:
         if len(pos) > 1 and height(pos[-2]) == height(self.highest):
             raise InternalConsistencyError("highest root is not unique")
         self.lengths = {r: self.inner_product(r, r) for r in self.roots}
-        self.heights = {r: height(r) for r in self.roots}
         self.sum_index: dict[tuple[Root, Root], Root] = {}
+        # splittings[s]: the ordered pairs (x, y) with x + y = s, in root order
+        splittings: dict[Root, list[tuple[Root, Root]]] = {r: [] for r in self.roots}
         for a in self.roots:
             for b in self.roots:
                 s = radd(a, b)
                 if s in self.root_set:
-                    self.sum_index[(a, b)] = s
+                    key = (a, b)
+                    self.sum_index[key] = s
+                    splittings[s].append(key)
+        self.splittings: dict[Root, tuple[tuple[Root, Root], ...]] = {
+            s: tuple(pairs) for s, pairs in splittings.items()
+        }
 
     @property
     def name(self) -> str:

@@ -20,7 +20,7 @@ symmetry roots and cross-checked whenever a report is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .flag import FlagData, PaintedDiagram, make_flag

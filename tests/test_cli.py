@@ -7,10 +7,11 @@ from flagsym import (
     enumerate_flags,
     main,
     onishchik_exception,
+    parse_painted,
     simple_types,
     verify_theorem,
 )
-from flagsym.cli import _canonical_painting
+from flagsym.cli import _analyze_record, _canonical_painting
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +93,34 @@ def test_enumerate_dedup_automorphisms():
     assert len(dedup.entries) < len(full.entries)
     assert ("A3:{1,2}" in specs) != ("A3:{2,3}" in specs)
     assert _canonical_painting("A", 3, frozenset({2, 3})) == frozenset({1, 2})
+    assert _canonical_painting("D", 4, frozenset({4})) == frozenset({1})
+    assert _canonical_painting("D", 5, frozenset({5})) == frozenset({4})
+    assert _canonical_painting("E", 6, frozenset({5, 6})) == frozenset({1, 3})
+
+
+def test_zero_xi_samples_is_an_error_not_a_vacuous_pass():
+    with pytest.raises(ValueError):
+        enumerate_flags(max_rank=2, xi_samples=0)
+    with pytest.raises(ValueError):
+        _analyze_record(parse_painted("A3:{2,3}"), None, "0", 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "A3:{2,3}", "--samples", "0"],
+        ["enumerate", "--max-rank", "2", "--xi-samples", "0"],
+        ["verify", "--max-rank", "2", "--xi-samples", "-1"],
+    ],
+)
+def test_cli_rejects_sample_counts_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err.splitlines()[-1]
+    assert "Traceback" not in captured.err
 
 
 def test_verify_known_findings_rank_2_to_6():

@@ -12,8 +12,9 @@ from flagsym import (
     diagram_components,
     diagram_isomorphic,
     root_str,
+    simple_types,
 )
-from flagsym.rootsystem import height, radd, rneg
+from flagsym.rootsystem import height, radd, rneg, rsub
 
 # classical root counts: the independent oracle for the closure algorithm
 CLASSICAL_COUNTS = {
@@ -97,6 +98,20 @@ def test_sum_index_agrees_with_coordinate_addition(family, rank):
                 assert rs.sum_index[(a, b)] == s
             else:
                 assert (a, b) not in rs.sum_index
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_splittings_list_each_decomposition_once(family, rank):
+    rs = build_root_system(family, rank)
+    for s in rs.roots:
+        pairs = rs.splittings[s]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {
+            (x, rsub(s, x)) for x in rs.roots if rsub(s, x) in rs.root_set
+        }
+    assert sum(map(len, rs.splittings.values())) == len(rs.sum_index)
+    if (family, rank) == ("E", 8):
+        assert len(rs.sum_index) == 13440
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TYPES)
