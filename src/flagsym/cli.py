@@ -41,7 +41,7 @@ from .flag import (
     to_dot,
 )
 from .oracle import shortcut_set, transvection_set
-from .rootsystem import build_root_system, is_valid_type, root_str
+from .rootsystem import FAMILIES, build_root_system, is_valid_type, root_str
 from .symmetry import (
     SymmetryReport,
     build_report,
@@ -206,7 +206,7 @@ def _entry_for(
     checks = {
         "oracle_agree": oracle_agree,
         "diagram_agree": diagrams_agree(pd, report.leaf),
-        "hprime_closed": True,  # h_prime raised inside build_report otherwise
+        "hprime_closed": report.hprime_closed,
         "kprime_commutes": k_prime_check(flag),
     }
     return EnumEntry(
@@ -264,6 +264,7 @@ def enumerate_flags(
 def verify_theorem(report: EnumerationReport) -> tuple[bool, list[dict]]:
     """Check the classification claims over a sweep.
 
+    A sweep without entries is a violation (``empty_sweep``), never a pass.
     Universal sanity for every entry: consistency flags all true, coindex 0
     exactly on symmetric cosets, index and coindex even.  For non-symmetric
     entries without an exception tag: coindex k >= 6, dim g <= k(k-1)/2, and
@@ -277,6 +278,8 @@ def verify_theorem(report: EnumerationReport) -> tuple[bool, list[dict]]:
             {"entry": entry.spec if entry else None, "check": check, "detail": detail}
         )
 
+    if not report.entries:
+        flag_violation(None, "empty_sweep", "no paintings were checked")
     k6_allowed = {("A", 3, (1, 2)), ("A", 3, (2, 3))}
     k6_seen = set()
     swept_types = set()
@@ -347,7 +350,7 @@ def _analyze_record(
         "checks": {
             "oracle_agree": oracle_agree,
             "diagram_agree": diagrams_agree(pd, report.leaf),
-            "hprime_closed": True,
+            "hprime_closed": report.hprime_closed,
             "kprime_commutes": k_prime_check(flag),
         },
     }
@@ -380,7 +383,13 @@ def _print_analysis(record: dict) -> None:
 
 
 def _parse_xi(text: str, flag: FlagData) -> KahlerParam:
-    values = [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    values = []
+    for tok in (t.strip() for t in text.split(",")):
+        if tok:
+            try:
+                values.append(Fraction(tok))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"not a rational number: {tok!r}") from None
     return kahler_param(flag, values)
 
 
@@ -403,6 +412,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _max_rank(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_RANK_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {MAX_RANK_BOUND}, got {value}"
+        )
+    return value
+
+
+def _families(text: str) -> list[str]:
+    chosen = [f.strip().upper() for f in text.split(",") if f.strip()]
+    unknown = [f for f in chosen if f not in FAMILIES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown families {','.join(unknown)}; choose from {','.join(FAMILIES)}"
+        )
+    return chosen
+
+
+def _painted(text: str) -> PaintedDiagram:
+    try:
+        return parse_painted(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="flagsym",
@@ -411,7 +446,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="analyze one painted diagram")
-    p_an.add_argument("spec", help="painted diagram, e.g. 'A3:{2,3}' or 'G2:{1}'")
+    p_an.add_argument(
+        "spec", type=_painted, help="painted diagram, e.g. 'A3:{2,3}' or 'G2:{1}'"
+    )
     p_an.add_argument(
         "--xi",
         help="Kahler parameter: comma-separated positive rationals for the painted "
@@ -428,8 +465,8 @@ def main(argv=None) -> int:
     p_an.add_argument("--dot", metavar="DIR", help="write painted/extended DOT files")
 
     p_en = sub.add_parser("enumerate", help="sweep all paintings up to a rank bound")
-    p_en.add_argument("--max-rank", type=int, default=6)
-    p_en.add_argument("--families", help="comma-separated subset, e.g. 'A,B,G'")
+    p_en.add_argument("--max-rank", type=_max_rank, default=6)
+    p_en.add_argument("--families", type=_families, help="comma-separated subset, e.g. 'A,B,G'")
     p_en.add_argument("--out", help="write the JSON report to this file")
     p_en.add_argument("--seed", default="0")
     p_en.add_argument("--xi-samples", type=_positive_int, default=3)
@@ -440,17 +477,19 @@ def main(argv=None) -> int:
     )
 
     p_ve = sub.add_parser("verify", help="run the sweep and verify every claim")
-    p_ve.add_argument("--max-rank", type=int, default=6)
-    p_ve.add_argument("--families", help="comma-separated subset")
+    p_ve.add_argument("--max-rank", type=_max_rank, default=6)
+    p_ve.add_argument("--families", type=_families, help="comma-separated subset")
     p_ve.add_argument("--seed", default="0")
     p_ve.add_argument("--xi-samples", type=_positive_int, default=3)
 
     args = parser.parse_args(argv)
 
     if args.command == "analyze":
-        pd = parse_painted(args.spec)
-        flag = make_flag(pd)
-        xi = _parse_xi(args.xi, flag) if args.xi else None
+        pd = args.spec
+        try:
+            xi = _parse_xi(args.xi, make_flag(pd)) if args.xi else None
+        except ValueError as exc:
+            p_an.error(f"argument --xi: {exc}")
         record, _, _ = _analyze_record(pd, xi, args.seed, args.samples)
         if args.dot:
             _write_dot(pd, args.dot)
@@ -460,16 +499,10 @@ def main(argv=None) -> int:
             _print_analysis(record)
         return 0
 
-    families = (
-        [f.strip().upper() for f in args.families.split(",") if f.strip()]
-        if args.families
-        else None
-    )
-
     if args.command == "enumerate":
         report = enumerate_flags(
             max_rank=args.max_rank,
-            families=families,
+            families=args.families,
             seed=args.seed,
             dedup_automorphisms=args.dedup_automorphisms,
             xi_samples=args.xi_samples,
@@ -485,7 +518,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         report = enumerate_flags(
             max_rank=args.max_rank,
-            families=families,
+            families=args.families,
             seed=args.seed,
             xi_samples=args.xi_samples,
         )

@@ -15,7 +15,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsystem import Diagram, Root, RootSystem, build_root_system, height, root_str
+from .rootsystem import (
+    Diagram,
+    Root,
+    RootSystem,
+    bits,
+    build_root_system,
+    root_str,
+)
 
 _PAINTED_RE = re.compile(r"\s*([A-G])\s*(\d+)\s*:\s*\{([0-9,\s]*)\}\s*\Z")
 
@@ -80,14 +87,17 @@ class FlagData:
         rs = pd.rs
         painted = sorted(pd.painted)
         self._painted = painted
-        self.r_h = frozenset(
-            r for r in rs.roots if all(r[i - 1] == 0 for i in painted)
-        )
-        self.r_m = frozenset(rs.roots) - self.r_h
-        plus = sorted(
-            (r for r in self.r_m if rs.is_positive(r)),
-            key=lambda r: (height(r), r),
-        )
+        # R_m: the roots with a nonzero coefficient on a painted node, as masks
+        # over the root index of rs; R_h: the rest
+        m_mask = 0
+        for i in painted:
+            m_mask |= rs.support[i - 1]
+        self.h_mask = ((1 << len(rs.roots)) - 1) & ~m_mask
+        self.m_plus_mask = m_mask & rs.positive_mask
+        self.r_h = rs.roots_of(self.h_mask)
+        self.r_m = rs.roots_of(m_mask)
+        # positive roots come first in the index, in (height, coordinates) order
+        plus = [rs.roots[i] for i in bits(self.m_plus_mask)]
         self.r_m_plus: tuple[Root, ...] = tuple(plus)
         self.r_m_plus_set = frozenset(plus)
         # T-root decomposition: fingerprint = restriction to the painted nodes
@@ -96,6 +106,8 @@ class FlagData:
             cells.setdefault(tuple(r[i - 1] for i in painted), []).append(r)
         self.t_modules = {fp: tuple(rs_) for fp, rs_ in cells.items()}
         self._symmetric: bool | None = None
+        # symmetry roots and their mask, filled once by flagsym.symmetry
+        self._symmetry: tuple[frozenset, int] | None = None
 
     @property
     def rs(self) -> RootSystem:
@@ -126,12 +138,8 @@ class FlagData:
     def is_symmetric_coset(self) -> bool:
         """True iff no two roots of R_m+ sum to a root ([m, m] inside h)."""
         if self._symmetric is None:
-            rset = self.rs.root_set
-            self._symmetric = not any(
-                tuple(x + y for x, y in zip(a, b)) in rset
-                for a in self.r_m_plus
-                for b in self.r_m_plus
-            )
+            sums, plus = self.rs.sums, self.m_plus_mask
+            self._symmetric = not any(sums[i] & plus for i in bits(plus))
         return self._symmetric
 
     def __repr__(self) -> str:

@@ -17,14 +17,25 @@ root):
     G_2   1 => 2 (triple edge)            node 1 long, node 2 short
 
 In this numbering the highest root of G_2 is 2a1 + 3a2.
+
+Besides the coordinate tuples, every root system carries one dense integer
+index: root i is ``roots[i]``, the positive roots come first in (height,
+coordinates) order and ``roots[i + N]`` is the negative of ``roots[i]`` for
+the N positive roots.  A set of roots is then a Python-int bitmask (bit i for
+``roots[i]``), ``sums[i]`` is the mask of the j with roots[i] + roots[j] a
+root and ``add[i][j]`` is the index of that sum, so set tests over root sums
+become ANDs and table lookups (Cohen, Murray and Taylor, *Computing in groups
+of Lie type*, Math. Comp. 2004, use indexed root tables the same way).
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 Root = tuple[int, ...]
 
@@ -49,6 +60,14 @@ def rneg(a: Root) -> Root:
 
 def height(a: Root) -> int:
     return sum(a)
+
+
+def bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def root_str(a: Root) -> str:
@@ -331,9 +350,10 @@ class RootSystem:
         self.family = family
         self.rank = rank
         self._d = _length_halves(self.cartan)
-        # (a_i, a_j) = c_ij * d_j
-        self._bil = tuple(
-            tuple(self.cartan[i][j] * self._d[j] for j in range(rank))
+        # (a_i, a_j) = c_ij * d_j = _gram[i][j] / _scale, with integer _gram
+        self._scale = lcm(*(x.denominator for x in self._d))
+        self._gram = tuple(
+            tuple(int(self.cartan[i][j] * self._d[j] * self._scale) for j in range(rank))
             for i in range(rank)
         )
         pos = _generate_positive(self.cartan)
@@ -348,19 +368,41 @@ class RootSystem:
         if len(pos) > 1 and height(pos[-2]) == height(self.highest):
             raise InternalConsistencyError("highest root is not unique")
         self.lengths = {r: self.inner_product(r, r) for r in self.roots}
-        self.sum_index: dict[tuple[Root, Root], Root] = {}
-        # splittings[s]: the ordered pairs (x, y) with x + y = s, in root order
-        splittings: dict[Root, list[tuple[Root, Root]]] = {r: [] for r in self.roots}
-        for a in self.roots:
-            for b in self.roots:
-                s = radd(a, b)
-                if s in self.root_set:
-                    key = (a, b)
-                    self.sum_index[key] = s
-                    splittings[s].append(key)
-        self.splittings: dict[Root, tuple[tuple[Root, Root], ...]] = {
-            s: tuple(pairs) for s, pairs in splittings.items()
-        }
+        count, half = len(self.roots), len(pos)
+        self.index: dict[Root, int] = {r: i for i, r in enumerate(self.roots)}
+        self.neg: tuple[int, ...] = tuple(range(half, count)) + tuple(range(half))
+        self.positive_mask = (1 << half) - 1
+        # support[n]: mask of the roots with a nonzero coefficient at node n + 1
+        support = [0] * rank
+        for i, r in enumerate(self.roots):
+            for node, c in enumerate(r):
+                if c:
+                    support[node] |= 1 << i
+        self.support: tuple[int, ...] = tuple(support)
+        # sums[i]: mask of the j with roots[i] + roots[j] a root; add[i][j]: the
+        # index of that sum, or ``count`` (a bit no root mask has) when it is none.
+        # The sums are found on integer keys: the coordinates as signed digits in
+        # base 4M + 1, M the largest coefficient, so key(a) + key(b) = key(a + b),
+        # and two vectors with entries of size <= 2M (a sum of two roots and a
+        # root) have the same key only when they are equal.
+        base = 4 * max(self.highest) + 1
+        keys = [sum(c * base**n for n, c in enumerate(r)) for r in self.roots]
+        by_key = {key: i for i, key in enumerate(keys)}
+        sums: list[int] = []
+        add: list[array] = []
+        for ka in keys:
+            mask = 0
+            row = array("H", [count]) * count
+            for j, kb in enumerate(keys):
+                k = by_key.get(ka + kb)
+                if k is not None:
+                    mask |= 1 << j
+                    row[j] = k
+            sums.append(mask)
+            add.append(row)
+        self.sums: tuple[int, ...] = tuple(sums)
+        self.add: tuple[array, ...] = tuple(add)
+        self._extended: Diagram | None = None
 
     @property
     def name(self) -> str:
@@ -374,30 +416,73 @@ class RootSystem:
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
 
+    def _scaled_product(self, a, b) -> int:
+        """(a, b) times the common denominator of the form, as an int."""
+        gram = self._gram
+        return sum(
+            x * sum(g * y for g, y in zip(gram[i], b)) for i, x in enumerate(a) if x
+        )
+
     def inner_product(self, a, b) -> Fraction:
         """Bilinear form on integer vectors over the simple roots; long roots
         have squared length 2."""
-        total = Fraction(0)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    total += x * y * self._bil[i][j]
-        return total
+        return Fraction(self._scaled_product(a, b), self._scale)
 
     def cartan_int(self, a, b) -> int:
         """Cartan integer 2(a,b)/(b,b)."""
-        v = 2 * self.inner_product(a, b) / self.inner_product(b, b)
-        if v.denominator != 1:
-            raise InternalConsistencyError(f"non-integral Cartan pairing {v}")
-        return int(v)
+        num, den = 2 * self._scaled_product(a, b), self._scaled_product(b, b)
+        if num % den:
+            raise InternalConsistencyError(
+                f"non-integral Cartan pairing {Fraction(num, den)}"
+            )
+        return num // den
 
     def contains(self, v) -> bool:
         return tuple(v) in self.root_set
 
     def is_positive(self, r: Root) -> bool:
         return height(r) > 0
+
+    def mask_of(self, roots) -> int:
+        """Bitmask of a collection of roots."""
+        index = self.index
+        mask = 0
+        for r in roots:
+            mask |= 1 << index[r]
+        return mask
+
+    def roots_of(self, mask: int) -> frozenset:
+        """The roots whose bits are set in ``mask``."""
+        roots = self.roots
+        return frozenset(roots[i] for i in bits(mask))
+
+    def neg_mask(self, mask: int) -> int:
+        """Mask of the negatives of the roots in ``mask``."""
+        half = len(self.positive_roots)
+        return (mask & self.positive_mask) << half | mask >> half
+
+    @cached_property
+    def sum_index(self) -> dict[tuple[Root, Root], Root]:
+        """(a, b) -> a + b for every ordered pair of roots whose sum is a root.
+
+        Built from ``sums``/``add`` on first use: only the layers that work on
+        coordinate tuples (structure constants, oracles) need it.
+        """
+        roots = self.roots
+        out: dict[tuple[Root, Root], Root] = {}
+        for i, a in enumerate(roots):
+            row = self.add[i]
+            for j in bits(self.sums[i]):
+                out[(a, roots[j])] = roots[row[j]]
+        return out
+
+    @cached_property
+    def splittings(self) -> dict[Root, tuple[tuple[Root, Root], ...]]:
+        """splittings[s]: the ordered pairs (x, y) with x + y = s, in root order."""
+        pairs: dict[Root, list[tuple[Root, Root]]] = {r: [] for r in self.roots}
+        for key, s in self.sum_index.items():
+            pairs[s].append(key)
+        return {s: tuple(p) for s, p in pairs.items()}
 
     def sum_root(self, a: Root, b: Root) -> Root | None:
         return self.sum_index.get((a, b))
@@ -465,11 +550,13 @@ class RootSystem:
         )
 
     def extended_diagram(self) -> Diagram:
-        """Extended diagram: node 0 carries the lowest root -theta."""
-        labeled = [(0, rneg(self.highest))] + [
-            (i + 1, s) for i, s in enumerate(self.simple_roots)
-        ]
-        return self.diagram_from_vectors(labeled)
+        """Extended diagram: node 0 carries the lowest root -theta (built once)."""
+        if self._extended is None:
+            labeled = [(0, rneg(self.highest))] + [
+                (i + 1, s) for i, s in enumerate(self.simple_roots)
+            ]
+            self._extended = self.diagram_from_vectors(labeled)
+        return self._extended
 
 
 @lru_cache(maxsize=None)

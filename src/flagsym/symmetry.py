@@ -14,27 +14,35 @@ m^{1,0}.  From the symmetry roots the module assembles
     Dynkin diagram and keep the component of the affine node; the result must
     match the Dynkin diagram of u.
 
-Two independent scans (full root list vs nilradical closure) are kept for the
-symmetry roots and cross-checked whenever a report is built.
+Every set test runs on the dense root index of :mod:`flagsym.rootsystem`:
+sets of roots are bitmasks, ``sums[i]`` is the mask of the roots whose sum
+with root i is a root and ``add[i][j]`` is the index of that sum.  The
+symmetry scan is one AND per root of R_m+; [p, p], the closures of the leaf
+and of h', the abelian-centre test, the k-highest test, [k', p] = 0 and the
+simple roots of a subsystem are short loops over the set bits of such masks.
+
+The symmetry roots are computed once per FlagData, by two independent scans
+that are cross-checked: one tests membership of a + b in R through ``sums``,
+the other membership in R_m+ through ``add``.  The result is kept on the flag
+and read by :func:`build_report`, :func:`leaf_pair`, :func:`h_prime` and
+:func:`k_prime_check`, so each painting is scanned once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .flag import FlagData, PaintedDiagram, make_flag
 from .rootsystem import (
     Diagram,
     InternalConsistencyError,
     Root,
+    RootSystem,
+    bits,
     classify_connected,
     diagram_components,
-    height,
-    radd,
-    rneg,
     root_str,
-    rsub,
 )
 
 
@@ -71,82 +79,107 @@ class SymmetryReport:
     def symmetric(self) -> bool:
         return self.flag.is_symmetric_coset()
 
+    @property
+    def hprime_closed(self) -> bool:
+        """h' = h + p closed under root addition, by the mask closure."""
+        rs = self.flag.rs
+        return _closure_gap(rs, rs.mask_of(self.h_prime_roots)) is None
+
 
 def symmetry_roots(flag: FlagData) -> frozenset:
-    """{a in R_m+ : (a + R_m+) n R = empty} -- scan against the full root list."""
-    rset = flag.rs.root_set
-    out = []
-    for a in flag.r_m_plus:
-        if not any(radd(a, b) in rset for b in flag.r_m_plus):
-            out.append(a)
-    return frozenset(out)
+    """{a in R_m+ : (a + R_m+) n R = empty} -- one AND with the sum mask of a."""
+    roots, sums = flag.rs.roots, flag.rs.sums
+    plus = flag.m_plus_mask
+    return frozenset(roots[i] for i in bits(plus) if not sums[i] & plus)
 
 
 def center_of_nilradical(flag: FlagData) -> frozenset:
     """Root support of the centre of m^{1,0} -- scan against the nilradical.
 
-    Independent of :func:`symmetry_roots` (membership is tested inside R_m+,
-    which is closed under root sums of its own members); the two must agree.
+    Independent of :func:`symmetry_roots`: it looks each sum a + b up in the
+    ``add`` table and tests membership in R_m+ (closed under root sums of its
+    own members) instead of in R; the two must agree.
     """
-    nil = flag.r_m_plus_set
-    out = []
-    for a in flag.r_m_plus:
-        if all(radd(a, b) not in nil for b in flag.r_m_plus):
-            out.append(a)
-    return frozenset(out)
+    roots, add = flag.rs.roots, flag.rs.add
+    plus = flag.m_plus_mask
+    members = list(bits(plus))
+    return frozenset(
+        roots[i]
+        for i in members
+        if not any(plus >> add[i][j] & 1 for j in members)
+    )
 
 
-def _symmetry_roots_checked(flag: FlagData) -> frozenset:
-    via_r = symmetry_roots(flag)
-    via_z = center_of_nilradical(flag)
-    if via_r != via_z:
-        raise InternalConsistencyError(
-            f"{flag.pd.spec}: root-list and nilradical scans disagree"
-        )
-    if flag.rs.highest not in via_r:
-        raise InternalConsistencyError(f"{flag.pd.spec}: highest root not a symmetry root")
-    return via_r
+def _symmetry(flag: FlagData) -> tuple[frozenset, int]:
+    """R_p+ and its mask: both scans run and are cross-checked once per flag."""
+    if flag._symmetry is None:
+        via_r = symmetry_roots(flag)
+        via_z = center_of_nilradical(flag)
+        if via_r != via_z:
+            raise InternalConsistencyError(
+                f"{flag.pd.spec}: root-list and nilradical scans disagree"
+            )
+        if flag.rs.highest not in via_r:
+            raise InternalConsistencyError(
+                f"{flag.pd.spec}: highest root not a symmetry root"
+            )
+        flag._symmetry = (via_r, flag.rs.mask_of(via_r))
+    return flag._symmetry
 
 
 def _rank_q(vectors) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
-        return 0
+    """Rank over Q of integer vectors, by fraction-free elimination."""
+    rows = [list(v) for v in vectors]
     rank = 0
-    for col in range(len(rows[0])):
+    for col in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         lead = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / lead[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                row = [lead[col] * x - f * y for x, y in zip(rows[i], lead)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         rank += 1
     return rank
 
 
-def _r_k(flag: FlagData, rp_plus) -> frozenset:
-    """Root part of k = [p, p]: differences of symmetry roots that are roots."""
-    rset = flag.rs.root_set
-    out = set()
-    for a in rp_plus:
-        for b in rp_plus:
-            if a != b:
-                d = rsub(a, b)
-                if d in rset:
-                    out.add(d)
-    return frozenset(out)
-
-
-def _indecomposables(pos) -> list:
-    pset = set(pos)
-    out = []
-    for s in sorted(pos, key=lambda r: (height(r), r)):
-        if not any(x != s and rsub(s, x) in pset for x in pos):
-            out.append(s)
+def _r_k(rs: RootSystem, plus: int) -> int:
+    """Mask of the root part of k = [p, p]: differences of symmetry roots."""
+    add, sums = rs.add, rs.sums
+    minus = rs.neg_mask(plus)
+    out = 0
+    for i in bits(plus):
+        row = add[i]
+        for j in bits(sums[i] & minus):
+            out |= 1 << row[j]
     return out
+
+
+def _closure_gap(rs: RootSystem, mask: int) -> tuple[int, int] | None:
+    """A pair (i, j) of ``mask`` whose sum is a root outside it, else None."""
+    add, sums = rs.add, rs.sums
+    for i in bits(mask):
+        row = add[i]
+        for j in bits(sums[i] & mask):
+            if not mask >> row[j] & 1:
+                return i, j
+    return None
+
+
+def _reaches(rs: RootSystem, i: int, mask: int, target: int) -> bool:
+    """True iff roots[i] + b lies in ``target`` for some b in ``mask``."""
+    row = rs.add[i]
+    return any(target >> row[j] & 1 for j in bits(rs.sums[i] & mask))
+
+
+def _indecomposables(rs: RootSystem, pos: int) -> list[Root]:
+    """Simple roots of a positive system: no s - x inside it, x in it."""
+    minus = rs.neg_mask(pos)
+    return [rs.roots[s] for s in bits(pos) if not _reaches(rs, s, minus, pos)]
 
 
 def _simple_components(flag: FlagData, simples) -> list[list[Root]]:
@@ -167,9 +200,9 @@ def _simple_components(flag: FlagData, simples) -> list[list[Root]]:
     return comps
 
 
-def _classify_sub(flag: FlagData, pos_roots) -> list[tuple[str, int]]:
+def _classify_sub(flag: FlagData, pos: int) -> list[tuple[str, int]]:
     """Canonical (family, rank) labels of the components of a closed subsystem."""
-    simples = _indecomposables(pos_roots)
+    simples = _indecomposables(flag.rs, pos)
     labels = []
     for comp in _simple_components(flag, simples):
         diag = flag.rs.diagram_from_vectors(list(enumerate(comp)))
@@ -221,21 +254,17 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
     theorems, so a failure means a bug, not a valid outcome.
     """
     rs = flag.rs
-    rp_plus = sorted(_symmetry_roots_checked(flag), key=lambda r: (height(r), r))
-    rp = frozenset(rp_plus) | frozenset(rneg(a) for a in rp_plus)
-    rk = _r_k(flag, rp_plus)
-    if not rk <= flag.r_h:
+    _, plus = _symmetry(flag)
+    rp = plus | rs.neg_mask(plus)
+    rk = _r_k(rs, plus)
+    if rk & ~flag.h_mask:
         raise InternalConsistencyError(f"{flag.pd.spec}: [p,p] escapes the isotropy roots")
     ru = rk | rp
-    rset = rs.root_set
-    for a in ru:
-        for b in ru:
-            s = radd(a, b)
-            if s in rset and s not in ru:
-                raise InternalConsistencyError(f"{flag.pd.spec}: leaf root set not closed")
+    if _closure_gap(rs, ru) is not None:
+        raise InternalConsistencyError(f"{flag.pd.spec}: leaf root set not closed")
 
-    toral_rank = _rank_q(rp_plus)
-    u_labels = _classify_sub(flag, [r for r in ru if rs.is_positive(r)])
+    toral_rank = _rank_q(rs.roots[i] for i in bits(plus))
+    u_labels = _classify_sub(flag, ru & rs.positive_mask)
     if len(u_labels) != 1:
         raise InternalConsistencyError(
             f"{flag.pd.spec}: leaf algebra not simple, components {u_labels}"
@@ -246,19 +275,16 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
             f"{flag.pd.spec}: leaf rank {u_type[1]} != coroot span {toral_rank}"
         )
 
-    k_pos = [r for r in rk if rs.is_positive(r)]
+    k_pos = rk & rs.positive_mask
     k_labels = _classify_sub(flag, k_pos)
-    k_center = toral_rank - _rank_q(k_pos)
+    k_center = toral_rank - _rank_q(rs.roots[i] for i in bits(k_pos))
     if k_center != 1:
         raise InternalConsistencyError(
             f"{flag.pd.spec}: isotropy centre of the leaf has dim {k_center}"
         )
 
     # p is k-irreducible: the unique highest vector must be the highest root
-    rp_set = frozenset(rp_plus)
-    highest = [
-        a for a in rp_plus if all(radd(a, k) not in rp_set for k in k_pos)
-    ]
+    highest = [rs.roots[i] for i in bits(plus) if not _reaches(rs, i, k_pos, plus)]
     if highest != [rs.highest]:
         raise InternalConsistencyError(
             f"{flag.pd.spec}: k-highest vectors {[root_str(a) for a in highest]}"
@@ -269,8 +295,8 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
         u_type=f"{u_type[0]}{u_type[1]}",
         k_semisimple_type=tuple(f"{f}{r}" for f, r in k_labels),
         k_center_dim=k_center,
-        r_u=frozenset(ru),
-        r_k=rk,
+        r_u=rs.roots_of(ru),
+        r_k=rs.roots_of(rk),
         toral_rank=toral_rank,
         name=name,
     )
@@ -296,38 +322,31 @@ def diagrams_agree(pd: PaintedDiagram, leaf: LeafDescriptor) -> bool:
 
 def h_prime(flag: FlagData) -> frozenset:
     """Roots of h' = h + p, verified closed under root addition."""
-    rp_plus = _symmetry_roots_checked(flag)
-    roots = flag.r_h | rp_plus | frozenset(rneg(a) for a in rp_plus)
-    rset = flag.rs.root_set
-    for a in roots:
-        for b in roots:
-            s = radd(a, b)
-            if s in rset and s not in roots:
-                raise InternalConsistencyError(
-                    f"{flag.pd.spec}: h' not closed ({root_str(a)} + {root_str(b)})"
-                )
-    return roots
+    rs = flag.rs
+    _, plus = _symmetry(flag)
+    mask = flag.h_mask | plus | rs.neg_mask(plus)
+    gap = _closure_gap(rs, mask)
+    if gap is not None:
+        a, b = (root_str(rs.roots[i]) for i in gap)
+        raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
+    return rs.roots_of(mask)
 
 
 def k_prime_check(flag: FlagData) -> bool:
     """True iff the orthocomplement of k inside h commutes with p at root level."""
-    rp_plus = _symmetry_roots_checked(flag)
-    rk = _r_k(flag, sorted(rp_plus))
-    rp = rp_plus | frozenset(rneg(a) for a in rp_plus)
-    rset = flag.rs.root_set
-    return all(
-        radd(g, a) not in rset for g in (flag.r_h - rk) for a in rp
-    )
+    rs = flag.rs
+    _, plus = _symmetry(flag)
+    rp = plus | rs.neg_mask(plus)
+    sums = rs.sums
+    return not any(sums[g] & rp for g in bits(flag.h_mask & ~_r_k(rs, plus)))
 
 
 def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport:
     """Full symmetry report for one painted diagram (cross-checked)."""
-    rp_plus = _symmetry_roots_checked(flag)
-    rset = flag.rs.root_set
-    for a in rp_plus:
-        for b in rp_plus:
-            if radd(a, b) in rset:
-                raise InternalConsistencyError(f"{flag.pd.spec}: centre not abelian")
+    rp_plus, plus = _symmetry(flag)
+    sums = flag.rs.sums
+    if any(sums[i] & plus for i in bits(plus)):
+        raise InternalConsistencyError(f"{flag.pd.spec}: centre not abelian")
     index = 2 * len(rp_plus)
     coindex = flag.dim_m - index
     if (coindex == 0) != flag.is_symmetric_coset():

@@ -202,8 +202,47 @@ def test_analyze_with_explicit_xi(capsys):
 
 
 def test_analyze_rejects_bad_spec(capsys):
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["analyze", "A3:{9}"])
+    assert exc.value.code == 2
+    assert "out of range" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--max-rank", "0"], "must be between 1 and 8, got 0"),
+        (["enumerate", "--max-rank", "9"], "must be between 1 and 8, got 9"),
+        (["verify", "--families", "X"], "unknown families X"),
+        (["enumerate", "--families", "A,Q"], "unknown families Q"),
+        (["analyze", "A3:{2,3}", "--xi", "1/0"], "not a rational number: '1/0'"),
+        (["analyze", "A3:{2,3}", "--xi", "abc"], "not a rational number: 'abc'"),
+        (["analyze", "A3:{2,3}", "--xi", "1"], "expected 2 coefficients"),
+        (["analyze", "A3:{2,3}", "--xi", "1,-2"], "strictly positive"),
+        (["analyze", "Z3:{1}"], "cannot parse painted diagram"),
+        (["analyze", "A3:{9}"], "out of range"),
+        (["analyze", "C2:{1}"], "not a simple type: C2"),
+    ],
+)
+def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_empty_sweep_is_a_violation(capsys):
+    report = enumerate_flags(max_rank=1, families=["G"], xi_samples=1)
+    assert report.entries == []
+    ok, violations = verify_theorem(report)
+    assert not ok
+    assert [(v["entry"], v["check"]) for v in violations] == [(None, "empty_sweep")]
+    code, out = run_cli(capsys, "verify", "--max-rank", "1", "--families", "G")
+    assert code == 1 and out.startswith("FAIL") and "empty_sweep" in out
 
 
 def test_verify_cli_exit_codes(capsys):

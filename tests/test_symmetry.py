@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -149,6 +150,14 @@ def test_h_prime_g2():
 def test_h_prime_symmetric_is_everything():
     f = make_flag(parse_painted("A3:{2}"))
     assert h_prime(f) == f.rs.root_set
+
+
+def test_hprime_closed_is_the_mask_closure():
+    rep = build_report(make_flag(parse_painted("A3:{2,3}")))
+    assert rep.hprime_closed is True
+    # {a1, a2} misses a1 + a2, so it is not closed under root addition
+    broken = dataclasses.replace(rep, h_prime_roots=frozenset({(1, 0, 0), (0, 1, 0)}))
+    assert broken.hprime_closed is False
 
 
 def test_k_prime_examples():

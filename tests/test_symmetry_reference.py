@@ -1,0 +1,187 @@
+"""The mask kernel of the symmetry layer against the tuple loops it replaced.
+
+The reference functions below are the former implementations: they build
+every sum a + b as a coordinate tuple and test it against frozensets of
+roots.  The kernel in ``flagsym.symmetry`` works on root-index bitmasks and
+must give the same sets and the same verdicts on every painting of rank
+<= 6 and on a seeded sample of rank 7-8 paintings.  The root-index tables
+themselves (``index``, ``neg``, ``sums``, ``add``) are checked against
+coordinate addition, ``sum_index`` and ``rneg`` for every simple type of
+rank <= 8.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from flagsym import (
+    PaintedDiagram,
+    build_report,
+    build_root_system,
+    center_of_nilradical,
+    h_prime,
+    k_prime_check,
+    make_flag,
+    simple_types,
+    symmetry_roots,
+)
+from flagsym.rootsystem import bits, height, radd, rneg, rsub
+from flagsym.symmetry import _closure_gap, _indecomposables, _r_k
+
+
+def ref_symmetry_roots(flag):
+    rset = flag.rs.root_set
+    return frozenset(
+        a for a in flag.r_m_plus if not any(radd(a, b) in rset for b in flag.r_m_plus)
+    )
+
+
+def ref_center_of_nilradical(flag):
+    nil = flag.r_m_plus_set
+    return frozenset(
+        a for a in flag.r_m_plus if all(radd(a, b) not in nil for b in flag.r_m_plus)
+    )
+
+
+def ref_r_k(flag, rp_plus):
+    rset = flag.rs.root_set
+    out = set()
+    for a in rp_plus:
+        for b in rp_plus:
+            if a != b:
+                d = rsub(a, b)
+                if d in rset:
+                    out.add(d)
+    return frozenset(out)
+
+
+def ref_closed(rs, roots):
+    return not any(
+        radd(a, b) in rs.root_set and radd(a, b) not in roots
+        for a in roots
+        for b in roots
+    )
+
+
+def ref_k_prime_check(flag, rp_plus):
+    rk = ref_r_k(flag, rp_plus)
+    rp = rp_plus | frozenset(rneg(a) for a in rp_plus)
+    rset = flag.rs.root_set
+    return all(radd(g, a) not in rset for g in (flag.r_h - rk) for a in rp)
+
+
+def ref_is_symmetric_coset(flag):
+    rset = flag.rs.root_set
+    return not any(radd(a, b) in rset for a in flag.r_m_plus for b in flag.r_m_plus)
+
+
+def ref_indecomposables(pos):
+    pset = set(pos)
+    return [
+        s
+        for s in sorted(pos, key=lambda r: (height(r), r))
+        if not any(x != s and rsub(s, x) in pset for x in pos)
+    ]
+
+
+def paintings(types):
+    for family, rank in types:
+        rs = build_root_system(family, rank)
+        for size in range(1, rank + 1):
+            for combo in itertools.combinations(range(1, rank + 1), size):
+                yield PaintedDiagram(rs, frozenset(combo))
+
+
+def rank_7_8_sample(count=60, seed=7):
+    pool = list(paintings([t for t in simple_types(8) if t[1] >= 7]))
+    return random.Random(seed).sample(pool, count)
+
+
+def assert_kernel_matches_reference(pd, rng):
+    flag = make_flag(pd)
+    rs = flag.rs
+    spec = pd.spec
+    rp_plus = ref_symmetry_roots(flag)
+    assert symmetry_roots(flag) == rp_plus, spec
+    assert center_of_nilradical(flag) == ref_center_of_nilradical(flag) == rp_plus, spec
+    assert flag.is_symmetric_coset() == ref_is_symmetric_coset(flag), spec
+    assert flag.h_mask == rs.mask_of(flag.r_h)
+    assert flag.m_plus_mask == rs.mask_of(flag.r_m_plus)
+
+    plus = rs.mask_of(rp_plus)
+    rk = ref_r_k(flag, rp_plus)
+    assert rs.roots_of(_r_k(rs, plus)) == rk, spec
+    assert k_prime_check(flag) == ref_k_prime_check(flag, rp_plus), spec
+
+    rep = build_report(flag)
+    assert rep.r_p_plus == rp_plus, spec
+    assert rep.leaf.r_k == rk, spec
+    ru = rk | rp_plus | frozenset(rneg(a) for a in rp_plus)
+    assert rep.leaf.r_u == ru, spec
+    hp = flag.r_h | rp_plus | frozenset(rneg(a) for a in rp_plus)
+    assert h_prime(flag) == rep.h_prime_roots == hp, spec
+    assert ref_closed(rs, ru) and ref_closed(rs, hp), spec
+    assert rep.hprime_closed, spec
+
+    for sub in (ru, rk):
+        pos = [r for r in sub if rs.is_positive(r)]
+        got = _indecomposables(rs, rs.mask_of(pos))
+        assert got == ref_indecomposables(pos), spec
+
+    # off the theorems: a random part of R_m+ stands in for the symmetry roots
+    fake = frozenset(rng.sample(flag.r_m_plus, rng.randint(1, len(flag.r_m_plus))))
+    other = make_flag(pd)
+    other._symmetry = (fake, rs.mask_of(fake))
+    assert rs.roots_of(_r_k(rs, rs.mask_of(fake))) == ref_r_k(other, fake), spec
+    assert k_prime_check(other) == ref_k_prime_check(other, fake), spec
+
+    # closure verdicts, also on sets that are not closed
+    for roots in (ru, hp, flag.r_h, flag.r_m_plus_set):
+        members = sorted(roots)
+        variants = [roots]
+        if members:
+            variants.append(roots - {rng.choice(members)})
+        variants.append(roots | {rng.choice(rs.roots)})
+        for v in variants:
+            assert (_closure_gap(rs, rs.mask_of(v)) is None) == ref_closed(rs, v), spec
+
+
+@pytest.mark.parametrize("family,rank", simple_types(6))
+def test_kernel_matches_reference_rank_le_6(family, rank):
+    rng = random.Random(f"{family}{rank}")
+    for pd in paintings([(family, rank)]):
+        assert_kernel_matches_reference(pd, rng)
+
+
+def test_kernel_matches_reference_rank_7_8_sample():
+    rng = random.Random("rank-7-8")
+    for pd in rank_7_8_sample():
+        assert_kernel_matches_reference(pd, rng)
+
+
+def test_rank_le_6_covers_every_painting():
+    assert sum(1 for _ in paintings(simple_types(6))) == 545
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_root_index_tables(family, rank):
+    rs = build_root_system(family, rank)
+    count = len(rs.roots)
+    for i, a in enumerate(rs.roots):
+        assert rs.index[a] == i
+        assert rs.roots[rs.neg[i]] == rneg(a)
+        for j, b in enumerate(rs.roots):
+            s = radd(a, b)
+            is_root = s in rs.root_set
+            assert (rs.sums[i] >> j & 1) == is_root
+            assert rs.add[i][j] == (rs.index[s] if is_root else count)
+            assert rs.sum_index.get((a, b)) == (s if is_root else None)
+    positives = rs.mask_of(rs.positive_roots)
+    assert rs.positive_mask == positives
+    assert rs.neg_mask(positives) == rs.mask_of(rneg(r) for r in rs.positive_roots)
+    sample = random.Random(rs.name).sample(rs.roots, min(7, count))
+    mask = rs.mask_of(sample)
+    assert rs.roots_of(mask) == frozenset(sample)
+    assert rs.roots_of(rs.neg_mask(mask)) == frozenset(rneg(r) for r in sample)
+    assert list(bits(mask)) == sorted(rs.index[r] for r in sample)
