@@ -15,12 +15,25 @@ ordered by (height, coordinates); for each non-simple positive root the
 special decomposition with the smallest first summand gets n = +(p+1), and
 every other constant is propagated from those choices through the Jacobi and
 cyclic identities.  The construction is deterministic and reproducible.
+
+The audit (:func:`convention_violations`) works on the dense root index of
+:class:`RootSystem`: it copies ``n`` into a list keyed by ``i * N + j`` and
+``b`` into integers when it is called, so every check is an integer lookup.
+Its exhaustive Jacobi check visits only the triples that can fail, and this
+pruning is exact.  Each term of
+
+    [[E_x, E_y], E_z] + [[E_y, E_z], E_x] + [[E_z, E_x], E_y]
+
+lies in the weight space g_{x+y+z}, which is zero unless x + y + z is a root
+or 0, and each term vanishes unless its first two roots sum to a root or to
+0.  So, whatever the constants in the table, a triple whose sum is not in
+R ∪ {0}, or none of whose pairs sums into R ∪ {0}, has defect zero.  The
+remaining triples are found from the ``sums`` masks, each once, from its
+first pair (in index order) that sums into R ∪ {0}.
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +42,8 @@ from .rootsystem import (
     InternalConsistencyError,
     Root,
     RootSystem,
+    bits,
     height,
-    radd,
     rneg,
     rsub,
 )
@@ -38,11 +51,15 @@ from .rootsystem import (
 
 @dataclass
 class ChevalleyTable:
-    """Structure constants n and pairing weights b for one root system."""
+    """Structure constants n and pairing weights b for one root system.
+
+    ``audited`` is True when :func:`build_constants` ran the exhaustive audit.
+    """
 
     rs: RootSystem
     n: dict[tuple[Root, Root], int]
     b: dict[Root, Fraction]
+    audited: bool = False
 
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""
@@ -51,27 +68,28 @@ class ChevalleyTable:
     def b_of(self, d: Root) -> Fraction:
         return self.b[d]
 
-    def dump_csv(self, path) -> None:
-        """Write the constant table (root-index pair, constant) for audit."""
-        index = {r: i for i, r in enumerate(self.rs.roots)}
-        rows = sorted(
-            (index[a], index[b], a, b, v) for (a, b), v in self.n.items()
-        )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ia", "ib", "root_a", "root_b", "n"])
-            for ia, ib, a, b, v in rows:
-                writer.writerow([ia, ib, " ".join(map(str, a)), " ".join(map(str, b)), v])
+
+def _int_b(table: ChevalleyTable, d: Root) -> int:
+    """b(d) as an int; every b(d) = 2/(d, d) is 1, 2 or 3."""
+    b = table.b_of(d)
+    if b.denominator != 1:
+        raise InternalConsistencyError(f"non-integral pairing weight b = {b}")
+    return b.numerator
+
+
+def _walk(row, k: int) -> int:
+    """Steps k -> row[k] that stay on roots (``len(row)`` marks no root)."""
+    steps, stop = 0, len(row)
+    k = row[k]
+    while k != stop:
+        steps += 1
+        k = row[k]
+    return steps
 
 
 def _string_down(rs: RootSystem, a: Root, base: Root) -> int:
     """p = max k with base - k*a a root (root strings are unbroken)."""
-    p = 0
-    v = rsub(base, a)
-    while v in rs.root_set:
-        p += 1
-        v = rsub(v, a)
-    return p
+    return _walk(rs.add[rs.neg[rs.index[a]]], rs.index[base])
 
 
 def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTable:
@@ -147,44 +165,32 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
     table = ChevalleyTable(rs, full, b)
     if verify is None:
         verify = len(rs.roots) <= 48
-    if verify and not sign_convention_check(table, rs):
-        raise InternalConsistencyError(f"{rs.name}: constant table fails the audit")
+    if verify:
+        if not sign_convention_check(table, rs):
+            raise InternalConsistencyError(f"{rs.name}: constant table fails the audit")
+        table.audited = True
     return table
 
 
-def _jacobi_defect(table: ChevalleyTable, rs: RootSystem, x: Root, y: Root, z: Root):
-    """Coefficients of [[E_x,E_y],E_z] + [[E_y,E_z],E_x] + [[E_z,E_x],E_y].
+def _jacobi_triples(rs: RootSystem):
+    """Sorted index triples (x, y, z) whose Jacobi defect can be nonzero, each once.
 
-    Returns (root_part, cartan_part); both must vanish.
+    A pair (p, q) qualifies when roots p + q lies in R ∪ {0}.  For each
+    qualifying pair p < q the third root r must put p + q + r in R ∪ {0}
+    (any r when q = -p), and the triple is kept only when (p, q) is its first
+    qualifying pair: no r < q pairs with p, and no r < p pairs with q.
     """
-    roots: dict[Root, Fraction] = {}
-    cart = [Fraction(0)] * rs.rank
-
-    def add_term(a: Root, b: Root, c: Root) -> None:
-        if a == rneg(b):
-            # [H_{a^v}, E_c] = <c, a^v> E_c
-            coef = rs.cartan_int(c, a)
-            if coef:
-                roots[c] = roots.get(c, Fraction(0)) + coef
-            return
-        s = rs.sum_root(a, b)
-        if s is None:
-            return
-        m = table.n_of(a, b)
-        if s == rneg(c):
-            for i, v in enumerate(rs.coroot(s)):
-                cart[i] += m * v
-            return
-        u = rs.sum_root(s, c)
-        if u is not None:
-            coef = m * table.n_of(s, c)
-            if coef:
-                roots[u] = roots.get(u, Fraction(0)) + coef
-
-    add_term(x, y, z)
-    add_term(y, z, x)
-    add_term(z, x, y)
-    return {r: c for r, c in roots.items() if c}, cart
+    count, neg, add = len(rs.roots), rs.neg, rs.add
+    pairs = [rs.sums[i] | 1 << neg[i] for i in range(count)]
+    every = (1 << count) - 1
+    for p in range(count):
+        later = pairs[p] >> (p + 1) << (p + 1)
+        below_p = (1 << p) - 1
+        for q in bits(later):
+            third = every if q == neg[p] else pairs[add[p][q]]
+            third &= ~(1 << p | 1 << q | pairs[p] & ((1 << q) - 1) | pairs[q] & below_p)
+            for r in bits(third):
+                yield (r, p, q) if r < p else (p, r, q) if r < q else (p, q, r)
 
 
 def convention_violations(
@@ -202,6 +208,13 @@ def convention_violations(
     when ``jacobi_samples`` is None, otherwise that many seeded triples).
     """
     rs = rs or table.rs
+    roots, index, neg, add = rs.roots, rs.index, rs.neg, rs.add
+    count = len(roots)
+    # integer copies taken now, so a table changed after construction is audited
+    n = [0] * (count * count)
+    for (x, y), v in table.n.items():
+        n[index[x] * count + index[y]] = v
+    b = [_int_b(table, r) for r in roots]
     out: list[str] = []
 
     def report(msg: str) -> bool:
@@ -209,34 +222,66 @@ def convention_violations(
         return limit is not None and len(out) >= limit
 
     for (x, y), v in table.n.items():
-        if v != -table.n_of(y, x):
+        i, j = index[x], index[y]
+        if v != -n[j * count + i]:
             if report(f"antisymmetry fails at ({x}, {y})"):
                 return out
-        if v != -table.n_of(rneg(x), rneg(y)):
+        if v != -n[neg[i] * count + neg[j]]:
             if report(f"negation rule fails at ({x}, {y})"):
                 return out
         p = _string_down(rs, x, y)
         if abs(v) != p + 1:
             if report(f"|n| != p+1 at ({x}, {y}): {v} vs {p + 1}"):
                 return out
-    for (x, y), s in rs.sum_index.items():
-        z = rneg(s)
-        lhs = table.n_of(x, y) * table.b_of(z)
-        if lhs != table.n_of(y, z) * table.b_of(x) or lhs != table.n_of(z, x) * table.b_of(y):
-            if report(f"weighted cyclic identity fails on ({x}, {y}, {z})"):
-                return out
+    for i in range(count):
+        row = add[i]
+        for j in bits(rs.sums[i]):
+            k = neg[row[j]]
+            lhs = n[i * count + j] * b[k]
+            if lhs != n[j * count + k] * b[i] or lhs != n[k * count + i] * b[j]:
+                if report(
+                    f"weighted cyclic identity fails on ({roots[i]}, {roots[j]}, {roots[k]})"
+                ):
+                    return out
+
+    coroots = []  # over the simple coroots, where every coroot has integer coordinates
+    for r in roots:
+        co = rs.coroot(r)
+        if any(c.denominator != 1 for c in co):
+            raise InternalConsistencyError(f"non-integral coroot of {r}")
+        coroots.append([c.numerator for c in co])
+
+    def defective(x: int, y: int, z: int) -> bool:
+        """Whether [[E_x,E_y],E_z] + [[E_y,E_z],E_x] + [[E_z,E_x],E_y] != 0."""
+        at_root = 0  # the coefficient of E_{x+y+z}
+        at_cartan = []  # (n, s) for each term n [E_s, E_{-s}] = n H_{s^v}
+        for a, c, d in ((x, y, z), (y, z, x), (z, x, y)):
+            if c == neg[a]:
+                # [H_{a^v}, E_d] = <d, a^v> E_d, and <d, a^v> = p - q on the
+                # a-string d - p a, ..., d + q a
+                at_root += _walk(add[c], d) - _walk(add[a], d)
+                continue
+            s = add[a][c]
+            if s == count:
+                continue
+            if s == neg[d]:
+                at_cartan.append((n[a * count + c], s))
+            elif add[s][d] != count:
+                at_root += n[a * count + c] * n[s * count + d]
+        if at_cartan:  # x + y + z = 0: the defect lies in the Cartan subalgebra
+            return any(
+                sum(m * coroots[s][k] for m, s in at_cartan) for k in range(rs.rank)
+            )
+        return at_root != 0
 
     if jacobi_samples is None:
-        triples = itertools.combinations(rs.roots, 3)
+        triples = _jacobi_triples(rs)
     else:
         rng = random.Random(seed)
-        triples = (
-            tuple(rng.sample(rs.roots, 3)) for _ in range(jacobi_samples)
-        )
+        triples = (rng.sample(range(count), 3) for _ in range(jacobi_samples))
     for x, y, z in triples:
-        roots, cart = _jacobi_defect(table, rs, x, y, z)
-        if roots or any(cart):
-            if report(f"Jacobi fails on ({x}, {y}, {z})"):
+        if defective(x, y, z):
+            if report(f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"):
                 return out
     return out
 

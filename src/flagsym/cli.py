@@ -125,6 +125,17 @@ def chevalley_table(family: str, rank: int) -> ChevalleyTable:
     return build_constants(build_root_system(family, rank))
 
 
+def _audit_coverage(types) -> str:
+    """One line naming the Chevalley tables of ``types`` not audited exhaustively."""
+    skipped = [
+        f"{f}{r}"
+        for f, r in sorted(types, key=lambda t: (t[1], t[0]))
+        if not chevalley_table(f, r).audited
+    ]
+    line = f"Chevalley tables: {len(types) - len(skipped)} of {len(types)} audited exhaustively"
+    return line + (f"; not audited: {', '.join(skipped)}" if skipped else "")
+
+
 @dataclass
 class EnumEntry:
     family: str
@@ -528,11 +539,12 @@ def main(argv=None) -> int:
                 f"PASS: {len(report.entries)} paintings up to rank {args.max_rank}, "
                 "all checks satisfied"
             )
-            return 0
-        print(f"FAIL: {len(violations)} violation(s) over {len(report.entries)} paintings")
-        for v in violations:
-            print(f"  {v['entry'] or '(sweep)'}: {v['check']}: {v['detail']}")
-        return 1
+        else:
+            print(f"FAIL: {len(violations)} violation(s) over {len(report.entries)} paintings")
+            for v in violations:
+                print(f"  {v['entry'] or '(sweep)'}: {v['check']}: {v['detail']}")
+        print(_audit_coverage(simple_types(args.max_rank, args.families)))
+        return 0 if ok else 1
 
     return 2
 

@@ -31,9 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .chevalley import ChevalleyTable
+from .chevalley import ChevalleyTable, _int_b
 from .flag import FlagData, KahlerParam
-from .rootsystem import InternalConsistencyError, Root, rneg
+from .rootsystem import Root, rneg
 
 
 def pairing(flag: FlagData, xi: KahlerParam, table: ChevalleyTable, d: Root) -> Fraction:
@@ -52,13 +52,6 @@ def _scaled_values(flag: FlagData, xi: KahlerParam) -> tuple[int, dict[Root, int
         (i - 1, c.numerator * (scale // c.denominator)) for i, c in zip(painted, coeffs)
     ]
     return scale, {d: sum(d[j] * w for j, w in weights) for d in flag.r_m}
-
-
-def _int_b(table: ChevalleyTable, d: Root) -> int:
-    b = table.b_of(d)
-    if b.denominator != 1:
-        raise InternalConsistencyError(f"non-integral pairing weight b = {b}")
-    return b.numerator
 
 
 def _decompositions(flag: FlagData, a: Root):

@@ -1,4 +1,5 @@
 import copy
+import csv
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from flagsym import (
     build_root_system,
     convention_violations,
     sign_convention_check,
+    simple_types,
 )
 from flagsym.chevalley import _string_down
 from flagsym.rootsystem import radd, rneg
@@ -18,6 +20,17 @@ RANK_LE_4 = [
     ("C", 3), ("C", 4),
     ("D", 4), ("F", 4), ("G", 2),
 ]
+
+
+def dump_csv(table, path) -> None:
+    """Write the constant table (root-index pair, constant) for audit."""
+    index = table.rs.index
+    rows = sorted((index[a], index[b], a, b, v) for (a, b), v in table.n.items())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ia", "ib", "root_a", "root_b", "n"])
+        for ia, ib, a, b, v in rows:
+            writer.writerow([ia, ib, " ".join(map(str, a)), " ".join(map(str, b)), v])
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +113,20 @@ def test_jacobi_sampled_rank_5_6():
         assert sign_convention_check(table, jacobi_samples=10_000, seed=7), typ
 
 
+def test_exhaustive_audit_of_every_type_through_e8():
+    # build_constants audits only systems with <= 48 roots by default; the
+    # larger tables (B5+, C5+, D6+, E6-E8) get their full Jacobi check here
+    for family, rank in simple_types(8):
+        table = build_constants(build_root_system(family, rank), verify=True)
+        assert table.audited, (family, rank)
+
+
+def test_audited_flag_follows_the_verify_threshold():
+    assert build_constants(build_root_system("F", 4)).audited  # 48 roots
+    assert not build_constants(build_root_system("B", 5)).audited  # 50 roots
+    assert not build_constants(build_root_system("A", 2), verify=False).audited
+
+
 def test_violation_listing_names_the_witness(tables):
     t = copy.deepcopy(tables[("A", 2)])
     key = next(iter(t.n))
@@ -111,7 +138,7 @@ def test_violation_listing_names_the_witness(tables):
 def test_csv_dump_roundtrip(tmp_path, tables):
     t = tables[("G", 2)]
     path = tmp_path / "g2.csv"
-    t.dump_csv(path)
+    dump_csv(t, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "ia,ib,root_a,root_b,n"
     assert len(lines) - 1 == len(t.n)

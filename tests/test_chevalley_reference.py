@@ -1,0 +1,164 @@
+"""The indexed Chevalley audit against the tuple loops it replaced.
+
+The reference functions below walk root strings on coordinate tuples, look
+constants up by tuple key and check the Jacobi identity on every triple of
+``itertools.combinations(rs.roots, 3)`` in Fraction arithmetic.  The audit in
+``flagsym.chevalley`` prunes the triples and works on root indices; it must
+report the same violations, on clean tables and on tables with seeded faults.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from flagsym import (
+    ChevalleyTable,
+    build_constants,
+    build_root_system,
+    convention_violations,
+    simple_types,
+)
+from flagsym.chevalley import _jacobi_triples
+from flagsym.rootsystem import rneg, rsub
+
+
+def ref_string_down(rs, a, base):
+    p = 0
+    v = rsub(base, a)
+    while v in rs.root_set:
+        p += 1
+        v = rsub(v, a)
+    return p
+
+
+def ref_jacobi_defect(table, rs, x, y, z):
+    """Coefficients of [[E_x,E_y],E_z] + [[E_y,E_z],E_x] + [[E_z,E_x],E_y]."""
+    roots = {}
+    cart = [Fraction(0)] * rs.rank
+
+    def add_term(a, b, c):
+        if a == rneg(b):
+            coef = rs.cartan_int(c, a)
+            if coef:
+                roots[c] = roots.get(c, Fraction(0)) + coef
+            return
+        s = rs.sum_root(a, b)
+        if s is None:
+            return
+        m = table.n_of(a, b)
+        if s == rneg(c):
+            for i, v in enumerate(rs.coroot(s)):
+                cart[i] += m * v
+            return
+        u = rs.sum_root(s, c)
+        if u is not None:
+            coef = m * table.n_of(s, c)
+            if coef:
+                roots[u] = roots.get(u, Fraction(0)) + coef
+
+    add_term(x, y, z)
+    add_term(y, z, x)
+    add_term(z, x, y)
+    return {r: c for r, c in roots.items() if c}, cart
+
+
+def ref_violations(table, jacobi_samples=None, seed=0):
+    rs = table.rs
+    out = []
+    for (x, y), v in table.n.items():
+        if v != -table.n_of(y, x):
+            out.append(f"antisymmetry fails at ({x}, {y})")
+        if v != -table.n_of(rneg(x), rneg(y)):
+            out.append(f"negation rule fails at ({x}, {y})")
+        p = ref_string_down(rs, x, y)
+        if abs(v) != p + 1:
+            out.append(f"|n| != p+1 at ({x}, {y}): {v} vs {p + 1}")
+    for (x, y), s in rs.sum_index.items():
+        z = rneg(s)
+        lhs = table.n_of(x, y) * table.b_of(z)
+        if lhs != table.n_of(y, z) * table.b_of(x) or lhs != table.n_of(z, x) * table.b_of(y):
+            out.append(f"weighted cyclic identity fails on ({x}, {y}, {z})")
+    if jacobi_samples is None:
+        triples = itertools.combinations(rs.roots, 3)
+    else:
+        rng = random.Random(seed)
+        triples = (tuple(rng.sample(rs.roots, 3)) for _ in range(jacobi_samples))
+    for x, y, z in triples:
+        roots, cart = ref_jacobi_defect(table, rs, x, y, z)
+        if roots or any(cart):
+            out.append(f"Jacobi fails on ({x}, {y}, {z})")
+    return out
+
+
+MUTATIONS = {
+    "flip": lambda v: -v,
+    "zero": lambda v: 0,
+    "double": lambda v: 2 * v,
+    "shift": lambda v: v + 1,
+}
+
+
+def mutated(table, kind, count, seed):
+    """A copy of ``table`` with ``count`` seeded constants changed by ``kind``."""
+    n = dict(table.n)
+    for key in random.Random(seed).sample(sorted(n), count):
+        n[key] = MUTATIONS[kind](n[key])
+    return ChevalleyTable(table.rs, n, table.b)
+
+
+@pytest.fixture(scope="module")
+def clean_tables():
+    return {
+        f"{f}{r}": build_constants(build_root_system(f, r), verify=False)
+        for f, r in simple_types(5)
+    }
+
+
+@pytest.mark.parametrize("name", [f"{f}{r}" for f, r in simple_types(5)])
+def test_audit_matches_reference_rank_le_5(name, clean_tables):
+    table = clean_tables[name]
+    assert convention_violations(table) == ref_violations(table) == []
+    if len(table.n) < 2:
+        return  # A1 has no constants to corrupt
+    for step, kind in enumerate(MUTATIONS):
+        bad = mutated(table, kind, 1 + step % 2, f"{name}|{kind}")
+        got = convention_violations(bad)
+        want = ref_violations(bad)
+        assert want, (name, kind)
+        assert sorted(got) == sorted(want), (name, kind)
+
+
+def test_sampled_audit_matches_reference_in_order(clean_tables):
+    for name in ("B5", "D5"):
+        bad = mutated(clean_tables[name], "flip", 2, name)
+        for seed in (3, 11):
+            got = convention_violations(bad, jacobi_samples=3000, seed=seed)
+            want = ref_violations(bad, jacobi_samples=3000, seed=seed)
+            assert any(m.startswith("Jacobi") for m in want), (name, seed)
+            assert got == want, (name, seed)
+
+
+def test_jacobi_triples_are_distinct_and_sorted_on_e6():
+    rs = build_root_system("E", 6)
+    triples = list(_jacobi_triples(rs))
+    assert len(set(triples)) == len(triples)
+    assert all(x < y < z for x, y, z in triples)
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "A4", "F4"])
+def test_jacobi_triples_are_exactly_the_triples_that_can_fail(name):
+    # every other triple has a defect that is zero whatever the constants
+    rs = build_root_system(name[0], int(name[1:]))
+    index, count = rs.index, len(rs.roots)
+
+    def near(i, j):  # roots i + j lies in R or is 0
+        return j == rs.neg[i] or rs.add[i][j] != count
+
+    want = set()
+    for x, y, z in itertools.combinations(range(count), 3):
+        total = tuple(map(sum, zip(rs.roots[x], rs.roots[y], rs.roots[z])))
+        if (total in index or not any(total)) and (near(x, y) or near(x, z) or near(y, z)):
+            want.add((x, y, z))
+    assert set(_jacobi_triples(rs)) == want

@@ -253,6 +253,18 @@ def test_verify_cli_exit_codes(capsys):
     assert "A2:{1,2}" in out and "B2:{1,2}" in out
 
 
+def test_verify_reports_chevalley_audit_coverage(capsys):
+    code, out = run_cli(capsys, "verify", "--max-rank", "2", "--families", "G")
+    assert code == 0
+    assert out.splitlines()[-1] == "Chevalley tables: 1 of 1 audited exhaustively"
+    code, out = run_cli(capsys, "verify", "--max-rank", "5", "--families", "B,C")
+    lines = out.splitlines()
+    assert lines[0].startswith(("PASS", "FAIL"))
+    assert lines[-1] == (
+        "Chevalley tables: 5 of 7 audited exhaustively; not audited: B5, C5"
+    )
+
+
 def test_dot_emission(tmp_path, capsys):
     code, _ = run_cli(
         capsys, "analyze", "G2:{1}", "--dot", str(tmp_path), "--json"
