@@ -42,10 +42,12 @@ from .symmetry import (
 )
 from .oracle import (
     pairing,
+    shortcut_cone_set,
     shortcut_set,
     shortcut_violations,
     transvection_check,
     transvection_check_shortcut,
+    transvection_cone_set,
     transvection_set,
     transvection_violations,
 )

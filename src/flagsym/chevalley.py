@@ -35,8 +35,10 @@ first pair (in index order) that sums into R ∪ {0}.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rootsystem import (
     InternalConsistencyError,
@@ -54,6 +56,9 @@ class ChevalleyTable:
     """Structure constants n and pairing weights b for one root system.
 
     ``audited`` is True when :func:`build_constants` ran the exhaustive audit.
+    ``n_dense`` is ``n`` as a list keyed by ``i * N + j`` over the root index
+    and ``b_dense`` is ``b`` as ints by root index, each built on first use (by
+    the oracles) and kept: change ``n`` and ``b`` only before.
     """
 
     rs: RootSystem
@@ -61,12 +66,30 @@ class ChevalleyTable:
     b: dict[Root, Fraction]
     audited: bool = False
 
+    @cached_property
+    def n_dense(self) -> array:
+        # |n| = p + 1 <= 4 for every constant of a valid table
+        return array("b", _dense_n(self, self.rs))
+
+    @cached_property
+    def b_dense(self) -> list[int]:
+        return [_int_b(self, r) for r in self.rs.roots]
+
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""
         return self.n.get((a, b), 0)
 
     def b_of(self, d: Root) -> Fraction:
         return self.b[d]
+
+
+def _dense_n(table: ChevalleyTable, rs: RootSystem) -> list[int]:
+    """``table.n`` as it stands now, as a list keyed by ``i * N + j`` over rs."""
+    index, count = rs.index, len(rs.roots)
+    out = [0] * (count * count)
+    for (x, y), v in table.n.items():
+        out[index[x] * count + index[y]] = v
+    return out
 
 
 def _int_b(table: ChevalleyTable, d: Root) -> int:
@@ -211,9 +234,7 @@ def convention_violations(
     roots, index, neg, add = rs.roots, rs.index, rs.neg, rs.add
     count = len(roots)
     # integer copies taken now, so a table changed after construction is audited
-    n = [0] * (count * count)
-    for (x, y), v in table.n.items():
-        n[index[x] * count + index[y]] = v
+    n = _dense_n(table, rs)
     b = [_int_b(table, r) for r in roots]
     out: list[str] = []
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,10 +36,14 @@ from .flag import (
     kahler_param,
     make_flag,
     parse_painted,
-    random_kahler_param,
     to_dot,
 )
-from .oracle import shortcut_set, transvection_set
+from .oracle import (
+    shortcut_cone_set,
+    shortcut_set,
+    transvection_cone_set,
+    transvection_set,
+)
 from .rootsystem import FAMILIES, build_root_system, is_valid_type, root_str
 from .symmetry import (
     SymmetryReport,
@@ -136,6 +139,17 @@ def _audit_coverage(types) -> str:
     return line + (f"; not audited: {', '.join(skipped)}" if skipped else "")
 
 
+def _oracle_coverage(report: EnumerationReport) -> str:
+    """One line: on how many paintings the oracles were decided on the whole cone."""
+    entries = report.entries
+    proved = sum(1 for e in entries if not e.undecided)
+    undecided = sum(e.undecided for e in entries)
+    return (
+        f"Transvection oracles: proved on the whole Kähler cone for {proved} of "
+        f"{len(entries)} paintings; {undecided} roots undecided"
+    )
+
+
 @dataclass
 class EnumEntry:
     family: str
@@ -152,6 +166,7 @@ class EnumEntry:
     leaf_k_center: int
     leaf_name: str
     checks: dict
+    undecided: int = 0  # roots neither oracle settled on the Kahler cone (not in JSON)
 
     @property
     def spec(self) -> str:
@@ -190,30 +205,27 @@ class EnumerationReport:
         }
 
 
-def _entry_for(
-    family: str,
-    rank: int,
-    painted: frozenset,
-    seed,
-    xi_samples: int,
-) -> EnumEntry:
+def _oracle_on_cone(
+    flag: FlagData, table: ChevalleyTable, report: SymmetryReport
+) -> tuple[bool, int]:
+    """(both oracles give the symmetry roots on the whole cone, undecided roots).
+
+    An undecided root fails the check: it is never counted as a transvection.
+    """
+    cyclic = transvection_cone_set(flag, table)
+    scalar = shortcut_cone_set(flag)
+    undecided = len(cyclic.undecided | scalar.undecided)
+    agree = not undecided and cyclic.proved == report.r_p_plus == scalar.proved
+    return agree, undecided
+
+
+def _entry_for(family: str, rank: int, painted: frozenset) -> EnumEntry:
     rs = build_root_system(family, rank)
     pd = PaintedDiagram(rs, painted)
     flag = make_flag(pd)
     exc = onishchik_exception(family, rank, painted)
     report = build_report(flag, exception=exc)
-    table = chevalley_table(family, rank)
-
-    oracle_agree = True
-    for i in range(xi_samples):
-        xi = random_kahler_param(flag, f"{seed}|{pd.spec}|{i}")
-        if (
-            transvection_set(flag, xi, table) != report.r_p_plus
-            or shortcut_set(flag, xi) != report.r_p_plus
-        ):
-            oracle_agree = False
-            break
-
+    oracle_agree, undecided = _oracle_on_cone(flag, chevalley_table(family, rank), report)
     checks = {
         "oracle_agree": oracle_agree,
         "diagram_agree": diagrams_agree(pd, report.leaf),
@@ -235,6 +247,7 @@ def _entry_for(
         leaf_k_center=report.leaf.k_center_dim,
         leaf_name=report.leaf.name,
         checks=checks,
+        undecided=undecided,
     )
 
 
@@ -243,11 +256,11 @@ def enumerate_flags(
     families=None,
     seed=0,
     dedup_automorphisms: bool = False,
-    xi_samples: int = 3,
 ) -> EnumerationReport:
-    """Sweep every nonempty painting of every simple type with rank <= max_rank."""
-    if xi_samples < 1:
-        raise ValueError("xi_samples must be at least 1")
+    """Sweep every nonempty painting of every simple type with rank <= max_rank.
+
+    ``seed`` is recorded in the summary; the sweep itself draws no sample.
+    """
     entries = []
     for family, rank in simple_types(max_rank, families):
         nodes = list(range(1, rank + 1))
@@ -258,7 +271,7 @@ def enumerate_flags(
                     family, rank, painted
                 ) != painted:
                     continue
-                entries.append(_entry_for(family, rank, painted, seed, xi_samples))
+                entries.append(_entry_for(family, rank, painted))
     entries.sort(key=lambda e: (e.family, e.rank, e.painted))
     summary = {
         "total": len(entries),
@@ -324,23 +337,20 @@ def verify_theorem(report: EnumerationReport) -> tuple[bool, list[dict]]:
 
 
 def _analyze_record(
-    pd: PaintedDiagram, xi: KahlerParam | None, seed, samples: int
+    pd: PaintedDiagram, xi: KahlerParam | None = None
 ) -> tuple[dict, SymmetryReport, FlagData]:
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     family, rank = pd.rs.family, pd.rs.rank
     flag = make_flag(pd)
     exc = onishchik_exception(family, rank, pd.painted)
     report = build_report(flag, exception=exc)
     table = chevalley_table(family, rank)
-    params = [xi] if xi is not None else [
-        random_kahler_param(flag, f"{seed}|{pd.spec}|{i}") for i in range(samples)
-    ]
-    oracle_agree = all(
-        transvection_set(flag, p, table) == report.r_p_plus
-        and shortcut_set(flag, p) == report.r_p_plus
-        for p in params
-    )
+    oracle_agree, _ = _oracle_on_cone(flag, table, report)
+    if xi is not None:
+        oracle_agree = (
+            oracle_agree
+            and transvection_set(flag, xi, table) == report.r_p_plus
+            and shortcut_set(flag, xi) == report.r_p_plus
+        )
     record = {
         "family": family,
         "rank": rank,
@@ -416,13 +426,6 @@ def _write_dot(pd: PaintedDiagram, directory: str) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _max_rank(text: str) -> int:
     value = int(text)
     if not 1 <= value <= MAX_RANK_BOUND:
@@ -463,24 +466,17 @@ def main(argv=None) -> int:
     p_an.add_argument(
         "--xi",
         help="Kahler parameter: comma-separated positive rationals for the painted "
-        "nodes in increasing node order (default: seeded random sample)",
+        "nodes in increasing node order, checked on top of the proof for every xi",
     )
     p_an.add_argument("--json", action="store_true", help="emit a JSON record")
-    p_an.add_argument("--seed", default="0", help="seed for the Kahler parameter sample")
-    p_an.add_argument(
-        "--samples",
-        type=_positive_int,
-        default=5,
-        help="number of sampled Kahler parameters",
-    )
+    p_an.add_argument("--seed", default="0", help="accepted and unused: nothing is sampled")
     p_an.add_argument("--dot", metavar="DIR", help="write painted/extended DOT files")
 
     p_en = sub.add_parser("enumerate", help="sweep all paintings up to a rank bound")
     p_en.add_argument("--max-rank", type=_max_rank, default=6)
     p_en.add_argument("--families", type=_families, help="comma-separated subset, e.g. 'A,B,G'")
     p_en.add_argument("--out", help="write the JSON report to this file")
-    p_en.add_argument("--seed", default="0")
-    p_en.add_argument("--xi-samples", type=_positive_int, default=3)
+    p_en.add_argument("--seed", default="0", help="recorded in the summary")
     p_en.add_argument(
         "--dedup-automorphisms",
         action="store_true",
@@ -490,8 +486,7 @@ def main(argv=None) -> int:
     p_ve = sub.add_parser("verify", help="run the sweep and verify every claim")
     p_ve.add_argument("--max-rank", type=_max_rank, default=6)
     p_ve.add_argument("--families", type=_families, help="comma-separated subset")
-    p_ve.add_argument("--seed", default="0")
-    p_ve.add_argument("--xi-samples", type=_positive_int, default=3)
+    p_ve.add_argument("--seed", default="0", help="accepted and unused: nothing is sampled")
 
     args = parser.parse_args(argv)
 
@@ -501,7 +496,7 @@ def main(argv=None) -> int:
             xi = _parse_xi(args.xi, make_flag(pd)) if args.xi else None
         except ValueError as exc:
             p_an.error(f"argument --xi: {exc}")
-        record, _, _ = _analyze_record(pd, xi, args.seed, args.samples)
+        record, _, _ = _analyze_record(pd, xi)
         if args.dot:
             _write_dot(pd, args.dot)
         if args.json:
@@ -516,7 +511,6 @@ def main(argv=None) -> int:
             families=args.families,
             seed=args.seed,
             dedup_automorphisms=args.dedup_automorphisms,
-            xi_samples=args.xi_samples,
         )
         payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
         if args.out:
@@ -531,7 +525,6 @@ def main(argv=None) -> int:
             max_rank=args.max_rank,
             families=args.families,
             seed=args.seed,
-            xi_samples=args.xi_samples,
         )
         ok, violations = verify_theorem(report)
         if ok:
@@ -543,6 +536,7 @@ def main(argv=None) -> int:
             print(f"FAIL: {len(violations)} violation(s) over {len(report.entries)} paintings")
             for v in violations:
                 print(f"  {v['entry'] or '(sweep)'}: {v['check']}: {v['detail']}")
+        print(_oracle_coverage(report))
         print(_audit_coverage(simple_types(args.max_rank, args.families)))
         return 0 if ok else 1
 

@@ -92,6 +92,7 @@ class FlagData:
         m_mask = 0
         for i in painted:
             m_mask |= rs.support[i - 1]
+        self.m_mask = m_mask
         self.h_mask = ((1 << len(rs.roots)) - 1) & ~m_mask
         self.m_plus_mask = m_mask & rs.positive_mask
         self.r_h = rs.roots_of(self.h_mask)

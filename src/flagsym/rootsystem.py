@@ -465,8 +465,8 @@ class RootSystem:
     def sum_index(self) -> dict[tuple[Root, Root], Root]:
         """(a, b) -> a + b for every ordered pair of roots whose sum is a root.
 
-        Built from ``sums``/``add`` on first use: only the layers that work on
-        coordinate tuples (structure constants, oracles) need it.
+        Built from ``sums``/``add`` on first use: only the structure-constant
+        layer, which works on coordinate tuples, needs it.
         """
         roots = self.roots
         out: dict[tuple[Root, Root], Root] = {}
@@ -477,12 +477,29 @@ class RootSystem:
         return out
 
     @cached_property
-    def splittings(self) -> dict[Root, tuple[tuple[Root, Root], ...]]:
-        """splittings[s]: the ordered pairs (x, y) with x + y = s, in root order."""
-        pairs: dict[Root, list[tuple[Root, Root]]] = {r: [] for r in self.roots}
-        for key, s in self.sum_index.items():
-            pairs[s].append(key)
-        return {s: tuple(p) for s, p in pairs.items()}
+    def coordinates(self) -> tuple[tuple[int, ...], ...]:
+        """coordinates[n][i]: the coefficient of roots[i] at node n + 1."""
+        return tuple(zip(*self.roots))
+
+    @cached_property
+    def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """splittings[s]: the index pairs (i, j) with roots[i] + roots[j] = roots[s].
+
+        Each unordered pair comes once, with roots[i] <= roots[j] in coordinate
+        order.  The pairs with one positive and one negative member come
+        first, each group in index order of i: in the oracles a mixed pair
+        inside R_m rules a root out at once (see :mod:`flagsym.oracle`), so
+        they are scanned first.  Built on first use, by the oracles.
+        """
+        roots, half = self.roots, len(self.positive_roots)
+        mixed: list[list[tuple[int, int]]] = [[] for _ in roots]
+        same: list[list[tuple[int, int]]] = [[] for _ in roots]
+        for i, a in enumerate(roots):
+            row = self.add[i]
+            for j in bits(self.sums[i]):
+                if a <= roots[j]:
+                    (mixed if (i < half) != (j < half) else same)[row[j]].append((i, j))
+        return tuple(tuple(x + y) for x, y in zip(mixed, same))
 
     def sum_root(self, a: Root, b: Root) -> Root | None:
         return self.sum_index.get((a, b))

@@ -7,11 +7,10 @@ from flagsym import (
     enumerate_flags,
     main,
     onishchik_exception,
-    parse_painted,
     simple_types,
     verify_theorem,
 )
-from flagsym.cli import _analyze_record, _canonical_painting
+from flagsym.cli import _canonical_painting
 
 
 def run_cli(capsys, *argv):
@@ -63,13 +62,13 @@ def test_simple_types_listing():
 
 
 def test_enumerate_counts_family_a():
-    report = enumerate_flags(max_rank=3, families=["A"], xi_samples=1)
+    report = enumerate_flags(max_rank=3, families=["A"])
     assert len(report.entries) == 1 + 3 + 7
     assert report.summary["total"] == 11
 
 
 def test_enumerate_counts_rank_2():
-    report = enumerate_flags(max_rank=2, xi_samples=1)
+    report = enumerate_flags(max_rank=2)
     by_family = {}
     for e in report.entries:
         by_family.setdefault((e.family, e.rank), []).append(e)
@@ -79,15 +78,15 @@ def test_enumerate_counts_rank_2():
 
 
 def test_enumerate_entries_unique_and_sorted():
-    report = enumerate_flags(max_rank=3, xi_samples=1)
+    report = enumerate_flags(max_rank=3)
     keys = [(e.family, e.rank, e.painted) for e in report.entries]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
 
 
 def test_enumerate_dedup_automorphisms():
-    full = enumerate_flags(max_rank=3, families=["A"], xi_samples=1)
-    dedup = enumerate_flags(max_rank=3, families=["A"], xi_samples=1, dedup_automorphisms=True)
+    full = enumerate_flags(max_rank=3, families=["A"])
+    dedup = enumerate_flags(max_rank=3, families=["A"], dedup_automorphisms=True)
     specs = {e.spec for e in dedup.entries}
     # A3:{1,2} and A3:{2,3} collapse to one representative
     assert len(dedup.entries) < len(full.entries)
@@ -98,35 +97,28 @@ def test_enumerate_dedup_automorphisms():
     assert _canonical_painting("E", 6, frozenset({5, 6})) == frozenset({1, 3})
 
 
-def test_zero_xi_samples_is_an_error_not_a_vacuous_pass():
-    with pytest.raises(ValueError):
-        enumerate_flags(max_rank=2, xi_samples=0)
-    with pytest.raises(ValueError):
-        _analyze_record(parse_painted("A3:{2,3}"), None, "0", 0)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "A3:{2,3}", "--samples", "0"],
-        ["enumerate", "--max-rank", "2", "--xi-samples", "0"],
-        ["verify", "--max-rank", "2", "--xi-samples", "-1"],
+        ["enumerate", "--max-rank", "2", "--xi-samples", "3"],
+        ["verify", "--max-rank", "2", "--xi-samples", "3"],
+        ["analyze", "A3:{2,3}", "--samples", "5"],
     ],
 )
-def test_cli_rejects_sample_counts_below_one(capsys, argv):
+def test_removed_sampling_options_exit_2(capsys, argv):
+    # the oracles are proved on the whole Kahler cone; no sample count is read
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be at least 1" in captured.err.splitlines()[-1]
-    assert "Traceback" not in captured.err
+    assert "unrecognized arguments" in captured.err.splitlines()[-1]
 
 
 def test_verify_known_findings_rank_2_to_6():
     # the sweep is clean except for the two rank-2 full flag manifolds, which
     # genuinely violate the coindex bounds; pin that finding exactly
-    report = enumerate_flags(max_rank=3, xi_samples=1)
+    report = enumerate_flags(max_rank=3)
     ok, violations = verify_theorem(report)
     assert not ok
     found = {(v["entry"], v["check"]) for v in violations}
@@ -139,14 +131,14 @@ def test_verify_known_findings_rank_2_to_6():
 
 def test_verify_passes_on_clean_families():
     ok, violations = verify_theorem(
-        enumerate_flags(max_rank=4, families=["D", "F", "G"], xi_samples=1)
+        enumerate_flags(max_rank=4, families=["D", "F", "G"])
     )
     assert ok and violations == []
 
 
 def test_verify_k6_existence_tracked():
     # an A-family sweep that includes A3 must see both k = 6 paintings
-    report = enumerate_flags(max_rank=3, families=["A"], xi_samples=1)
+    report = enumerate_flags(max_rank=3, families=["A"])
     _, violations = verify_theorem(report)
     assert not any(v["check"] == "k6_existence" for v in violations)
     k6 = [e.spec for e in report.entries if e.coindex == 6 and not e.symmetric]
@@ -154,7 +146,7 @@ def test_verify_k6_existence_tracked():
 
 
 def test_exception_entries_reported_not_asserted():
-    report = enumerate_flags(max_rank=2, xi_samples=1)
+    report = enumerate_flags(max_rank=2)
     g22 = next(e for e in report.entries if e.spec == "G2:{2}")
     assert g22.exception == "c"
     assert g22.coindex == 6  # raw value is reported
@@ -236,7 +228,7 @@ def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):
 
 
 def test_empty_sweep_is_a_violation(capsys):
-    report = enumerate_flags(max_rank=1, families=["G"], xi_samples=1)
+    report = enumerate_flags(max_rank=1, families=["G"])
     assert report.entries == []
     ok, violations = verify_theorem(report)
     assert not ok
@@ -263,6 +255,17 @@ def test_verify_reports_chevalley_audit_coverage(capsys):
     assert lines[-1] == (
         "Chevalley tables: 5 of 7 audited exhaustively; not audited: B5, C5"
     )
+
+
+def test_verify_reports_oracle_proof_coverage(capsys):
+    code, out = run_cli(capsys, "verify", "--max-rank", "3", "--families", "A,G")
+    assert code == 1  # the pinned A2:{1,2} finding
+    lines = out.splitlines()
+    assert lines[-2] == (
+        "Transvection oracles: proved on the whole Kähler cone for 14 of 14 "
+        "paintings; 0 roots undecided"
+    )
+    assert lines[-1].startswith("Chevalley tables:")
 
 
 def test_dot_emission(tmp_path, capsys):

@@ -103,13 +103,20 @@ def test_sum_index_agrees_with_coordinate_addition(family, rank):
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_splittings_list_each_decomposition_once(family, rank):
     rs = build_root_system(family, rank)
-    for s in rs.roots:
-        pairs = rs.splittings[s]
-        assert len(pairs) == len(set(pairs))
-        assert set(pairs) == {
-            (x, rsub(s, x)) for x in rs.roots if rsub(s, x) in rs.root_set
+    half = len(rs.positive_roots)
+    for k, s in enumerate(rs.roots):
+        pairs = rs.splittings[k]
+        unordered = {frozenset(p) for p in pairs}
+        assert len(pairs) == len(unordered)
+        assert unordered == {
+            frozenset((rs.index[x], rs.index[rsub(s, x)]))
+            for x in rs.roots
+            if rsub(s, x) in rs.root_set
         }
-    assert sum(map(len, rs.splittings.values())) == len(rs.sum_index)
+        assert all(rs.roots[i] <= rs.roots[j] for i, j in pairs)
+        mixed = [(i < half) != (j < half) for i, j in pairs]
+        assert mixed == sorted(mixed, reverse=True)  # mixed-sign pairs first
+    assert 2 * sum(map(len, rs.splittings)) == len(rs.sum_index)
     if (family, rank) == ("E", 8):
         assert len(rs.sum_index) == 13440
 
