@@ -41,7 +41,6 @@ from .symmetry import (
     symmetry_roots,
 )
 from .oracle import (
-    pairing,
     shortcut_cone_set,
     shortcut_set,
     shortcut_violations,

@@ -14,6 +14,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rootsystem import (
     Diagram,
@@ -21,7 +22,6 @@ from .rootsystem import (
     RootSystem,
     bits,
     build_root_system,
-    root_str,
 )
 
 _PAINTED_RE = re.compile(r"\s*([A-G])\s*(\d+)\s*:\s*\{([0-9,\s]*)\}\s*\Z")
@@ -79,36 +79,30 @@ class KahlerParam:
 class FlagData:
     """Root-level description of G/H for one painted diagram.
 
-    Immutable after construction; safe for concurrent reads.
+    The root sets are masks over the root index of ``rs``; the tuple views
+    ``r_h``, ``r_m``, ``r_m_plus`` and ``r_m_plus_set`` are built on first
+    read.  What it describes is fixed at construction; the lazy views and
+    the caches filled by :mod:`flagsym.symmetry` only ever take one value,
+    so concurrent reads are safe.
     """
 
     def __init__(self, pd: PaintedDiagram):
         self.pd = pd
         rs = pd.rs
-        painted = sorted(pd.painted)
-        self._painted = painted
-        # R_m: the roots with a nonzero coefficient on a painted node, as masks
-        # over the root index of rs; R_h: the rest
+        # R_m: the roots with a nonzero coefficient on a painted node; R_h: the rest
         m_mask = 0
-        for i in painted:
+        for i in pd.painted:
             m_mask |= rs.support[i - 1]
         self.m_mask = m_mask
         self.h_mask = ((1 << len(rs.roots)) - 1) & ~m_mask
         self.m_plus_mask = m_mask & rs.positive_mask
-        self.r_h = rs.roots_of(self.h_mask)
-        self.r_m = rs.roots_of(m_mask)
-        # positive roots come first in the index, in (height, coordinates) order
-        plus = [rs.roots[i] for i in bits(self.m_plus_mask)]
-        self.r_m_plus: tuple[Root, ...] = tuple(plus)
-        self.r_m_plus_set = frozenset(plus)
-        # T-root decomposition: fingerprint = restriction to the painted nodes
-        cells: dict[tuple[int, ...], list[Root]] = {}
-        for r in plus:
-            cells.setdefault(tuple(r[i - 1] for i in painted), []).append(r)
-        self.t_modules = {fp: tuple(rs_) for fp, rs_ in cells.items()}
+        self.dim_m = m_mask.bit_count()
         self._symmetric: bool | None = None
-        # symmetry roots and their mask, filled once by flagsym.symmetry
+        # filled once by flagsym.symmetry: the symmetry roots and their mask,
+        # then the p, [p, p] and h' masks, then the verified roots of h'
         self._symmetry: tuple[frozenset, int] | None = None
+        self._masks: tuple[int, int, int] | None = None
+        self._h_prime: frozenset | None = None
 
     @property
     def rs(self) -> RootSystem:
@@ -116,25 +110,24 @@ class FlagData:
 
     @property
     def center_dim(self) -> int:
-        return len(self._painted)
+        return len(self.pd.painted)
 
-    @property
-    def dim_m(self) -> int:
-        return len(self.r_m)
+    @cached_property
+    def r_h(self) -> frozenset:
+        return self.rs.roots_of(self.h_mask)
 
-    def eval_root(self, xi: KahlerParam, a: Root) -> Fraction:
-        """a(xi): the pairing of a root with the Kahler parameter."""
-        return sum(
-            (a[i - 1] * xi.coeffs[i] for i in self._painted), Fraction(0)
-        )
+    @cached_property
+    def r_m(self) -> frozenset:
+        return self.rs.roots_of(self.m_mask)
 
-    def epsilon(self, a: Root) -> int:
-        """+1 on R_m+, -1 on R_m-; undefined on isotropy roots."""
-        if a in self.r_m_plus_set:
-            return 1
-        if a in self.r_m:
-            return -1
-        raise ValueError(f"epsilon undefined on isotropy root {root_str(a)}")
+    @cached_property
+    def r_m_plus(self) -> tuple[Root, ...]:
+        """R_m+ in index order: by height, then coordinates."""
+        return tuple(map(self.rs.roots.__getitem__, bits(self.m_plus_mask)))
+
+    @cached_property
+    def r_m_plus_set(self) -> frozenset:
+        return frozenset(self.r_m_plus)
 
     def is_symmetric_coset(self) -> bool:
         """True iff no two roots of R_m+ sum to a root ([m, m] inside h)."""

@@ -88,13 +88,6 @@ class ConeSet(NamedTuple):
     undecided: frozenset  # neither proved nor ruled out by a one-sign vector
 
 
-def pairing(flag: FlagData, xi: KahlerParam, table: ChevalleyTable, d: Root) -> Fraction:
-    """r(d) = epsilon_d * d(xi) * b(d); strictly positive on all of R_m."""
-    if d not in flag.r_m:
-        raise ValueError("pairing is defined on tangent roots only")
-    return flag.epsilon(d) * flag.eval_root(xi, d) * table.b_of(d)
-
-
 def _kernel(flag: FlagData, coefficients):
     """a -> (beta, gamma, c) over the decompositions -a = beta + gamma in R_m.
 
@@ -191,13 +184,14 @@ def _nonzero_terms(vectors, a: int, w: list[int]):
 
 
 def _violations(flag: FlagData, xi: KahlerParam, vectors, a: Root) -> list:
-    if a not in flag.r_m_plus_set:
+    index = flag.rs.index.get(a)
+    if index is None or not flag.m_plus_mask >> index & 1:
         raise ValueError("transvection candidates live in R_m+")
     roots = flag.rs.roots
     scale, w = _scaled_xi(flag, xi)
     return [
         (roots[b], roots[g], Fraction(t, scale))
-        for b, g, t in _nonzero_terms(vectors, flag.rs.index[a], w)
+        for b, g, t in _nonzero_terms(vectors, index, w)
     ]
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 
 Root = tuple[int, ...]
 
@@ -62,12 +63,25 @@ def height(a: Root) -> int:
     return sum(a)
 
 
+# the binary digits '0'/'1' as the bytes 0/1, for itertools.compress
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of ``mask`` (a nonnegative int), lowest first.
+
+    The iteration runs in C: the reversed binary digits select the indices
+    from ``itertools.count()``.
+    """
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+    return itertools.compress(itertools.count(), digits)
+
+
+def _cartan_quotient(num: int, den: int) -> int:
+    """The Cartan integer num / den = 2(a, b)/(b, b), from scaled products."""
+    if num % den:
+        raise InternalConsistencyError(f"non-integral Cartan pairing {Fraction(num, den)}")
+    return num // den
 
 
 def root_str(a: Root) -> str:
@@ -419,9 +433,7 @@ class RootSystem:
     def _scaled_product(self, a, b) -> int:
         """(a, b) times the common denominator of the form, as an int."""
         gram = self._gram
-        return sum(
-            x * sum(g * y for g, y in zip(gram[i], b)) for i, x in enumerate(a) if x
-        )
+        return sum(x * sum(map(mul, gram[i], b)) for i, x in enumerate(a) if x)
 
     def inner_product(self, a, b) -> Fraction:
         """Bilinear form on integer vectors over the simple roots; long roots
@@ -430,12 +442,7 @@ class RootSystem:
 
     def cartan_int(self, a, b) -> int:
         """Cartan integer 2(a,b)/(b,b)."""
-        num, den = 2 * self._scaled_product(a, b), self._scaled_product(b, b)
-        if num % den:
-            raise InternalConsistencyError(
-                f"non-integral Cartan pairing {Fraction(num, den)}"
-            )
-        return num // den
+        return _cartan_quotient(2 * self._scaled_product(a, b), self._scaled_product(b, b))
 
     def contains(self, v) -> bool:
         return tuple(v) in self.root_set
@@ -453,8 +460,7 @@ class RootSystem:
 
     def roots_of(self, mask: int) -> frozenset:
         """The roots whose bits are set in ``mask``."""
-        roots = self.roots
-        return frozenset(roots[i] for i in bits(mask))
+        return frozenset(map(self.roots.__getitem__, bits(mask)))
 
     def neg_mask(self, mask: int) -> int:
         """Mask of the negatives of the roots in ``mask``."""
@@ -475,6 +481,16 @@ class RootSystem:
             for j in bits(self.sums[i]):
                 out[(a, roots[j])] = roots[row[j]]
         return out
+
+    @cached_property
+    def partners(self) -> tuple[tuple[int, ...], ...]:
+        """partners[i]: the set bits of ``sums[i]``, ascending.
+
+        For scans that test the rows of a sparse mask against a set: filtering
+        a row's partners costs its length, walking ``sums[i] & mask`` bit by
+        bit costs the width of the mask.  Built on first use.
+        """
+        return tuple(tuple(bits(s)) for s in self.sums)
 
     @cached_property
     def coordinates(self) -> tuple[tuple[int, ...], ...]:
@@ -531,12 +547,15 @@ class RootSystem:
 
     def diagram_from_vectors(self, labeled: list[tuple[object, Root]]) -> Diagram:
         """Dynkin diagram of a set of pairwise non-positively paired vectors."""
+        product = self._scaled_product
+        square = {l: product(v, v) for l, v in labeled}
         edges = []
         for (la, va), (lb, vb) in itertools.combinations(labeled, 2):
-            cab = self.cartan_int(va, vb)
-            cba = self.cartan_int(vb, va)
-            if cab == 0:
+            twice = 2 * product(va, vb)
+            if not twice:
                 continue
+            cab = _cartan_quotient(twice, square[lb])
+            cba = _cartan_quotient(twice, square[la])
             if cab > 0 or cba > 0:
                 raise InternalConsistencyError(
                     f"positive pairing between diagram nodes {la}, {lb}"

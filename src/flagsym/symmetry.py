@@ -17,20 +17,34 @@ m^{1,0}.  From the symmetry roots the module assembles
 Every set test runs on the dense root index of :mod:`flagsym.rootsystem`:
 sets of roots are bitmasks, ``sums[i]`` is the mask of the roots whose sum
 with root i is a root and ``add[i][j]`` is the index of that sum.  The
-symmetry scan is one AND per root of R_m+; [p, p], the closures of the leaf
-and of h', the abelian-centre test, the k-highest test, [k', p] = 0 and the
-simple roots of a subsystem are short loops over the set bits of such masks.
+symmetry scan is one AND per root of R_m+.  The other scans are C-level set
+operations: the nilradical scan, the closures of the leaf and of h', the
+k-highest test and the simple roots of a subsystem each test one row
+``add[i]`` at a time with ``set.isdisjoint`` or ``set.issuperset``.  The
+nilradical scan maps the whole row over R_m+; the others filter the row's
+sum partners ``partners[i]`` (the set bits of ``sums[i]``) by a set, which
+costs the length of the row instead of the width of the mask, and only a
+row that fails a closure is walked again for its first witness.  [p, p],
+the abelian-centre test and [k', p] = 0 are short loops over set bits.
+Roots become coordinate tuples only where a caller reads them: the symmetry
+roots, the simple roots of a subsystem, the roots of h' and the frozenset
+views ``LeafDescriptor.r_u``/``r_k`` and those of ``FlagData``, built on
+demand.
 
 The symmetry roots are computed once per FlagData, by two independent scans
 that are cross-checked: one tests membership of a + b in R through ``sums``,
 the other membership in R_m+ through ``add``.  The result is kept on the flag
 and read by :func:`build_report`, :func:`leaf_pair`, :func:`h_prime` and
-:func:`k_prime_check`, so each painting is scanned once.
+:func:`k_prime_check`, so each painting is scanned once.  So are the masks
+derived from it, kept next to it on the flag: p = R_p+ and its negatives,
+[p, p] and h' = h + p (:func:`_masks`), and the roots of h' once
+:func:`h_prime` has proved them closed, which
+:attr:`SymmetryReport.hprime_closed` reads back instead of closing h' again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .flag import FlagData, PaintedDiagram, make_flag
@@ -55,10 +69,19 @@ class LeafDescriptor:
     u_type: str
     k_semisimple_type: tuple[str, ...]
     k_center_dim: int
-    r_u: frozenset
-    r_k: frozenset
+    u_mask: int  # the roots of u, over the root index of rs
+    k_mask: int  # the roots of k = [p, p]
     toral_rank: int
     name: str
+    rs: RootSystem = field(repr=False)
+
+    @property
+    def r_u(self) -> frozenset:
+        return self.rs.roots_of(self.u_mask)
+
+    @property
+    def r_k(self) -> frozenset:
+        return self.rs.roots_of(self.k_mask)
 
 
 @dataclass
@@ -81,7 +104,13 @@ class SymmetryReport:
 
     @property
     def hprime_closed(self) -> bool:
-        """h' = h + p closed under root addition, by the mask closure."""
+        """h' = h + p closed under root addition.
+
+        :func:`h_prime` proved it for the set it returned (it raises when the
+        closure fails); any other set is tested by the mask closure.
+        """
+        if self.h_prime_roots is self.flag._h_prime:
+            return True
         rs = self.flag.rs
         return _closure_gap(rs, rs.mask_of(self.h_prime_roots)) is None
 
@@ -101,12 +130,10 @@ def center_of_nilradical(flag: FlagData) -> frozenset:
     own members) instead of in R; the two must agree.
     """
     roots, add = flag.rs.roots, flag.rs.add
-    plus = flag.m_plus_mask
-    members = list(bits(plus))
+    members = list(bits(flag.m_plus_mask))
+    inside = set(members)
     return frozenset(
-        roots[i]
-        for i in members
-        if not any(plus >> add[i][j] & 1 for j in members)
+        roots[i] for i in members if inside.isdisjoint(map(add[i].__getitem__, members))
     )
 
 
@@ -125,6 +152,17 @@ def _symmetry(flag: FlagData) -> tuple[frozenset, int]:
             )
         flag._symmetry = (via_r, flag.rs.mask_of(via_r))
     return flag._symmetry
+
+
+def _masks(flag: FlagData) -> tuple[int, int, int]:
+    """The masks of p (R_p+ and its negatives), of [p, p] and of h' = h + p,
+    computed once per flag and kept on it."""
+    if flag._masks is None:
+        rs = flag.rs
+        _, plus = _symmetry(flag)
+        rp = plus | rs.neg_mask(plus)
+        flag._masks = (rp, _r_k(rs, plus), flag.h_mask | rp)
+    return flag._masks
 
 
 def _rank_q(vectors) -> int:
@@ -160,30 +198,39 @@ def _r_k(rs: RootSystem, plus: int) -> int:
 
 
 def _closure_gap(rs: RootSystem, mask: int) -> tuple[int, int] | None:
-    """A pair (i, j) of ``mask`` whose sum is a root outside it, else None."""
-    add, sums = rs.add, rs.sums
-    for i in bits(mask):
+    """The first pair (i, j) of ``mask`` whose sum is a root outside it, else None.
+
+    One set test per row; only a row that fails is walked for its first j.
+    """
+    add, partners = rs.add, rs.partners
+    members = list(bits(mask))
+    inside = set(members)
+    for i in members:
         row = add[i]
-        for j in bits(sums[i] & mask):
-            if not mask >> row[j] & 1:
-                return i, j
+        within = filter(inside.__contains__, partners[i])
+        if not inside.issuperset(map(row.__getitem__, within)):
+            return i, next(j for j in partners[i] if j in inside and row[j] not in inside)
     return None
 
 
-def _reaches(rs: RootSystem, i: int, mask: int, target: int) -> bool:
-    """True iff roots[i] + b lies in ``target`` for some b in ``mask``."""
-    row = rs.add[i]
-    return any(target >> row[j] & 1 for j in bits(rs.sums[i] & mask))
+def _stuck(rs: RootSystem, source: int, steps: int, target: int) -> list[int]:
+    """The i of ``source`` with roots[i] + b outside ``target`` for every b in ``steps``."""
+    add, partners = rs.add, rs.partners
+    inside, in_steps = set(bits(target)), set(bits(steps)).__contains__
+    return [
+        i
+        for i in bits(source)
+        if inside.isdisjoint(map(add[i].__getitem__, filter(in_steps, partners[i])))
+    ]
 
 
 def _indecomposables(rs: RootSystem, pos: int) -> list[Root]:
     """Simple roots of a positive system: no s - x inside it, x in it."""
-    minus = rs.neg_mask(pos)
-    return [rs.roots[s] for s in bits(pos) if not _reaches(rs, s, minus, pos)]
+    return [rs.roots[s] for s in _stuck(rs, pos, rs.neg_mask(pos), pos)]
 
 
 def _simple_components(flag: FlagData, simples) -> list[list[Root]]:
-    rs = flag.rs
+    product = flag.rs._scaled_product
     comps: list[list[Root]] = []
     left = list(simples)
     while left:
@@ -192,7 +239,7 @@ def _simple_components(flag: FlagData, simples) -> list[list[Root]]:
         while grew:
             grew = False
             for s in list(left):
-                if any(rs.inner_product(s, t) != 0 for t in comp):
+                if any(product(s, t) for t in comp):
                     comp.append(s)
                     left.remove(s)
                     grew = True
@@ -255,8 +302,7 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
     """
     rs = flag.rs
     _, plus = _symmetry(flag)
-    rp = plus | rs.neg_mask(plus)
-    rk = _r_k(rs, plus)
+    rp, rk, _ = _masks(flag)
     if rk & ~flag.h_mask:
         raise InternalConsistencyError(f"{flag.pd.spec}: [p,p] escapes the isotropy roots")
     ru = rk | rp
@@ -284,7 +330,7 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
         )
 
     # p is k-irreducible: the unique highest vector must be the highest root
-    highest = [rs.roots[i] for i in bits(plus) if not _reaches(rs, i, k_pos, plus)]
+    highest = [rs.roots[i] for i in _stuck(rs, plus, k_pos, plus)]
     if highest != [rs.highest]:
         raise InternalConsistencyError(
             f"{flag.pd.spec}: k-highest vectors {[root_str(a) for a in highest]}"
@@ -295,10 +341,11 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
         u_type=f"{u_type[0]}{u_type[1]}",
         k_semisimple_type=tuple(f"{f}{r}" for f, r in k_labels),
         k_center_dim=k_center,
-        r_u=rs.roots_of(ru),
-        r_k=rs.roots_of(rk),
+        u_mask=ru,
+        k_mask=rk,
         toral_rank=toral_rank,
         name=name,
+        rs=rs,
     )
 
 
@@ -321,24 +368,23 @@ def diagrams_agree(pd: PaintedDiagram, leaf: LeafDescriptor) -> bool:
 
 
 def h_prime(flag: FlagData) -> frozenset:
-    """Roots of h' = h + p, verified closed under root addition."""
-    rs = flag.rs
-    _, plus = _symmetry(flag)
-    mask = flag.h_mask | plus | rs.neg_mask(plus)
-    gap = _closure_gap(rs, mask)
-    if gap is not None:
-        a, b = (root_str(rs.roots[i]) for i in gap)
-        raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
-    return rs.roots_of(mask)
+    """Roots of h' = h + p, verified closed under root addition once per flag."""
+    if flag._h_prime is None:
+        rs = flag.rs
+        mask = _masks(flag)[2]
+        gap = _closure_gap(rs, mask)
+        if gap is not None:
+            a, b = (root_str(rs.roots[i]) for i in gap)
+            raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
+        flag._h_prime = rs.roots_of(mask)
+    return flag._h_prime
 
 
 def k_prime_check(flag: FlagData) -> bool:
     """True iff the orthocomplement of k inside h commutes with p at root level."""
-    rs = flag.rs
-    _, plus = _symmetry(flag)
-    rp = plus | rs.neg_mask(plus)
-    sums = rs.sums
-    return not any(sums[g] & rp for g in bits(flag.h_mask & ~_r_k(rs, plus)))
+    sums = flag.rs.sums
+    rp, rk, _ = _masks(flag)
+    return not any(sums[g] & rp for g in bits(flag.h_mask & ~rk))
 
 
 def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport:

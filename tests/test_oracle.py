@@ -11,7 +11,6 @@ from flagsym import (
     chevalley_table,
     kahler_param,
     make_flag,
-    pairing,
     parse_painted,
     random_kahler_param,
     shortcut_set,
@@ -23,6 +22,8 @@ from flagsym import (
     transvection_violations,
 )
 from flagsym.rootsystem import rneg
+
+from flag_helpers import pairing
 
 RANK_LE_3 = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 

@@ -29,6 +29,8 @@ from flagsym import (
 )
 from flagsym.rootsystem import rneg, rsub
 
+from flag_helpers import epsilon, eval_root
+
 
 def ref_decompositions(flag, a):
     na = rneg(a)
@@ -40,7 +42,7 @@ def ref_decompositions(flag, a):
 
 def ref_r_values(flag, xi, table):
     return {
-        d: flag.epsilon(d) * flag.eval_root(xi, d) * table.b_of(d) for d in flag.r_m
+        d: epsilon(flag, d) * eval_root(flag, xi, d) * table.b_of(d) for d in flag.r_m
     }
 
 
@@ -69,9 +71,9 @@ def ref_transvection_violations(flag, xi, table, a):
 def ref_shortcut_violations(flag, xi, a):
     out = []
     for beta, gamma in ref_decompositions(flag, a):
-        val = (1 + flag.epsilon(gamma)) * flag.eval_root(xi, gamma) + (
-            1 + flag.epsilon(beta)
-        ) * flag.eval_root(xi, beta)
+        val = (1 + epsilon(flag, gamma)) * eval_root(flag, xi, gamma) + (
+            1 + epsilon(flag, beta)
+        ) * eval_root(flag, xi, beta)
         if val != 0:
             out.append((beta, gamma, val))
     return out

@@ -14,7 +14,7 @@ from flagsym import (
     root_str,
     simple_types,
 )
-from flagsym.rootsystem import height, radd, rneg, rsub
+from flagsym.rootsystem import bits, height, radd, rneg, rsub
 
 # classical root counts: the independent oracle for the closure algorithm
 CLASSICAL_COUNTS = {
@@ -285,3 +285,55 @@ def test_root_str():
     assert root_str((1, 2, 0)) == "a1+2a2"
     assert root_str((-1, -1, -1)) == "-a1-a2-a3"
     assert root_str((0, 1, -1)) == "a2-a3"
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_partners_are_the_sum_rows(family, rank):
+    rs = build_root_system(family, rank)
+    for i, a in enumerate(rs.roots):
+        want = tuple(j for j, b in enumerate(rs.roots) if radd(a, b) in rs.root_set)
+        assert rs.partners[i] == want
+
+
+def ref_bits(mask):
+    """The generator ``bits`` replaced: peel off the lowest set bit."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_bits_edge_masks():
+    assert list(bits(0)) == []
+    for i in range(480):
+        assert list(bits(1 << i)) == [i]
+    full = (1 << 480) - 1
+    assert list(bits(full)) == list(range(480))
+    assert list(bits(full ^ 1 << 239)) == list(ref_bits(full ^ 1 << 239))
+
+
+def _mask(positions):
+    mask = 0
+    for i in positions:
+        mask |= 1 << i
+    return mask
+
+
+# masks up to 480 bits (twice E8's 240 roots): sparse, about half full, dense
+MASKS = st.integers(min_value=1, max_value=480).flatmap(
+    lambda width: st.one_of(
+        st.lists(st.integers(0, width - 1), max_size=8).map(_mask),
+        st.integers(0, (1 << width) - 1),
+        st.lists(st.integers(0, width - 1), max_size=8).map(
+            lambda p: ((1 << width) - 1) ^ _mask(p)
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MASKS)
+def test_bits_matches_the_generator(mask):
+    got = list(bits(mask))
+    assert got == list(ref_bits(mask))
+    assert _mask(got) == mask and got == sorted(got)

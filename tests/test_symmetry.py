@@ -19,8 +19,16 @@ from flagsym import (
     parse_painted,
     symmetry_roots,
 )
-from flagsym.rootsystem import radd, rneg
-from flagsym.symmetry import ClassificationError, _hermitian_name, _rank_q
+from flagsym import symmetry
+from flagsym.cli import simple_types
+from flagsym.rootsystem import bits, radd, rneg
+from flagsym.symmetry import (
+    ClassificationError,
+    _closure_gap,
+    _hermitian_name,
+    _masks,
+    _rank_q,
+)
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -158,6 +166,54 @@ def test_hprime_closed_is_the_mask_closure():
     # {a1, a2} misses a1 + a2, so it is not closed under root addition
     broken = dataclasses.replace(rep, h_prime_roots=frozenset({(1, 0, 0), (0, 1, 0)}))
     assert broken.hprime_closed is False
+
+
+def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
+    calls = {"_r_k": 0, "_closure_gap": 0}
+
+    def counted(name):
+        original = getattr(symmetry, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(symmetry, name, counted(name))
+    f = make_flag(parse_painted("E7:{2,5}"))
+    rep = build_report(f)
+    assert k_prime_check(f) and rep.hprime_closed
+    assert h_prime(f) is rep.h_prime_roots
+    # [p, p] once; one closure for the leaf and one for h', none for hprime_closed
+    assert calls == {"_r_k": 1, "_closure_gap": 2}
+
+
+def ref_closure_gap(rs, mask):
+    """The loop ``_closure_gap`` replaced: walk every row pair by pair."""
+    for i in bits(mask):
+        row = rs.add[i]
+        for j in bits(rs.sums[i] & mask):
+            if not mask >> row[j] & 1:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("family,rank", simple_types(6))
+def test_closure_gap_gives_the_loop_witness(family, rank):
+    """The same first witness (i, j) as the pairwise loop, on the closed leaf
+    and h' sets of every painting and on each set with one root removed or
+    one root added."""
+    count = len(build_root_system(family, rank).roots)
+    for f in all_flags([(family, rank)]):
+        rp, rk, hp = _masks(f)
+        rs = f.rs
+        for closed in (rk | rp, hp):
+            assert _closure_gap(rs, closed) is None
+            for i in range(count):
+                variant = closed ^ 1 << i
+                assert _closure_gap(rs, variant) == ref_closure_gap(rs, variant), f.pd.spec
 
 
 def test_k_prime_examples():
