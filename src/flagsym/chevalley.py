@@ -16,11 +16,23 @@ special decomposition with the smallest first summand gets n = +(p+1), and
 every other constant is propagated from those choices through the Jacobi and
 cyclic identities.  The construction is deterministic and reproducible.
 
-The audit (:func:`convention_violations`) works on the dense root index of
-:class:`RootSystem`: it copies ``n`` into a list keyed by ``i * N + j`` and
-``b`` into integers when it is called, so every check is an integer lookup.
-Its exhaustive Jacobi check visits only the triples that can fail, and this
-pruning is exact.  Each term of
+Table and build live on the dense root index of :class:`RootSystem`.  The
+positive roots are the indices 0..N-1 in (height, coordinates) order, so the
+order of the convention is the index order.  The decompositions gamma =
+alpha + beta of a positive root are read from ``sums[gamma]``: alpha is the
+negative of a negative partner x of gamma and beta = ``add[gamma][x]``.  Every
+weight b(d) is the int 1, 2 or 3, each constant of the Jacobi step is one
+exact integer quotient over a common denominator with its remainder checked,
+and the mixed-sign constants follow from the same-sign ones through the
+weighted cyclic identity.  The table stores n as ``n_dense``, an int8 array
+with n(roots[i], roots[j]) at ``i * C + j`` (C = 2N, zero where the sum is no
+root), and b as ``b_dense``, ints by root index.
+
+The audit (:func:`convention_violations`) reads those stored arrays, so a
+table changed after construction is audited as it stands.  It walks the sum
+pairs from the ``sums`` masks, a zeroed constant included.  Its exhaustive
+Jacobi check visits only the triples that can fail, and this pruning is
+exact.  Each term of
 
     [[E_x, E_y], E_z] + [[E_y, E_z], E_x] + [[E_z, E_x], E_y]
 
@@ -37,67 +49,62 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .rootsystem import (
-    InternalConsistencyError,
-    Root,
-    RootSystem,
-    bits,
-    height,
-    rneg,
-    rsub,
-)
+from .rootsystem import InternalConsistencyError, Root, RootSystem, bits
 
 
 @dataclass
 class ChevalleyTable:
     """Structure constants n and pairing weights b for one root system.
 
-    ``audited`` is True when :func:`build_constants` ran the exhaustive audit.
-    ``n_dense`` is ``n`` as a list keyed by ``i * N + j`` over the root index
-    and ``b_dense`` is ``b`` as ints by root index, each built on first use (by
-    the oracles) and kept: change ``n`` and ``b`` only before.
+    ``n_dense`` holds n(roots[i], roots[j]) at ``i * C + j`` over the root
+    index (C = |R|) as int8, zero where roots[i] + roots[j] is no root;
+    ``b_dense`` holds b(roots[i]) as ints.  ``audited`` is True when
+    :func:`build_constants` ran the exhaustive audit.  The dict views ``n``
+    and ``b`` are built from the arrays on first use, for the tests; writing
+    to a view changes nothing the program reads.
     """
 
     rs: RootSystem
-    n: dict[tuple[Root, Root], int]
-    b: dict[Root, Fraction]
+    n_dense: array
+    b_dense: list[int]
     audited: bool = False
 
     @cached_property
-    def n_dense(self) -> array:
-        # |n| = p + 1 <= 4 for every constant of a valid table
-        return array("b", _dense_n(self, self.rs))
+    def n(self) -> dict[tuple[Root, Root], int]:
+        """n(a, b) for every pair with a + b a root (zeros included), in index order."""
+        roots, sums, n = self.rs.roots, self.rs.sums, self.n_dense
+        count = len(roots)
+        return {
+            (roots[i], roots[j]): n[i * count + j]
+            for i in range(count)
+            for j in bits(sums[i])
+        }
 
     @cached_property
-    def b_dense(self) -> list[int]:
-        return [_int_b(self, r) for r in self.rs.roots]
+    def b(self) -> dict[Root, int]:
+        return dict(zip(self.rs.roots, self.b_dense))
 
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""
-        return self.n.get((a, b), 0)
+        index = self.rs.index
+        return self.n_dense[index[a] * len(self.rs.roots) + index[b]]
 
-    def b_of(self, d: Root) -> Fraction:
-        return self.b[d]
-
-
-def _dense_n(table: ChevalleyTable, rs: RootSystem) -> list[int]:
-    """``table.n`` as it stands now, as a list keyed by ``i * N + j`` over rs."""
-    index, count = rs.index, len(rs.roots)
-    out = [0] * (count * count)
-    for (x, y), v in table.n.items():
-        out[index[x] * count + index[y]] = v
-    return out
+    def b_of(self, d: Root) -> int:
+        return self.b_dense[self.rs.index[d]]
 
 
-def _int_b(table: ChevalleyTable, d: Root) -> int:
-    """b(d) as an int; every b(d) = 2/(d, d) is 1, 2 or 3."""
-    b = table.b_of(d)
-    if b.denominator != 1:
-        raise InternalConsistencyError(f"non-integral pairing weight b = {b}")
-    return b.numerator
+def _pairing_weights(rs: RootSystem) -> list[int]:
+    """b(d) = 2/(d, d) by root index; every weight is 1, 2 or 3."""
+    out = []
+    for r in rs.positive_roots:
+        length = rs.lengths[r]
+        w, rem = divmod(2 * length.denominator, length.numerator)
+        if rem:
+            raise InternalConsistencyError(f"non-integral pairing weight b = 2/({length})")
+        out.append(w)
+    return out + out
 
 
 def _walk(row, k: int) -> int:
@@ -122,72 +129,73 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
     None runs it for systems with at most 48 roots (rank <= 4), True forces
     it, False skips it.
     """
-    pos = rs.positive_roots
-    pos_set = rs.positive_set
-    order = {r: i for i, r in enumerate(pos)}
-    b = {r: Fraction(2) / rs.lengths[r] for r in rs.roots}
+    roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
+    count, half = len(roots), len(rs.positive_roots)
+    negative = rs.positive_mask << half
+    b = _pairing_weights(rs)
+    n = array("b", bytes(count * count))
 
-    special: dict[tuple[Root, Root], int] = {}
+    def put(x: int, y: int, v: int) -> None:
+        """n(x, y) = v for positive x, y, with antisymmetry and the negation rule."""
+        nx, ny = neg[x], neg[y]
+        n[x * count + y] = n[ny * count + nx] = v
+        n[y * count + x] = n[nx * count + ny] = -v
 
-    def n_pos(x: Root, y: Root) -> int:
-        return special[(x, y)] if order[x] < order[y] else -special[(y, x)]
-
-    for gamma in pos:
-        if height(gamma) < 2:
-            continue
-        pairs = []
-        for a in pos:
-            rest = rsub(gamma, a)
-            if rest in pos_set and order[a] < order[rest]:
-                pairs.append((a, rest))
+    for gamma in range(rs.rank, half):  # the simple roots 0..rank-1 do not split
+        row = add[gamma]
+        # gamma = al + be with al < be positive, al ascending
+        pairs = [
+            (neg[x], row[x]) for x in bits(sums[gamma] & negative) if neg[x] < row[x] < half
+        ]
         if not pairs:
-            raise InternalConsistencyError(f"no decomposition for {gamma}")
-        pairs.sort(key=lambda pr: order[pr[0]])
+            raise InternalConsistencyError(f"no decomposition for {roots[gamma]}")
         eps, eta = pairs[0]  # the extraspecial pair: minimal first summand
-        special[(eps, eta)] = _string_down(rs, eps, eta) + 1
+        top = _walk(add[neg[eps]], eta) + 1
+        put(eps, eta, top)
         for al, be in pairs[1:]:
             # Jacobi on (E_{-al}, E_eps, E_eta) with every mixed-sign constant
             # eliminated through the weighted cyclic identity leaves one
-            # unknown, n(al, be).
-            acc = Fraction(0)
-            nu = rsub(al, eps)
-            if nu in pos_set:
-                acc += n_pos(eps, nu) * n_pos(be, nu) * b[al] * b[eta] / b[nu]
-            mu = rsub(eta, al)
-            if mu in pos_set:
-                acc += n_pos(al, mu) * n_pos(mu, eps) * b[eta] * b[be] / b[mu]
-            x = -acc / (special[(eps, eta)] * b[gamma])
-            expected = _string_down(rs, al, be) + 1
-            if x.denominator != 1 or abs(x) != expected:
+            # unknown, n(al, be) = -(t_nu / b(nu) + t_mu / b(mu)) / (top b(gamma)),
+            # here over the common denominator b(nu) b(mu) top b(gamma)
+            t_nu = t_mu = 0
+            d_nu = d_mu = 1
+            nu = add[al][neg[eps]]  # al - eps
+            if nu < half:
+                t_nu = n[eps * count + nu] * n[be * count + nu] * b[al] * b[eta]
+                d_nu = b[nu]
+            mu = add[eta][neg[al]]  # eta - al
+            if mu < half:
+                t_mu = n[al * count + mu] * n[mu * count + eps] * b[eta] * b[be]
+                d_mu = b[mu]
+            num, den = -(t_nu * d_mu + t_mu * d_nu), d_nu * d_mu * top * b[gamma]
+            x, rem = divmod(num, den)
+            expected = _walk(add[neg[al]], be) + 1
+            if rem or abs(x) != expected:
                 raise InternalConsistencyError(
-                    f"constant for ({al}, {be}) came out {x}, |.| != {expected}"
+                    f"constant for ({roots[al]}, {roots[be]}) came out "
+                    f"{f'{num}/{den}' if rem else x}, |.| != {expected}"
                 )
-            special[(al, be)] = int(x)
+            put(al, be, x)
 
-    full: dict[tuple[Root, Root], int] = {}
-    mixed: list[tuple[Root, Root, Root]] = []
-    for (x, y), s in rs.sum_index.items():
-        px, py = rs.is_positive(x), rs.is_positive(y)
-        if px and py:
-            full[(x, y)] = n_pos(x, y)
-        elif not px and not py:
-            full[(x, y)] = -n_pos(rneg(x), rneg(y))
-        else:
-            mixed.append((x, y, s))
-    for x, y, s in mixed:
-        # close the zero-sum triple (x, y, z) and step to the same-sign pair
-        z = rneg(s)
-        if rs.is_positive(y) == rs.is_positive(z):
-            val = full[(y, z)] * b[x] / b[z]
-        else:
-            val = full[(z, x)] * b[y] / b[z]
-        if val.denominator != 1:
-            raise InternalConsistencyError(f"non-integral constant for ({x}, {y})")
-        full[(x, y)] = int(val)
+    positive = rs.positive_mask
+    for x in range(count):
+        row = add[x]
+        for y in bits(sums[x] & (negative if x < half else positive)):
+            # close the zero-sum triple (x, y, z) and step to the same-sign pair
+            z = neg[row[y]]
+            if (y < half) == (z < half):
+                v, rem = divmod(n[y * count + z] * b[x], b[z])
+            else:
+                v, rem = divmod(n[z * count + x] * b[y], b[z])
+            if rem:
+                raise InternalConsistencyError(
+                    f"non-integral constant for ({roots[x]}, {roots[y]})"
+                )
+            n[x * count + y] = v
 
-    table = ChevalleyTable(rs, full, b)
+    table = ChevalleyTable(rs, n, b)
     if verify is None:
-        verify = len(rs.roots) <= 48
+        verify = count <= 48
     if verify:
         if not sign_convention_check(table, rs):
             raise InternalConsistencyError(f"{rs.name}: constant table fails the audit")
@@ -231,32 +239,33 @@ def convention_violations(
     when ``jacobi_samples`` is None, otherwise that many seeded triples).
     """
     rs = rs or table.rs
-    roots, index, neg, add = rs.roots, rs.index, rs.neg, rs.add
+    roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
     count = len(roots)
-    # integer copies taken now, so a table changed after construction is audited
-    n = _dense_n(table, rs)
-    b = [_int_b(table, r) for r in roots]
+    # the stored constants as they stand now, as a list: CPython indexes a
+    # list faster than an array, and the Jacobi loop reads one entry per term
+    n, b = table.n_dense.tolist(), table.b_dense
     out: list[str] = []
 
     def report(msg: str) -> bool:
         out.append(msg)
         return limit is not None and len(out) >= limit
 
-    for (x, y), v in table.n.items():
-        i, j = index[x], index[y]
-        if v != -n[j * count + i]:
-            if report(f"antisymmetry fails at ({x}, {y})"):
-                return out
-        if v != -n[neg[i] * count + neg[j]]:
-            if report(f"negation rule fails at ({x}, {y})"):
-                return out
-        p = _string_down(rs, x, y)
-        if abs(v) != p + 1:
-            if report(f"|n| != p+1 at ({x}, {y}): {v} vs {p + 1}"):
-                return out
+    for i in range(count):
+        for j in bits(sums[i]):
+            v = n[i * count + j]
+            if v != -n[j * count + i]:
+                if report(f"antisymmetry fails at ({roots[i]}, {roots[j]})"):
+                    return out
+            if v != -n[neg[i] * count + neg[j]]:
+                if report(f"negation rule fails at ({roots[i]}, {roots[j]})"):
+                    return out
+            p = _walk(add[neg[i]], j)
+            if abs(v) != p + 1:
+                if report(f"|n| != p+1 at ({roots[i]}, {roots[j]}): {v} vs {p + 1}"):
+                    return out
     for i in range(count):
         row = add[i]
-        for j in bits(rs.sums[i]):
+        for j in bits(sums[i]):
             k = neg[row[j]]
             lhs = n[i * count + j] * b[k]
             if lhs != n[j * count + k] * b[i] or lhs != n[k * count + i] * b[j]:

@@ -471,8 +471,9 @@ class RootSystem:
     def sum_index(self) -> dict[tuple[Root, Root], Root]:
         """(a, b) -> a + b for every ordered pair of roots whose sum is a root.
 
-        Built from ``sums``/``add`` on first use: only the structure-constant
-        layer, which works on coordinate tuples, needs it.
+        Built from ``sums``/``add`` on first use.  No program path reads it
+        (every layer works on the index); it is the tuple-keyed view of the
+        index that the tests check against coordinate addition.
         """
         roots = self.roots
         out: dict[tuple[Root, Root], Root] = {}

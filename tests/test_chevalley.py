@@ -1,4 +1,3 @@
-import copy
 import csv
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ from flagsym import (
 )
 from flagsym.chevalley import _string_down
 from flagsym.rootsystem import radd, rneg
+from table_helpers import with_constants
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -100,9 +100,9 @@ def test_sign_convention_check_passes(tables):
 
 
 def test_sign_convention_check_catches_mutation(tables):
-    t = copy.deepcopy(tables[("A", 3)])
+    t = tables[("A", 3)]
     key = next(iter(t.n))
-    t.n[key] = -t.n[key]
+    t = with_constants(t, {key: -t.n[key]})
     assert not sign_convention_check(t)
 
 
@@ -128,9 +128,9 @@ def test_audited_flag_follows_the_verify_threshold():
 
 
 def test_violation_listing_names_the_witness(tables):
-    t = copy.deepcopy(tables[("A", 2)])
+    t = tables[("A", 2)]
     key = next(iter(t.n))
-    t.n[key] = -t.n[key]
+    t = with_constants(t, {key: -t.n[key]})
     msgs = convention_violations(t, limit=3)
     assert msgs and any("fails" in m for m in msgs)
 

@@ -1,9 +1,10 @@
-"""The indexed Chevalley audit against the tuple loops it replaced.
+"""The indexed Chevalley build and audit against the tuple loops they replaced.
 
 The reference functions below walk root strings on coordinate tuples, look
-constants up by tuple key and check the Jacobi identity on every triple of
-``itertools.combinations(rs.roots, 3)`` in Fraction arithmetic.  The audit in
-``flagsym.chevalley`` prunes the triples and works on root indices; it must
+constants up by tuple key, build the table in Fraction arithmetic and check
+the Jacobi identity on every triple of ``itertools.combinations(rs.roots, 3)``.
+The build in ``flagsym.chevalley`` works on root indices in integers and must
+store the same constants and weights; its audit prunes the triples and must
 report the same violations, on clean tables and on tables with seeded faults.
 """
 
@@ -14,14 +15,14 @@ from fractions import Fraction
 import pytest
 
 from flagsym import (
-    ChevalleyTable,
     build_constants,
     build_root_system,
     convention_violations,
     simple_types,
 )
 from flagsym.chevalley import _jacobi_triples
-from flagsym.rootsystem import rneg, rsub
+from flagsym.rootsystem import InternalConsistencyError, height, rneg, rsub
+from table_helpers import with_constants
 
 
 def ref_string_down(rs, a, base):
@@ -31,6 +32,83 @@ def ref_string_down(rs, a, base):
         p += 1
         v = rsub(v, a)
     return p
+
+
+def ref_build_constants(rs):
+    """(n, b): the extraspecial-pair table on coordinate tuples, in Fractions."""
+    pos = rs.positive_roots
+    pos_set = rs.positive_set
+    order = {r: i for i, r in enumerate(pos)}
+    b = {r: Fraction(2) / rs.lengths[r] for r in rs.roots}
+
+    special = {}
+
+    def n_pos(x, y):
+        return special[(x, y)] if order[x] < order[y] else -special[(y, x)]
+
+    for gamma in pos:
+        if height(gamma) < 2:
+            continue
+        pairs = []
+        for a in pos:
+            rest = rsub(gamma, a)
+            if rest in pos_set and order[a] < order[rest]:
+                pairs.append((a, rest))
+        if not pairs:
+            raise InternalConsistencyError(f"no decomposition for {gamma}")
+        pairs.sort(key=lambda pr: order[pr[0]])
+        eps, eta = pairs[0]
+        special[(eps, eta)] = ref_string_down(rs, eps, eta) + 1
+        for al, be in pairs[1:]:
+            acc = Fraction(0)
+            nu = rsub(al, eps)
+            if nu in pos_set:
+                acc += n_pos(eps, nu) * n_pos(be, nu) * b[al] * b[eta] / b[nu]
+            mu = rsub(eta, al)
+            if mu in pos_set:
+                acc += n_pos(al, mu) * n_pos(mu, eps) * b[eta] * b[be] / b[mu]
+            x = -acc / (special[(eps, eta)] * b[gamma])
+            expected = ref_string_down(rs, al, be) + 1
+            if x.denominator != 1 or abs(x) != expected:
+                raise InternalConsistencyError(
+                    f"constant for ({al}, {be}) came out {x}, |.| != {expected}"
+                )
+            special[(al, be)] = int(x)
+
+    full = {}
+    mixed = []
+    for (x, y), s in rs.sum_index.items():
+        px, py = rs.is_positive(x), rs.is_positive(y)
+        if px and py:
+            full[(x, y)] = n_pos(x, y)
+        elif not px and not py:
+            full[(x, y)] = -n_pos(rneg(x), rneg(y))
+        else:
+            mixed.append((x, y, s))
+    for x, y, s in mixed:
+        z = rneg(s)
+        if rs.is_positive(y) == rs.is_positive(z):
+            val = full[(y, z)] * b[x] / b[z]
+        else:
+            val = full[(z, x)] * b[y] / b[z]
+        if val.denominator != 1:
+            raise InternalConsistencyError(f"non-integral constant for ({x}, {y})")
+        full[(x, y)] = int(val)
+    return full, b
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_build_matches_reference_through_e8(family, rank):
+    rs = build_root_system(family, rank)
+    table = build_constants(rs, verify=False)
+    n, b = ref_build_constants(rs)
+    count, index = len(rs.roots), rs.index
+    want = [0] * (count * count)
+    for (x, y), v in n.items():
+        want[index[x] * count + index[y]] = v
+    assert table.n_dense.tolist() == want
+    assert table.b_dense == [b[r] for r in rs.roots]
+    assert all(type(w) is int for w in table.b_dense)
 
 
 def ref_jacobi_defect(table, rs, x, y, z):
@@ -102,10 +180,9 @@ MUTATIONS = {
 
 def mutated(table, kind, count, seed):
     """A copy of ``table`` with ``count`` seeded constants changed by ``kind``."""
-    n = dict(table.n)
-    for key in random.Random(seed).sample(sorted(n), count):
-        n[key] = MUTATIONS[kind](n[key])
-    return ChevalleyTable(table.rs, n, table.b)
+    n = table.n
+    keys = random.Random(seed).sample(sorted(n), count)
+    return with_constants(table, {key: MUTATIONS[kind](n[key]) for key in keys})
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +239,15 @@ def test_jacobi_triples_are_exactly_the_triples_that_can_fail(name):
         if (total in index or not any(total)) and (near(x, y) or near(x, z) or near(y, z)):
             want.add((x, y, z))
     assert set(_jacobi_triples(rs)) == want
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_every_zeroed_constant_gives_the_reference_witnesses(name, clean_tables):
+    # the audit walks the sum pairs from the masks, so a constant set to zero
+    # is reported like any other fault
+    table = clean_tables[name]
+    for key in table.n:
+        bad = with_constants(table, {key: 0})
+        want = ref_violations(bad)
+        assert want, (name, key)
+        assert sorted(convention_violations(bad)) == sorted(want), (name, key)

@@ -11,7 +11,6 @@ import itertools
 import pytest
 
 from flagsym import (
-    ChevalleyTable,
     PaintedDiagram,
     build_root_system,
     chevalley_table,
@@ -27,6 +26,7 @@ from flagsym import (
 )
 from flagsym import cli, oracle
 from flagsym.rootsystem import rneg, rsub
+from table_helpers import with_constants
 
 
 def paintings(family, rank):
@@ -63,7 +63,7 @@ def mutated(table, changes):
     for (x, y), f in changes.items():
         n[(x, y)] = f(n[(x, y)])
         n[(y, x)] = -n[(x, y)]
-    return ChevalleyTable(table.rs, n, dict(table.b))
+    return with_constants(table, n)
 
 
 def full_painting_entry(monkeypatch, family, rank, table):
