@@ -42,6 +42,26 @@ or 0, and each term vanishes unless its first two roots sum to a root or to
 R ∪ {0}, or none of whose pairs sums into R ∪ {0}, has defect zero.  The
 remaining triples are found from the ``sums`` masks, each once, from its
 first pair (in index order) that sums into R ∪ {0}.
+
+When the pair and cyclic checks report nothing, the exhaustive check walks
+only the canonical triples, those with at least two positive roots; every
+other candidate is the negation of one of them, and this too is exact.
+The Jacobi terms read n only at sum pairs, where the negation rule
+n(-a, -b) = -n(a, b) has just been checked.  Negating a triple negates
+both factors of each root term n(a, c) n(a + c, d), so the term keeps its
+value; a Cartan term m H_{s^v} becomes (-m) H_{-s^v}, the same element; the
+a-string lengths that give <d, a^v> are those of the (-a)-string through
+-d; and the sorted negated triple is a cyclic shift of (-x, -y, -z), whose
+defect is the same sum.  So the defect of (-x, -y, -z) is the image of the
+defect of (x, y, z) under the negation, and one is zero exactly when the
+other is (Carter, *Simple Groups of Lie Type*, ch. 4).  If an earlier check
+reported a fault, or the half walk finds a defect, the walk over all the
+candidates runs instead, so the witnesses and their order are those of the
+full enumeration.  In the walk, a triple with no opposite pair and x + y + z
+= t a root has a defect of one coefficient, that of E_t, summed inline from
+three products; the triples with an opposite pair or a zero sum go through
+the one term evaluation that the sampled audit uses too.  Coroots, needed
+for the Cartan part of a zero-sum defect, are computed in integers.
 """
 
 from __future__ import annotations
@@ -203,25 +223,57 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
     return table
 
 
-def _jacobi_triples(rs: RootSystem):
-    """Sorted index triples (x, y, z) whose Jacobi defect can be nonzero, each once.
+def _coroots(rs: RootSystem) -> list[list[int]]:
+    """Coordinates of every coroot 2r/(r, r) over the simple coroots, as ints.
+
+    Coefficient i is r_i (a_i, a_i) / (r, r), one exact integer quotient of
+    scaled products with its remainder checked.
+    """
+    diagonal = [rs._gram[i][i] for i in range(rs.rank)]
+    out = []
+    for r in rs.roots:
+        square = rs._scaled_product(r, r)
+        co = []
+        for c, d in zip(r, diagonal):
+            v, rem = divmod(c * d, square)
+            if rem:
+                raise InternalConsistencyError(f"non-integral coroot of {r}")
+            co.append(v)
+        out.append(co)
+    return out
+
+
+def _jacobi_pairs(rs: RootSystem, canonical: bool = False):
+    """The candidate Jacobi triples as (p, q, third): the triples (p, q, r), r in ``third``.
 
     A pair (p, q) qualifies when roots p + q lies in R ∪ {0}.  For each
     qualifying pair p < q the third root r must put p + q + r in R ∪ {0}
     (any r when q = -p), and the triple is kept only when (p, q) is its first
-    qualifying pair: no r < q pairs with p, and no r < p pairs with q.
+    qualifying pair: no r < q pairs with p, and no r < p pairs with q.  With
+    ``canonical`` only the triples with at least two positive roots are kept:
+    p is positive, and r is positive when q is not.
     """
     count, neg, add = len(rs.roots), rs.neg, rs.add
+    half, positive = len(rs.positive_roots), rs.positive_mask
     pairs = [rs.sums[i] | 1 << neg[i] for i in range(count)]
     every = (1 << count) - 1
-    for p in range(count):
+    for p in range(half if canonical else count):
         later = pairs[p] >> (p + 1) << (p + 1)
         below_p = (1 << p) - 1
         for q in bits(later):
             third = every if q == neg[p] else pairs[add[p][q]]
             third &= ~(1 << p | 1 << q | pairs[p] & ((1 << q) - 1) | pairs[q] & below_p)
-            for r in bits(third):
-                yield (r, p, q) if r < p else (p, r, q) if r < q else (p, q, r)
+            if canonical and q >= half:
+                third &= positive
+            if third:
+                yield p, q, third
+
+
+def _jacobi_triples(rs: RootSystem, canonical: bool = False):
+    """Sorted index triples (x, y, z) whose Jacobi defect can be nonzero, each once."""
+    for p, q, third in _jacobi_pairs(rs, canonical):
+        for r in bits(third):
+            yield (r, p, q) if r < p else (p, r, q) if r < q else (p, q, r)
 
 
 def convention_violations(
@@ -238,6 +290,8 @@ def convention_violations(
     identity on every zero-sum triple, and the Jacobi identity (exhaustive
     when ``jacobi_samples`` is None, otherwise that many seeded triples).
     """
+    if jacobi_samples is not None and jacobi_samples < 1:
+        raise ValueError(f"jacobi_samples must be at least 1, got {jacobi_samples}")
     rs = rs or table.rs
     roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
     count = len(roots)
@@ -274,12 +328,7 @@ def convention_violations(
                 ):
                     return out
 
-    coroots = []  # over the simple coroots, where every coroot has integer coordinates
-    for r in roots:
-        co = rs.coroot(r)
-        if any(c.denominator != 1 for c in co):
-            raise InternalConsistencyError(f"non-integral coroot of {r}")
-        coroots.append([c.numerator for c in co])
+    coroots = _coroots(rs)  # over the simple coroots
 
     def defective(x: int, y: int, z: int) -> bool:
         """Whether [[E_x,E_y],E_z] + [[E_y,E_z],E_x] + [[E_z,E_x],E_y] != 0."""
@@ -304,15 +353,55 @@ def convention_violations(
             )
         return at_root != 0
 
-    if jacobi_samples is None:
-        triples = _jacobi_triples(rs)
-    else:
+    def jacobi_defects(canonical: bool):
+        """The defective candidate triples, sorted, in the order of the walk."""
+        for p, q, third in _jacobi_pairs(rs, canonical):
+            bad = []
+            if q == neg[p]:
+                special = third
+            else:
+                s = add[p][q]
+                # r = -(p + q), -p or -q: a zero sum or an opposite pair, for
+                # ``defective``; for every other r, x + y + z = t is a root,
+                # each term whose first two roots sum to a root lands on E_t,
+                # and (x, y, z) is a cyclic shift of (p, q, r) when r < p or
+                # r > q, of (q, p, r) when p < r < q
+                special = third & (1 << neg[s] | 1 << neg[p] | 1 << neg[q])
+                generic = third ^ special
+                middle = generic & ((1 << q) - (1 << (p + 1)))
+                sc = s * count
+                for a, c, seg in ((p, q, generic ^ middle), (q, p, middle)):
+                    ac, row_a, row_c, cc = n[a * count + c], add[a], add[c], c * count
+                    for r in bits(seg):
+                        t = ac * n[sc + r]
+                        u = row_c[r]
+                        if u != count:
+                            t += n[cc + r] * n[u * count + a]
+                        u = row_a[r]
+                        if u != count:
+                            t += n[r * count + a] * n[u * count + c]
+                        if t:
+                            bad.append(r)
+            for r in bits(special):
+                if defective(*sorted((p, q, r))):
+                    bad.append(r)
+            for r in sorted(bad):
+                yield tuple(sorted((p, q, r)))
+
+    if jacobi_samples is not None:
         rng = random.Random(seed)
-        triples = (rng.sample(range(count), 3) for _ in range(jacobi_samples))
-    for x, y, z in triples:
-        if defective(x, y, z):
-            if report(f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"):
-                return out
+        # fewer than three roots form no triple, as in the exhaustive walk
+        triples = (
+            (rng.sample(range(count), 3) for _ in range(jacobi_samples)) if count >= 3 else ()
+        )
+        bad_triples = (t for t in triples if defective(*t))
+    elif out or next(jacobi_defects(canonical=True), None) is not None:
+        bad_triples = jacobi_defects(canonical=False)
+    else:
+        bad_triples = ()
+    for x, y, z in bad_triples:
+        if report(f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"):
+            return out
     return out
 
 

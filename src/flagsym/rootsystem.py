@@ -468,22 +468,6 @@ class RootSystem:
         return (mask & self.positive_mask) << half | mask >> half
 
     @cached_property
-    def sum_index(self) -> dict[tuple[Root, Root], Root]:
-        """(a, b) -> a + b for every ordered pair of roots whose sum is a root.
-
-        Built from ``sums``/``add`` on first use.  No program path reads it
-        (every layer works on the index); it is the tuple-keyed view of the
-        index that the tests check against coordinate addition.
-        """
-        roots = self.roots
-        out: dict[tuple[Root, Root], Root] = {}
-        for i, a in enumerate(roots):
-            row = self.add[i]
-            for j in bits(self.sums[i]):
-                out[(a, roots[j])] = roots[row[j]]
-        return out
-
-    @cached_property
     def partners(self) -> tuple[tuple[int, ...], ...]:
         """partners[i]: the set bits of ``sums[i]``, ascending.
 
@@ -517,9 +501,6 @@ class RootSystem:
                 if a <= roots[j]:
                     (mixed if (i < half) != (j < half) else same)[row[j]].append((i, j))
         return tuple(tuple(x + y) for x, y in zip(mixed, same))
-
-    def sum_root(self, a: Root, b: Root) -> Root | None:
-        return self.sum_index.get((a, b))
 
     def root_string(self, a: Root, b: Root) -> tuple[int, int]:
         """The a-string through b: returns (p, q) with b - p*a .. b + q*a the

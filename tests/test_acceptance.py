@@ -33,6 +33,7 @@ from flagsym import (
 from flagsym.chevalley import _string_down
 from flagsym.flag import make_flag, parse_painted
 from flagsym.rootsystem import radd, rneg
+from root_helpers import sum_index
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -156,7 +157,7 @@ def test_c7_structure_constant_integrity():
         table = chevalley_table(*typ)
         for (x, y), v in table.n.items():
             ok &= abs(v) == _string_down(rs, x, y) + 1
-        for (x, y), s in rs.sum_index.items():
+        for (x, y), s in sum_index(rs).items():
             z = rneg(s)
             lhs = table.n_of(x, y) * table.b_of(z)
             ok &= lhs == table.n_of(y, z) * table.b_of(x)

@@ -12,6 +12,7 @@ from flagsym import (
 )
 from flagsym.chevalley import _string_down
 from flagsym.rootsystem import radd, rneg
+from root_helpers import sum_index
 from table_helpers import with_constants
 
 RANK_LE_4 = [
@@ -69,7 +70,7 @@ def test_magnitude_is_p_plus_one_exhaustive(tables):
 def test_weighted_cyclic_identity_exhaustive(tables):
     for t in tables.values():
         rs = t.rs
-        for (x, y), s in rs.sum_index.items():
+        for (x, y), s in sum_index(rs).items():
             z = rneg(s)
             assert t.n_of(x, y) * t.b_of(z) == t.n_of(y, z) * t.b_of(x)
             assert t.n_of(x, y) * t.b_of(z) == t.n_of(z, x) * t.b_of(y)
@@ -78,7 +79,7 @@ def test_weighted_cyclic_identity_exhaustive(tables):
 def test_unweighted_cyclic_identity_simply_laced(tables):
     for typ in [("A", 3), ("D", 4)]:
         t = tables[typ]
-        for (x, y), s in t.rs.sum_index.items():
+        for (x, y), s in sum_index(t.rs).items():
             z = rneg(s)
             assert t.n_of(x, y) == t.n_of(y, z) == t.n_of(z, x)
 
@@ -111,6 +112,20 @@ def test_jacobi_sampled_rank_5_6():
     for typ in [("A", 5), ("B", 5), ("E", 6)]:
         table = build_constants(build_root_system(*typ), verify=False)
         assert sign_convention_check(table, jacobi_samples=10_000, seed=7), typ
+
+
+def test_sampled_audit_needs_at_least_one_triple(tables):
+    # no samples would check no Jacobi triple and pass vacuously
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            sign_convention_check(tables[("A", 3)], jacobi_samples=samples)
+
+
+def test_sampled_audit_of_a1_matches_the_exhaustive_audit(tables):
+    # two roots form no triple, so both modes check no Jacobi identity
+    t = tables[("A", 1)]
+    assert convention_violations(t, jacobi_samples=5) == convention_violations(t) == []
+    assert sign_convention_check(t, jacobi_samples=5)
 
 
 def test_exhaustive_audit_of_every_type_through_e8():
@@ -156,6 +171,6 @@ def test_structure_constants_close_the_bracket(tables):
     # [E_x, E_y] lands on the sum root with the tabulated coefficient
     t = tables[("B", 3)]
     rs = t.rs
-    for (x, y), s in rs.sum_index.items():
+    for (x, y), s in sum_index(rs).items():
         assert radd(x, y) == s
         assert t.n_of(x, y) == t.n[(x, y)]

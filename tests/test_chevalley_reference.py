@@ -20,8 +20,9 @@ from flagsym import (
     convention_violations,
     simple_types,
 )
-from flagsym.chevalley import _jacobi_triples
+from flagsym.chevalley import _coroots, _jacobi_triples
 from flagsym.rootsystem import InternalConsistencyError, height, rneg, rsub
+from root_helpers import sum_index, sum_root
 from table_helpers import with_constants
 
 
@@ -77,7 +78,7 @@ def ref_build_constants(rs):
 
     full = {}
     mixed = []
-    for (x, y), s in rs.sum_index.items():
+    for (x, y), s in sum_index(rs).items():
         px, py = rs.is_positive(x), rs.is_positive(y)
         if px and py:
             full[(x, y)] = n_pos(x, y)
@@ -122,7 +123,7 @@ def ref_jacobi_defect(table, rs, x, y, z):
             if coef:
                 roots[c] = roots.get(c, Fraction(0)) + coef
             return
-        s = rs.sum_root(a, b)
+        s = sum_root(rs, a, b)
         if s is None:
             return
         m = table.n_of(a, b)
@@ -130,7 +131,7 @@ def ref_jacobi_defect(table, rs, x, y, z):
             for i, v in enumerate(rs.coroot(s)):
                 cart[i] += m * v
             return
-        u = rs.sum_root(s, c)
+        u = sum_root(rs, s, c)
         if u is not None:
             coef = m * table.n_of(s, c)
             if coef:
@@ -153,7 +154,7 @@ def ref_violations(table, jacobi_samples=None, seed=0):
         p = ref_string_down(rs, x, y)
         if abs(v) != p + 1:
             out.append(f"|n| != p+1 at ({x}, {y}): {v} vs {p + 1}")
-    for (x, y), s in rs.sum_index.items():
+    for (x, y), s in sum_index(rs).items():
         z = rneg(s)
         lhs = table.n_of(x, y) * table.b_of(z)
         if lhs != table.n_of(y, z) * table.b_of(x) or lhs != table.n_of(z, x) * table.b_of(y):
@@ -251,3 +252,61 @@ def test_every_zeroed_constant_gives_the_reference_witnesses(name, clean_tables)
         want = ref_violations(bad)
         assert want, (name, key)
         assert sorted(convention_violations(bad)) == sorted(want), (name, key)
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_canonical_triples_and_their_negations_are_the_candidates(family, rank):
+    # the audit walks only the canonical half when the pair checks are clean
+    rs = build_root_system(family, rank)
+    half = len(rs.positive_roots)
+    canonical = set(_jacobi_triples(rs, canonical=True))
+    assert all(sum(i < half for i in t) >= 2 for t in canonical)
+    negated = {tuple(sorted(rs.neg[i] for i in t)) for t in canonical}
+    assert not canonical & negated
+    assert canonical | negated == set(_jacobi_triples(rs))
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_integer_coroots_match_the_fraction_coroots(family, rank):
+    rs = build_root_system(family, rank)
+    coroots = _coroots(rs)
+    assert [tuple(co) for co in coroots] == [rs.coroot(r) for r in rs.roots]
+    assert all(type(c) is int for co in coroots for c in co)
+
+
+def zero_sum_orbits(rs):
+    """Each zero-sum triple {a, b, c} of distinct roots with its negation, once."""
+    seen, out = set(), []
+    for (x, y), s in sum_index(rs).items():
+        triple = frozenset((x, y, rneg(s)))
+        if triple not in seen:
+            negated = frozenset(map(rneg, triple))
+            seen |= {triple, negated}
+            out.append((triple, negated))
+    return out
+
+
+# (orbits, orbits whose flip breaks Jacobi): the one G2 flip that passes
+# leaves another valid table
+ZERO_SUM_ORBITS = {
+    "A3": (4, 4), "B3": (10, 10), "C3": (10, 10), "G2": (5, 4),
+    "D4": (16, 16), "A4": (10, 10), "B4": (28, 28),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SUM_ORBITS))
+def test_flipped_zero_sum_orbit_gives_the_reference_witnesses(name, clean_tables):
+    # flipping the 12 constants of a triple and its negation keeps every
+    # pair and cyclic check clean, so only the Jacobi walk can see it: the
+    # canonical half must find exactly what the walk over all triples finds
+    table = clean_tables[name]
+    orbits, caught = zero_sum_orbits(table.rs), 0
+    for orbit in orbits:
+        flips = {(x, y): -table.n[(x, y)] for t in orbit for x in t for y in t if x != y}
+        assert len(flips) == 12
+        bad = with_constants(table, flips)
+        want = ref_violations(bad)
+        assert all(m.startswith("Jacobi") for m in want), (name, orbit)
+        assert sorted(convention_violations(bad)) == sorted(want), (name, orbit)
+        caught += bool(want)
+    assert (len(orbits), caught) == ZERO_SUM_ORBITS[name]

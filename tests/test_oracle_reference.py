@@ -30,6 +30,7 @@ from flagsym import (
 from flagsym.rootsystem import rneg, rsub
 
 from flag_helpers import epsilon, eval_root
+from root_helpers import sum_root
 
 
 def ref_decompositions(flag, a):
@@ -51,7 +52,7 @@ def ref_transvection_violations(flag, xi, table, a):
     r = ref_r_values(flag, xi, table)
 
     def n_m(x, y):
-        s = rs.sum_root(x, y)
+        s = sum_root(rs, x, y)
         if s is None or s in flag.r_h:
             return 0
         return table.n_of(x, y)

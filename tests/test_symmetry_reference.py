@@ -6,8 +6,8 @@ roots.  The kernel in ``flagsym.symmetry`` works on root-index bitmasks and
 must give the same sets and the same verdicts on every painting of rank
 <= 6 and on a seeded sample of rank 7-8 paintings.  The root-index tables
 themselves (``index``, ``neg``, ``sums``, ``add``) are checked against
-coordinate addition, ``sum_index`` and ``rneg`` for every simple type of
-rank <= 8.
+coordinate addition, the ``sum_index`` test helper and ``rneg`` for every
+simple type of rank <= 8.
 """
 
 import itertools
@@ -28,6 +28,7 @@ from flagsym import (
 )
 from flagsym.rootsystem import bits, height, radd, rneg, rsub
 from flagsym.symmetry import _closure_gap, _indecomposables, _r_k
+from root_helpers import sum_index
 
 
 def ref_symmetry_roots(flag):
@@ -176,7 +177,7 @@ def test_root_index_tables(family, rank):
             is_root = s in rs.root_set
             assert (rs.sums[i] >> j & 1) == is_root
             assert rs.add[i][j] == (rs.index[s] if is_root else count)
-            assert rs.sum_index.get((a, b)) == (s if is_root else None)
+            assert sum_index(rs).get((a, b)) == (s if is_root else None)
     positives = rs.mask_of(rs.positive_roots)
     assert rs.positive_mask == positives
     assert rs.neg_mask(positives) == rs.mask_of(rneg(r) for r in rs.positive_roots)
