@@ -8,7 +8,6 @@ from .rootsystem import (
     build_root_system,
     classify_connected,
     diagram_components,
-    diagram_isomorphic,
     root_str,
 )
 from .chevalley import (
@@ -44,8 +43,6 @@ from .oracle import (
     shortcut_cone_set,
     shortcut_set,
     shortcut_violations,
-    transvection_check,
-    transvection_check_shortcut,
     transvection_cone_set,
     transvection_set,
     transvection_violations,

@@ -49,9 +49,7 @@ from .symmetry import (
     SymmetryReport,
     build_report,
     diagrams_agree,
-    h_prime,
     k_prime_check,
-    leaf_via_diagram,
 )
 
 MAX_RANK_BOUND = 8
@@ -205,37 +203,37 @@ class EnumerationReport:
         }
 
 
-def _oracle_on_cone(
-    flag: FlagData, table: ChevalleyTable, report: SymmetryReport
-) -> tuple[bool, int]:
-    """(both oracles give the symmetry roots on the whole cone, undecided roots).
+def _painting(
+    flag: FlagData, xi: KahlerParam | None = None
+) -> tuple[EnumEntry, SymmetryReport]:
+    """The record of one painting, and the symmetry report it was read from.
 
-    An undecided root fails the check: it is never counted as a transvection.
+    ``oracle_agree`` holds when both oracles give the symmetry roots on the
+    whole Kahler cone, and at ``xi`` as well when one is given.  An undecided
+    root fails the check: it is never counted as a transvection.
     """
+    pd, family, rank = flag.pd, flag.rs.family, flag.rs.rank
+    exc = onishchik_exception(family, rank, pd.painted)
+    report = build_report(flag, exception=exc)
+    table = chevalley_table(family, rank)
     cyclic = transvection_cone_set(flag, table)
     scalar = shortcut_cone_set(flag)
     undecided = len(cyclic.undecided | scalar.undecided)
-    agree = not undecided and cyclic.proved == report.r_p_plus == scalar.proved
-    return agree, undecided
-
-
-def _entry_for(family: str, rank: int, painted: frozenset) -> EnumEntry:
-    rs = build_root_system(family, rank)
-    pd = PaintedDiagram(rs, painted)
-    flag = make_flag(pd)
-    exc = onishchik_exception(family, rank, painted)
-    report = build_report(flag, exception=exc)
-    oracle_agree, undecided = _oracle_on_cone(flag, chevalley_table(family, rank), report)
+    oracle_agree = not undecided and cyclic.proved == report.r_p_plus == scalar.proved
+    if xi is not None:
+        oracle_agree = oracle_agree and (
+            transvection_set(flag, xi, table) == report.r_p_plus == shortcut_set(flag, xi)
+        )
     checks = {
         "oracle_agree": oracle_agree,
         "diagram_agree": diagrams_agree(pd, report.leaf),
         "hprime_closed": report.hprime_closed,
         "kprime_commutes": k_prime_check(flag),
     }
-    return EnumEntry(
+    entry = EnumEntry(
         family=family,
         rank=rank,
-        painted=tuple(sorted(painted)),
+        painted=tuple(sorted(pd.painted)),
         dim_g=dim_g(family, rank),
         dim_m=flag.dim_m,
         symmetric=flag.is_symmetric_coset(),
@@ -249,6 +247,7 @@ def _entry_for(family: str, rank: int, painted: frozenset) -> EnumEntry:
         checks=checks,
         undecided=undecided,
     )
+    return entry, report
 
 
 def enumerate_flags(
@@ -271,7 +270,8 @@ def enumerate_flags(
                     family, rank, painted
                 ) != painted:
                     continue
-                entries.append(_entry_for(family, rank, painted))
+                pd = PaintedDiagram(build_root_system(family, rank), painted)
+                entries.append(_painting(make_flag(pd))[0])
     entries.sort(key=lambda e: (e.family, e.rank, e.painted))
     summary = {
         "total": len(entries),
@@ -334,48 +334,6 @@ def verify_theorem(report: EnumerationReport) -> tuple[bool, list[dict]]:
             flag_violation(None, "k6_existence", f"expected coindex 6 at {key}")
     report.summary["violations"] = violations
     return (not violations), violations
-
-
-def _analyze_record(
-    pd: PaintedDiagram, xi: KahlerParam | None = None
-) -> tuple[dict, SymmetryReport, FlagData]:
-    family, rank = pd.rs.family, pd.rs.rank
-    flag = make_flag(pd)
-    exc = onishchik_exception(family, rank, pd.painted)
-    report = build_report(flag, exception=exc)
-    table = chevalley_table(family, rank)
-    oracle_agree, _ = _oracle_on_cone(flag, table, report)
-    if xi is not None:
-        oracle_agree = (
-            oracle_agree
-            and transvection_set(flag, xi, table) == report.r_p_plus
-            and shortcut_set(flag, xi) == report.r_p_plus
-        )
-    record = {
-        "family": family,
-        "rank": rank,
-        "painted": sorted(pd.painted),
-        "dim_g": dim_g(family, rank),
-        "dim_M": flag.dim_m,
-        "symmetric": flag.is_symmetric_coset(),
-        "exception": exc,
-        "index": report.index,
-        "coindex": report.coindex,
-        "symmetry_roots": [root_str(a) for a in sorted(report.r_p_plus)],
-        "leaf": {
-            "u": report.leaf.u_type,
-            "k_factors": list(report.leaf.k_semisimple_type),
-            "k_center_dim": report.leaf.k_center_dim,
-            "name": report.leaf.name,
-        },
-        "checks": {
-            "oracle_agree": oracle_agree,
-            "diagram_agree": diagrams_agree(pd, report.leaf),
-            "hprime_closed": report.hprime_closed,
-            "kprime_commutes": k_prime_check(flag),
-        },
-    }
-    return record, report, flag
 
 
 def _print_analysis(record: dict) -> None:
@@ -492,11 +450,14 @@ def main(argv=None) -> int:
 
     if args.command == "analyze":
         pd = args.spec
+        flag = make_flag(pd)
         try:
-            xi = _parse_xi(args.xi, make_flag(pd)) if args.xi else None
+            xi = _parse_xi(args.xi, flag) if args.xi else None
         except ValueError as exc:
             p_an.error(f"argument --xi: {exc}")
-        record, _, _ = _analyze_record(pd, xi)
+        entry, report = _painting(flag, xi)
+        record = entry.to_json()
+        record["symmetry_roots"] = [root_str(a) for a in sorted(report.r_p_plus)]
         if args.dot:
             _write_dot(pd, args.dot)
         if args.json:

@@ -212,21 +212,11 @@ def transvection_violations(
     return _violations(flag, xi, _cyclic_kernel(flag, table), a)
 
 
-def transvection_check(
-    flag: FlagData, xi: KahlerParam, table: ChevalleyTable, a: Root
-) -> bool:
-    return not transvection_violations(flag, xi, table, a)
-
-
 def shortcut_violations(
     flag: FlagData, xi: KahlerParam, a: Root
 ) -> list[tuple[Root, Root, Fraction]]:
     """Nonzero evaluations of ((1+eps_g) g + (1+eps_b) b)(xi) over decompositions."""
     return _violations(flag, xi, _shortcut_kernel(flag), a)
-
-
-def transvection_check_shortcut(flag: FlagData, xi: KahlerParam, a: Root) -> bool:
-    return not shortcut_violations(flag, xi, a)
 
 
 def transvection_set(

@@ -319,39 +319,6 @@ def classify_connected(d: Diagram) -> tuple[str, int]:
     raise ValueError("not a finite Dynkin diagram (branch shape)")
 
 
-def diagram_isomorphic(d1: Diagram, d2: Diagram) -> bool:
-    """Brute-force isomorphism test for small diagrams (test oracle)."""
-    if len(d1.nodes) != len(d2.nodes) or len(d1.edges) != len(d2.edges):
-        return False
-
-    def edge_map(d: Diagram) -> dict:
-        out = {}
-        for a, b, m, short in d.edges:
-            if short == "both":
-                tag = "both"
-            elif short is None:
-                tag = None
-            else:
-                tag = short
-            out[frozenset((a, b))] = (m, tag)
-        return out
-
-    e1, e2 = edge_map(d1), edge_map(d2)
-    for perm in itertools.permutations(d2.nodes):
-        phi = dict(zip(d1.nodes, perm))
-        ok = True
-        for key, (m, tag) in e1.items():
-            a, b = tuple(key)
-            got = e2.get(frozenset((phi[a], phi[b])))
-            want_tag = tag if tag in (None, "both") else phi[tag]
-            if got != (m, want_tag):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 class RootSystem:
     """Immutable root system of one simple type; all queries are exact.
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .flag import FlagData, PaintedDiagram, make_flag
+from .flag import FlagData, PaintedDiagram
 from .rootsystem import (
     Diagram,
     InternalConsistencyError,

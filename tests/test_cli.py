@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,8 +7,12 @@ from flagsym import (
     dim_g,
     enumerate_flags,
     main,
+    make_flag,
     onishchik_exception,
+    parse_painted,
+    root_str,
     simple_types,
+    symmetry_roots,
     verify_theorem,
 )
 from flagsym.cli import _canonical_painting
@@ -161,6 +166,28 @@ def test_report_byte_stable(tmp_path, capsys):
                        "--out", str(tmp_path / "b.json"))
     assert code1 == code2 == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_enumerate_rank_4_stdout_is_byte_stable(capsys):
+    code, out = run_cli(capsys, "enumerate", "--max-rank", "4")
+    assert code == 0
+    assert len(out.encode()) == 54172
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3cf062de7a9f91a9c49d862c813a6abe15bc1d4a81cd044714bfb064b2d8bb91"
+    )
+
+
+def test_analyze_json_is_the_enumerate_entry_plus_symmetry_roots(capsys):
+    entries = enumerate_flags(max_rank=4).entries
+    assert len(entries) == 106
+    for entry in entries:
+        code, out = run_cli(capsys, "analyze", entry.spec, "--json")
+        assert code == 0
+        record = json.loads(out)
+        roots = record.pop("symmetry_roots")
+        assert record == entry.to_json(), entry.spec
+        flag = make_flag(parse_painted(entry.spec))
+        assert roots == [root_str(a) for a in sorted(symmetry_roots(flag))], entry.spec
 
 
 def test_analyze_json_schema(capsys):

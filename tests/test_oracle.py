@@ -16,8 +16,6 @@ from flagsym import (
     shortcut_set,
     shortcut_violations,
     symmetry_roots,
-    transvection_check,
-    transvection_check_shortcut,
     transvection_set,
     transvection_violations,
 )
@@ -82,7 +80,7 @@ def test_transvection_theta_always_true(a3_setup):
     f, _, t = a3_setup
     for seed in range(5):
         xi = random_kahler_param(f, seed)
-        assert transvection_check(f, xi, t, (1, 1, 1))
+        assert not transvection_violations(f, xi, t, (1, 1, 1))
 
 
 def test_transvection_a1_plus_a2_false_with_witness(a3_setup):
@@ -95,14 +93,13 @@ def test_transvection_a1_plus_a2_false_with_witness(a3_setup):
     }
     sviols = shortcut_violations(f, xi, (1, 1, 0))
     assert sviols
-    assert not transvection_check_shortcut(f, xi, (1, 1, 0))
 
 
 def test_transvection_a2_plus_a3_true_many_xi(a3_setup):
     f, _, t = a3_setup
     for seed in range(20):
         xi = random_kahler_param(f, seed)
-        assert transvection_check(f, xi, t, (0, 1, 1))
+        assert not transvection_violations(f, xi, t, (0, 1, 1))
 
 
 def test_transvection_set_examples(a3_setup):
@@ -133,8 +130,8 @@ def test_g2_weighted_cancellation(g2_setup):
     # short-root weights b = 3; theta must check out exactly
     f, xi, t = g2_setup
     assert transvection_violations(f, xi, t, (2, 3)) == []
-    assert not transvection_check(f, xi, t, (1, 2))
-    assert not transvection_check_shortcut(f, xi, (1, 2))
+    assert transvection_violations(f, xi, t, (1, 2))
+    assert shortcut_violations(f, xi, (1, 2))
 
 
 def test_eq6_reduction_simply_laced(a3_setup):
@@ -166,8 +163,8 @@ def test_two_methods_agree_exhaustive(family, rank):
         for seed in range(5):
             xi = random_kahler_param(f, f"{f.pd.spec}|{seed}")
             for a in f.r_m_plus:
-                assert transvection_check(f, xi, t, a) == transvection_check_shortcut(
-                    f, xi, a
+                assert (not transvection_violations(f, xi, t, a)) == (
+                    not shortcut_violations(f, xi, a)
                 ), (f.pd.spec, a)
 
 
@@ -206,6 +203,6 @@ def test_distinct_seeds_same_transvection_set():
 def test_candidates_must_be_positive_tangent_roots(a3_setup):
     f, xi, t = a3_setup
     with pytest.raises(ValueError):
-        transvection_check(f, xi, t, (-1, -1, -1))
+        transvection_violations(f, xi, t, (-1, -1, -1))
     with pytest.raises(ValueError):
-        transvection_check_shortcut(f, xi, (1, 0, 0))
+        shortcut_violations(f, xi, (1, 0, 0))

@@ -3,10 +3,11 @@
 ``transvection_cone_set`` and ``shortcut_cone_set`` must give the symmetry
 roots, with no root left undecided, on every painting through rank 8; the
 per-xi functions must agree with them; and a corrupted Chevalley table must
-make the sweep's oracle check fail, never pass.
+make the oracle check of the sweep and of ``analyze`` fail, never pass.
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -69,7 +70,8 @@ def mutated(table, changes):
 
 def full_painting_entry(monkeypatch, family, rank, table):
     monkeypatch.setattr(cli, "chevalley_table", lambda f, r: table)
-    return cli._entry_for(family, rank, frozenset(range(1, rank + 1)))
+    rs = build_root_system(family, rank)
+    return cli._painting(make_flag(PaintedDiagram(rs, frozenset(range(1, rank + 1)))))[0]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
@@ -86,6 +88,17 @@ def test_corrupted_constant_fails_the_oracle_check(monkeypatch, family, rank, ch
     for pair in pairs:
         entry = full_painting_entry(monkeypatch, family, rank, mutated(table, {pair: change}))
         assert entry.checks["oracle_agree"] is False, pair
+
+
+def test_corrupted_constant_fails_the_oracle_check_through_analyze(monkeypatch, capsys):
+    table = chevalley_table("A", 3)
+    theta = table.rs.highest
+    pair = next(
+        (x, y) for x, y in table.n if x < y and sum_root(table.rs, x, y) == rneg(theta)
+    )
+    monkeypatch.setattr(cli, "chevalley_table", lambda f, r: mutated(table, {pair: lambda v: -v}))
+    assert cli.main(["analyze", "A3:{1,2,3}", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["oracle_agree"] is False
 
 
 def test_undecided_root_fails_closed(monkeypatch):

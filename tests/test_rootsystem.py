@@ -10,12 +10,11 @@ from flagsym import (
     build_root_system,
     classify_connected,
     diagram_components,
-    diagram_isomorphic,
     root_str,
     simple_types,
 )
 from flagsym.rootsystem import bits, height, radd, rneg, rsub
-from root_helpers import sum_index
+from root_helpers import diagram_isomorphic, sum_index
 
 # classical root counts: the independent oracle for the closure algorithm
 CLASSICAL_COUNTS = {

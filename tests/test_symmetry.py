@@ -9,7 +9,6 @@ from flagsym import (
     build_root_system,
     center_of_nilradical,
     classify_connected,
-    diagram_isomorphic,
     diagrams_agree,
     h_prime,
     k_prime_check,
@@ -29,6 +28,8 @@ from flagsym.symmetry import (
     _masks,
     _rank_q,
 )
+
+from root_helpers import diagram_isomorphic
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
