@@ -71,7 +71,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rootsystem import InternalConsistencyError, Root, RootSystem, bits
+from .rootsystem import InternalConsistencyError, Root, RootSystem, SplittingTable, bits
 
 
 @dataclass
@@ -83,7 +83,10 @@ class ChevalleyTable:
     ``b_dense`` holds b(roots[i]) as ints.  ``audited`` is True when
     :func:`build_constants` ran the exhaustive audit.  The dict views ``n``
     and ``b`` are built from the arrays on first use, for the tests; writing
-    to a view changes nothing the program reads.
+    to a view changes nothing the program reads.  ``cyclic_table``, the
+    vectors of the structure-constant oracle, is built from the arrays on
+    first use as well, so a changed table is a changed copy, not a table the
+    oracle has read.
     """
 
     rs: RootSystem
@@ -105,6 +108,24 @@ class ChevalleyTable:
     @cached_property
     def b(self) -> dict[Root, int]:
         return dict(zip(self.rs.roots, self.b_dense))
+
+    @cached_property
+    def cyclic_table(self) -> SplittingTable:
+        """The splitting table of the cyclic sums of :mod:`flagsym.oracle`:
+        (p, q, r) = eps_d b(d) times n(beta, gamma), n(a, gamma), n(beta, a)
+        for d = a, beta, gamma."""
+        n, count, half = self.n_dense, len(self.rs.roots), len(self.rs.positive_roots)
+        r = [b if i < half else -b for i, b in enumerate(self.b_dense)]
+
+        def coefficients(a: int, beta: int, gamma: int):
+            row_b = beta * count
+            return (
+                n[row_b + gamma] * r[a],
+                n[a * count + gamma] * r[beta],
+                n[row_b + a] * r[gamma],
+            )
+
+        return self.rs.splitting_table(coefficients)
 
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""

@@ -35,6 +35,7 @@ from .flag import (
     PaintedDiagram,
     kahler_param,
     make_flag,
+    painting_spec,
     parse_painted,
     to_dot,
 )
@@ -168,7 +169,7 @@ class EnumEntry:
 
     @property
     def spec(self) -> str:
-        return f"{self.family}{self.rank}:{{{','.join(map(str, self.painted))}}}"
+        return painting_spec(f"{self.family}{self.rank}", self.painted)
 
     def to_json(self) -> dict:
         return {
@@ -337,7 +338,7 @@ def verify_theorem(report: EnumerationReport) -> tuple[bool, list[dict]]:
 
 
 def _print_analysis(record: dict) -> None:
-    spec = f"{record['family']}{record['rank']}:{{{','.join(map(str, record['painted']))}}}"
+    spec = painting_spec(f"{record['family']}{record['rank']}", record["painted"])
     print(f"flag manifold {spec}   dim G = {record['dim_g']}, dim M = {record['dim_M']}")
     print(f"symmetric coset: {'yes' if record['symmetric'] else 'no'}")
     print(f"exception: {record['exception'] or 'none'}")
@@ -395,6 +396,8 @@ def _max_rank(text: str) -> int:
 
 def _families(text: str) -> list[str]:
     chosen = [f.strip().upper() for f in text.split(",") if f.strip()]
+    if not chosen:
+        raise argparse.ArgumentTypeError(f"no family given; choose from {','.join(FAMILIES)}")
     unknown = [f for f in chosen if f not in FAMILIES]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -475,7 +478,10 @@ def main(argv=None) -> int:
         )
         payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
         if args.out:
-            Path(args.out).write_text(payload + "\n")
+            try:
+                Path(args.out).write_text(payload + "\n")
+            except OSError as exc:
+                parser.exit(2, f"{parser.prog}: error: cannot write {args.out}: {exc.strerror}\n")
             print(f"wrote {len(report.entries)} entries to {args.out}")
         else:
             print(payload)

@@ -27,6 +27,11 @@ from .rootsystem import (
 _PAINTED_RE = re.compile(r"\s*([A-G])\s*(\d+)\s*:\s*\{([0-9,\s]*)\}\s*\Z")
 
 
+def painting_spec(type_name: str, painted) -> str:
+    """The compact form '<Family><rank>:{i,j,...}' of a painting, nodes ascending."""
+    return f"{type_name}:{{{','.join(map(str, sorted(painted)))}}}"
+
+
 @dataclass(frozen=True)
 class PaintedDiagram:
     rs: RootSystem
@@ -41,8 +46,7 @@ class PaintedDiagram:
 
     @property
     def spec(self) -> str:
-        inner = ",".join(str(i) for i in sorted(self.painted))
-        return f"{self.rs.name}:{{{inner}}}"
+        return painting_spec(self.rs.name, self.painted)
 
     def __repr__(self) -> str:
         return f"PaintedDiagram({self.spec})"
@@ -90,10 +94,12 @@ class FlagData:
         self.pd = pd
         rs = pd.rs
         # R_m: the roots with a nonzero coefficient on a painted node; R_h: the rest
-        m_mask = 0
+        m_mask = painted_mask = 0
         for i in pd.painted:
             m_mask |= rs.support[i - 1]
+            painted_mask |= 1 << (i - 1)
         self.m_mask = m_mask
+        self.painted_mask = painted_mask  # the painted nodes, bit n for node n + 1
         self.h_mask = ((1 << len(rs.roots)) - 1) & ~m_mask
         self.m_plus_mask = m_mask & rs.positive_mask
         self.dim_m = m_mask.bit_count()

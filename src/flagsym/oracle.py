@@ -57,17 +57,29 @@ independent of the symmetry criterion (a + R_m+) n R = empty of
 mixed sign, so never undecided, and nonzero exactly when a + gamma is a root.
 The structure-constant oracle is the check that reads the Chevalley table.
 
-The kernel works on the root index of :class:`RootSystem`: the
-decompositions of -a come from ``splittings[neg[a]]``, masked to R_m,
-mixed-sign pairs first (each one rules a out at once), the vectors from the
-columns ``coordinates`` of the painted nodes, and the constants from the
-table's ``n_dense`` and ``b_dense``.  The per-xi functions (:func:`transvection_set`,
-:func:`shortcut_set` and the ``*_violations`` ones) evaluate c . xi from the
-same vectors, in integers: xi is scaled by L, the lcm of the denominators of
-its coefficients, so every c . xi * L is an integer with the sign of c . xi.
-The witnesses the ``*_violations`` functions report are divided by L again,
-so they are the exact rational values of the unscaled sums; they come in the
-kernel's order, mixed-sign pairs first.
+The kernel.  c depends on the painting only through the columns it keeps:
+eps_d is the sign of d, n and b come from the table, and a decomposition lies
+in R_m exactly when the node supports of beta and gamma both meet the painted
+nodes.  So the vectors are built once per type, as a
+:class:`~flagsym.rootsystem.SplittingTable`: for each positive a and each
+splitting -a = beta + gamma, in the order of ``RootSystem.splittings``
+(mixed-sign pairs first, since each one inside R_m rules a out at once), the
+full-node vector c and four rank-bit ints, the node supports of beta and of
+gamma and the nodes where c is positive and where it is negative.  With P the
+painted nodes, the splitting lies in R_m when both supports meet P, its
+vector is zero when neither sign mask meets P, and it has one sign when one
+of them misses P: the cone verdict of a painting is integer ANDs.  The cyclic
+table is ``ChevalleyTable.cyclic_table``, read from ``n_dense`` and
+``b_dense`` on first use, so a changed copy of a table gets its own; the
+shortcut table is ``RootSystem.shortcut_table``.
+
+The per-xi functions (:func:`transvection_set`, :func:`shortcut_set` and the
+``*_violations`` ones) evaluate c . xi from the same stored vectors,
+restricted to the painted nodes, in integers: xi is scaled by L, the lcm of
+the denominators of its coefficients, so every c . xi * L is an integer with
+the sign of c . xi.  The witnesses the ``*_violations`` functions report are
+divided by L again, so they are the exact rational values of the unscaled
+sums; they come in the table's order, mixed-sign pairs first.
 """
 
 from __future__ import annotations
@@ -78,7 +90,7 @@ from typing import NamedTuple
 
 from .chevalley import ChevalleyTable
 from .flag import FlagData, KahlerParam
-from .rootsystem import Root, bits
+from .rootsystem import Root, SplittingTable, bits
 
 
 class ConeSet(NamedTuple):
@@ -88,69 +100,27 @@ class ConeSet(NamedTuple):
     undecided: frozenset  # neither proved nor ruled out by a one-sign vector
 
 
-def _kernel(flag: FlagData, coefficients):
-    """a -> (beta, gamma, c) over the decompositions -a = beta + gamma in R_m.
-
-    c is the vector over the painted nodes of p a + q beta + r gamma, where
-    (p, q, r) = coefficients(a, beta, gamma).  The pairs come in the order of
-    ``RootSystem.splittings``: each unordered pair once, mixed-sign pairs first.
-    """
-    rs, m = flag.rs, flag.m_mask
-    splittings, neg = rs.splittings, rs.neg
-    columns = [rs.coordinates[i - 1] for i in sorted(flag.pd.painted)]
-
-    def vectors(a: int):
-        for beta, gamma in splittings[neg[a]]:
-            if m >> beta & 1 and m >> gamma & 1:
-                p, q, r = coefficients(a, beta, gamma)
-                yield beta, gamma, [
-                    p * x[a] + q * x[beta] + r * x[gamma] for x in columns
-                ]
-
-    return vectors
-
-
-def _cyclic_kernel(flag: FlagData, table: ChevalleyTable):
-    """The cyclic-sum vectors: (p, q, r) = eps_d b(d) times n(beta, gamma),
-    n(a, gamma), n(beta, a) for d = a, beta, gamma."""
-    n, count, half = table.n_dense, len(flag.rs.roots), len(flag.rs.positive_roots)
-    r = [b if i < half else -b for i, b in enumerate(table.b_dense)]
-
-    def coefficients(a: int, beta: int, gamma: int):
-        row_b = beta * count
-        return (
-            n[row_b + gamma] * r[a],
-            n[a * count + gamma] * r[beta],
-            n[row_b + a] * r[gamma],
-        )
-
-    return _kernel(flag, coefficients)
-
-
-def _shortcut_kernel(flag: FlagData):
-    """The shortcut vectors: (p, q, r) = 0, 1 + eps_beta, 1 + eps_gamma."""
-    half = len(flag.rs.positive_roots)
-    return _kernel(
-        flag, lambda a, beta, gamma: (0, 2 if beta < half else 0, 2 if gamma < half else 0)
-    )
-
-
-def _on_cone(vectors) -> bool | None:
-    """True: every vector zero; False: one is nonzero of one sign; None: neither."""
+def _on_cone(masks: tuple[int, ...], painted: int) -> bool | None:
+    """True: every vector is zero on the painted nodes; False: one is nonzero
+    of one sign there; None: neither.  Only the splittings inside R_m count."""
     undecided = False
-    for _, _, c in vectors:
-        if any(c):
-            if min(c) >= 0 or max(c) <= 0:
+    it = iter(masks)
+    for beta, gamma, pos, neg in zip(it, it, it, it):
+        if beta & painted and gamma & painted:
+            if pos & painted:
+                if not neg & painted:
+                    return False
+                undecided = True
+            elif neg & painted:
                 return False
-            undecided = True
     return None if undecided else True
 
 
-def _cone_set(flag: FlagData, vectors) -> ConeSet:
-    roots = flag.rs.roots
+def _cone_set(flag: FlagData, table: SplittingTable) -> ConeSet:
+    roots, masks, painted = flag.rs.roots, table.masks, flag.painted_mask
     proved, undecided = [], []
     for a in bits(flag.m_plus_mask):
-        verdict = _on_cone(vectors(a))
+        verdict = _on_cone(masks[a], painted)
         if verdict:
             proved.append(roots[a])
         elif verdict is None:
@@ -160,12 +130,12 @@ def _cone_set(flag: FlagData, vectors) -> ConeSet:
 
 def transvection_cone_set(flag: FlagData, table: ChevalleyTable) -> ConeSet:
     """Transvection roots for every Kahler parameter (structure constants)."""
-    return _cone_set(flag, _cyclic_kernel(flag, table))
+    return _cone_set(flag, table.cyclic_table)
 
 
 def shortcut_cone_set(flag: FlagData) -> ConeSet:
     """Transvection roots for every Kahler parameter (scalar condition)."""
-    return _cone_set(flag, _shortcut_kernel(flag))
+    return _cone_set(flag, flag.rs.shortcut_table)
 
 
 def _scaled_xi(flag: FlagData, xi: KahlerParam) -> tuple[int, list[int]]:
@@ -175,15 +145,20 @@ def _scaled_xi(flag: FlagData, xi: KahlerParam) -> tuple[int, list[int]]:
     return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
-def _nonzero_terms(vectors, a: int, w: list[int]):
-    """(beta, gamma, c . w) for the decompositions of -a where c . w != 0."""
-    for beta, gamma, c in vectors(a):
-        total = sum(x * y for x, y in zip(c, w))
-        if total:
-            yield beta, gamma, total
+def _nonzero_terms(flag: FlagData, table: SplittingTable, a: int, w: list[int]):
+    """(beta, gamma, c . w) over the decompositions of -a in R_m with c . w != 0,
+    w over the painted nodes in node order."""
+    painted, stride = flag.painted_mask, 2 + flag.rs.rank
+    columns = [i + 1 for i in sorted(flag.pd.painted)]  # c_i sits at offset i + 1
+    masks, row = table.masks[a], table.rows[a]
+    for k, start in enumerate(range(0, len(row), stride)):
+        if masks[4 * k] & painted and masks[4 * k + 1] & painted:
+            total = sum(row[start + j] * x for j, x in zip(columns, w))
+            if total:
+                yield row[start], row[start + 1], total
 
 
-def _violations(flag: FlagData, xi: KahlerParam, vectors, a: Root) -> list:
+def _violations(flag: FlagData, xi: KahlerParam, table: SplittingTable, a: Root) -> list:
     index = flag.rs.index.get(a)
     if index is None or not flag.m_plus_mask >> index & 1:
         raise ValueError("transvection candidates live in R_m+")
@@ -191,17 +166,17 @@ def _violations(flag: FlagData, xi: KahlerParam, vectors, a: Root) -> list:
     scale, w = _scaled_xi(flag, xi)
     return [
         (roots[b], roots[g], Fraction(t, scale))
-        for b, g, t in _nonzero_terms(vectors, index, w)
+        for b, g, t in _nonzero_terms(flag, table, index, w)
     ]
 
 
-def _xi_set(flag: FlagData, xi: KahlerParam, vectors) -> frozenset:
+def _xi_set(flag: FlagData, xi: KahlerParam, table: SplittingTable) -> frozenset:
     roots = flag.rs.roots
     _, w = _scaled_xi(flag, xi)
     return frozenset(
         roots[a]
         for a in bits(flag.m_plus_mask)
-        if next(_nonzero_terms(vectors, a, w), None) is None
+        if next(_nonzero_terms(flag, table, a, w), None) is None
     )
 
 
@@ -209,23 +184,23 @@ def transvection_violations(
     flag: FlagData, xi: KahlerParam, table: ChevalleyTable, a: Root
 ) -> list[tuple[Root, Root, Fraction]]:
     """Witnessing (beta, gamma, sum) tuples where the cyclic sum is nonzero."""
-    return _violations(flag, xi, _cyclic_kernel(flag, table), a)
+    return _violations(flag, xi, table.cyclic_table, a)
 
 
 def shortcut_violations(
     flag: FlagData, xi: KahlerParam, a: Root
 ) -> list[tuple[Root, Root, Fraction]]:
     """Nonzero evaluations of ((1+eps_g) g + (1+eps_b) b)(xi) over decompositions."""
-    return _violations(flag, xi, _shortcut_kernel(flag), a)
+    return _violations(flag, xi, flag.rs.shortcut_table, a)
 
 
 def transvection_set(
     flag: FlagData, xi: KahlerParam, table: ChevalleyTable
 ) -> frozenset:
     """All transvection roots for one Kahler parameter (structure constants)."""
-    return _xi_set(flag, xi, _cyclic_kernel(flag, table))
+    return _xi_set(flag, xi, table.cyclic_table)
 
 
 def shortcut_set(flag: FlagData, xi: KahlerParam) -> frozenset:
     """All transvection roots by the scalar condition (no structure constants)."""
-    return _xi_set(flag, xi, _shortcut_kernel(flag))
+    return _xi_set(flag, xi, flag.rs.shortcut_table)

@@ -37,6 +37,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 Root = tuple[int, ...]
 
@@ -319,6 +320,22 @@ def classify_connected(d: Diagram) -> tuple[str, int]:
     raise ValueError("not a finite Dynkin diagram (branch shape)")
 
 
+class SplittingTable(NamedTuple):
+    """Per positive root a, one integer vector c over all nodes for each
+    splitting -a = beta + gamma, in the order of ``splittings(neg[a])``.
+
+    ``masks[a]`` holds four rank-bit ints per splitting (bit n for node
+    n + 1): the node supports of beta and of gamma, and the nodes where c is
+    positive and where it is negative.  ``rows[a]`` holds beta, gamma and
+    c_1, ..., c_rank per splitting.  Both are flat: ``masks[a]`` a tuple of
+    ints, which the cone test iterates fastest, and ``rows[a]``, which only
+    the per-xi functions read, an int array.
+    """
+
+    masks: tuple[tuple[int, ...], ...]
+    rows: tuple[array, ...]
+
+
 class RootSystem:
     """Immutable root system of one simple type; all queries are exact.
 
@@ -384,6 +401,8 @@ class RootSystem:
         self.sums: tuple[int, ...] = tuple(sums)
         self.add: tuple[array, ...] = tuple(add)
         self._extended: Diagram | None = None
+        # the leaf fields by symmetry-root mask, filled by flagsym.symmetry
+        self.leaf_memo: dict[int, tuple] = {}
 
     @property
     def name(self) -> str:
@@ -444,30 +463,61 @@ class RootSystem:
         """
         return tuple(tuple(bits(s)) for s in self.sums)
 
-    @cached_property
-    def coordinates(self) -> tuple[tuple[int, ...], ...]:
-        """coordinates[n][i]: the coefficient of roots[i] at node n + 1."""
-        return tuple(zip(*self.roots))
-
-    @cached_property
-    def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """splittings[s]: the index pairs (i, j) with roots[i] + roots[j] = roots[s].
+    def splittings(self, s: int) -> list[tuple[int, int]]:
+        """The index pairs (i, j) with roots[i] + roots[j] = roots[s].
 
         Each unordered pair comes once, with roots[i] <= roots[j] in coordinate
         order.  The pairs with one positive and one negative member come
         first, each group in index order of i: in the oracles a mixed pair
         inside R_m rules a root out at once (see :mod:`flagsym.oracle`), so
-        they are scanned first.  Built on first use, by the oracles.
+        they are scanned first.  Read from ``sums[s]``: x is a partner of s
+        exactly when i = -x and j = s + x split s.
         """
-        roots, half = self.roots, len(self.positive_roots)
-        mixed: list[list[tuple[int, int]]] = [[] for _ in roots]
-        same: list[list[tuple[int, int]]] = [[] for _ in roots]
-        for i, a in enumerate(roots):
-            row = self.add[i]
-            for j in bits(self.sums[i]):
-                if a <= roots[j]:
-                    (mixed if (i < half) != (j < half) else same)[row[j]].append((i, j))
-        return tuple(tuple(x + y) for x, y in zip(mixed, same))
+        roots, neg, row, half = self.roots, self.neg, self.add[s], len(self.positive_roots)
+        partners = self.sums[s]
+        mixed: list[tuple[int, int]] = []
+        same: list[tuple[int, int]] = []
+        # i = -x ascends over the negative partners x, then over the positive ones
+        for x in (*bits(partners >> half << half), *bits(partners & self.positive_mask)):
+            i, j = neg[x], row[x]
+            if roots[i] <= roots[j]:
+                (mixed if (i < half) != (j < half) else same).append((i, j))
+        return mixed + same
+
+    def splitting_table(self, coefficients) -> SplittingTable:
+        """The vectors c = p a + q beta + r gamma with (p, q, r) =
+        ``coefficients(a, beta, gamma)`` over the splittings of every -a."""
+        roots, neg = self.roots, self.neg
+        node_bits = [1 << n for n in range(self.rank)]
+        nodes = [sum(b for b, x in zip(node_bits, r) if x) for r in roots]
+        masks, rows = [], []
+        for a in range(len(self.positive_roots)):
+            mask_row: list[int] = []
+            row: list[int] = []
+            for beta, gamma in self.splittings(neg[a]):
+                p, q, r = coefficients(a, beta, gamma)
+                u, v = q - p, r - p  # a = -(beta + gamma)
+                c = [u * y + v * z for y, z in zip(roots[beta], roots[gamma])]
+                pos = negative = 0
+                for b, x in zip(node_bits, c):
+                    if x > 0:
+                        pos |= b
+                    elif x < 0:
+                        negative |= b
+                mask_row += (nodes[beta], nodes[gamma], pos, negative)
+                row += (beta, gamma, *c)
+            masks.append(tuple(mask_row))
+            rows.append(array("i", row))
+        return SplittingTable(tuple(masks), tuple(rows))
+
+    @cached_property
+    def shortcut_table(self) -> SplittingTable:
+        """The splitting table of the shortcut oracle of :mod:`flagsym.oracle`:
+        (p, q, r) = (0, 1 + eps_beta, 1 + eps_gamma).  Built on first use."""
+        half = len(self.positive_roots)
+        return self.splitting_table(
+            lambda a, beta, gamma: (0, 2 if beta < half else 0, 2 if gamma < half else 0)
+        )
 
     def root_string(self, a: Root, b: Root) -> tuple[int, int]:
         """The a-string through b: returns (p, q) with b - p*a .. b + q*a the

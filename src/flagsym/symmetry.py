@@ -40,6 +40,13 @@ derived from it, kept next to it on the flag: p = R_p+ and its negatives,
 [p, p] and h' = h + p (:func:`_masks`), and the roots of h' once
 :func:`h_prime` has proved them closed, which
 :attr:`SymmetryReport.hprime_closed` reads back instead of closing h' again.
+
+The leaf past the test that [p, p] lies in the isotropy roots (the closure of
+u, the classification of u and k, the two ranks, the k-highest test and the
+name) depends on the painting only through the mask of R_p+, so
+:func:`leaf_pair` computes it once per mask and root system and keeps its
+plain fields in ``RootSystem.leaf_memo`` (the rank-8 sweep has 305 masks
+among 2455 paintings).
 """
 
 from __future__ import annotations
@@ -292,6 +299,52 @@ def _hermitian_name(u: tuple[str, int], ks: list[tuple[str, int]]) -> str:
     )
 
 
+def _leaf_fields(flag: FlagData, plus: int, rp: int, rk: int) -> tuple:
+    """The leaf fields of :class:`LeafDescriptor` but ``rs``, from the masks of
+    R_p+, p and [p, p] alone; a failure raises with the painting's spec."""
+    rs, spec = flag.rs, flag.pd.spec
+    ru = rk | rp
+    if _closure_gap(rs, ru) is not None:
+        raise InternalConsistencyError(f"{spec}: leaf root set not closed")
+
+    toral_rank = _rank_q(rs.roots[i] for i in bits(plus))
+    u_labels = _classify_sub(flag, ru & rs.positive_mask)
+    if len(u_labels) != 1:
+        raise InternalConsistencyError(f"{spec}: leaf algebra not simple, components {u_labels}")
+    u_type = u_labels[0]
+    if u_type[1] != toral_rank:
+        raise InternalConsistencyError(
+            f"{spec}: leaf rank {u_type[1]} != coroot span {toral_rank}"
+        )
+
+    k_pos = rk & rs.positive_mask
+    k_labels = _classify_sub(flag, k_pos)
+    k_center = toral_rank - _rank_q(rs.roots[i] for i in bits(k_pos))
+    if k_center != 1:
+        raise InternalConsistencyError(f"{spec}: isotropy centre of the leaf has dim {k_center}")
+
+    # p is k-irreducible: the unique highest vector must be the highest root
+    highest = [rs.roots[i] for i in _stuck(rs, plus, k_pos, plus)]
+    if highest != [rs.highest]:
+        raise InternalConsistencyError(
+            f"{spec}: k-highest vectors {[root_str(a) for a in highest]}"
+        )
+
+    try:
+        name = _hermitian_name(u_type, k_labels)
+    except ClassificationError as exc:
+        raise ClassificationError(f"{spec}: {exc}") from None
+    return (
+        f"{u_type[0]}{u_type[1]}",
+        tuple(f"{f}{r}" for f, r in k_labels),
+        k_center,
+        ru,
+        rk,
+        toral_rank,
+        name,
+    )
+
+
 def leaf_pair(flag: FlagData) -> LeafDescriptor:
     """The leaf pair (u, k) with k = [p, p], verified and named.
 
@@ -299,54 +352,22 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
     structural facts fail (u simple of rank equal to k, one-dimensional centre
     of k, the highest root the unique k-highest vector of p): these are
     theorems, so a failure means a bug, not a valid outcome.
+
+    Everything past the test that [p, p] lies in the isotropy roots depends
+    on the painting only through the mask of R_p+, so its fields are kept in
+    ``rs.leaf_memo`` under that mask and computed once per mask.  A failure
+    is raised, never kept, so each painting that hits it names its own spec.
+    The memo holds plain fields, not the descriptor, which refers to ``rs``.
     """
     rs = flag.rs
     _, plus = _symmetry(flag)
     rp, rk, _ = _masks(flag)
     if rk & ~flag.h_mask:
         raise InternalConsistencyError(f"{flag.pd.spec}: [p,p] escapes the isotropy roots")
-    ru = rk | rp
-    if _closure_gap(rs, ru) is not None:
-        raise InternalConsistencyError(f"{flag.pd.spec}: leaf root set not closed")
-
-    toral_rank = _rank_q(rs.roots[i] for i in bits(plus))
-    u_labels = _classify_sub(flag, ru & rs.positive_mask)
-    if len(u_labels) != 1:
-        raise InternalConsistencyError(
-            f"{flag.pd.spec}: leaf algebra not simple, components {u_labels}"
-        )
-    u_type = u_labels[0]
-    if u_type[1] != toral_rank:
-        raise InternalConsistencyError(
-            f"{flag.pd.spec}: leaf rank {u_type[1]} != coroot span {toral_rank}"
-        )
-
-    k_pos = rk & rs.positive_mask
-    k_labels = _classify_sub(flag, k_pos)
-    k_center = toral_rank - _rank_q(rs.roots[i] for i in bits(k_pos))
-    if k_center != 1:
-        raise InternalConsistencyError(
-            f"{flag.pd.spec}: isotropy centre of the leaf has dim {k_center}"
-        )
-
-    # p is k-irreducible: the unique highest vector must be the highest root
-    highest = [rs.roots[i] for i in _stuck(rs, plus, k_pos, plus)]
-    if highest != [rs.highest]:
-        raise InternalConsistencyError(
-            f"{flag.pd.spec}: k-highest vectors {[root_str(a) for a in highest]}"
-        )
-
-    name = _hermitian_name(u_type, k_labels)
-    return LeafDescriptor(
-        u_type=f"{u_type[0]}{u_type[1]}",
-        k_semisimple_type=tuple(f"{f}{r}" for f, r in k_labels),
-        k_center_dim=k_center,
-        u_mask=ru,
-        k_mask=rk,
-        toral_rank=toral_rank,
-        name=name,
-        rs=rs,
-    )
+    fields = rs.leaf_memo.get(plus)
+    if fields is None:
+        fields = rs.leaf_memo[plus] = _leaf_fields(flag, plus, rp, rk)
+    return LeafDescriptor(*fields, rs=rs)
 
 
 def leaf_via_diagram(pd: PaintedDiagram) -> Diagram:

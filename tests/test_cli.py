@@ -241,6 +241,8 @@ def test_analyze_rejects_bad_spec(capsys):
         (["analyze", "Z3:{1}"], "cannot parse painted diagram"),
         (["analyze", "A3:{9}"], "out of range"),
         (["analyze", "C2:{1}"], "not a simple type: C2"),
+        (["verify", "--families", ","], "no family given"),
+        (["enumerate", "--families", " "], "no family given"),
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -252,6 +254,17 @@ def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):
     assert "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0]
+
+
+def test_enumerate_to_an_unwritable_path_exits_2_with_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--max-rank", "1", "--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"flagsym: error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_empty_sweep_is_a_violation(capsys):

@@ -2,12 +2,16 @@
 
 ``transvection_cone_set`` and ``shortcut_cone_set`` must give the symmetry
 roots, with no root left undecided, on every painting through rank 8; the
-per-xi functions must agree with them; and a corrupted Chevalley table must
-make the oracle check of the sweep and of ``analyze`` fail, never pass.
+per-xi functions must agree with them; the type-level splitting tables must
+give the cone sets and the witnesses of the per-painting kernel they replaced
+(``oracle_helpers``); and a corrupted Chevalley table must make the oracle
+check of the sweep and of ``analyze`` fail, never pass.
 """
 
 import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,18 +19,22 @@ from flagsym import (
     PaintedDiagram,
     build_root_system,
     chevalley_table,
+    kahler_param,
     make_flag,
     parse_painted,
     random_kahler_param,
     shortcut_cone_set,
     shortcut_set,
+    shortcut_violations,
     simple_types,
     symmetry_roots,
     transvection_cone_set,
     transvection_set,
+    transvection_violations,
 )
-from flagsym import cli, oracle
+from flagsym import cli
 from flagsym.rootsystem import rneg, rsub
+import oracle_helpers as ref
 from root_helpers import sum_root
 from table_helpers import with_constants
 
@@ -90,6 +98,29 @@ def test_corrupted_constant_fails_the_oracle_check(monkeypatch, family, rank, ch
         assert entry.checks["oracle_agree"] is False, pair
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+@pytest.mark.parametrize("change", [lambda v: -v, lambda v: 0], ids=["flipped", "zeroed"])
+def test_corrupted_constant_fails_the_oracle_check_on_a_partial_painting(
+    monkeypatch, family, rank, change
+):
+    # node 1 left white: the splittings of -theta inside R_m are only some of
+    # them, and the table's masks must pick each of those
+    table = chevalley_table(family, rank)
+    monkeypatch.setattr(cli, "chevalley_table", lambda f, r: table)
+    flag = make_flag(PaintedDiagram(table.rs, frozenset(range(2, rank + 1))))
+    assert cli._painting(flag)[0].checks["oracle_agree"]
+    theta = table.rs.highest
+    pairs = [
+        (x, y)
+        for x, y in table.n
+        if x < y and sum_root(table.rs, x, y) == rneg(theta) and {x, y} <= flag.r_m
+    ]
+    assert pairs
+    for pair in pairs:
+        monkeypatch.setattr(cli, "chevalley_table", lambda f, r: mutated(table, {pair: change}))
+        assert cli._painting(flag)[0].checks["oracle_agree"] is False, pair
+
+
 def test_corrupted_constant_fails_the_oracle_check_through_analyze(monkeypatch, capsys):
     table = chevalley_table("A", 3)
     theta = table.rs.highest
@@ -139,13 +170,88 @@ def test_undecided_root_outside_the_symmetry_roots_fails_closed(monkeypatch):
 
 @pytest.mark.parametrize("family,rank", simple_types(4))
 def test_kernel_walks_each_decomposition_in_r_m_once(family, rank):
+    table = build_root_system(family, rank).shortcut_table
     for flag in paintings(family, rank):
-        rs, vectors = flag.rs, oracle._shortcut_kernel(flag)
+        rs, painted = flag.rs, flag.painted_mask
         for a in flag.r_m_plus:
-            got = [frozenset((b, g)) for b, g, _ in vectors(rs.index[a])]
+            masks, row = table.masks[rs.index[a]], table.rows[rs.index[a]]
+            starts = range(0, len(row), 2 + rank)
+            got = [
+                frozenset(row[start : start + 2])
+                for k, start in enumerate(starts)
+                if masks[4 * k] & painted and masks[4 * k + 1] & painted
+            ]
             expected = {
                 frozenset((rs.index[b], rs.index[rsub(rneg(a), b)]))
                 for b in flag.r_m
                 if rsub(rneg(a), b) in flag.r_m
             }
             assert len(got) == len(expected) and set(got) == expected, (flag.pd.spec, a)
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_splitting_tables_match_their_vectors(family, rank):
+    # each row is a splitting of -a, in the order of rs.splittings, and the
+    # four masks are the node supports of beta, gamma and the signs of c
+    rs = build_root_system(family, rank)
+    nodes = lambda v, keep: sum(1 << n for n, x in enumerate(v) if keep(x))
+    for table in (rs.shortcut_table, chevalley_table(family, rank).cyclic_table):
+        for a, (masks, row) in enumerate(zip(table.masks, table.rows)):
+            split = [tuple(row[s : s + 2]) for s in range(0, len(row), 2 + rank)]
+            assert split == rs.splittings(rs.neg[a])
+            for k, (beta, gamma) in enumerate(split):
+                c = row[k * (2 + rank) + 2 : (k + 1) * (2 + rank)]
+                assert masks[4 * k : 4 * k + 4] == (
+                    nodes(rs.roots[beta], bool),
+                    nodes(rs.roots[gamma], bool),
+                    nodes(c, lambda x: x > 0),
+                    nodes(c, lambda x: x < 0),
+                )
+
+
+def perturbed(table, seed):
+    """``table`` with three seeded constants shifted by +-1, antisymmetry kept."""
+    rng = random.Random(seed)
+    pairs = sorted((x, y) for x, y in table.n if x < y)
+    pairs = rng.sample(pairs, min(3, len(pairs)))
+    return mutated(table, {pair: lambda v, d=rng.choice((-1, 1)): v + d for pair in pairs})
+
+
+def assert_matches_the_per_painting_kernel(flag, table, xi=None):
+    """Cone sets, and with ``xi`` every witness list, equal those of the
+    reference kernel, on ``table`` and on a perturbed copy of it."""
+    spec = flag.pd.spec
+    assert shortcut_cone_set(flag) == ref.cone_set(flag, ref.shortcut_kernel(flag)), spec
+    if xi is not None:
+        vectors = ref.shortcut_kernel(flag)
+        for a in flag.r_m_plus:
+            got = shortcut_violations(flag, xi, a)
+            assert got == ref.violations(flag, xi, vectors, a), (spec, a)
+    for t in (table, perturbed(table, spec)):
+        vectors = ref.cyclic_kernel(flag, t)
+        assert transvection_cone_set(flag, t) == ref.cone_set(flag, vectors), spec
+        if xi is not None:
+            for a in flag.r_m_plus:
+                got = transvection_violations(flag, xi, t, a)
+                assert got == ref.violations(flag, xi, vectors, a), (spec, a)
+
+
+@pytest.mark.parametrize("family,rank", simple_types(6))
+def test_mask_kernel_matches_the_per_painting_kernel_rank_le_6(family, rank):
+    table = chevalley_table(family, rank)
+    for flag in paintings(family, rank):
+        xi = kahler_param(flag, [Fraction(k + 2, k + 1) for k in range(flag.center_dim)])
+        assert_matches_the_per_painting_kernel(flag, table, xi if rank <= 4 else None)
+
+
+def test_mask_kernel_matches_the_per_painting_kernel_rank_7_8_sample():
+    rng = random.Random(11)
+    for family, rank in simple_types(8):
+        if rank < 7:
+            continue
+        table = chevalley_table(family, rank)
+        for _ in range(4):
+            painted = frozenset(rng.sample(range(1, rank + 1), rng.randint(1, rank)))
+            flag = make_flag(PaintedDiagram(table.rs, painted))
+            xi = kahler_param(flag, [Fraction(k + 2, k + 1) for k in range(len(painted))])
+            assert_matches_the_per_painting_kernel(flag, table, xi)

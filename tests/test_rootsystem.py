@@ -105,7 +105,7 @@ def test_splittings_list_each_decomposition_once(family, rank):
     rs = build_root_system(family, rank)
     half = len(rs.positive_roots)
     for k, s in enumerate(rs.roots):
-        pairs = rs.splittings[k]
+        pairs = rs.splittings(k)
         unordered = {frozenset(p) for p in pairs}
         assert len(pairs) == len(unordered)
         assert unordered == {
@@ -116,7 +116,7 @@ def test_splittings_list_each_decomposition_once(family, rank):
         assert all(rs.roots[i] <= rs.roots[j] for i, j in pairs)
         mixed = [(i < half) != (j < half) for i, j in pairs]
         assert mixed == sorted(mixed, reverse=True)  # mixed-sign pairs first
-    assert 2 * sum(map(len, rs.splittings)) == len(sum_index(rs))
+    assert 2 * sum(len(rs.splittings(k)) for k in range(len(rs.roots))) == len(sum_index(rs))
     if (family, rank) == ("E", 8):
         assert len(sum_index(rs)) == 13440
 

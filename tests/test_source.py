@@ -1,11 +1,14 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "flagsym"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "flagsym"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -33,3 +36,16 @@ def test_unused_import_is_found(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nimport sys.path\nfrom math import gcd, lcm\n\nlcm(sys.path)\n")
     assert unused_imports(module) == ["gcd", "os"]
+
+
+def test_every_traced_function_exists():
+    # the benchmark's tracer skips a (module, attribute) it cannot find and its
+    # layer then reads 0; a rename must fail here instead
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, (module, attribute) in tracing.SPANS.items():
+        target = importlib.import_module(module)
+        for part in attribute.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), (name, module, attribute)

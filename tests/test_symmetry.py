@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
+import re
 
 import pytest
 
 from flagsym import (
+    LeafDescriptor,
     PaintedDiagram,
+    RootSystem,
     build_report,
     build_root_system,
     center_of_nilradical,
@@ -272,6 +275,32 @@ def test_hermitian_table_rejects_non_hermitian():
         _hermitian_name(("G", 2), [("A", 1)])
     with pytest.raises(ClassificationError):
         _hermitian_name(("C", 3), [("C", 2)])
+
+
+def test_leaf_memo_is_keyed_by_the_symmetry_roots(monkeypatch):
+    # A3:{1,3} and A3:{1,2,3} have the same symmetry roots, so one memo entry
+    rs = RootSystem("A", 3)
+    one, two = (make_flag(PaintedDiagram(rs, frozenset(p))) for p in ({1, 3}, {1, 2, 3}))
+    assert symmetry._symmetry(one)[1] == symmetry._symmetry(two)[1]
+
+    def reject(u, ks):
+        raise ClassificationError("injected")
+
+    monkeypatch.setattr(symmetry, "_hermitian_name", reject)
+    for flag in (one, two, one):  # a failure is raised each time, never kept
+        with pytest.raises(ClassificationError, match=re.escape(f"{flag.pd.spec}: injected")):
+            leaf_pair(flag)
+    assert rs.leaf_memo == {}
+    monkeypatch.undo()
+
+    leaf = leaf_pair(one)
+    monkeypatch.setattr(symmetry, "_leaf_fields", None)  # a second computation fails
+    assert leaf_pair(two) == leaf and leaf.name == "CP^1"
+    (fields,) = rs.leaf_memo.values()
+    # plain fields, no descriptor: a memo entry refers to nothing that refers to rs
+    assert all(isinstance(x, (str, int, tuple)) for x in fields)
+    assert all(isinstance(x, str) for x in fields[1])
+    assert LeafDescriptor(*fields, rs=rs) == leaf
 
 
 def test_rank_helper():
