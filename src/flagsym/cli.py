@@ -413,7 +413,14 @@ def _painted(text: str) -> PaintedDiagram:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The CLI parser and its ``analyze`` subparser, built once per process.
+
+    Repeated ``main`` calls share them: ``parse_args`` makes a new namespace
+    per call and leaves the parser as it was, the ``type=`` callables read
+    what they check when they run, and help is laid out when it is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="flagsym",
         description="symmetry-index engine for generalized flag manifolds",
@@ -430,7 +437,6 @@ def main(argv=None) -> int:
         "nodes in increasing node order, checked on top of the proof for every xi",
     )
     p_an.add_argument("--json", action="store_true", help="emit a JSON record")
-    p_an.add_argument("--seed", default="0", help="accepted and unused: nothing is sampled")
     p_an.add_argument("--dot", metavar="DIR", help="write painted/extended DOT files")
 
     p_en = sub.add_parser("enumerate", help="sweep all paintings up to a rank bound")
@@ -447,8 +453,11 @@ def main(argv=None) -> int:
     p_ve = sub.add_parser("verify", help="run the sweep and verify every claim")
     p_ve.add_argument("--max-rank", type=_max_rank, default=6)
     p_ve.add_argument("--families", type=_families, help="comma-separated subset")
-    p_ve.add_argument("--seed", default="0", help="accepted and unused: nothing is sampled")
+    return parser, p_an
 
+
+def main(argv=None) -> int:
+    parser, p_an = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "analyze":
@@ -462,7 +471,14 @@ def main(argv=None) -> int:
         record = entry.to_json()
         record["symmetry_roots"] = [root_str(a) for a in sorted(report.r_p_plus)]
         if args.dot:
-            _write_dot(pd, args.dot)
+            try:
+                _write_dot(pd, args.dot)
+            except OSError as exc:
+                parser.exit(
+                    2,
+                    f"{parser.prog}: error: cannot write DOT files to {args.dot}: "
+                    f"{exc.strerror}\n",
+                )
         if args.json:
             print(json.dumps(record, indent=2, sort_keys=True))
         else:
@@ -488,11 +504,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        report = enumerate_flags(
-            max_rank=args.max_rank,
-            families=args.families,
-            seed=args.seed,
-        )
+        report = enumerate_flags(max_rank=args.max_rank, families=args.families)
         ok, violations = verify_theorem(report)
         if ok:
             print(

@@ -1,9 +1,15 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from flagsym import (
+    cli,
     dim_g,
     enumerate_flags,
     main,
@@ -243,6 +249,8 @@ def test_analyze_rejects_bad_spec(capsys):
         (["analyze", "C2:{1}"], "not a simple type: C2"),
         (["verify", "--families", ","], "no family given"),
         (["enumerate", "--families", " "], "no family given"),
+        (["analyze", "A3:{2,3}", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["verify", "--max-rank", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -265,6 +273,78 @@ def test_enumerate_to_an_unwritable_path_exits_2_with_one_line(tmp_path, capsys)
     assert captured.out == ""
     assert captured.err == f"flagsym: error: cannot write {target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+def test_analyze_dot_to_an_unwritable_path_exits_2_with_one_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "sub"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "A3:{2,3}", "--dot", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"flagsym: error: cannot write DOT files to {target}: Not a directory\n"
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_repeated_calls_build_the_parser_once(monkeypatch, capsys, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for _ in range(50):
+        assert main(["analyze", "A1:{1}", "--json"]) == 0
+    capsys.readouterr()
+    assert cli._parser.cache_info().misses == 1
+    assert built == ["flagsym", "flagsym analyze", "flagsym enumerate", "flagsym verify"]
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys, fresh_parser):
+    good = ["analyze", "A3:{2,3}", "--json"]
+    code, first = run_cli(capsys, *good)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "A3:{9}"])
+    assert exc.value.code == 2
+    assert "out of range" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "A3:{2,3}", "--xi", "1/0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "flagsym analyze: error: argument --xi: not a rational number: '1/0'"
+    )
+    code, again = run_cli(capsys, *good)
+    assert code == 0
+    assert again == first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "flagsym", *good], capture_output=True, check=True, env=env
+    )
+    assert fresh.stdout == first.encode()
+
+
+def test_analyze_help_is_the_same_on_every_call(capsys, fresh_parser):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: flagsym analyze")
 
 
 def test_empty_sweep_is_a_violation(capsys):

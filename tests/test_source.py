@@ -38,6 +38,51 @@ def test_unused_import_is_found(tmp_path):
     assert unused_imports(module) == ["gcd", "os"]
 
 
+def parser_builders(path: Path) -> tuple[int, list[tuple[str, list[str]]]]:
+    """Calls of ``argparse.ArgumentParser(`` in a module, and the functions making them.
+
+    Each function comes with the names of its decorators, ``functools.``
+    prefixes and call arguments dropped.
+    """
+    def is_build(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) in (
+            "argparse.ArgumentParser", "ArgumentParser"
+        )
+
+    def name(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return ast.unparse(target).removeprefix("functools.")
+
+    tree = ast.parse(path.read_text())
+    calls = sum(map(is_build, ast.walk(tree)))
+    builders = [
+        (fn.name, [name(d) for d in fn.decorator_list])
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and any(map(is_build, ast.walk(fn)))
+    ]
+    return calls, builders
+
+
+def test_cli_builds_its_parser_once_per_process():
+    # a parser built on every main() call costs an in-process analyze about
+    # half its time; one cached builder makes it once
+    calls, builders = parser_builders(SRC / "cli.py")
+    assert calls == 1
+    assert len(builders) == 1
+    _, decorators = builders[0]
+    assert {"cache", "lru_cache"} & set(decorators), builders
+
+
+def test_per_call_parser_is_found(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import argparse\nfrom functools import lru_cache\n\n"
+        "def main(argv):\n    return argparse.ArgumentParser().parse_args(argv)\n\n"
+        "@lru_cache\ndef build():\n    return argparse.ArgumentParser()\n"
+    )
+    assert parser_builders(module) == (2, [("main", []), ("build", ["lru_cache"])])
+
+
 def test_every_traced_function_exists():
     # the benchmark's tracer skips a (module, attribute) it cannot find and its
     # layer then reads 0; a rename must fail here instead
