@@ -71,7 +71,14 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rootsystem import InternalConsistencyError, Root, RootSystem, SplittingTable, bits
+from .rootsystem import (
+    InternalConsistencyError,
+    Root,
+    RootSystem,
+    SplittingTable,
+    bits,
+    walk,
+)
 
 
 @dataclass
@@ -148,19 +155,9 @@ def _pairing_weights(rs: RootSystem) -> list[int]:
     return out + out
 
 
-def _walk(row, k: int) -> int:
-    """Steps k -> row[k] that stay on roots (``len(row)`` marks no root)."""
-    steps, stop = 0, len(row)
-    k = row[k]
-    while k != stop:
-        steps += 1
-        k = row[k]
-    return steps
-
-
 def _string_down(rs: RootSystem, a: Root, base: Root) -> int:
     """p = max k with base - k*a a root (root strings are unbroken)."""
-    return _walk(rs.add[rs.neg[rs.index[a]]], rs.index[base])
+    return walk(rs.add[rs.neg[rs.index[a]]], rs.index[base])
 
 
 def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTable:
@@ -191,7 +188,7 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
         if not pairs:
             raise InternalConsistencyError(f"no decomposition for {roots[gamma]}")
         eps, eta = pairs[0]  # the extraspecial pair: minimal first summand
-        top = _walk(add[neg[eps]], eta) + 1
+        top = walk(add[neg[eps]], eta) + 1
         put(eps, eta, top)
         for al, be in pairs[1:]:
             # Jacobi on (E_{-al}, E_eps, E_eta) with every mixed-sign constant
@@ -210,7 +207,7 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
                 d_mu = b[mu]
             num, den = -(t_nu * d_mu + t_mu * d_nu), d_nu * d_mu * top * b[gamma]
             x, rem = divmod(num, den)
-            expected = _walk(add[neg[al]], be) + 1
+            expected = walk(add[neg[al]], be) + 1
             if rem or abs(x) != expected:
                 raise InternalConsistencyError(
                     f"constant for ({roots[al]}, {roots[be]}) came out "
@@ -334,7 +331,7 @@ def convention_violations(
             if v != -n[neg[i] * count + neg[j]]:
                 if report(f"negation rule fails at ({roots[i]}, {roots[j]})"):
                     return out
-            p = _walk(add[neg[i]], j)
+            p = walk(add[neg[i]], j)
             if abs(v) != p + 1:
                 if report(f"|n| != p+1 at ({roots[i]}, {roots[j]}): {v} vs {p + 1}"):
                     return out
@@ -359,7 +356,7 @@ def convention_violations(
             if c == neg[a]:
                 # [H_{a^v}, E_d] = <d, a^v> E_d, and <d, a^v> = p - q on the
                 # a-string d - p a, ..., d + q a
-                at_root += _walk(add[c], d) - _walk(add[a], d)
+                at_root += walk(add[c], d) - walk(add[a], d)
                 continue
             s = add[a][c]
             if s == count:

@@ -149,6 +149,17 @@ def _oracle_coverage(report: EnumerationReport) -> str:
     )
 
 
+def _claim_coverage(report: EnumerationReport) -> str:
+    """One line: on how many paintings the coindex and dimension claims ran."""
+    entries = report.entries
+    symmetric = sum(1 for e in entries if e.symmetric)
+    excepted = sum(1 for e in entries if e.exception and not e.symmetric)
+    return (
+        f"coindex ≥ 6, dim bound, k = 6: checked on {len(entries) - symmetric - excepted} "
+        f"of {len(entries)} paintings; {symmetric} symmetric, {excepted} exceptions excluded"
+    )
+
+
 @dataclass
 class EnumEntry:
     family: str
@@ -516,6 +527,7 @@ def main(argv=None) -> int:
             for v in violations:
                 print(f"  {v['entry'] or '(sweep)'}: {v['check']}: {v['detail']}")
         print(_oracle_coverage(report))
+        print(_claim_coverage(report))
         print(_audit_coverage(simple_types(args.max_rank, args.families)))
         return 0 if ok else 1
 

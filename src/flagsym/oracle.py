@@ -71,7 +71,10 @@ vector is zero when neither sign mask meets P, and it has one sign when one
 of them misses P: the cone verdict of a painting is integer ANDs.  The cyclic
 table is ``ChevalleyTable.cyclic_table``, read from ``n_dense`` and
 ``b_dense`` on first use, so a changed copy of a table gets its own; the
-shortcut table is ``RootSystem.shortcut_table``.
+shortcut table is ``RootSystem.shortcut_table``.  Both read one walk of the
+splittings with the node supports, ``RootSystem.negative_splittings``, made
+once per type; each computes only its sign masks, and its rows (the vectors
+c themselves, which only the per-xi functions read) on first read.
 
 The per-xi functions (:func:`transvection_set`, :func:`shortcut_set` and the
 ``*_violations`` ones) evaluate c . xi from the same stored vectors,

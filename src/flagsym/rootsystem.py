@@ -26,6 +26,12 @@ the N positive roots.  A set of roots is then a Python-int bitmask (bit i for
 root and ``add[i][j]`` is the index of that sum, so set tests over root sums
 become ANDs and table lookups (Cohen, Murray and Taylor, *Computing in groups
 of Lie type*, Math. Comp. 2004, use indexed root tables the same way).
+
+The index is built in integers.  The positive roots come one height at a
+time from root strings, each with its Cartan pairings <r, a_i^v>, and the
+squared lengths follow from those pairings.  ``sums`` and ``add`` come from
+integer keys of the coordinates; the table is symmetric and odd under
+negation, so one ordered pair of roots in four is looked up.
 """
 
 from __future__ import annotations
@@ -36,8 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul
-from typing import NamedTuple
+from operator import add, mul
 
 Root = tuple[int, ...]
 
@@ -174,36 +179,60 @@ def _length_halves(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
                 # symmetry (a_i,a_j) = c_ij d_j = c_ji d_i fixes the ratio
                 d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
                 queue.append(j)
-    assert all(x is not None for x in d)
+    if None in d:
+        raise InternalConsistencyError("Cartan matrix of a disconnected diagram")
     top = max(d)  # type: ignore[type-var]
     return tuple(x / top for x in d)  # type: ignore[union-attr]
 
 
-def _generate_positive(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
-    """All positive roots by root-string extension from the simple roots."""
+def _positive_roots(
+    cartan: tuple[tuple[int, ...], ...],
+) -> tuple[list[Root], list[tuple[int, ...]]]:
+    """All positive roots in (height, coordinates) order, with their Cartan
+    pairings (<r, a_1^v>, ..., <r, a_n^v>), by root-string extension.
+
+    The roots are found one height at a time, in integers.  Each root r
+    carries its pairings and, per node i, p_i: how far its a_i-string runs
+    down.  The string runs up past r exactly when q_i = p_i - <r, a_i^v> > 0;
+    then r + a_i is a root, with pairings <r, a_j^v> + c_ij and p_i one more
+    than that of r.  Every root of the next height is reached this way from
+    each r - a_i that is a root, so its p's are complete before it is
+    extended in turn: no string is searched for in a set of roots.
+    """
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    pos: set[Root] = set(simple)
-    frontier: list[Root] = list(simple)
-    while frontier:
-        new: list[Root] = []
-        for beta in frontier:
-            for i, alpha in enumerate(simple):
-                if beta == alpha:
-                    continue  # 2a is never a root
-                pairing = sum(beta[j] * cartan[j][i] for j in range(n))
-                p = 0
-                v = rsub(beta, alpha)
-                while v in pos:
-                    p += 1
-                    v = rsub(v, alpha)
-                if p - pairing > 0:  # the string extends past beta
-                    cand = radd(beta, alpha)
-                    if cand not in pos:
-                        pos.add(cand)
-                        new.append(cand)
-        frontier = new
-    return sorted(pos, key=lambda r: (height(r), r))
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    level = {s: (cartan[i], [0] * n) for i, s in enumerate(simple)}
+    roots: list[Root] = []
+    pairings: list[tuple[int, ...]] = []
+    while level:
+        higher: dict[Root, tuple] = {}
+        for r in sorted(level):
+            pairing, down = level[r]
+            roots.append(r)
+            pairings.append(pairing)
+            for i, (p, c) in enumerate(zip(down, pairing)):
+                if p > c:  # q > 0: the a_i-string extends past r
+                    up = tuple(map(add, r, simple[i]))
+                    entry = higher.get(up)
+                    if entry is None:
+                        entry = higher[up] = (tuple(map(add, pairing, cartan[i])), [0] * n)
+                    entry[1][i] = p + 1
+        level = higher
+    return roots, pairings
+
+
+def walk(row, k: int) -> int:
+    """Steps k -> row[k] that stay on roots (``len(row)`` marks no root).
+
+    With row = ``add[s]`` and k a root index, this is q on the s-string
+    through roots[k]; with row = ``add[neg[s]]`` it is p.
+    """
+    steps, stop = 0, len(row)
+    k = row[k]
+    while k != stop:
+        steps += 1
+        k = row[k]
+    return steps
 
 
 @dataclass(frozen=True)
@@ -320,7 +349,7 @@ def classify_connected(d: Diagram) -> tuple[str, int]:
     raise ValueError("not a finite Dynkin diagram (branch shape)")
 
 
-class SplittingTable(NamedTuple):
+class SplittingTable:
     """Per positive root a, one integer vector c over all nodes for each
     splitting -a = beta + gamma, in the order of ``splittings(neg[a])``.
 
@@ -328,12 +357,29 @@ class SplittingTable(NamedTuple):
     n + 1): the node supports of beta and of gamma, and the nodes where c is
     positive and where it is negative.  ``rows[a]`` holds beta, gamma and
     c_1, ..., c_rank per splitting.  Both are flat: ``masks[a]`` a tuple of
-    ints, which the cone test iterates fastest, and ``rows[a]``, which only
-    the per-xi functions read, an int array.
+    ints, which the cone test iterates fastest, and ``rows[a]`` an int array.
+    Only the per-xi functions read ``rows``, so it is built on first read,
+    from the weights (u, v) with c = u beta + v gamma that the table keeps
+    per splitting.
     """
 
-    masks: tuple[tuple[int, ...], ...]
-    rows: tuple[array, ...]
+    def __init__(self, roots, splits, masks, weights):
+        self.masks: tuple[tuple[int, ...], ...] = masks
+        # the roots and ``RootSystem.negative_splittings``, not the root
+        # system itself: it keeps the table, and no cycle keeps it alive
+        self._roots, self._splits = roots, splits
+        self.weights: tuple[list[int], ...] = weights  # weights[a]: u, v per splitting
+
+    @cached_property
+    def rows(self) -> tuple[array, ...]:
+        roots = self._roots
+        out = []
+        for split, uv in zip(self._splits, self.weights):
+            row: list[int] = []
+            for beta, gamma, u, v in zip(split[::4], split[1::4], uv[::2], uv[1::2]):
+                row += (beta, gamma, *[u * y + v * z for y, z in zip(roots[beta], roots[gamma])])
+            out.append(array("i", row))
+        return tuple(out)
 
 
 class RootSystem:
@@ -350,11 +396,10 @@ class RootSystem:
         self._d = _length_halves(self.cartan)
         # (a_i, a_j) = c_ij * d_j = _gram[i][j] / _scale, with integer _gram
         self._scale = lcm(*(x.denominator for x in self._d))
-        self._gram = tuple(
-            tuple(int(self.cartan[i][j] * self._d[j] * self._scale) for j in range(rank))
-            for i in range(rank)
-        )
-        pos = _generate_positive(self.cartan)
+        halves = [x.numerator * (self._scale // x.denominator) for x in self._d]
+        self._gram = tuple(tuple(map(mul, row, halves)) for row in self.cartan)
+        pos, pairings = _positive_roots(self.cartan)
+        half, count = len(pos), 2 * len(pos)
         self.positive_roots: tuple[Root, ...] = tuple(pos)
         self.positive_set = frozenset(pos)
         self.roots: tuple[Root, ...] = tuple(pos) + tuple(rneg(r) for r in pos)
@@ -365,41 +410,66 @@ class RootSystem:
         self.highest: Root = pos[-1]
         if len(pos) > 1 and height(pos[-2]) == height(self.highest):
             raise InternalConsistencyError("highest root is not unique")
-        self.lengths = {r: self.inner_product(r, r) for r in self.roots}
-        count, half = len(self.roots), len(pos)
-        self.index: dict[Root, int] = {r: i for i, r in enumerate(self.roots)}
+        # (r, r) = sum_i r_i <r, a_i^v> (a_i, a_i) / 2, here times _scale (the
+        # halves d_i _scale); a simple type has two root lengths at most, so
+        # two Fractions
+        length_of: dict[int, Fraction] = {}
+        lengths = []
+        for r, pairing in zip(pos, pairings):
+            square = sum(map(mul, r, map(mul, pairing, halves)))
+            length = length_of.get(square)
+            if length is None:
+                length = length_of[square] = Fraction(square, self._scale)
+            lengths.append(length)
+        self.lengths = dict(zip(self.roots, lengths + lengths))
+        self.index: dict[Root, int] = dict(zip(self.roots, range(count)))
         self.neg: tuple[int, ...] = tuple(range(half, count)) + tuple(range(half))
         self.positive_mask = (1 << half) - 1
         # support[n]: mask of the roots with a nonzero coefficient at node n + 1
         support = [0] * rank
-        for i, r in enumerate(self.roots):
+        for i, r in enumerate(pos):
             for node, c in enumerate(r):
                 if c:
                     support[node] |= 1 << i
-        self.support: tuple[int, ...] = tuple(support)
+        self.support: tuple[int, ...] = tuple(s | s << half for s in support)
         # sums[i]: mask of the j with roots[i] + roots[j] a root; add[i][j]: the
         # index of that sum, or ``count`` (a bit no root mask has) when it is none.
         # The sums are found on integer keys: the coordinates as signed digits in
         # base 4M + 1, M the largest coefficient, so key(a) + key(b) = key(a + b),
         # and two vectors with entries of size <= 2M (a sum of two roots and a
-        # root) have the same key only when they are equal.
+        # root) have the same key only when they are equal.  The table is
+        # symmetric, add[i][j] = add[j][i], and odd, add[-i][-j] = -add[i][j],
+        # so one ordered pair in four is looked up: a positive i with x > i and
+        # j = x or j = -x, x positive (i + i and i - i are never roots).  The
+        # rows of the negative roots have the negated masks.
         base = 4 * max(self.highest) + 1
-        keys = [sum(c * base**n for n, c in enumerate(r)) for r in self.roots]
-        by_key = {key: i for i, key in enumerate(keys)}
-        sums: list[int] = []
-        add: list[array] = []
-        for ka in keys:
-            mask = 0
-            row = array("H", [count]) * count
-            for j, kb in enumerate(keys):
-                k = by_key.get(ka + kb)
-                if k is not None:
-                    mask |= 1 << j
-                    row[j] = k
-            sums.append(mask)
-            add.append(row)
-        self.sums: tuple[int, ...] = tuple(sums)
-        self.add: tuple[array, ...] = tuple(add)
+        powers = [base**n for n in range(rank)]
+        keys = [sum(map(mul, r, powers)) for r in pos]
+        by_key = dict(zip(keys, range(half)))
+        by_key.update(zip([-k for k in keys], range(half, count)))
+        get, neg = by_key.get, self.neg
+        add_rows = [array("H", [count]) * count for _ in range(count)]
+        sums = [0] * half
+        for i, ka in enumerate(keys):
+            row, ni = add_rows[i], neg[i]
+            row_ni, mask = add_rows[ni], sums[i]
+            for x in range(i + 1, half):
+                kx, nx = keys[x], x + half
+                s = get(ka + kx)  # roots[i] + roots[x]
+                if s is not None:
+                    row[x] = add_rows[x][i] = s
+                    row_ni[nx] = add_rows[nx][ni] = neg[s]
+                    mask |= 1 << x
+                    sums[x] |= 1 << i
+                s = get(ka - kx)  # roots[i] - roots[x]
+                if s is not None:
+                    row[nx] = add_rows[nx][i] = s
+                    row_ni[x] = add_rows[x][ni] = neg[s]
+                    mask |= 1 << nx
+                    sums[x] |= 1 << ni
+            sums[i] = mask
+        self.sums: tuple[int, ...] = tuple(sums) + tuple(map(self.neg_mask, sums))
+        self.add: tuple[array, ...] = tuple(add_rows)
         self._extended: Diagram | None = None
         # the leaf fields by symmetry-root mask, filled by flagsym.symmetry
         self.leaf_memo: dict[int, tuple] = {}
@@ -484,31 +554,62 @@ class RootSystem:
                 (mixed if (i < half) != (j < half) else same).append((i, j))
         return mixed + same
 
+    @cached_property
+    def negative_splittings(self) -> tuple[tuple[int, ...], ...]:
+        """Per positive root a, ``splittings(neg[a])`` flat with the node
+        supports: beta, gamma and the node masks of beta and of gamma (bit n
+        for node n + 1) per splitting.  Walked once per type, on first use;
+        both oracle tables read it."""
+        nodes = [0] * len(self.positive_roots)
+        for n, s in enumerate(self.support):
+            for i in bits(s & self.positive_mask):
+                nodes[i] |= 1 << n
+        nodes += nodes  # -r has the support of r
+        out = []
+        for a in range(len(self.positive_roots)):
+            flat: list[int] = []
+            for beta, gamma in self.splittings(self.neg[a]):
+                flat += (beta, gamma, nodes[beta], nodes[gamma])
+            out.append(tuple(flat))
+        return tuple(out)
+
     def splitting_table(self, coefficients) -> SplittingTable:
         """The vectors c = p a + q beta + r gamma with (p, q, r) =
-        ``coefficients(a, beta, gamma)`` over the splittings of every -a."""
-        roots, neg = self.roots, self.neg
-        node_bits = [1 << n for n in range(self.rank)]
-        nodes = [sum(b for b, x in zip(node_bits, r) if x) for r in roots]
-        masks, rows = [], []
-        for a in range(len(self.positive_roots)):
+        ``coefficients(a, beta, gamma)`` over the splittings of every -a.
+
+        As a = -(beta + gamma), c = u beta + v gamma with u = q - p and
+        v = r - p.  The coordinates of a root all carry its sign, so c has the
+        sign of u beta on the nodes of beta, that of v gamma on the nodes of
+        gamma, and is summed node by node only where the two signs clash.
+        """
+        roots, half = self.roots, len(self.positive_roots)
+        masks, weights = [], []
+        for a, split in enumerate(self.negative_splittings):
             mask_row: list[int] = []
-            row: list[int] = []
-            for beta, gamma in self.splittings(neg[a]):
+            uv: list[int] = []
+            it = iter(split)
+            for beta, gamma, nb, ng in zip(it, it, it, it):
                 p, q, r = coefficients(a, beta, gamma)
-                u, v = q - p, r - p  # a = -(beta + gamma)
-                c = [u * y + v * z for y, z in zip(roots[beta], roots[gamma])]
-                pos = negative = 0
-                for b, x in zip(node_bits, c):
-                    if x > 0:
-                        pos |= b
-                    elif x < 0:
-                        negative |= b
-                mask_row += (nodes[beta], nodes[gamma], pos, negative)
-                row += (beta, gamma, *c)
+                u, v = q - p, r - p
+                sb = u if beta < half else -u
+                sg = v if gamma < half else -v
+                pos = (nb if sb > 0 else 0) | (ng if sg > 0 else 0)
+                negative = (nb if sb < 0 else 0) | (ng if sg < 0 else 0)
+                clash = pos & negative
+                if clash:
+                    pos ^= clash
+                    negative ^= clash
+                    for n in bits(clash):
+                        x = u * roots[beta][n] + v * roots[gamma][n]
+                        if x > 0:
+                            pos |= 1 << n
+                        elif x < 0:
+                            negative |= 1 << n
+                mask_row += (nb, ng, pos, negative)
+                uv += (u, v)
             masks.append(tuple(mask_row))
-            rows.append(array("i", row))
-        return SplittingTable(tuple(masks), tuple(rows))
+            weights.append(uv)
+        return SplittingTable(roots, self.negative_splittings, tuple(masks), tuple(weights))
 
     @cached_property
     def shortcut_table(self) -> SplittingTable:

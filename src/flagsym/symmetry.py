@@ -46,11 +46,16 @@ u, the classification of u and k, the two ranks, the k-highest test and the
 name) depends on the painting only through the mask of R_p+, so
 :func:`leaf_pair` computes it once per mask and root system and keeps its
 plain fields in ``RootSystem.leaf_memo`` (the rank-8 sweep has 305 masks
-among 2455 paintings).
+among 2455 paintings).  The components of u and k are classified from their
+simple roots by index: the Cartan integer <t, s^v> is p - q on the s-string
+through t, two walks along the ``add`` rows of s and -s, and only the pairs
+whose ``sums`` bits show t + s or t - s to be a root can pair at all.  No
+inner product is taken.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -58,12 +63,12 @@ from .flag import FlagData, PaintedDiagram
 from .rootsystem import (
     Diagram,
     InternalConsistencyError,
-    Root,
     RootSystem,
     bits,
     classify_connected,
     diagram_components,
     root_str,
+    walk,
 )
 
 
@@ -231,14 +236,35 @@ def _stuck(rs: RootSystem, source: int, steps: int, target: int) -> list[int]:
     ]
 
 
-def _indecomposables(rs: RootSystem, pos: int) -> list[Root]:
-    """Simple roots of a positive system: no s - x inside it, x in it."""
-    return [rs.roots[s] for s in _stuck(rs, pos, rs.neg_mask(pos), pos)]
+def _indecomposables(rs: RootSystem, pos: int) -> list[int]:
+    """Simple roots of a positive system, by index: no s - x inside it, x in it."""
+    return _stuck(rs, pos, rs.neg_mask(pos), pos)
 
 
-def _simple_components(flag: FlagData, simples) -> list[list[Root]]:
-    product = flag.rs._scaled_product
-    comps: list[list[Root]] = []
+def _cartan_integers(rs: RootSystem, simples: list[int]) -> dict[tuple[int, int], int]:
+    """The nonzero Cartan integers <t, s^v> among ``simples``, keyed (t, s).
+
+    <t, s^v> = p - q on the s-string t - p s, ..., t + q s (Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, §9.4), read off
+    the ``add`` rows of s and -s.  (t, s) != 0 needs t + s or t - s to be a
+    root (ibid., Lemma 9.4), so only the pairs whose ``sums`` bits say so
+    walk their strings.
+    """
+    add, sums, neg = rs.add, rs.sums, rs.neg
+    out = {}
+    for t in simples:
+        near = sums[t]
+        for s in simples:
+            if s != t and (near >> s | near >> neg[s]) & 1:
+                c = walk(add[neg[s]], t) - walk(add[s], t)
+                if c:
+                    out[t, s] = c
+    return out
+
+
+def _simple_components(simples: list[int], joined) -> list[list[int]]:
+    """The simple roots grouped by connected component of the pairs in ``joined``."""
+    comps: list[list[int]] = []
     left = list(simples)
     while left:
         comp = [left.pop(0)]
@@ -246,7 +272,7 @@ def _simple_components(flag: FlagData, simples) -> list[list[Root]]:
         while grew:
             grew = False
             for s in list(left):
-                if any(product(s, t) for t in comp):
+                if any((s, t) in joined for t in comp):
                     comp.append(s)
                     left.remove(s)
                     grew = True
@@ -254,13 +280,31 @@ def _simple_components(flag: FlagData, simples) -> list[list[Root]]:
     return comps
 
 
-def _classify_sub(flag: FlagData, pos: int) -> list[tuple[str, int]]:
-    """Canonical (family, rank) labels of the components of a closed subsystem."""
-    simples = _indecomposables(flag.rs, pos)
+def _classify_sub(rs: RootSystem, pos: int) -> list[tuple[str, int]]:
+    """Canonical (family, rank) labels of the components of a closed subsystem.
+
+    The Dynkin diagram of each component has a node per simple root, labelled
+    by its place in the component, and an edge where the Cartan integers
+    <a, b^v>, <b, a^v> are nonzero: of multiplicity their product, with its
+    short end at the shorter root (b when <a, b^v> < <b, a^v> < 0).
+    """
+    simples = _indecomposables(rs, pos)
+    cartan = _cartan_integers(rs, simples)
     labels = []
-    for comp in _simple_components(flag, simples):
-        diag = flag.rs.diagram_from_vectors(list(enumerate(comp)))
-        labels.append(classify_connected(diag))
+    for comp in _simple_components(simples, cartan):
+        edges = []
+        for (la, a), (lb, b) in itertools.combinations(enumerate(comp), 2):
+            cab = cartan.get((a, b))
+            if cab is None:
+                continue
+            cba = cartan[b, a]
+            if cab > 0 or cba > 0:
+                raise InternalConsistencyError(
+                    f"positive pairing between diagram nodes {la}, {lb}"
+                )
+            short = lb if cab < cba else la if cba < cab else None
+            edges.append((la, lb, cab * cba, short))
+        labels.append(classify_connected(Diagram(tuple(range(len(comp))), tuple(edges))))
     return sorted(labels)
 
 
@@ -308,7 +352,7 @@ def _leaf_fields(flag: FlagData, plus: int, rp: int, rk: int) -> tuple:
         raise InternalConsistencyError(f"{spec}: leaf root set not closed")
 
     toral_rank = _rank_q(rs.roots[i] for i in bits(plus))
-    u_labels = _classify_sub(flag, ru & rs.positive_mask)
+    u_labels = _classify_sub(rs, ru & rs.positive_mask)
     if len(u_labels) != 1:
         raise InternalConsistencyError(f"{spec}: leaf algebra not simple, components {u_labels}")
     u_type = u_labels[0]
@@ -318,7 +362,7 @@ def _leaf_fields(flag: FlagData, plus: int, rp: int, rk: int) -> tuple:
         )
 
     k_pos = rk & rs.positive_mask
-    k_labels = _classify_sub(flag, k_pos)
+    k_labels = _classify_sub(rs, k_pos)
     k_center = toral_rank - _rank_q(rs.roots[i] for i in bits(k_pos))
     if k_center != 1:
         raise InternalConsistencyError(f"{spec}: isotropy centre of the leaf has dim {k_center}")

@@ -1,11 +1,15 @@
-"""The per-painting oracle kernel that the type-level splitting tables replaced.
+"""The per-painting oracle kernel that the type-level splitting tables replaced,
+and the per-table build of those tables.
 
-It builds every vector c over the painted nodes of each painting from the
-constants and the root coordinates, with no table shared between paintings.
-The tests compare ``flagsym.oracle`` with it: the same cone sets, and the same
-witnesses in the same order with the same exact values.
+The kernel builds every vector c over the painted nodes of each painting from
+the constants and the root coordinates, with no table shared between
+paintings.  The tests compare ``flagsym.oracle`` with it: the same cone sets,
+and the same witnesses in the same order with the same exact values.
+:func:`splitting_table` is the former build of a type's table: each table
+walked the splittings itself and summed every vector node by node.
 """
 
+from array import array
 from fractions import Fraction
 from math import lcm
 
@@ -33,10 +37,10 @@ def kernel(flag, coefficients):
     return vectors
 
 
-def cyclic_kernel(flag, table):
-    """The cyclic-sum vectors: (p, q, r) = eps_d b(d) times n(beta, gamma),
+def cyclic_coefficients(table):
+    """(p, q, r) of the cyclic sums: eps_d b(d) times n(beta, gamma),
     n(a, gamma), n(beta, a) for d = a, beta, gamma."""
-    n, count, half = table.n_dense, len(flag.rs.roots), len(flag.rs.positive_roots)
+    n, count, half = table.n_dense, len(table.rs.roots), len(table.rs.positive_roots)
     r = [b if i < half else -b for i, b in enumerate(table.b_dense)]
 
     def coefficients(a, beta, gamma):
@@ -47,15 +51,49 @@ def cyclic_kernel(flag, table):
             n[row_b + a] * r[gamma],
         )
 
-    return kernel(flag, coefficients)
+    return coefficients
+
+
+def shortcut_coefficients(rs):
+    """(p, q, r) of the shortcut condition: 0, 1 + eps_beta, 1 + eps_gamma."""
+    half = len(rs.positive_roots)
+    return lambda a, beta, gamma: (0, 2 if beta < half else 0, 2 if gamma < half else 0)
+
+
+def cyclic_kernel(flag, table):
+    """The cyclic-sum vectors."""
+    return kernel(flag, cyclic_coefficients(table))
 
 
 def shortcut_kernel(flag):
-    """The shortcut vectors: (p, q, r) = 0, 1 + eps_beta, 1 + eps_gamma."""
-    half = len(flag.rs.positive_roots)
-    return kernel(
-        flag, lambda a, beta, gamma: (0, 2 if beta < half else 0, 2 if gamma < half else 0)
-    )
+    """The shortcut vectors."""
+    return kernel(flag, shortcut_coefficients(flag.rs))
+
+
+def splitting_table(rs, coefficients):
+    """``masks`` and ``rows`` of the table of c = p a + q beta + r gamma, with
+    (p, q, r) = coefficients(a, beta, gamma), over the splittings of every -a."""
+    roots, neg = rs.roots, rs.neg
+    node_bits = [1 << n for n in range(rs.rank)]
+    nodes = [sum(b for b, x in zip(node_bits, r) if x) for r in roots]
+    masks, rows = [], []
+    for a in range(len(rs.positive_roots)):
+        mask_row, row = [], []
+        for beta, gamma in rs.splittings(neg[a]):
+            p, q, r = coefficients(a, beta, gamma)
+            u, v = q - p, r - p  # a = -(beta + gamma)
+            c = [u * y + v * z for y, z in zip(roots[beta], roots[gamma])]
+            pos = negative = 0
+            for b, x in zip(node_bits, c):
+                if x > 0:
+                    pos |= b
+                elif x < 0:
+                    negative |= b
+            mask_row += (nodes[beta], nodes[gamma], pos, negative)
+            row += (beta, gamma, *c)
+        masks.append(tuple(mask_row))
+        rows.append(array("i", row))
+    return tuple(masks), tuple(rows)
 
 
 def on_cone(vectors):

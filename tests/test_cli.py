@@ -1,14 +1,17 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from flagsym import (
+    build_root_system,
     cli,
     dim_g,
     enumerate_flags,
@@ -22,6 +25,7 @@ from flagsym import (
     verify_theorem,
 )
 from flagsym.cli import _canonical_painting
+from flagsym.rootsystem import RootSystem
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +185,78 @@ def test_enumerate_rank_4_stdout_is_byte_stable(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3cf062de7a9f91a9c49d862c813a6abe15bc1d4a81cd044714bfb064b2d8bb91"
     )
+
+
+def test_enumerate_rank_6_stdout_is_byte_stable(capsys):
+    # rank 6 reaches E6 and B/C/D5-6, which the rank-4 pin does not
+    code, out = run_cli(capsys, "enumerate", "--max-rank", "6", "--seed", "0")
+    assert code == 0
+    assert len(out.encode()) == 283163
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9fa9a862659e04dbae1038c69e968159a6798fd3b2e8b8ea5cf501313c7e43cf"
+    )
+
+
+def flagsym_caches():
+    """Every functools cache of the flagsym modules."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "flagsym" or name.startswith("flagsym."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    found[id(obj)] = obj
+    return list(found.values())
+
+
+def test_cleared_caches_rebuild_every_type(monkeypatch):
+    # after every functools cache is cleared, a sweep builds each type's root
+    # system and Chevalley table again; a cache that clearing misses (a
+    # module-level dict, a class attribute, a file) makes it build fewer
+    builds = {"root systems": 0, "tables": 0}
+    init, build = RootSystem.__init__, cli.build_constants
+
+    def counted_init(self, *args):
+        builds["root systems"] += 1
+        init(self, *args)
+
+    def counted_build(*args, **kwargs):
+        builds["tables"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(RootSystem, "__init__", counted_init)
+    monkeypatch.setattr(cli, "build_constants", counted_build)
+    caches = flagsym_caches()
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        enumerate_flags(max_rank=4)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert len(simple_types(4)) == 12
+    assert builds == {"root systems": 12, "tables": 12}
+
+
+def test_cleared_caches_free_the_root_systems_without_the_cycle_collector():
+    # nothing a root system keeps (its oracle tables, their lazy rows, the
+    # leaf memo) may refer back to it: a cycle would keep every type's tables
+    # alive past the cache clearing until a full collection, and a sweep
+    # with fresh caches would pile them up in memory
+    caches = flagsym_caches()
+    for cache in caches:
+        cache.cache_clear()
+    gc.disable()
+    try:
+        enumerate_flags(max_rank=3)
+        rs = build_root_system("B", 3)
+        rs.shortcut_table.rows, cli.chevalley_table("B", 3).cyclic_table.rows
+        alive = weakref.ref(rs)
+        del rs
+        for cache in caches:
+            cache.cache_clear()
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_analyze_json_is_the_enumerate_entry_plus_symmetry_roots(capsys):
@@ -381,11 +457,28 @@ def test_verify_reports_oracle_proof_coverage(capsys):
     code, out = run_cli(capsys, "verify", "--max-rank", "3", "--families", "A,G")
     assert code == 1  # the pinned A2:{1,2} finding
     lines = out.splitlines()
-    assert lines[-2] == (
+    assert lines[-3] == (
         "Transvection oracles: proved on the whole Kähler cone for 14 of 14 "
         "paintings; 0 roots undecided"
     )
+    assert lines[-2].startswith("coindex ≥ 6")
     assert lines[-1].startswith("Chevalley tables:")
+
+
+def test_verify_reports_claim_coverage(capsys):
+    code, out = run_cli(capsys, "verify", "--max-rank", "6")
+    assert code == 1  # the pinned rank-2 findings
+    lines = out.splitlines()
+    assert lines[-2] == (
+        "coindex ≥ 6, dim bound, k = 6: checked on 494 of 545 paintings; "
+        "41 symmetric, 10 exceptions excluded"
+    )
+    report = enumerate_flags(max_rank=6)
+    assert sum(1 for e in report.entries if e.symmetric and e.exception) == 0
+    _, violations = verify_theorem(report)
+    assert out.splitlines()[1 : 1 + len(violations)] == [
+        f"  {v['entry']}: {v['check']}: {v['detail']}" for v in violations
+    ]
 
 
 def test_dot_emission(tmp_path, capsys):

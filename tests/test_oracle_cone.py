@@ -4,7 +4,7 @@
 roots, with no root left undecided, on every painting through rank 8; the
 per-xi functions must agree with them; the type-level splitting tables must
 give the cone sets and the witnesses of the per-painting kernel they replaced
-(``oracle_helpers``); and a corrupted Chevalley table must make the oracle
+and the masks and rows of the per-table build (``oracle_helpers``); and a corrupted Chevalley table must make the oracle
 check of the sweep and of ``analyze`` fail, never pass.
 """
 
@@ -207,6 +207,46 @@ def test_splitting_tables_match_their_vectors(family, rank):
                     nodes(c, lambda x: x > 0),
                     nodes(c, lambda x: x < 0),
                 )
+
+
+def clashes(rs, table):
+    """Splittings where u beta and v gamma have opposite signs on a common node."""
+    half = len(rs.positive_roots)
+    out = 0
+    for split, uv in zip(rs.negative_splittings, table.weights):
+        for k in range(len(uv) // 2):
+            beta, gamma, nb, ng = split[4 * k : 4 * k + 4]
+            sb = uv[2 * k] if beta < half else -uv[2 * k]
+            sg = uv[2 * k + 1] if gamma < half else -uv[2 * k + 1]
+            out += bool(nb & ng and sb * sg < 0)
+    return out
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_splitting_tables_match_the_per_table_build(family, rank):
+    # one splitting walk and sign masks from the node supports give the masks
+    # and rows of the build that summed every vector, on the clean tables and
+    # on a copy with a third of its constants shifted, where u beta and
+    # v gamma can clash on a node and that node is summed
+    rs = build_root_system(family, rank)
+    table = chevalley_table(family, rank)
+    rng = random.Random(rs.name)
+    pairs = sorted(table.n)
+    bad = with_constants(
+        table,
+        {p: table.n[p] + rng.choice((-2, -1, 1, 2)) for p in rng.sample(pairs, len(pairs) // 3)},
+    )
+    for got, coefficients in (
+        (rs.shortcut_table, ref.shortcut_coefficients(rs)),
+        (table.cyclic_table, ref.cyclic_coefficients(table)),
+        (bad.cyclic_table, ref.cyclic_coefficients(bad)),
+    ):
+        masks, rows = ref.splitting_table(rs, coefficients)
+        assert got.masks == masks
+        assert got.rows == rows
+    assert clashes(rs, table.cyclic_table) == 0
+    if len(rs.roots) > 6:  # in A1 and A2 the two roots of a splitting share no node
+        assert clashes(rs, bad.cyclic_table) > 0
 
 
 def perturbed(table, seed):

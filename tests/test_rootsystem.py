@@ -13,8 +13,16 @@ from flagsym import (
     root_str,
     simple_types,
 )
-from flagsym.rootsystem import bits, height, radd, rneg, rsub
-from root_helpers import diagram_isomorphic, sum_index
+from flagsym.rootsystem import (
+    InternalConsistencyError,
+    _length_halves,
+    bits,
+    height,
+    radd,
+    rneg,
+    rsub,
+)
+from root_helpers import diagram_isomorphic, ref_root_tables, sum_index
 
 # classical root counts: the independent oracle for the closure algorithm
 CLASSICAL_COUNTS = {
@@ -79,6 +87,28 @@ def test_g2_highest_and_lengths():
     assert rs.lengths[(1, 0)] == 2  # node 1 long
     assert rs.lengths[(0, 1)] == Fraction(2, 3)
     assert rs.lengths[(2, 3)] == 2
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_root_index_build_matches_the_reference(family, rank):
+    # the integer build gives the tables of the tuple and Fraction build, in
+    # the same order, on every simple type of rank <= 8
+    rs = build_root_system(family, rank)
+    roots, index, gram, lengths, sums, add = ref_root_tables(rs.cartan)
+    assert rs.roots == roots
+    assert list(rs.index.items()) == list(index.items())
+    assert rs._gram == gram
+    assert list(rs.lengths.items()) == list(lengths.items())
+    assert rs.sums == sums
+    assert rs.add == add
+
+
+def test_disconnected_cartan_matrix_is_an_internal_error():
+    # A1 x A1: no edge reaches node 2, so its root length is never fixed; the
+    # check must hold under python -O as well, so it is no assert
+    with pytest.raises(InternalConsistencyError, match="disconnected"):
+        _length_halves(((2, 0), (0, 2)))
+    assert _length_halves(((2, -1), (-1, 2))) == (1, 1)
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TYPES)

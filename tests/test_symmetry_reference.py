@@ -4,7 +4,11 @@ The reference functions below are the former implementations: they build
 every sum a + b as a coordinate tuple and test it against frozensets of
 roots.  The kernel in ``flagsym.symmetry`` works on root-index bitmasks and
 must give the same sets and the same verdicts on every painting of rank
-<= 6 and on a seeded sample of rank 7-8 paintings.  The root-index tables
+<= 6 and on a seeded sample of rank 7-8 paintings.  The classifier of the
+leaf's subsystems, which reads its Cartan integers off root strings, must
+give the labels of the Gram-product classifier it replaced on every
+symmetry-root mask through rank 8, and the same error on sets of positive
+roots that are no positive system.  The root-index tables
 themselves (``index``, ``neg``, ``sums``, ``add``) are checked against
 coordinate addition, the ``sum_index`` test helper and ``rneg`` for every
 simple type of rank <= 8.
@@ -16,10 +20,12 @@ import random
 import pytest
 
 from flagsym import (
+    InternalConsistencyError,
     PaintedDiagram,
     build_report,
     build_root_system,
     center_of_nilradical,
+    classify_connected,
     h_prime,
     k_prime_check,
     make_flag,
@@ -27,7 +33,14 @@ from flagsym import (
     symmetry_roots,
 )
 from flagsym.rootsystem import bits, height, radd, rneg, rsub
-from flagsym.symmetry import _closure_gap, _indecomposables, _r_k
+from flagsym.symmetry import (
+    _classify_sub,
+    _closure_gap,
+    _indecomposables,
+    _masks,
+    _r_k,
+    _symmetry,
+)
 from root_helpers import sum_index
 
 
@@ -86,6 +99,36 @@ def ref_indecomposables(pos):
     ]
 
 
+def ref_classify_sub(rs, pos):
+    """Labels of the components of a closed subsystem: the simple roots grouped
+    by nonzero Gram products, each group's diagram from ``diagram_from_vectors``."""
+    product = rs._scaled_product
+    left = ref_indecomposables(list(rs.roots_of(pos)))
+    comps = []
+    while left:
+        comp = [left.pop(0)]
+        grew = True
+        while grew:
+            grew = False
+            for s in list(left):
+                if any(product(s, t) for t in comp):
+                    comp.append(s)
+                    left.remove(s)
+                    grew = True
+        comps.append(comp)
+    return sorted(
+        classify_connected(rs.diagram_from_vectors(list(enumerate(comp)))) for comp in comps
+    )
+
+
+def outcome(classify, rs, pos):
+    """The labels, or the type and message of the error raised."""
+    try:
+        return classify(rs, pos)
+    except (InternalConsistencyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 def paintings(types):
     for family, rank in types:
         rs = build_root_system(family, rank)
@@ -127,7 +170,7 @@ def assert_kernel_matches_reference(pd, rng):
 
     for sub in (ru, rk):
         pos = [r for r in sub if rs.is_positive(r)]
-        got = _indecomposables(rs, rs.mask_of(pos))
+        got = [rs.roots[i] for i in _indecomposables(rs, rs.mask_of(pos))]
         assert got == ref_indecomposables(pos), spec
 
     # off the theorems: a random part of R_m+ stands in for the symmetry roots
@@ -186,3 +229,34 @@ def test_root_index_tables(family, rank):
     assert rs.roots_of(mask) == frozenset(sample)
     assert rs.roots_of(rs.neg_mask(mask)) == frozenset(rneg(r) for r in sample)
     assert list(bits(mask)) == sorted(rs.index[r] for r in sample)
+
+
+def test_classifier_matches_the_gram_classifier_on_every_symmetry_root_mask():
+    # u and k of the leaf for each of the 305 symmetry-root masks of rank <= 8
+    masks = {}
+    for pd in paintings(simple_types(8)):
+        flag = make_flag(pd)
+        masks.setdefault((pd.rs.name, _symmetry(flag)[1]), flag)
+    assert len(masks) == 305
+    for flag in masks.values():
+        rs = flag.rs
+        rp, rk, _ = _masks(flag)
+        for pos in ((rp | rk) & rs.positive_mask, rk & rs.positive_mask):
+            assert _classify_sub(rs, pos) == ref_classify_sub(rs, pos), (flag.pd.spec, pos)
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_classifier_fails_as_the_gram_classifier_off_positive_systems(family, rank):
+    # random sets of positive roots: their "simple roots" can pair positively
+    # (a1 and a1 + a2) or give no Dynkin diagram; the error and its message,
+    # which names the two nodes by their place in the component, must agree
+    rs = build_root_system(family, rank)
+    rng = random.Random(rs.name)
+    half = len(rs.positive_roots)
+    got = []
+    for _ in range(40):
+        pos = sum(1 << i for i in rng.sample(range(half), rng.randint(1, half)))
+        got.append(outcome(_classify_sub, rs, pos))
+        assert got[-1] == outcome(ref_classify_sub, rs, pos), pos
+    if half > 3:
+        assert any(r[0] is InternalConsistencyError for r in got)
