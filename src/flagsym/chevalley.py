@@ -54,14 +54,42 @@ a-string lengths that give <d, a^v> are those of the (-a)-string through
 -d; and the sorted negated triple is a cyclic shift of (-x, -y, -z), whose
 defect is the same sum.  So the defect of (-x, -y, -z) is the image of the
 defect of (x, y, z) under the negation, and one is zero exactly when the
-other is (Carter, *Simple Groups of Lie Type*, ch. 4).  If an earlier check
-reported a fault, or the half walk finds a defect, the walk over all the
-candidates runs instead, so the witnesses and their order are those of the
-full enumeration.  In the walk, a triple with no opposite pair and x + y + z
-= t a root has a defect of one coefficient, that of E_t, summed inline from
-three products; the triples with an opposite pair or a zero sum go through
-the one term evaluation that the sampled audit uses too.  Coroots, needed
-for the Cartan part of a zero-sum defect, are computed in integers.
+other is (Carter, *Simple Groups of Lie Type*, ch. 4).
+
+The half walk also leaves out two classes of canonical triples whose defect
+the clean pair and cyclic checks already decide: the zero-sum triples
+(x + y + z = 0) and the opposite-pair triples (two of the roots opposite).
+Both classes are closed under negation.  The argument needs the weights of
+the table to be the true b(d) = 2/(d, d); a table with other weights gets
+the walk over all the candidates.
+
+- A zero-sum triple has no root term; its defect is the Cartan part
+  n(x, y) H_{(x+y)^v} + n(y, z) H_{(y+z)^v} + n(z, x) H_{(z+x)^v}.  Under
+  the identification of h with h* by the invariant form, H_{(-z)^v} =
+  -b(z) z, and the checked weighted cyclic identity n(x, y) b(z) =
+  n(y, z) b(x) = n(z, x) b(y) = K makes the sum -K (x + y + z) = 0.
+- An opposite-pair triple (p, -p, r) has x + y + z = r, and its defect is
+  the E_r coefficient <r, p^v> + n(-p, r) n(r - p, p) + n(r, p) n(r + p, -p).
+  The Cartan integer depends on the root system alone.  By the negation rule
+  n(r - p, p) = -n(p - r, -p), and the weighted cyclic identity on the
+  zero-sum triple (-p, r, p - r) gives n(p - r, -p) b(r) = n(-p, r) b(p - r),
+  so the first product is -n(-p, r)^2 b(r - p) / b(r), zero when r - p is
+  no root.  Antisymmetry, the negation rule and the identity on (r, p,
+  -(r + p)) make the second +n(r, p)^2 b(r + p) / b(r) in the same way.
+  The check |n| = p + 1 fixes each square, so the defect is the same on
+  every table that passes the pair and cyclic checks.  A Chevalley basis
+  passes them and satisfies the Jacobi identity, so that defect is zero
+  (the tests evaluate every such triple of the built tables through E8).
+
+The remaining canonical triples are those with no opposite pair and x + y +
+z = t a root.  Their defect is one coefficient, that of E_t, summed inline
+from three products.  If an earlier check reported a fault, or the half
+walk finds a defect, the walk over all the candidates runs instead, so the
+witnesses and their order are those of the full enumeration.  That walk
+also evaluates the opposite-pair and zero-sum triples, through the one term
+evaluation that the sampled audit uses too.  Coroots, needed for the Cartan
+part of a zero-sum defect, are computed in integers, and only when such a
+triple is evaluated.
 """
 
 from __future__ import annotations
@@ -153,11 +181,6 @@ def _pairing_weights(rs: RootSystem) -> list[int]:
             raise InternalConsistencyError(f"non-integral pairing weight b = 2/({length})")
         out.append(w)
     return out + out
-
-
-def _string_down(rs: RootSystem, a: Root, base: Root) -> int:
-    """p = max k with base - k*a a root (root strings are unbroken)."""
-    return walk(rs.add[rs.neg[rs.index[a]]], rs.index[base])
 
 
 def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTable:
@@ -287,11 +310,20 @@ def _jacobi_pairs(rs: RootSystem, canonical: bool = False):
                 yield p, q, third
 
 
-def _jacobi_triples(rs: RootSystem, canonical: bool = False):
-    """Sorted index triples (x, y, z) whose Jacobi defect can be nonzero, each once."""
+def _jacobi_walk(rs: RootSystem, canonical: bool = False):
+    """The candidate triples of :func:`_jacobi_pairs` as (p, q, generic, special).
+
+    ``special`` holds the third roots r that make an opposite pair (q = -p, or
+    r = -p or -q) or a zero sum (r = -(p + q)); ``generic`` holds the others,
+    for which p + q + r is a root and no two of the roots are opposite.
+    """
+    neg, add = rs.neg, rs.add
     for p, q, third in _jacobi_pairs(rs, canonical):
-        for r in bits(third):
-            yield (r, p, q) if r < p else (p, r, q) if r < q else (p, q, r)
+        if q == neg[p]:
+            yield p, q, 0, third
+        else:
+            special = third & (1 << neg[add[p][q]] | 1 << neg[p] | 1 << neg[q])
+            yield p, q, third ^ special, special
 
 
 def convention_violations(
@@ -307,9 +339,12 @@ def convention_violations(
     Checks antisymmetry, the negation rule, |n| = p+1, the weighted cyclic
     identity on every zero-sum triple, and the Jacobi identity (exhaustive
     when ``jacobi_samples`` is None, otherwise that many seeded triples).
+    With ``limit`` the audit stops after that many witnesses.
     """
     if jacobi_samples is not None and jacobi_samples < 1:
         raise ValueError(f"jacobi_samples must be at least 1, got {jacobi_samples}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     rs = rs or table.rs
     roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
     count = len(roots)
@@ -346,10 +381,11 @@ def convention_violations(
                 ):
                     return out
 
-    coroots = _coroots(rs)  # over the simple coroots
+    coroots = None  # over the simple coroots, once a zero-sum triple needs them
 
     def defective(x: int, y: int, z: int) -> bool:
         """Whether [[E_x,E_y],E_z] + [[E_y,E_z],E_x] + [[E_z,E_x],E_y] != 0."""
+        nonlocal coroots
         at_root = 0  # the coefficient of E_{x+y+z}
         at_cartan = []  # (n, s) for each term n [E_s, E_{-s}] = n H_{s^v}
         for a, c, d in ((x, y, z), (y, z, x), (z, x, y)):
@@ -366,28 +402,27 @@ def convention_violations(
             elif add[s][d] != count:
                 at_root += n[a * count + c] * n[s * count + d]
         if at_cartan:  # x + y + z = 0: the defect lies in the Cartan subalgebra
+            if coroots is None:
+                coroots = _coroots(rs)
             return any(
                 sum(m * coroots[s][k] for m, s in at_cartan) for k in range(rs.rank)
             )
         return at_root != 0
 
     def jacobi_defects(canonical: bool):
-        """The defective candidate triples, sorted, in the order of the walk."""
-        for p, q, third in _jacobi_pairs(rs, canonical):
+        """The defective candidate triples, sorted, in the order of the walk.
+
+        The half walk (``canonical``) evaluates only the generic triples; the
+        module docstring shows the special ones have zero defect there.
+        """
+        for p, q, generic, special in _jacobi_walk(rs, canonical):
             bad = []
-            if q == neg[p]:
-                special = third
-            else:
-                s = add[p][q]
-                # r = -(p + q), -p or -q: a zero sum or an opposite pair, for
-                # ``defective``; for every other r, x + y + z = t is a root,
-                # each term whose first two roots sum to a root lands on E_t,
-                # and (x, y, z) is a cyclic shift of (p, q, r) when r < p or
-                # r > q, of (q, p, r) when p < r < q
-                special = third & (1 << neg[s] | 1 << neg[p] | 1 << neg[q])
-                generic = third ^ special
+            if generic:
+                # x + y + z = t is a root, each term whose first two roots sum
+                # to a root lands on E_t, and (x, y, z) is a cyclic shift of
+                # (p, q, r) when r < p or r > q, of (q, p, r) when p < r < q
                 middle = generic & ((1 << q) - (1 << (p + 1)))
-                sc = s * count
+                sc = add[p][q] * count
                 for a, c, seg in ((p, q, generic ^ middle), (q, p, middle)):
                     ac, row_a, row_c, cc = n[a * count + c], add[a], add[c], c * count
                     for r in bits(seg):
@@ -400,9 +435,10 @@ def convention_violations(
                             t += n[r * count + a] * n[u * count + c]
                         if t:
                             bad.append(r)
-            for r in bits(special):
-                if defective(*sorted((p, q, r))):
-                    bad.append(r)
+            if not canonical:
+                for r in bits(special):
+                    if defective(*sorted((p, q, r))):
+                        bad.append(r)
             for r in sorted(bad):
                 yield tuple(sorted((p, q, r)))
 
@@ -413,7 +449,12 @@ def convention_violations(
             (rng.sample(range(count), 3) for _ in range(jacobi_samples)) if count >= 3 else ()
         )
         bad_triples = (t for t in triples if defective(*t))
-    elif out or next(jacobi_defects(canonical=True), None) is not None:
+    elif (
+        out
+        # the half walk's argument needs the true weights b(d) = 2/(d, d)
+        or b != _pairing_weights(rs)
+        or next(jacobi_defects(canonical=True), None) is not None
+    ):
         bad_triples = jacobi_defects(canonical=False)
     else:
         bad_triples = ()

@@ -30,10 +30,10 @@ from flagsym import (
     transvection_set,
     verify_theorem,
 )
-from flagsym.chevalley import _string_down
 from flagsym.flag import make_flag, parse_painted
 from flagsym.rootsystem import radd, rneg
 from root_helpers import sum_index
+from table_helpers import _string_down
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),

@@ -10,10 +10,9 @@ from flagsym import (
     sign_convention_check,
     simple_types,
 )
-from flagsym.chevalley import _string_down
 from flagsym.rootsystem import radd, rneg
 from root_helpers import sum_index
-from table_helpers import with_constants
+from table_helpers import _string_down, with_constants
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -119,6 +118,18 @@ def test_sampled_audit_needs_at_least_one_triple(tables):
     for samples in (0, -1):
         with pytest.raises(ValueError):
             sign_convention_check(tables[("A", 3)], jacobi_samples=samples)
+
+
+def test_witness_limit_below_one_is_rejected(tables):
+    # a limit of 0 used to stop after the first witness, not before it
+    clean = tables[("B", 3)]
+    key = next(iter(clean.n))
+    bad = with_constants(clean, {key: -clean.n[key]})
+    assert len(convention_violations(bad, limit=1)) == 1
+    for table in (clean, bad):
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit must be at least 1"):
+                convention_violations(table, limit=limit)
 
 
 def test_sampled_audit_of_a1_matches_the_exhaustive_audit(tables):

@@ -8,6 +8,7 @@ store the same constants and weights; its audit prunes the triples and must
 report the same violations, on clean tables and on tables with seeded faults.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -20,10 +21,10 @@ from flagsym import (
     convention_violations,
     simple_types,
 )
-from flagsym.chevalley import _coroots, _jacobi_triples
-from flagsym.rootsystem import InternalConsistencyError, height, rneg, rsub
+from flagsym.chevalley import _coroots, _jacobi_walk
+from flagsym.rootsystem import InternalConsistencyError, bits, height, rneg, rsub
 from root_helpers import sum_index, sum_root
-from table_helpers import with_constants
+from table_helpers import _jacobi_triples, with_constants
 
 
 def ref_string_down(rs, a, base):
@@ -310,3 +311,78 @@ def test_flipped_zero_sum_orbit_gives_the_reference_witnesses(name, clean_tables
         assert sorted(convention_violations(bad)) == sorted(want), (name, orbit)
         caught += bool(want)
     assert (len(orbits), caught) == ZERO_SUM_ORBITS[name]
+
+
+def half_walk_classes(rs):
+    """The canonical triples the clean audit evaluates, and those it leaves out."""
+    generic, special = [], []
+    for p, q, g, s in _jacobi_walk(rs, canonical=True):
+        generic += (tuple(sorted((p, q, r))) for r in bits(g))
+        special += (tuple(sorted((p, q, r))) for r in bits(s))
+    return generic, special
+
+
+def decided(rs, triple):
+    """Whether the triple has an opposite pair or sums to zero."""
+    x, y, z = triple
+    neg = rs.neg
+    total = tuple(map(sum, zip(*(rs.roots[i] for i in triple))))
+    return y == neg[x] or z == neg[x] or z == neg[y] or not any(total)
+
+
+def assert_zero_defect(table, triples):
+    rs = table.rs
+    for t in triples:
+        roots, cart = ref_jacobi_defect(table, rs, *(rs.roots[i] for i in t))
+        assert not roots and not any(cart), (rs.name, t)
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_half_walk_leaves_out_only_triples_of_zero_defect(family, rank):
+    # the clean audit skips the opposite-pair and zero-sum triples: each one
+    # is evaluated here on the built table
+    rs = build_root_system(family, rank)
+    generic, special = half_walk_classes(rs)
+    assert len(set(generic)) == len(generic) and len(set(special)) == len(special)
+    assert not set(generic) & set(special)
+    assert set(generic) | set(special) == set(_jacobi_triples(rs, canonical=True))
+    assert all(decided(rs, t) for t in special)
+    assert not any(decided(rs, t) for t in generic)
+    assert_zero_defect(build_constants(rs, verify=False), special)
+
+
+def test_half_walk_triple_counts_of_e6_to_e8():
+    # (evaluated, left out) of the canonical triples: 4620, 19362 and 106120
+    counts = {}
+    for rank in (6, 7, 8):
+        generic, special = half_walk_classes(build_root_system("E", rank))
+        counts[rank] = (len(generic), len(special))
+    assert counts == {6: (3240, 1380), 7: (15120, 4242), 8: (90720, 15400)}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SUM_ORBITS))
+def test_flipped_zero_sum_orbit_keeps_the_left_out_triples_at_zero(name, clean_tables):
+    # these tables pass the pair and cyclic checks but are not Chevalley
+    # tables; the triples the half walk leaves out still have zero defect
+    table = clean_tables[name]
+    _, special = half_walk_classes(table.rs)
+    for orbit in zero_sum_orbits(table.rs):
+        flips = {(x, y): -table.n[(x, y)] for t in orbit for x in t for y in t if x != y}
+        bad = with_constants(table, flips)
+        assert all(m.startswith("Jacobi") for m in convention_violations(bad)), orbit
+        assert_zero_defect(bad, special)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_table_with_other_weights_gets_the_full_walk(name, clean_tables):
+    # zero weights make the cyclic check vacuous, so the half walk's argument
+    # does not hold; a flipped pair constant must still be found, as the
+    # reference finds it
+    table = clean_tables[name]
+    x, y = next(iter(table.n))
+    flips = {(x, y): -table.n[(x, y)], (y, x): table.n[(x, y)]}
+    flips |= {(rneg(a), rneg(b)): -v for (a, b), v in flips.items()}
+    bad = dataclasses.replace(with_constants(table, flips), b_dense=[0] * len(table.rs.roots))
+    want = ref_violations(bad)
+    assert want and all(m.startswith("Jacobi") for m in want), name
+    assert sorted(convention_violations(bad)) == sorted(want)

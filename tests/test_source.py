@@ -38,6 +38,50 @@ def test_unused_import_is_found(tmp_path):
     assert unused_imports(module) == ["gcd", "os"]
 
 
+def unread_private_definitions(paths) -> list[str]:
+    """Module-level ``_name`` functions and classes that no module of ``paths`` reads.
+
+    A read is an ``ast.Name``, an ``ast.Attribute`` or an imported alias, in
+    any of the modules; each result is ``module.name``.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    )
+
+
+def test_every_private_definition_is_read_by_the_package():
+    # a private helper only the tests call belongs in a test helper module
+    assert unread_private_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_unread_private_definition_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _called():\n    pass\n\ndef _imported():\n    pass\n\n"
+        "def _attribute():\n    pass\n\ndef _dead():\n    _called()\n\n"
+        "class _Dead:\n    def _method(self):\n        pass\n\n"
+        "def public():\n    pass\n\ndef __getattr__(name):\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("import a\nfrom a import _imported\n\na._attribute()\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert unread_private_definitions(paths) == ["a._Dead", "a._dead"]
+
+
 def parser_builders(path: Path) -> tuple[int, list[tuple[str, list[str]]]]:
     """Calls of ``argparse.ArgumentParser(`` in a module, and the functions making them.
 
