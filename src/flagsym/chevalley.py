@@ -86,15 +86,17 @@ z = t a root.  Their defect is one coefficient, that of E_t, summed inline
 from three products.  If an earlier check reported a fault, or the half
 walk finds a defect, the walk over all the candidates runs instead, so the
 witnesses and their order are those of the full enumeration.  That walk
-also evaluates the opposite-pair and zero-sum triples, through the one term
-evaluation that the sampled audit uses too.  Coroots, needed for the Cartan
-part of a zero-sum defect, are computed in integers, and only when such a
-triple is evaluated.
+also evaluates the opposite-pair and zero-sum triples, one term at a time.
+Coroots, needed for the Cartan part of a zero-sum defect, are computed in
+integers, and only when such a triple is evaluated.
+
+Before the pair checks the audit compares every weight with 2/(d, d): the
+structure-constant oracle multiplies by the weights, and a table whose
+weights are all zero passes the weighted cyclic identity vacuously.
 """
 
 from __future__ import annotations
 
-import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -267,19 +269,19 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
 def _coroots(rs: RootSystem) -> list[list[int]]:
     """Coordinates of every coroot 2r/(r, r) over the simple coroots, as ints.
 
-    Coefficient i is r_i (a_i, a_i) / (r, r), one exact integer quotient of
-    scaled products with its remainder checked.
+    Coefficient i is r_i 2 d_i / (r, r), with d_i = (a_i, a_i)/2, one exact
+    quotient with its remainder checked.
     """
-    diagonal = [rs._gram[i][i] for i in range(rs.rank)]
+    twice = [2 * d for d in rs._d]
     out = []
     for r in rs.roots:
-        square = rs._scaled_product(r, r)
+        square = rs.lengths[r]
         co = []
-        for c, d in zip(r, diagonal):
-            v, rem = divmod(c * d, square)
-            if rem:
+        for c, d in zip(r, twice):
+            v = c * d / square
+            if v.denominator != 1:
                 raise InternalConsistencyError(f"non-integral coroot of {r}")
-            co.append(v)
+            co.append(v.numerator)
         out.append(co)
     return out
 
@@ -330,19 +332,15 @@ def convention_violations(
     table: ChevalleyTable,
     rs: RootSystem | None = None,
     *,
-    jacobi_samples: int | None = None,
-    seed: int = 0,
     limit: int | None = None,
 ) -> list[str]:
     """Audit the table; returns human-readable witnesses (empty = clean).
 
-    Checks antisymmetry, the negation rule, |n| = p+1, the weighted cyclic
-    identity on every zero-sum triple, and the Jacobi identity (exhaustive
-    when ``jacobi_samples`` is None, otherwise that many seeded triples).
-    With ``limit`` the audit stops after that many witnesses.
+    Checks the weights b(d) = 2/(d, d), antisymmetry, the negation rule,
+    |n| = p+1, the weighted cyclic identity on every zero-sum triple, and the
+    Jacobi identity on every triple that can fail.  With ``limit`` the audit
+    stops after that many witnesses.
     """
-    if jacobi_samples is not None and jacobi_samples < 1:
-        raise ValueError(f"jacobi_samples must be at least 1, got {jacobi_samples}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     rs = rs or table.rs
@@ -357,6 +355,10 @@ def convention_violations(
         out.append(msg)
         return limit is not None and len(out) >= limit
 
+    for i, (have, want) in enumerate(zip(b, _pairing_weights(rs))):
+        if have != want:
+            if report(f"weight b != 2/(d, d) at {roots[i]}: {have} vs {want}"):
+                return out
     for i in range(count):
         for j in bits(sums[i]):
             v = n[i * count + j]
@@ -390,9 +392,8 @@ def convention_violations(
         at_cartan = []  # (n, s) for each term n [E_s, E_{-s}] = n H_{s^v}
         for a, c, d in ((x, y, z), (y, z, x), (z, x, y)):
             if c == neg[a]:
-                # [H_{a^v}, E_d] = <d, a^v> E_d, and <d, a^v> = p - q on the
-                # a-string d - p a, ..., d + q a
-                at_root += walk(add[c], d) - walk(add[a], d)
+                # [H_{a^v}, E_d] = <d, a^v> E_d
+                at_root += rs.cartan_integer(d, a)
                 continue
             s = add[a][c]
             if s == count:
@@ -442,36 +443,15 @@ def convention_violations(
             for r in sorted(bad):
                 yield tuple(sorted((p, q, r)))
 
-    if jacobi_samples is not None:
-        rng = random.Random(seed)
-        # fewer than three roots form no triple, as in the exhaustive walk
-        triples = (
-            (rng.sample(range(count), 3) for _ in range(jacobi_samples)) if count >= 3 else ()
-        )
-        bad_triples = (t for t in triples if defective(*t))
-    elif (
-        out
-        # the half walk's argument needs the true weights b(d) = 2/(d, d)
-        or b != _pairing_weights(rs)
-        or next(jacobi_defects(canonical=True), None) is not None
-    ):
-        bad_triples = jacobi_defects(canonical=False)
-    else:
-        bad_triples = ()
-    for x, y, z in bad_triples:
-        if report(f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"):
-            return out
+    # a fault found so far (a wrong weight included: the half walk's argument
+    # needs b(d) = 2/(d, d)) or in the half walk gets the walk over all triples
+    if out or next(jacobi_defects(canonical=True), None) is not None:
+        for x, y, z in jacobi_defects(canonical=False):
+            if report(f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"):
+                return out
     return out
 
 
-def sign_convention_check(
-    table: ChevalleyTable,
-    rs: RootSystem | None = None,
-    *,
-    jacobi_samples: int | None = None,
-    seed: int = 0,
-) -> bool:
-    """True iff the Jacobi and weighted cyclic audits pass."""
-    return not convention_violations(
-        table, rs, jacobi_samples=jacobi_samples, seed=seed, limit=1
-    )
+def sign_convention_check(table: ChevalleyTable, rs: RootSystem | None = None) -> bool:
+    """True iff the weight, pair, weighted cyclic and Jacobi audits pass."""
+    return not convention_violations(table, rs, limit=1)

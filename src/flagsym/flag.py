@@ -105,10 +105,10 @@ class FlagData:
         self.dim_m = m_mask.bit_count()
         self._symmetric: bool | None = None
         # filled once by flagsym.symmetry: the symmetry roots and their mask,
-        # then the p, [p, p] and h' masks, then the verified roots of h'
+        # then the p, [p, p] and h' masks, then the h' mask proved closed
         self._symmetry: tuple[frozenset, int] | None = None
         self._masks: tuple[int, int, int] | None = None
-        self._h_prime: frozenset | None = None
+        self._h_prime: int | None = None
 
     @property
     def rs(self) -> RootSystem:

@@ -1,9 +1,8 @@
 """Abstract root systems of the simple Lie types, in exact arithmetic.
 
 Roots are integer coordinate tuples over the simple roots a_1..a_n, so every
-root, inner product and Cartan integer is an exact integer or rational.  The
-bilinear form comes from the symmetrised Cartan matrix, normalised so that
-long roots have squared length 2.
+root, squared length and Cartan integer is an exact integer or rational.
+Squared lengths are normalised so that long roots have squared length 2.
 
 Node numbering (chains drawn left to right; the arrow points at the short
 root):
@@ -32,6 +31,11 @@ time from root strings, each with its Cartan pairings <r, a_i^v>, and the
 squared lengths follow from those pairings.  ``sums`` and ``add`` come from
 integer keys of the coordinates; the table is symmetric and odd under
 negation, so one ordered pair of roots in four is looked up.
+
+Every Dynkin diagram, the plain and the extended one and that of the simple
+roots of a subsystem, comes from one builder on the index,
+:meth:`RootSystem.diagram`: its Cartan integers are read off root strings
+along the ``add`` rows, and no inner product is taken.
 """
 
 from __future__ import annotations
@@ -81,13 +85,6 @@ def bits(mask: int):
     """
     digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
     return itertools.compress(itertools.count(), digits)
-
-
-def _cartan_quotient(num: int, den: int) -> int:
-    """The Cartan integer num / den = 2(a, b)/(b, b), from scaled products."""
-    if num % den:
-        raise InternalConsistencyError(f"non-integral Cartan pairing {Fraction(num, den)}")
-    return num // den
 
 
 def root_str(a: Root) -> str:
@@ -394,14 +391,9 @@ class RootSystem:
         self.family = family
         self.rank = rank
         self._d = _length_halves(self.cartan)
-        # (a_i, a_j) = c_ij * d_j = _gram[i][j] / _scale, with integer _gram
-        self._scale = lcm(*(x.denominator for x in self._d))
-        halves = [x.numerator * (self._scale // x.denominator) for x in self._d]
-        self._gram = tuple(tuple(map(mul, row, halves)) for row in self.cartan)
         pos, pairings = _positive_roots(self.cartan)
         half, count = len(pos), 2 * len(pos)
         self.positive_roots: tuple[Root, ...] = tuple(pos)
-        self.positive_set = frozenset(pos)
         self.roots: tuple[Root, ...] = tuple(pos) + tuple(rneg(r) for r in pos)
         self.root_set = frozenset(self.roots)
         self.simple_roots: tuple[Root, ...] = tuple(
@@ -410,16 +402,18 @@ class RootSystem:
         self.highest: Root = pos[-1]
         if len(pos) > 1 and height(pos[-2]) == height(self.highest):
             raise InternalConsistencyError("highest root is not unique")
-        # (r, r) = sum_i r_i <r, a_i^v> (a_i, a_i) / 2, here times _scale (the
-        # halves d_i _scale); a simple type has two root lengths at most, so
-        # two Fractions
+        # (r, r) = sum_i r_i <r, a_i^v> (a_i, a_i) / 2, here times scale, the
+        # common denominator of the d_i (so the halves d_i scale are ints); a
+        # simple type has two root lengths at most, so two Fractions
+        scale = lcm(*(x.denominator for x in self._d))
+        halves = [x.numerator * (scale // x.denominator) for x in self._d]
         length_of: dict[int, Fraction] = {}
         lengths = []
         for r, pairing in zip(pos, pairings):
             square = sum(map(mul, r, map(mul, pairing, halves)))
             length = length_of.get(square)
             if length is None:
-                length = length_of[square] = Fraction(square, self._scale)
+                length = length_of[square] = Fraction(square, scale)
             lengths.append(length)
         self.lengths = dict(zip(self.roots, lengths + lengths))
         self.index: dict[Root, int] = dict(zip(self.roots, range(count)))
@@ -485,26 +479,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
-
-    def _scaled_product(self, a, b) -> int:
-        """(a, b) times the common denominator of the form, as an int."""
-        gram = self._gram
-        return sum(x * sum(map(mul, gram[i], b)) for i, x in enumerate(a) if x)
-
-    def inner_product(self, a, b) -> Fraction:
-        """Bilinear form on integer vectors over the simple roots; long roots
-        have squared length 2."""
-        return Fraction(self._scaled_product(a, b), self._scale)
-
-    def cartan_int(self, a, b) -> int:
-        """Cartan integer 2(a,b)/(b,b)."""
-        return _cartan_quotient(2 * self._scaled_product(a, b), self._scaled_product(b, b))
-
-    def contains(self, v) -> bool:
-        return tuple(v) in self.root_set
-
-    def is_positive(self, r: Root) -> bool:
-        return height(r) > 0
 
     def mask_of(self, roots) -> int:
         """Bitmask of a collection of roots."""
@@ -620,78 +594,62 @@ class RootSystem:
             lambda a, beta, gamma: (0, 2 if beta < half else 0, 2 if gamma < half else 0)
         )
 
-    def root_string(self, a: Root, b: Root) -> tuple[int, int]:
-        """The a-string through b: returns (p, q) with b - p*a .. b + q*a the
-        maximal unbroken string of roots.  p - q equals the Cartan integer
-        2(b,a)/(a,a)."""
-        if a not in self.root_set or b not in self.root_set:
-            raise ValueError("root_string arguments must be roots")
-        if a == b or a == rneg(b):
-            raise ValueError("degenerate root string through +/- itself")
-        p = 0
-        v = rsub(b, a)
-        while v in self.root_set:
-            p += 1
-            v = rsub(v, a)
-        q = 0
-        v = radd(b, a)
-        while v in self.root_set:
-            q += 1
-            v = radd(v, a)
-        return p, q
+    def cartan_integer(self, t: int, s: int) -> int:
+        """The Cartan integer <roots[t], roots[s]^v> of two root indices t != s.
 
-    def coroot(self, r: Root) -> tuple[Fraction, ...]:
-        """Coordinates of the coroot 2r/(r,r) over the simple coroots."""
-        dr = self.lengths[r] / 2
-        return tuple(r[i] * self._d[i] / dr for i in range(self.rank))
+        It is p - q on the s-string t - p s, ..., t + q s (Humphreys,
+        *Introduction to Lie Algebras and Representation Theory*, §9.4), two
+        walks along the ``add`` rows of -s and s.  (t, s) != 0 needs t + s or
+        t - s to be a root (ibid., Lemma 9.4), so only a pair whose ``sums``
+        bits say so walks its string.  An opposite pair, whose string through
+        t = -s is empty, pairs to -2.
+        """
+        neg = self.neg
+        if t == neg[s]:
+            return -2
+        near = self.sums[t]
+        if not (near >> s | near >> neg[s]) & 1:
+            return 0
+        return walk(self.add[neg[s]], t) - walk(self.add[s], t)
 
-    def diagram_from_vectors(self, labeled: list[tuple[object, Root]]) -> Diagram:
-        """Dynkin diagram of a set of pairwise non-positively paired vectors."""
-        product = self._scaled_product
-        square = {l: product(v, v) for l, v in labeled}
+    def diagram(self, labeled) -> Diagram:
+        """Dynkin diagram of (label, root index) pairs that pair non-positively.
+
+        An edge joins two nodes a, b whose Cartan integers <a, b^v>, <b, a^v>
+        are nonzero.  Its multiplicity is their product and its short end the
+        shorter root (b when <a, b^v> < <b, a^v>); an opposite pair (-2 both
+        ways, the affine A1 bond) gets an edge marked "both".  Edges follow
+        the order of ``labeled``.
+        """
         edges = []
-        for (la, va), (lb, vb) in itertools.combinations(labeled, 2):
-            twice = 2 * product(va, vb)
-            if not twice:
+        for (la, a), (lb, b) in itertools.combinations(labeled, 2):
+            cab = self.cartan_integer(a, b)
+            if not cab:
                 continue
-            cab = _cartan_quotient(twice, square[lb])
-            cba = _cartan_quotient(twice, square[la])
+            cba = self.cartan_integer(b, a)
             if cab > 0 or cba > 0:
                 raise InternalConsistencyError(
                     f"positive pairing between diagram nodes {la}, {lb}"
                 )
             if cab == cba == -2:
                 edges.append((la, lb, 2, "both"))
-                continue
-            mult = cab * cba
-            if abs(cab) > abs(cba):
-                short = lb
-            elif abs(cba) > abs(cab):
-                short = la
             else:
-                short = None
-            edges.append((la, lb, mult, short))
-        nodes = tuple(l for l, _ in labeled)
-        norm = []
-        index = {l: i for i, l in enumerate(nodes)}
-        for a, b, m, s in edges:
-            if index[a] > index[b]:
-                a, b = b, a
-            norm.append((a, b, m, s))
-        return Diagram(nodes, tuple(sorted(norm, key=lambda e: (index[e[0]], index[e[1]]))))
+                short = lb if cab < cba else la if cba < cab else None
+                edges.append((la, lb, cab * cba, short))
+        return Diagram(tuple(label for label, _ in labeled), tuple(edges))
 
     def dynkin_diagram(self) -> Diagram:
-        return self.diagram_from_vectors(
-            [(i + 1, s) for i, s in enumerate(self.simple_roots)]
-        )
+        index = self.index
+        return self.diagram([(i + 1, index[s]) for i, s in enumerate(self.simple_roots)])
 
     def extended_diagram(self) -> Diagram:
         """Extended diagram: node 0 carries the lowest root -theta (built once)."""
         if self._extended is None:
-            labeled = [(0, rneg(self.highest))] + [
-                (i + 1, s) for i, s in enumerate(self.simple_roots)
-            ]
-            self._extended = self.diagram_from_vectors(labeled)
+            index = self.index
+            self._extended = self.diagram(
+                [(0, index[rneg(self.highest)])]
+                + [(i + 1, index[s]) for i, s in enumerate(self.simple_roots)]
+            )
         return self._extended
 
 

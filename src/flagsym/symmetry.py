@@ -27,9 +27,8 @@ costs the length of the row instead of the width of the mask, and only a
 row that fails a closure is walked again for its first witness.  [p, p],
 the abelian-centre test and [k', p] = 0 are short loops over set bits.
 Roots become coordinate tuples only where a caller reads them: the symmetry
-roots, the simple roots of a subsystem, the roots of h' and the frozenset
-views ``LeafDescriptor.r_u``/``r_k`` and those of ``FlagData``, built on
-demand.
+roots and the frozenset views ``LeafDescriptor.r_u``/``r_k``,
+``SymmetryReport.h_prime_roots`` and those of ``FlagData``, built on demand.
 
 The symmetry roots are computed once per FlagData, by two independent scans
 that are cross-checked: one tests membership of a + b in R through ``sums``,
@@ -37,8 +36,8 @@ the other membership in R_m+ through ``add``.  The result is kept on the flag
 and read by :func:`build_report`, :func:`leaf_pair`, :func:`h_prime` and
 :func:`k_prime_check`, so each painting is scanned once.  So are the masks
 derived from it, kept next to it on the flag: p = R_p+ and its negatives,
-[p, p] and h' = h + p (:func:`_masks`), and the roots of h' once
-:func:`h_prime` has proved them closed, which
+[p, p] and h' = h + p (:func:`_masks`), and the mask of h' once
+:func:`h_prime` has proved it closed, which
 :attr:`SymmetryReport.hprime_closed` reads back instead of closing h' again.
 
 The leaf past the test that [p, p] lies in the isotropy roots (the closure of
@@ -47,10 +46,8 @@ name) depends on the painting only through the mask of R_p+, so
 :func:`leaf_pair` computes it once per mask and root system and keeps its
 plain fields in ``RootSystem.leaf_memo`` (the rank-8 sweep has 305 masks
 among 2455 paintings).  The components of u and k are classified from their
-simple roots by index: the Cartan integer <t, s^v> is p - q on the s-string
-through t, two walks along the ``add`` rows of s and -s, and only the pairs
-whose ``sums`` bits show t + s or t - s to be a root can pair at all.  No
-inner product is taken.
+simple roots by index, through :meth:`RootSystem.diagram`, the builder of the
+extended diagram too, which reads each Cartan integer off a root string.
 """
 
 from __future__ import annotations
@@ -68,7 +65,6 @@ from .rootsystem import (
     classify_connected,
     diagram_components,
     root_str,
-    walk,
 )
 
 
@@ -103,7 +99,7 @@ class SymmetryReport:
     index: int
     coindex: int
     leaf: LeafDescriptor
-    h_prime_roots: frozenset
+    h_prime_mask: int  # the roots of h' = h + p, over the root index
     exception: str | None = None
 
     @property
@@ -115,16 +111,19 @@ class SymmetryReport:
         return self.flag.is_symmetric_coset()
 
     @property
+    def h_prime_roots(self) -> frozenset:
+        return self.flag.rs.roots_of(self.h_prime_mask)
+
+    @property
     def hprime_closed(self) -> bool:
         """h' = h + p closed under root addition.
 
-        :func:`h_prime` proved it for the set it returned (it raises when the
-        closure fails); any other set is tested by the mask closure.
+        :func:`h_prime` proved it for the mask it returned (it raises when the
+        closure fails); any other mask is tested by the mask closure.
         """
-        if self.h_prime_roots is self.flag._h_prime:
+        if self.h_prime_mask == self.flag._h_prime:
             return True
-        rs = self.flag.rs
-        return _closure_gap(rs, rs.mask_of(self.h_prime_roots)) is None
+        return _closure_gap(self.flag.rs, self.h_prime_mask) is None
 
 
 def symmetry_roots(flag: FlagData) -> frozenset:
@@ -241,29 +240,12 @@ def _indecomposables(rs: RootSystem, pos: int) -> list[int]:
     return _stuck(rs, pos, rs.neg_mask(pos), pos)
 
 
-def _cartan_integers(rs: RootSystem, simples: list[int]) -> dict[tuple[int, int], int]:
-    """The nonzero Cartan integers <t, s^v> among ``simples``, keyed (t, s).
-
-    <t, s^v> = p - q on the s-string t - p s, ..., t + q s (Humphreys,
-    *Introduction to Lie Algebras and Representation Theory*, §9.4), read off
-    the ``add`` rows of s and -s.  (t, s) != 0 needs t + s or t - s to be a
-    root (ibid., Lemma 9.4), so only the pairs whose ``sums`` bits say so
-    walk their strings.
-    """
-    add, sums, neg = rs.add, rs.sums, rs.neg
-    out = {}
-    for t in simples:
-        near = sums[t]
-        for s in simples:
-            if s != t and (near >> s | near >> neg[s]) & 1:
-                c = walk(add[neg[s]], t) - walk(add[s], t)
-                if c:
-                    out[t, s] = c
-    return out
-
-
-def _simple_components(simples: list[int], joined) -> list[list[int]]:
-    """The simple roots grouped by connected component of the pairs in ``joined``."""
+def _simple_components(rs: RootSystem, simples: list[int]) -> list[list[int]]:
+    """The simple roots grouped by connected component of the nonzero Cartan integers."""
+    joined = set()
+    for t, s in itertools.combinations(simples, 2):
+        if rs.cartan_integer(t, s):  # zero exactly when <s, t^v> is
+            joined |= {(t, s), (s, t)}
     comps: list[list[int]] = []
     left = list(simples)
     while left:
@@ -283,29 +265,14 @@ def _simple_components(simples: list[int], joined) -> list[list[int]]:
 def _classify_sub(rs: RootSystem, pos: int) -> list[tuple[str, int]]:
     """Canonical (family, rank) labels of the components of a closed subsystem.
 
-    The Dynkin diagram of each component has a node per simple root, labelled
-    by its place in the component, and an edge where the Cartan integers
-    <a, b^v>, <b, a^v> are nonzero: of multiplicity their product, with its
-    short end at the shorter root (b when <a, b^v> < <b, a^v> < 0).
+    Each component's diagram is built by ``rs.diagram`` on its simple roots,
+    each node labelled by its place in the component.
     """
     simples = _indecomposables(rs, pos)
-    cartan = _cartan_integers(rs, simples)
-    labels = []
-    for comp in _simple_components(simples, cartan):
-        edges = []
-        for (la, a), (lb, b) in itertools.combinations(enumerate(comp), 2):
-            cab = cartan.get((a, b))
-            if cab is None:
-                continue
-            cba = cartan[b, a]
-            if cab > 0 or cba > 0:
-                raise InternalConsistencyError(
-                    f"positive pairing between diagram nodes {la}, {lb}"
-                )
-            short = lb if cab < cba else la if cba < cab else None
-            edges.append((la, lb, cab * cba, short))
-        labels.append(classify_connected(Diagram(tuple(range(len(comp))), tuple(edges))))
-    return sorted(labels)
+    return sorted(
+        classify_connected(rs.diagram(list(enumerate(comp))))
+        for comp in _simple_components(rs, simples)
+    )
 
 
 def _hermitian_name(u: tuple[str, int], ks: list[tuple[str, int]]) -> str:
@@ -432,8 +399,9 @@ def diagrams_agree(pd: PaintedDiagram, leaf: LeafDescriptor) -> bool:
     return f"{fam}{rank}" == leaf.u_type
 
 
-def h_prime(flag: FlagData) -> frozenset:
-    """Roots of h' = h + p, verified closed under root addition once per flag."""
+def h_prime(flag: FlagData) -> int:
+    """Mask of the roots of h' = h + p, verified closed under root addition
+    once per flag."""
     if flag._h_prime is None:
         rs = flag.rs
         mask = _masks(flag)[2]
@@ -441,7 +409,7 @@ def h_prime(flag: FlagData) -> frozenset:
         if gap is not None:
             a, b = (root_str(rs.roots[i]) for i in gap)
             raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
-        flag._h_prime = rs.roots_of(mask)
+        flag._h_prime = mask
     return flag._h_prime
 
 
@@ -470,6 +438,6 @@ def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport
         index=index,
         coindex=coindex,
         leaf=leaf_pair(flag),
-        h_prime_roots=h_prime(flag),
+        h_prime_mask=h_prime(flag),
         exception=exception,
     )

@@ -1,5 +1,5 @@
-"""Tuple-keyed views of a root system, the root-index build it replaced, and
-a diagram isomorphism test, that only the tests read.
+"""Tuple-keyed views of a root system, the root-index build it replaced, the
+Gram form, and a diagram isomorphism test, that only the tests read.
 
 Every layer of the program works on the root index (``sums``, ``add``,
 ``splittings``), so the dict of sums keyed by coordinate tuples moved here
@@ -8,6 +8,13 @@ coordinate addition look sums up by tuple.  :func:`ref_root_tables` is the
 former build of the index: positive roots by root strings searched as
 coordinate tuples, lengths as Fraction inner products from a Fraction Gram
 matrix, and ``sums``/``add`` by a lookup for every ordered pair of roots.
+
+The Gram form (:func:`gram_form`, :func:`inner_product`, :func:`cartan_int`)
+and the methods on coordinate tuples built from it (:func:`root_string`,
+:func:`coroot` and the diagram builder :func:`diagram_from_vectors`) moved
+here from ``RootSystem`` when its diagrams moved to Cartan integers read off
+root strings on the index: they are the references that builder, the
+subsystem classifier and the integer coroots are checked against.
 :func:`diagram_isomorphic` tries every node bijection, the brute-force
 reference the diagram classifier is checked against.
 """
@@ -18,7 +25,120 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from flagsym.rootsystem import Diagram, _length_halves, bits, height, radd, rneg, rsub
+from flagsym.rootsystem import (
+    Diagram,
+    InternalConsistencyError,
+    _length_halves,
+    bits,
+    height,
+    radd,
+    rneg,
+    rsub,
+)
+
+
+@lru_cache(maxsize=None)
+def gram_form(cartan):
+    """(gram, scale): the integer Gram matrix, (a_i, a_j) = gram[i][j] / scale."""
+    rank = len(cartan)
+    d = _length_halves(cartan)
+    scale = lcm(*(x.denominator for x in d))
+    gram = tuple(
+        tuple(int(cartan[i][j] * d[j] * scale) for j in range(rank)) for i in range(rank)
+    )
+    return gram, scale
+
+
+def scaled_product(rs, a, b) -> int:
+    """(a, b) times the common denominator of the form, as an int."""
+    gram = gram_form(rs.cartan)[0]
+    return sum(x * sum(g * y for g, y in zip(gram[i], b)) for i, x in enumerate(a) if x)
+
+
+def inner_product(rs, a, b) -> Fraction:
+    """The form on integer vectors over the simple roots; long roots have (a, a) = 2."""
+    return Fraction(scaled_product(rs, a, b), gram_form(rs.cartan)[1])
+
+
+def _cartan_quotient(num: int, den: int) -> int:
+    """The Cartan integer num / den = 2(a, b)/(b, b), from scaled products."""
+    if num % den:
+        raise InternalConsistencyError(f"non-integral Cartan pairing {Fraction(num, den)}")
+    return num // den
+
+
+def cartan_int(rs, a, b) -> int:
+    """Cartan integer 2(a, b)/(b, b)."""
+    return _cartan_quotient(2 * scaled_product(rs, a, b), scaled_product(rs, b, b))
+
+
+def root_string(rs, a, b) -> tuple[int, int]:
+    """The a-string through b: (p, q) with b - p a .. b + q a the maximal
+    unbroken string of roots.  p - q equals the Cartan integer 2(b, a)/(a, a)."""
+    if a not in rs.root_set or b not in rs.root_set:
+        raise ValueError("root_string arguments must be roots")
+    if a == b or a == rneg(b):
+        raise ValueError("degenerate root string through +/- itself")
+    p = 0
+    v = rsub(b, a)
+    while v in rs.root_set:
+        p += 1
+        v = rsub(v, a)
+    q = 0
+    v = radd(b, a)
+    while v in rs.root_set:
+        q += 1
+        v = radd(v, a)
+    return p, q
+
+
+def coroot(rs, r) -> tuple[Fraction, ...]:
+    """Coordinates of the coroot 2r/(r, r) over the simple coroots."""
+    dr = rs.lengths[r] / 2
+    return tuple(r[i] * rs._d[i] / dr for i in range(rs.rank))
+
+
+def diagram_from_vectors(rs, labeled) -> Diagram:
+    """Dynkin diagram of (label, vector) pairs that pair non-positively, from
+    Gram products: the builder ``RootSystem.diagram`` replaced."""
+    square = {l: scaled_product(rs, v, v) for l, v in labeled}
+    edges = []
+    for (la, va), (lb, vb) in itertools.combinations(labeled, 2):
+        twice = 2 * scaled_product(rs, va, vb)
+        if not twice:
+            continue
+        cab = _cartan_quotient(twice, square[lb])
+        cba = _cartan_quotient(twice, square[la])
+        if cab > 0 or cba > 0:
+            raise InternalConsistencyError(f"positive pairing between diagram nodes {la}, {lb}")
+        if cab == cba == -2:
+            edges.append((la, lb, 2, "both"))
+            continue
+        mult = cab * cba
+        if abs(cab) > abs(cba):
+            short = lb
+        elif abs(cba) > abs(cab):
+            short = la
+        else:
+            short = None
+        edges.append((la, lb, mult, short))
+    nodes = tuple(l for l, _ in labeled)
+    norm = []
+    index = {l: i for i, l in enumerate(nodes)}
+    for a, b, m, s in edges:
+        if index[a] > index[b]:
+            a, b = b, a
+        norm.append((a, b, m, s))
+    return Diagram(nodes, tuple(sorted(norm, key=lambda e: (index[e[0]], index[e[1]]))))
+
+
+def ref_dynkin_diagram(rs) -> Diagram:
+    return diagram_from_vectors(rs, [(i + 1, s) for i, s in enumerate(rs.simple_roots)])
+
+
+def ref_extended_diagram(rs) -> Diagram:
+    labeled = [(0, rneg(rs.highest))] + [(i + 1, s) for i, s in enumerate(rs.simple_roots)]
+    return diagram_from_vectors(rs, labeled)
 
 
 def ref_positive_roots(cartan):
@@ -49,13 +169,8 @@ def ref_positive_roots(cartan):
 
 
 def ref_root_tables(cartan):
-    """roots, index, gram, lengths, sums and add as the former constructor built them."""
-    rank = len(cartan)
-    d = _length_halves(cartan)
-    scale = lcm(*(x.denominator for x in d))
-    gram = tuple(
-        tuple(int(cartan[i][j] * d[j] * scale) for j in range(rank)) for i in range(rank)
-    )
+    """roots, index, lengths, sums and add as the former constructor built them."""
+    gram, scale = gram_form(cartan)
     pos = ref_positive_roots(cartan)
     roots = tuple(pos) + tuple(rneg(r) for r in pos)
     lengths = {
@@ -78,7 +193,7 @@ def ref_root_tables(cartan):
         sums.append(mask)
         add.append(row)
     index = {r: i for i, r in enumerate(roots)}
-    return roots, index, gram, lengths, tuple(sums), tuple(add)
+    return roots, index, lengths, tuple(sums), tuple(add)
 
 
 @lru_cache(maxsize=None)

@@ -203,7 +203,7 @@ def test_c9_invariant_suite_rank_le_6():
             for a in report.r_p_plus
             for b in report.r_p_plus
         )
-        ok &= flag.r_h <= h_prime(flag)  # closure itself is verified inside
+        ok &= not flag.h_mask & ~h_prime(flag)  # closure itself is verified inside
         ok &= k_prime_check(flag)
         ok &= report.index % 2 == 0 and report.coindex % 2 == 0
         ok &= (report.coindex == 0) == flag.is_symmetric_coset()

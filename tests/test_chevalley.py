@@ -106,20 +106,6 @@ def test_sign_convention_check_catches_mutation(tables):
     assert not sign_convention_check(t)
 
 
-def test_jacobi_sampled_rank_5_6():
-    # larger systems: sampled audit, at least 10^4 triples each
-    for typ in [("A", 5), ("B", 5), ("E", 6)]:
-        table = build_constants(build_root_system(*typ), verify=False)
-        assert sign_convention_check(table, jacobi_samples=10_000, seed=7), typ
-
-
-def test_sampled_audit_needs_at_least_one_triple(tables):
-    # no samples would check no Jacobi triple and pass vacuously
-    for samples in (0, -1):
-        with pytest.raises(ValueError):
-            sign_convention_check(tables[("A", 3)], jacobi_samples=samples)
-
-
 def test_witness_limit_below_one_is_rejected(tables):
     # a limit of 0 used to stop after the first witness, not before it
     clean = tables[("B", 3)]
@@ -130,13 +116,6 @@ def test_witness_limit_below_one_is_rejected(tables):
         for limit in (0, -1):
             with pytest.raises(ValueError, match="limit must be at least 1"):
                 convention_violations(table, limit=limit)
-
-
-def test_sampled_audit_of_a1_matches_the_exhaustive_audit(tables):
-    # two roots form no triple, so both modes check no Jacobi identity
-    t = tables[("A", 1)]
-    assert convention_violations(t, jacobi_samples=5) == convention_violations(t) == []
-    assert sign_convention_check(t, jacobi_samples=5)
 
 
 def test_exhaustive_audit_of_every_type_through_e8():

@@ -1,4 +1,4 @@
-import itertools
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +12,7 @@ from flagsym import (
     diagram_components,
     root_str,
     simple_types,
+    to_dot,
 )
 from flagsym.rootsystem import (
     InternalConsistencyError,
@@ -21,8 +22,18 @@ from flagsym.rootsystem import (
     radd,
     rneg,
     rsub,
+    walk,
 )
-from root_helpers import diagram_isomorphic, ref_root_tables, sum_index
+from root_helpers import (
+    cartan_int,
+    diagram_isomorphic,
+    inner_product,
+    ref_dynkin_diagram,
+    ref_extended_diagram,
+    ref_root_tables,
+    root_string,
+    sum_index,
+)
 
 # classical root counts: the independent oracle for the closure algorithm
 CLASSICAL_COUNTS = {
@@ -94,10 +105,9 @@ def test_root_index_build_matches_the_reference(family, rank):
     # the integer build gives the tables of the tuple and Fraction build, in
     # the same order, on every simple type of rank <= 8
     rs = build_root_system(family, rank)
-    roots, index, gram, lengths, sums, add = ref_root_tables(rs.cartan)
+    roots, index, lengths, sums, add = ref_root_tables(rs.cartan)
     assert rs.roots == roots
     assert list(rs.index.items()) == list(index.items())
-    assert rs._gram == gram
     assert list(rs.lengths.items()) == list(lengths.items())
     assert rs.sums == sums
     assert rs.add == add
@@ -156,49 +166,70 @@ def test_cartan_matrix_matches_inner_products(family, rank):
     rs = build_root_system(family, rank)
     for i, si in enumerate(rs.simple_roots):
         for j, sj in enumerate(rs.simple_roots):
-            assert rs.cartan[i][j] == 2 * rs.inner_product(si, sj) / rs.inner_product(sj, sj)
+            want = 2 * inner_product(rs, si, sj) / inner_product(rs, sj, sj)
+            assert rs.cartan[i][j] == want
+            if i != j:
+                assert rs.cartan_integer(rs.index[si], rs.index[sj]) == want
 
 
 def test_inner_products_a3():
     rs = build_root_system("A", 3)
     a1, a2 = (1, 0, 0), (0, 1, 0)
-    assert rs.inner_product(a1, a1) == 2
-    assert rs.inner_product(a1, a2) == -1
+    assert inner_product(rs, a1, a1) == 2
+    assert inner_product(rs, a1, a2) == -1
 
 
 def test_inner_products_g2():
     rs = build_root_system("G", 2)
     a1, a2 = (1, 0), (0, 1)
-    assert rs.inner_product(a2, a2) == Fraction(2, 3)
-    assert rs.cartan_int(a1, a2) == -3
-    assert rs.cartan_int(a2, a1) == -1
+    assert inner_product(rs, a2, a2) == Fraction(2, 3)
+    assert cartan_int(rs, a1, a2) == -3
+    assert cartan_int(rs, a2, a1) == -1
+    # index 0 is a2 in G2: the positive roots are ordered by (height, coordinates)
+    i1, i2 = rs.index[a1], rs.index[a2]
+    assert (i1, i2) == (1, 0)
+    assert (rs.cartan_integer(i1, i2), rs.cartan_integer(i2, i1)) == (-3, -1)
+
+
+def string_by_walks(rs, a, b):
+    """(p, q) of the a-string through b, walked along the ``add`` rows."""
+    i, j = rs.index[a], rs.index[b]
+    return walk(rs.add[rs.neg[i]], j), walk(rs.add[i], j)
 
 
 def test_root_string_examples():
     a2sys = build_root_system("A", 2)
-    assert a2sys.root_string((1, 0), (0, 1)) == (0, 1)
+    assert root_string(a2sys, (1, 0), (0, 1)) == (0, 1)
+    assert string_by_walks(a2sys, (1, 0), (0, 1)) == (0, 1)
     g2 = build_root_system("G", 2)
-    assert g2.root_string((0, 1), (1, 0)) == (0, 3)
+    assert root_string(g2, (0, 1), (1, 0)) == (0, 3)
+    assert string_by_walks(g2, (0, 1), (1, 0)) == (0, 3)
 
 
 def test_root_string_rejects_degenerate():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
-        rs.root_string((1, 0), (1, 0))
+        root_string(rs, (1, 0), (1, 0))
     with pytest.raises(ValueError):
-        rs.root_string((1, 0), (-1, 0))
+        root_string(rs, (1, 0), (-1, 0))
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TYPES)
 def test_string_identity_exhaustive(family, rank):
-    # p - q = 2(b,a)/(a,a) for every root pair
+    # p - q = 2(b,a)/(a,a) for every root pair, and the index reads the same
+    # Cartan integer off its walks; an opposite pair pairs to -2
     rs = build_root_system(family, rank)
     for a in rs.roots:
         for b in rs.roots:
-            if a == b or a == rneg(b):
+            ia, ib = rs.index[a], rs.index[b]
+            if a == b:
                 continue
-            p, q = rs.root_string(a, b)
-            assert p - q == rs.cartan_int(b, a)
+            if a == rneg(b):
+                assert rs.cartan_integer(ib, ia) == cartan_int(rs, b, a) == -2
+                continue
+            p, q = root_string(rs, a, b)
+            assert (p, q) == string_by_walks(rs, a, b)
+            assert p - q == cartan_int(rs, b, a) == rs.cartan_integer(ib, ia)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,8 +238,8 @@ def test_string_identity_property(typ, data):
     rs = build_root_system(*typ)
     a = data.draw(st.sampled_from(rs.roots))
     b = data.draw(st.sampled_from([r for r in rs.roots if r not in (a, rneg(a))]))
-    p, q = rs.root_string(a, b)
-    assert p - q == rs.cartan_int(b, a)
+    p, q = root_string(rs, a, b)
+    assert p - q == cartan_int(rs, b, a) == rs.cartan_integer(rs.index[b], rs.index[a])
 
 
 @pytest.mark.parametrize(
@@ -270,6 +301,28 @@ def test_dynkin_diagram_classifies_to_itself(family, rank):
     if (family, rank) == ("C", 3):
         assert got == ("C", 3)
     assert got == (family, rank)
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_diagrams_match_the_gram_builder(family, rank):
+    # Cartan integers from root strings on the index give the diagrams the
+    # Gram products gave, node order, edge order and short ends included
+    rs = build_root_system(family, rank)
+    assert rs.dynkin_diagram() == ref_dynkin_diagram(rs)
+    assert rs.extended_diagram() == ref_extended_diagram(rs)
+
+
+def test_dot_text_of_every_diagram_is_pinned():
+    # the DOT text of the plain and the extended diagram of every type of
+    # rank <= 8; the pin is that of the Gram-product builder
+    text = "".join(
+        to_dot(rs.dynkin_diagram(), frozenset(), "painted")
+        + to_dot(rs.extended_diagram(), frozenset(), "extended")
+        for rs in (build_root_system(f, r) for f, r in simple_types(8))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bc0a1c2d2fabd03d2350cce569e2180ce1e85ee0a3ff142bece63c0766165775"
+    )
 
 
 def test_classification_aliases():

@@ -39,10 +39,12 @@ def test_unused_import_is_found(tmp_path):
 
 
 def unread_private_definitions(paths) -> list[str]:
-    """Module-level ``_name`` functions and classes that no module of ``paths`` reads.
+    """Module-level ``_name`` functions and classes, and ``_name`` methods of
+    module-level classes, that no module of ``paths`` reads.
 
     A read is an ``ast.Name``, an ``ast.Attribute`` or an imported alias, in
-    any of the modules; each result is ``module.name``.
+    any of the modules; each result is ``module.name`` or
+    ``module.Class.name``.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in paths}
     read = set()
@@ -54,15 +56,24 @@ def unread_private_definitions(paths) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
-    return sorted(
-        f"{module}.{node.name}"
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in read
-    )
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def unread(node, kinds):
+        return (
+            isinstance(node, kinds)
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+            and node.name not in read
+        )
+
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if unread(node, (*functions, ast.ClassDef)):
+                found.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += (f"{module}.{node.name}.{m.name}" for m in node.body if unread(m, functions))
+    return sorted(found)
 
 
 def test_every_private_definition_is_read_by_the_package():
@@ -79,7 +90,25 @@ def test_unread_private_definition_is_found(tmp_path):
     )
     (tmp_path / "b.py").write_text("import a\nfrom a import _imported\n\na._attribute()\n")
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
-    assert unread_private_definitions(paths) == ["a._Dead", "a._dead"]
+    assert unread_private_definitions(paths) == ["a._Dead", "a._Dead._method", "a._dead"]
+
+
+def test_unread_private_method_is_found(tmp_path):
+    # a method only the tests call is dead code in the package, as
+    # RootSystem._scaled_product was once the diagrams left the Gram form
+    (tmp_path / "a.py").write_text(
+        "class Table:\n"
+        "    def _read_by_self(self):\n        return self._read_elsewhere()\n\n"
+        "    def _read_elsewhere(self):\n        pass\n\n"
+        "    def _dead(self):\n        pass\n\n"
+        "    def __init__(self):\n        self._read_by_self()\n\n"
+        "    def public(self):\n        pass\n\n"
+        "    class _Nested:\n        def _inner(self):\n            pass\n\n"
+        "def function():\n    def _local():\n        pass\n"
+    )
+    (tmp_path / "b.py").write_text("from a import Table\n\nTable()._read_elsewhere()\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert unread_private_definitions(paths) == ["a.Table._dead"]
 
 
 def parser_builders(path: Path) -> tuple[int, list[tuple[str, list[str]]]]:

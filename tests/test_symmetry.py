@@ -148,8 +148,7 @@ def test_leaf_diagrams_isomorphic_as_graphs(family, rank):
 
 def test_h_prime_a3_23():
     f = make_flag(parse_painted("A3:{2,3}"))
-    hp = h_prime(f)
-    assert len(hp) == 6
+    assert h_prime(f).bit_count() == 6
     rep = build_report(f)
     assert rep.coindex == 6
 
@@ -161,15 +160,20 @@ def test_h_prime_g2():
 
 def test_h_prime_symmetric_is_everything():
     f = make_flag(parse_painted("A3:{2}"))
-    assert h_prime(f) == f.rs.root_set
+    assert f.rs.roots_of(h_prime(f)) == f.rs.root_set
 
 
 def test_hprime_closed_is_the_mask_closure():
     rep = build_report(make_flag(parse_painted("A3:{2,3}")))
     assert rep.hprime_closed is True
+    rs = rep.flag.rs
     # {a1, a2} misses a1 + a2, so it is not closed under root addition
-    broken = dataclasses.replace(rep, h_prime_roots=frozenset({(1, 0, 0), (0, 1, 0)}))
+    broken = dataclasses.replace(rep, h_prime_mask=rs.mask_of({(1, 0, 0), (0, 1, 0)}))
     assert broken.hprime_closed is False
+    assert broken.h_prime_roots == {(1, 0, 0), (0, 1, 0)}
+    # a mask other than the proved one is closed by the mask closure
+    other = dataclasses.replace(rep, h_prime_mask=rs.mask_of({(1, 0, 0), (-1, 0, 0)}))
+    assert other.hprime_closed is True
 
 
 def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
@@ -189,7 +193,8 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
     f = make_flag(parse_painted("E7:{2,5}"))
     rep = build_report(f)
     assert k_prime_check(f) and rep.hprime_closed
-    assert h_prime(f) is rep.h_prime_roots
+    assert h_prime(f) == rep.h_prime_mask
+    assert rep.h_prime_roots == f.rs.roots_of(rep.h_prime_mask)
     # [p, p] once; one closure for the leaf and one for h', none for hprime_closed
     assert calls == {"_r_k": 1, "_closure_gap": 2}
 

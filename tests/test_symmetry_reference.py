@@ -6,9 +6,10 @@ roots.  The kernel in ``flagsym.symmetry`` works on root-index bitmasks and
 must give the same sets and the same verdicts on every painting of rank
 <= 6 and on a seeded sample of rank 7-8 paintings.  The classifier of the
 leaf's subsystems, which reads its Cartan integers off root strings, must
-give the labels of the Gram-product classifier it replaced on every
-symmetry-root mask through rank 8, and the same error on sets of positive
-roots that are no positive system.  The root-index tables
+give the labels of the Gram-product classifier it replaced (built on the
+Gram-form diagram builder of ``root_helpers``) on every symmetry-root mask
+through rank 8, and the same error on sets of positive roots that are no
+positive system.  The root-index tables
 themselves (``index``, ``neg``, ``sums``, ``add``) are checked against
 coordinate addition, the ``sum_index`` test helper and ``rneg`` for every
 simple type of rank <= 8.
@@ -41,7 +42,7 @@ from flagsym.symmetry import (
     _r_k,
     _symmetry,
 )
-from root_helpers import sum_index
+from root_helpers import diagram_from_vectors, scaled_product, sum_index
 
 
 def ref_symmetry_roots(flag):
@@ -102,7 +103,6 @@ def ref_indecomposables(pos):
 def ref_classify_sub(rs, pos):
     """Labels of the components of a closed subsystem: the simple roots grouped
     by nonzero Gram products, each group's diagram from ``diagram_from_vectors``."""
-    product = rs._scaled_product
     left = ref_indecomposables(list(rs.roots_of(pos)))
     comps = []
     while left:
@@ -111,13 +111,13 @@ def ref_classify_sub(rs, pos):
         while grew:
             grew = False
             for s in list(left):
-                if any(product(s, t) for t in comp):
+                if any(scaled_product(rs, s, t) for t in comp):
                     comp.append(s)
                     left.remove(s)
                     grew = True
         comps.append(comp)
     return sorted(
-        classify_connected(rs.diagram_from_vectors(list(enumerate(comp)))) for comp in comps
+        classify_connected(diagram_from_vectors(rs, list(enumerate(comp)))) for comp in comps
     )
 
 
@@ -164,12 +164,12 @@ def assert_kernel_matches_reference(pd, rng):
     ru = rk | rp_plus | frozenset(rneg(a) for a in rp_plus)
     assert rep.leaf.r_u == ru, spec
     hp = flag.r_h | rp_plus | frozenset(rneg(a) for a in rp_plus)
-    assert h_prime(flag) == rep.h_prime_roots == hp, spec
+    assert rs.roots_of(h_prime(flag)) == rep.h_prime_roots == hp, spec
     assert ref_closed(rs, ru) and ref_closed(rs, hp), spec
     assert rep.hprime_closed, spec
 
     for sub in (ru, rk):
-        pos = [r for r in sub if rs.is_positive(r)]
+        pos = [r for r in sub if height(r) > 0]
         got = [rs.roots[i] for i in _indecomposables(rs, rs.mask_of(pos))]
         assert got == ref_indecomposables(pos), spec
 
