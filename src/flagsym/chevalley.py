@@ -260,7 +260,7 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
     if verify is None:
         verify = count <= 48
     if verify:
-        if not sign_convention_check(table, rs):
+        if not sign_convention_check(table):
             raise InternalConsistencyError(f"{rs.name}: constant table fails the audit")
         table.audited = True
     return table
@@ -328,12 +328,7 @@ def _jacobi_walk(rs: RootSystem, canonical: bool = False):
             yield p, q, third ^ special, special
 
 
-def convention_violations(
-    table: ChevalleyTable,
-    rs: RootSystem | None = None,
-    *,
-    limit: int | None = None,
-) -> list[str]:
+def convention_violations(table: ChevalleyTable, *, limit: int | None = None) -> list[str]:
     """Audit the table; returns human-readable witnesses (empty = clean).
 
     Checks the weights b(d) = 2/(d, d), antisymmetry, the negation rule,
@@ -343,7 +338,7 @@ def convention_violations(
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    rs = rs or table.rs
+    rs = table.rs
     roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
     count = len(roots)
     # the stored constants as they stand now, as a list: CPython indexes a
@@ -452,6 +447,6 @@ def convention_violations(
     return out
 
 
-def sign_convention_check(table: ChevalleyTable, rs: RootSystem | None = None) -> bool:
+def sign_convention_check(table: ChevalleyTable) -> bool:
     """True iff the weight, pair, weighted cyclic and Jacobi audits pass."""
-    return not convention_violations(table, rs, limit=1)
+    return not convention_violations(table, limit=1)

@@ -24,27 +24,12 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 from .chevalley import ChevalleyTable, build_constants
-from .flag import (
-    FlagData,
-    KahlerParam,
-    PaintedDiagram,
-    kahler_param,
-    make_flag,
-    painting_spec,
-    parse_painted,
-    to_dot,
-)
-from .oracle import (
-    shortcut_cone_set,
-    shortcut_set,
-    transvection_cone_set,
-    transvection_set,
-)
+from .flag import FlagData, PaintedDiagram, make_flag, painting_spec, parse_painted, to_dot
+from .oracle import shortcut_cone_set, transvection_cone_set
 from .rootsystem import FAMILIES, build_root_system, is_valid_type, root_str
 from .symmetry import (
     SymmetryReport,
@@ -215,14 +200,12 @@ class EnumerationReport:
         }
 
 
-def _painting(
-    flag: FlagData, xi: KahlerParam | None = None
-) -> tuple[EnumEntry, SymmetryReport]:
+def _painting(flag: FlagData) -> tuple[EnumEntry, SymmetryReport]:
     """The record of one painting, and the symmetry report it was read from.
 
     ``oracle_agree`` holds when both oracles give the symmetry roots on the
-    whole Kahler cone, and at ``xi`` as well when one is given.  An undecided
-    root fails the check: it is never counted as a transvection.
+    whole Kahler cone.  An undecided root fails the check: it is never
+    counted as a transvection.
     """
     pd, family, rank = flag.pd, flag.rs.family, flag.rs.rank
     exc = onishchik_exception(family, rank, pd.painted)
@@ -232,10 +215,6 @@ def _painting(
     scalar = shortcut_cone_set(flag)
     undecided = len(cyclic.undecided | scalar.undecided)
     oracle_agree = not undecided and cyclic.proved == report.r_p_plus == scalar.proved
-    if xi is not None:
-        oracle_agree = oracle_agree and (
-            transvection_set(flag, xi, table) == report.r_p_plus == shortcut_set(flag, xi)
-        )
     checks = {
         "oracle_agree": oracle_agree,
         "diagram_agree": diagrams_agree(pd, report.leaf),
@@ -373,17 +352,6 @@ def _print_analysis(record: dict) -> None:
     )
 
 
-def _parse_xi(text: str, flag: FlagData) -> KahlerParam:
-    values = []
-    for tok in (t.strip() for t in text.split(",")):
-        if tok:
-            try:
-                values.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"not a rational number: {tok!r}") from None
-    return kahler_param(flag, values)
-
-
 def _write_dot(pd: PaintedDiagram, directory: str) -> None:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -425,10 +393,10 @@ def _painted(text: str) -> PaintedDiagram:
 
 
 @lru_cache(maxsize=None)
-def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The CLI parser and its ``analyze`` subparser, built once per process.
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
 
-    Repeated ``main`` calls share them: ``parse_args`` makes a new namespace
+    Repeated ``main`` calls share it: ``parse_args`` makes a new namespace
     per call and leaves the parser as it was, the ``type=`` callables read
     what they check when they run, and help is laid out when it is printed.
     """
@@ -441,11 +409,6 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_an = sub.add_parser("analyze", help="analyze one painted diagram")
     p_an.add_argument(
         "spec", type=_painted, help="painted diagram, e.g. 'A3:{2,3}' or 'G2:{1}'"
-    )
-    p_an.add_argument(
-        "--xi",
-        help="Kahler parameter: comma-separated positive rationals for the painted "
-        "nodes in increasing node order, checked on top of the proof for every xi",
     )
     p_an.add_argument("--json", action="store_true", help="emit a JSON record")
     p_an.add_argument("--dot", metavar="DIR", help="write painted/extended DOT files")
@@ -464,21 +427,16 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_ve = sub.add_parser("verify", help="run the sweep and verify every claim")
     p_ve.add_argument("--max-rank", type=_max_rank, default=6)
     p_ve.add_argument("--families", type=_families, help="comma-separated subset")
-    return parser, p_an
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, p_an = _parser()
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "analyze":
         pd = args.spec
-        flag = make_flag(pd)
-        try:
-            xi = _parse_xi(args.xi, flag) if args.xi else None
-        except ValueError as exc:
-            p_an.error(f"argument --xi: {exc}")
-        entry, report = _painting(flag, xi)
+        entry, report = _painting(make_flag(pd))
         record = entry.to_json()
         record["symmetry_roots"] = [root_str(a) for a in sorted(report.r_p_plus)]
         if args.dot:

@@ -77,12 +77,14 @@ once per type; each computes only its sign masks, and its rows (the vectors
 c themselves, which only the per-xi functions read) on first read.
 
 The per-xi functions (:func:`transvection_set`, :func:`shortcut_set` and the
-``*_violations`` ones) evaluate c . xi from the same stored vectors,
-restricted to the painted nodes, in integers: xi is scaled by L, the lcm of
-the denominators of its coefficients, so every c . xi * L is an integer with
-the sign of c . xi.  The witnesses the ``*_violations`` functions report are
-divided by L again, so they are the exact rational values of the unscaled
-sums; they come in the table's order, mixed-sign pairs first.
+``*_violations`` ones) are library and test API: no CLI command calls them,
+since the cone verdict already holds for every xi.  They evaluate c . xi
+from the same stored vectors, restricted to the painted nodes, in integers:
+xi is scaled by L, the lcm of the denominators of its coefficients, so every
+c . xi * L is an integer with the sign of c . xi.  The witnesses the
+``*_violations`` functions report are divided by L again, so they are the
+exact rational values of the unscaled sums; they come in the table's order,
+mixed-sign pairs first.
 """
 
 from __future__ import annotations

@@ -472,11 +472,6 @@ class RootSystem:
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
-    @property
-    def dimension(self) -> int:
-        """dim g = |R| + rank."""
-        return len(self.roots) + self.rank
-
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
 

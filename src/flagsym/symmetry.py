@@ -45,14 +45,15 @@ u, the classification of u and k, the two ranks, the k-highest test and the
 name) depends on the painting only through the mask of R_p+, so
 :func:`leaf_pair` computes it once per mask and root system and keeps its
 plain fields in ``RootSystem.leaf_memo`` (the rank-8 sweep has 305 masks
-among 2455 paintings).  The components of u and k are classified from their
-simple roots by index, through :meth:`RootSystem.diagram`, the builder of the
-extended diagram too, which reads each Cartan integer off a root string.
+among 2455 paintings).  u and k are classified from their simple roots by
+index: :meth:`RootSystem.diagram`, the builder of the extended diagram too,
+reads each Cartan integer off a root string once and builds one diagram on
+all of them, which :func:`~flagsym.rootsystem.diagram_components` splits into
+the components that :func:`~flagsym.rootsystem.classify_connected` labels.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -101,14 +102,6 @@ class SymmetryReport:
     leaf: LeafDescriptor
     h_prime_mask: int  # the roots of h' = h + p, over the root index
     exception: str | None = None
-
-    @property
-    def dim_m(self) -> int:
-        return self.flag.dim_m
-
-    @property
-    def symmetric(self) -> bool:
-        return self.flag.is_symmetric_coset()
 
     @property
     def h_prime_roots(self) -> frozenset:
@@ -240,39 +233,14 @@ def _indecomposables(rs: RootSystem, pos: int) -> list[int]:
     return _stuck(rs, pos, rs.neg_mask(pos), pos)
 
 
-def _simple_components(rs: RootSystem, simples: list[int]) -> list[list[int]]:
-    """The simple roots grouped by connected component of the nonzero Cartan integers."""
-    joined = set()
-    for t, s in itertools.combinations(simples, 2):
-        if rs.cartan_integer(t, s):  # zero exactly when <s, t^v> is
-            joined |= {(t, s), (s, t)}
-    comps: list[list[int]] = []
-    left = list(simples)
-    while left:
-        comp = [left.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            for s in list(left):
-                if any((s, t) in joined for t in comp):
-                    comp.append(s)
-                    left.remove(s)
-                    grew = True
-        comps.append(comp)
-    return comps
-
-
 def _classify_sub(rs: RootSystem, pos: int) -> list[tuple[str, int]]:
     """Canonical (family, rank) labels of the components of a closed subsystem.
 
-    Each component's diagram is built by ``rs.diagram`` on its simple roots,
-    each node labelled by its place in the component.
+    One diagram is built by ``rs.diagram`` on all its simple roots, each node
+    labelled by its place among them, and split by ``diagram_components``.
     """
-    simples = _indecomposables(rs, pos)
-    return sorted(
-        classify_connected(rs.diagram(list(enumerate(comp))))
-        for comp in _simple_components(rs, simples)
-    )
+    diagram = rs.diagram(list(enumerate(_indecomposables(rs, pos))))
+    return sorted(map(classify_connected, diagram_components(diagram)))
 
 
 def _hermitian_name(u: tuple[str, int], ks: list[tuple[str, int]]) -> str:

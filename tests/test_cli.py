@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from flagsym import (
     verify_theorem,
 )
 from flagsym.cli import _canonical_painting
+from flagsym.flag import painting_spec
 from flagsym.rootsystem import RootSystem
 
 
@@ -197,6 +199,34 @@ def test_enumerate_rank_6_stdout_is_byte_stable(capsys):
     )
 
 
+def analyze_pin_specs() -> list[str]:
+    """Every painting of rank <= 3, and three of rank 5-8."""
+    small = [
+        painting_spec(f"{family}{rank}", painted)
+        for family, rank in simple_types(3)
+        for size in range(1, rank + 1)
+        for painted in itertools.combinations(range(1, rank + 1), size)
+    ]
+    return small + ["E8:{1,2,3,4}", "E7:{7}", "B5:{2,5}"]
+
+
+def test_analyze_stdout_is_byte_stable(capsys):
+    # the text and the --json record of each painting, in that order
+    specs = analyze_pin_specs()
+    assert len(specs) == 34
+    out = []
+    for spec in specs:
+        for extra in ([], ["--json"]):
+            code, text = run_cli(capsys, "analyze", spec, *extra)
+            assert code == 0
+            out.append(text)
+    data = "".join(out).encode()
+    assert len(data) == 25866
+    assert hashlib.sha256(data).hexdigest() == (
+        "bb919834d713bb56aabc781a10d029d5ecc3fafd690b4bd9183119cfb0c9613d"
+    )
+
+
 def flagsym_caches():
     """Every functools cache of the flagsym modules."""
     found = {}
@@ -295,13 +325,6 @@ def test_analyze_text_output(capsys):
     assert "checks: oracle ok" in out
 
 
-def test_analyze_with_explicit_xi(capsys):
-    code, out = run_cli(capsys, "analyze", "A3:{2,3}", "--xi", "1,2/3", "--json")
-    assert code == 0
-    record = json.loads(out)
-    assert record["checks"]["oracle_agree"] is True
-
-
 def test_analyze_rejects_bad_spec(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "A3:{9}"])
@@ -316,10 +339,11 @@ def test_analyze_rejects_bad_spec(capsys):
         (["enumerate", "--max-rank", "9"], "must be between 1 and 8, got 9"),
         (["verify", "--families", "X"], "unknown families X"),
         (["enumerate", "--families", "A,Q"], "unknown families Q"),
-        (["analyze", "A3:{2,3}", "--xi", "1/0"], "not a rational number: '1/0'"),
-        (["analyze", "A3:{2,3}", "--xi", "abc"], "not a rational number: 'abc'"),
-        (["analyze", "A3:{2,3}", "--xi", "1"], "expected 2 coefficients"),
-        (["analyze", "A3:{2,3}", "--xi", "1,-2"], "strictly positive"),
+        # the oracles are proved for every xi, so a single xi has nothing to add
+        (["analyze", "A3:{2,3}", "--xi", "1"], "unrecognized arguments: --xi 1"),
+        (["analyze"], "the following arguments are required: spec"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["verify", "--families"], "argument --families: expected one argument"),
         (["analyze", "Z3:{1}"], "cannot parse painted diagram"),
         (["analyze", "A3:{9}"], "out of range"),
         (["analyze", "C2:{1}"], "not a simple type: C2"),
@@ -395,10 +419,10 @@ def test_shared_parser_carries_nothing_between_calls(capsys, fresh_parser):
     assert exc.value.code == 2
     assert "out of range" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", "A3:{2,3}", "--xi", "1/0"])
+        main(["analyze", "C2:{1}"])
     assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "flagsym analyze: error: argument --xi: not a rational number: '1/0'"
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "flagsym analyze: error: argument spec: not a simple type: C2"
     )
     code, again = run_cli(capsys, *good)
     assert code == 0

@@ -10,6 +10,7 @@ from flagsym import (
     build_root_system,
     classify_connected,
     diagram_components,
+    dim_g,
     root_str,
     simple_types,
     to_dot,
@@ -257,9 +258,12 @@ def test_unknown_family_rejected():
 
 
 def test_dimension():
-    assert build_root_system("A", 3).dimension == 15
-    assert build_root_system("G", 2).dimension == 14
-    assert build_root_system("E", 6).dimension == 78
+    # dim g = |R| + rank against the closed forms the sweep reports
+    types = simple_types(8)
+    assert len(types) == 31
+    for family, rank in types:
+        rs = build_root_system(family, rank)
+        assert len(rs.roots) + rs.rank == dim_g(family, rank), rs.name
 
 
 def test_dynkin_diagram_a3():

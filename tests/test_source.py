@@ -1,11 +1,15 @@
 """Static checks on the package source, with the standard library only."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
+
+from flagsym import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "flagsym"
@@ -167,3 +171,49 @@ def test_every_traced_function_exists():
         for part in attribute.split("."):
             target = getattr(target, part, None)
         assert callable(target), (name, module, attribute)
+
+
+def readme_synopsis(text: str) -> dict[str, set[str]]:
+    """The ``--`` flags of each subcommand in the first code block under the
+    README's "Command line" heading; an indented line continues the last one."""
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    flags: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("flagsym "):
+            command = flags.setdefault(line.split()[1], set())
+        elif not line.strip():
+            continue
+        command |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def parser_options() -> dict[str, set[str]]:
+    """The ``--`` options of each subcommand of the CLI parser, help aside."""
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {
+            option
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_readme_synopsis_names_every_cli_option():
+    # an option the synopsis leaves out, or one the CLI no longer has, fails here
+    assert readme_synopsis((ROOT / "README.md").read_text()) == parser_options()
+
+
+def test_readme_synopsis_is_read_per_subcommand():
+    text = (
+        "## Command line\n\n```\nflagsym run 'x' [--json] [--dot DIR]\n"
+        "flagsym sweep --max-rank 6 [--out FILE]\n"
+        "              [--dedup]   # --comment\n```\n\n```\nflagsym other --later\n```\n"
+    )
+    assert readme_synopsis(text) == {
+        "run": {"--json", "--dot"},
+        "sweep": {"--max-rank", "--out", "--dedup"},
+    }

@@ -9,8 +9,8 @@ leaf's subsystems, which reads its Cartan integers off root strings, must
 give the labels of the Gram-product classifier it replaced (built on the
 Gram-form diagram builder of ``root_helpers``) on every symmetry-root mask
 through rank 8, and the same error on sets of positive roots that are no
-positive system.  The root-index tables
-themselves (``index``, ``neg``, ``sums``, ``add``) are checked against
+positive system; it reads each Cartan integer it needs once.  The root-index
+tables themselves (``index``, ``neg``, ``sums``, ``add``) are checked against
 coordinate addition, the ``sum_index`` test helper and ``rneg`` for every
 simple type of rank <= 8.
 """
@@ -23,10 +23,12 @@ import pytest
 from flagsym import (
     InternalConsistencyError,
     PaintedDiagram,
+    RootSystem,
     build_report,
     build_root_system,
     center_of_nilradical,
     classify_connected,
+    diagram_components,
     h_prime,
     k_prime_check,
     make_flag,
@@ -42,7 +44,7 @@ from flagsym.symmetry import (
     _r_k,
     _symmetry,
 )
-from root_helpers import diagram_from_vectors, scaled_product, sum_index
+from root_helpers import diagram_from_vectors, sum_index
 
 
 def ref_symmetry_roots(flag):
@@ -101,24 +103,12 @@ def ref_indecomposables(pos):
 
 
 def ref_classify_sub(rs, pos):
-    """Labels of the components of a closed subsystem: the simple roots grouped
-    by nonzero Gram products, each group's diagram from ``diagram_from_vectors``."""
-    left = ref_indecomposables(list(rs.roots_of(pos)))
-    comps = []
-    while left:
-        comp = [left.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            for s in list(left):
-                if any(scaled_product(rs, s, t) for t in comp):
-                    comp.append(s)
-                    left.remove(s)
-                    grew = True
-        comps.append(comp)
-    return sorted(
-        classify_connected(diagram_from_vectors(rs, list(enumerate(comp)))) for comp in comps
-    )
+    """Labels of the components of a closed subsystem: one diagram of all its
+    simple roots from ``diagram_from_vectors``, each node labelled by its place
+    among them, split into connected components."""
+    simples = ref_indecomposables(list(rs.roots_of(pos)))
+    diagram = diagram_from_vectors(rs, list(enumerate(simples)))
+    return sorted(classify_connected(comp) for comp in diagram_components(diagram))
 
 
 def outcome(classify, rs, pos):
@@ -231,25 +221,54 @@ def test_root_index_tables(family, rank):
     assert list(bits(mask)) == sorted(rs.index[r] for r in sample)
 
 
-def test_classifier_matches_the_gram_classifier_on_every_symmetry_root_mask():
-    # u and k of the leaf for each of the 305 symmetry-root masks of rank <= 8
+@pytest.fixture(scope="module")
+def leaf_subsystems():
+    """(spec, rs, positive mask) of u and of k for each of the 305
+    symmetry-root masks of rank <= 8."""
     masks = {}
     for pd in paintings(simple_types(8)):
         flag = make_flag(pd)
         masks.setdefault((pd.rs.name, _symmetry(flag)[1]), flag)
     assert len(masks) == 305
+    subsystems = []
     for flag in masks.values():
         rs = flag.rs
         rp, rk, _ = _masks(flag)
         for pos in ((rp | rk) & rs.positive_mask, rk & rs.positive_mask):
-            assert _classify_sub(rs, pos) == ref_classify_sub(rs, pos), (flag.pd.spec, pos)
+            subsystems.append((flag.pd.spec, rs, pos))
+    return subsystems
+
+
+def test_classifier_matches_the_gram_classifier_on_every_symmetry_root_mask(leaf_subsystems):
+    for spec, rs, pos in leaf_subsystems:
+        assert _classify_sub(rs, pos) == ref_classify_sub(rs, pos), (spec, pos)
+
+
+def test_classifier_reads_each_cartan_integer_once(leaf_subsystems, monkeypatch):
+    # one diagram on all k simple roots: <t, s^v> for each of the C(k, 2)
+    # pairs, and <s, t^v> once more for each edge; grouping the components
+    # first read every joined pair again
+    calls = []
+    cartan_integer = RootSystem.cartan_integer
+
+    def counted(self, t, s):
+        calls.append((t, s))
+        return cartan_integer(self, t, s)
+
+    monkeypatch.setattr(RootSystem, "cartan_integer", counted)
+    for spec, rs, pos in leaf_subsystems:
+        simples = _indecomposables(rs, pos)
+        k, edges = len(simples), len(rs.diagram(list(enumerate(simples))).edges)
+        calls.clear()
+        _classify_sub(rs, pos)
+        assert len(calls) <= k * (k - 1) // 2 + edges, (spec, pos)
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_classifier_fails_as_the_gram_classifier_off_positive_systems(family, rank):
     # random sets of positive roots: their "simple roots" can pair positively
     # (a1 and a1 + a2) or give no Dynkin diagram; the error and its message,
-    # which names the two nodes by their place in the component, must agree
+    # which names the two nodes by their place among those roots, must agree
     rs = build_root_system(family, rank)
     rng = random.Random(rs.name)
     half = len(rs.positive_roots)
