@@ -122,8 +122,8 @@ class ChevalleyTable:
     and ``b`` are built from the arrays on first use, for the tests; writing
     to a view changes nothing the program reads.  ``cyclic_table``, the
     vectors of the structure-constant oracle, is built from the arrays on
-    first use as well, so a changed table is a changed copy, not a table the
-    oracle has read.
+    first use as well, and so is ``cone_verdict``, so a changed table is a
+    changed copy, not a table the oracle has read.
     """
 
     rs: RootSystem
@@ -163,6 +163,32 @@ class ChevalleyTable:
             )
 
         return self.rs.splitting_table(coefficients)
+
+    @cached_property
+    def cone_verdict(self) -> tuple[Root, Root, Root] | None:
+        """None when every splitting has the pattern below, so that both
+        oracles of :mod:`flagsym.oracle` give the symmetry roots, with nothing
+        undecided, on every painting; else the first splitting (a, beta,
+        gamma) of -a, in the order of the tables, that breaks it.
+
+        The pattern: the shortcut sign masks are the node support of the
+        member in R+ and 0, or 0 and 0 when both members are negative, and
+        the cyclic sign masks are the same pair or the swapped one.  Decided
+        once per table, on first use.
+        """
+        rs = self.rs
+        roots, half = rs.roots, len(rs.positive_roots)
+        tables = zip(rs.negative_splittings, rs.shortcut_table.masks, self.cyclic_table.masks)
+        for a, (split, shortcut, cyclic) in enumerate(tables):
+            for k in range(0, len(split), 4):
+                beta, gamma, nb, ng = split[k : k + 4]
+                pos = nb if beta < half else ng if gamma < half else 0
+                if shortcut[k : k + 4] != (nb, ng, pos, 0) or cyclic[k : k + 4] not in (
+                    (nb, ng, pos, 0),
+                    (nb, ng, 0, pos),
+                ):
+                    return roots[a], roots[beta], roots[gamma]
+        return None
 
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""

@@ -205,16 +205,21 @@ def _painting(flag: FlagData) -> tuple[EnumEntry, SymmetryReport]:
 
     ``oracle_agree`` holds when both oracles give the symmetry roots on the
     whole Kahler cone.  An undecided root fails the check: it is never
-    counted as a transvection.
+    counted as a transvection.  When the table's ``cone_verdict`` holds, that
+    is so on every painting of the type, and the per-painting walk of the
+    two oracles runs only for a table whose verdict fails.
     """
     pd, family, rank = flag.pd, flag.rs.family, flag.rs.rank
     exc = onishchik_exception(family, rank, pd.painted)
     report = build_report(flag, exception=exc)
     table = chevalley_table(family, rank)
-    cyclic = transvection_cone_set(flag, table)
-    scalar = shortcut_cone_set(flag)
-    undecided = len(cyclic.undecided | scalar.undecided)
-    oracle_agree = not undecided and cyclic.proved == report.r_p_plus == scalar.proved
+    if table.cone_verdict is None:
+        undecided, oracle_agree = 0, True
+    else:
+        cyclic = transvection_cone_set(flag, table)
+        scalar = shortcut_cone_set(flag)
+        undecided = len(cyclic.undecided | scalar.undecided)
+        oracle_agree = not undecided and cyclic.proved == report.r_p_plus == scalar.proved
     checks = {
         "oracle_agree": oracle_agree,
         "diagram_agree": diagrams_agree(pd, report.leaf),
@@ -365,7 +370,10 @@ def _write_dot(pd: PaintedDiagram, directory: str) -> None:
 
 
 def _max_rank(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if not 1 <= value <= MAX_RANK_BOUND:
         raise argparse.ArgumentTypeError(
             f"must be between 1 and {MAX_RANK_BOUND}, got {value}"

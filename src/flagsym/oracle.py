@@ -76,6 +76,17 @@ splittings with the node supports, ``RootSystem.negative_splittings``, made
 once per type; each computes only its sign masks, and its rows (the vectors
 c themselves, which only the per-xi functions read) on first read.
 
+The verdict per type.  A painting reads each splitting only through
+(supp beta, supp gamma, pos, neg) & P, and :func:`_on_cone` treats pos and
+neg alike.  So when every splitting has the shortcut sign masks (supp of the
+member in R+, 0), or (0, 0) with both members negative, and the cyclic masks
+are the same pair or the swapped one, both oracles give the symmetry roots,
+with nothing undecided, on every painting of the type.
+``ChevalleyTable.cone_verdict`` decides this once per table and names the
+first splitting that breaks it.  The sweep and ``analyze`` walk the two cone
+sets of a painting only for a table whose verdict fails, so a changed table
+gets the results of the walk.
+
 The per-xi functions (:func:`transvection_set`, :func:`shortcut_set` and the
 ``*_violations`` ones) are library and test API: no CLI command calls them,
 since the cone verdict already holds for every xi.  They evaluate c . xi

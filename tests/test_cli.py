@@ -19,8 +19,10 @@ from flagsym import (
     main,
     make_flag,
     onishchik_exception,
+    oracle,
     parse_painted,
     root_str,
+    shortcut_cone_set,
     simple_types,
     symmetry_roots,
     verify_theorem,
@@ -267,6 +269,20 @@ def test_cleared_caches_rebuild_every_type(monkeypatch):
     assert builds == {"root systems": 12, "tables": 12}
 
 
+def test_clean_sweep_walks_no_cone_set(monkeypatch):
+    # on clean tables the cone verdict is decided once per type: the
+    # per-painting walk of the two oracles may not come back
+    calls = []
+    on_cone = oracle._on_cone
+    monkeypatch.setattr(oracle, "_on_cone", lambda *args: calls.append(args) or on_cone(*args))
+    assert len(enumerate_flags(max_rank=6).entries) == 545
+    assert calls == []
+    # the counter sits on the path the walk takes
+    flag = make_flag(parse_painted("A3:{2,3}"))
+    shortcut_cone_set(flag)
+    assert len(calls) == len(flag.r_m_plus)
+
+
 def test_cleared_caches_free_the_root_systems_without_the_cycle_collector():
     # nothing a root system keeps (its oracle tables, their lazy rows, the
     # leaf memo) may refer back to it: a cycle would keep every type's tables
@@ -332,25 +348,32 @@ def test_analyze_rejects_bad_spec(capsys):
     assert "out of range" in capsys.readouterr().err.splitlines()[-1]
 
 
+def bad_input(number, argv, message):
+    """One bad-input case.  Its id is fixed by ``number``, not by its place in
+    the list, so adding or removing a case renames no other."""
+    return pytest.param(argv, message, id=f"argv{number}-{message}")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["verify", "--max-rank", "0"], "must be between 1 and 8, got 0"),
-        (["enumerate", "--max-rank", "9"], "must be between 1 and 8, got 9"),
-        (["verify", "--families", "X"], "unknown families X"),
-        (["enumerate", "--families", "A,Q"], "unknown families Q"),
+        bad_input(0, ["verify", "--max-rank", "0"], "must be between 1 and 8, got 0"),
+        bad_input(1, ["enumerate", "--max-rank", "9"], "must be between 1 and 8, got 9"),
+        bad_input(2, ["verify", "--families", "X"], "unknown families X"),
+        bad_input(3, ["enumerate", "--families", "A,Q"], "unknown families Q"),
         # the oracles are proved for every xi, so a single xi has nothing to add
-        (["analyze", "A3:{2,3}", "--xi", "1"], "unrecognized arguments: --xi 1"),
-        (["analyze"], "the following arguments are required: spec"),
-        (["frobnicate"], "invalid choice: 'frobnicate'"),
-        (["verify", "--families"], "argument --families: expected one argument"),
-        (["analyze", "Z3:{1}"], "cannot parse painted diagram"),
-        (["analyze", "A3:{9}"], "out of range"),
-        (["analyze", "C2:{1}"], "not a simple type: C2"),
-        (["verify", "--families", ","], "no family given"),
-        (["enumerate", "--families", " "], "no family given"),
-        (["analyze", "A3:{2,3}", "--seed", "1"], "unrecognized arguments: --seed 1"),
-        (["verify", "--max-rank", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        bad_input(4, ["analyze", "A3:{2,3}", "--xi", "1"], "unrecognized arguments: --xi 1"),
+        bad_input(5, ["analyze"], "the following arguments are required: spec"),
+        bad_input(6, ["frobnicate"], "invalid choice: 'frobnicate'"),
+        bad_input(7, ["verify", "--families"], "argument --families: expected one argument"),
+        bad_input(8, ["analyze", "Z3:{1}"], "cannot parse painted diagram"),
+        bad_input(9, ["analyze", "A3:{9}"], "out of range"),
+        bad_input(10, ["analyze", "C2:{1}"], "not a simple type: C2"),
+        bad_input(11, ["verify", "--families", ","], "no family given"),
+        bad_input(12, ["enumerate", "--families", " "], "no family given"),
+        bad_input(13, ["analyze", "A3:{2,3}", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        bad_input(14, ["verify", "--max-rank", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        bad_input(15, ["enumerate", "--max-rank", "x"], "must be an integer, got 'x'"),
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):

@@ -48,7 +48,10 @@ def paintings(family, rank):
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_cone_sets_are_the_symmetry_roots(family, rank):
+    # the type-level verdict holds, and the walk it stands for gives the
+    # symmetry roots with nothing undecided on every painting
     table = chevalley_table(family, rank)
+    assert table.cone_verdict is None
     for flag in paintings(family, rank):
         expected = (symmetry_roots(flag), frozenset())
         assert transvection_cone_set(flag, table) == expected, flag.pd.spec
@@ -94,7 +97,12 @@ def test_corrupted_constant_fails_the_oracle_check(monkeypatch, family, rank, ch
     pairs = [(x, y) for x, y in table.n if x < y and sum_root(table.rs, x, y) == rneg(theta)]
     assert pairs
     for pair in pairs:
-        entry = full_painting_entry(monkeypatch, family, rank, mutated(table, {pair: change}))
+        bad = mutated(table, {pair: change})
+        # the constant enters only the splitting (beta, gamma) of -theta, whose
+        # cyclic vector is no longer zero: the verdict names it, and the
+        # painting takes the walk
+        assert bad.cone_verdict == (theta, *pair)
+        entry = full_painting_entry(monkeypatch, family, rank, bad)
         assert entry.checks["oracle_agree"] is False, pair
 
 
@@ -130,6 +138,34 @@ def test_corrupted_constant_fails_the_oracle_check_through_analyze(monkeypatch, 
     monkeypatch.setattr(cli, "chevalley_table", lambda f, r: mutated(table, {pair: lambda v: -v}))
     assert cli.main(["analyze", "A3:{1,2,3}", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["checks"]["oracle_agree"] is False
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("E", 6)])
+def test_flipped_constant_gives_the_verdict_of_the_walk(monkeypatch, family, rank):
+    # one constant n(x, y) negated at a time, its partner n(y, x) left alone:
+    # whether the type verdict still holds or not, each painting gets the
+    # oracle_agree and undecided of the walk forced on the same table.  E6
+    # flips every tenth of its 1440 constants, in table order, to keep the
+    # test short.
+    table = chevalley_table(family, rank)
+    flags = list(paintings(family, rank))
+    constants = [(pair, v) for pair, v in table.n.items() if v]
+    if family == "E":
+        constants = constants[::10]
+    verdicts = set()
+    for pair, v in constants:
+        bad = with_constants(table, {pair: -v})
+        monkeypatch.setattr(cli, "chevalley_table", lambda f, r: bad)
+        got = [cli._painting(flag)[0] for flag in flags]
+        verdicts.add(bad.cone_verdict is None)
+        bad.cone_verdict = ("forced",)  # the cached verdict, overridden
+        walked = [cli._painting(flag)[0] for flag in flags]
+        for flag, entry, walk in zip(flags, got, walked):
+            assert (entry.checks["oracle_agree"], entry.undecided) == (
+                walk.checks["oracle_agree"],
+                walk.undecided,
+            ), (pair, flag.pd.spec)
+    assert verdicts == {True, False}  # both branches ran
 
 
 def test_undecided_root_fails_closed(monkeypatch):
