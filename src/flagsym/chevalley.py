@@ -105,13 +105,12 @@ from .rootsystem import (
     InternalConsistencyError,
     Root,
     RootSystem,
-    SplittingTable,
     bits,
     walk,
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class ChevalleyTable:
     """Structure constants n and pairing weights b for one root system.
 
@@ -120,9 +119,9 @@ class ChevalleyTable:
     ``b_dense`` holds b(roots[i]) as ints.  ``audited`` is True when
     :func:`build_constants` ran the exhaustive audit.  The dict views ``n``
     and ``b`` are built from the arrays on first use, for the tests; writing
-    to a view changes nothing the program reads.  ``cyclic_table``, the
-    vectors of the structure-constant oracle, is built from the arrays on
-    first use as well, and so is ``cone_verdict``, so a changed table is a
+    to a view changes nothing the program reads.  :mod:`flagsym.oracle`
+    builds its cyclic table and verdict from the arrays and caches them per
+    instance (tables hash and compare by identity), so a changed table is a
     changed copy, not a table the oracle has read.
     """
 
@@ -145,50 +144,6 @@ class ChevalleyTable:
     @cached_property
     def b(self) -> dict[Root, int]:
         return dict(zip(self.rs.roots, self.b_dense))
-
-    @cached_property
-    def cyclic_table(self) -> SplittingTable:
-        """The splitting table of the cyclic sums of :mod:`flagsym.oracle`:
-        (p, q, r) = eps_d b(d) times n(beta, gamma), n(a, gamma), n(beta, a)
-        for d = a, beta, gamma."""
-        n, count, half = self.n_dense, len(self.rs.roots), len(self.rs.positive_roots)
-        r = [b if i < half else -b for i, b in enumerate(self.b_dense)]
-
-        def coefficients(a: int, beta: int, gamma: int):
-            row_b = beta * count
-            return (
-                n[row_b + gamma] * r[a],
-                n[a * count + gamma] * r[beta],
-                n[row_b + a] * r[gamma],
-            )
-
-        return self.rs.splitting_table(coefficients)
-
-    @cached_property
-    def cone_verdict(self) -> tuple[Root, Root, Root] | None:
-        """None when every splitting has the pattern below, so that both
-        oracles of :mod:`flagsym.oracle` give the symmetry roots, with nothing
-        undecided, on every painting; else the first splitting (a, beta,
-        gamma) of -a, in the order of the tables, that breaks it.
-
-        The pattern: the shortcut sign masks are the node support of the
-        member in R+ and 0, or 0 and 0 when both members are negative, and
-        the cyclic sign masks are the same pair or the swapped one.  Decided
-        once per table, on first use.
-        """
-        rs = self.rs
-        roots, half = rs.roots, len(rs.positive_roots)
-        tables = zip(rs.negative_splittings, rs.shortcut_table.masks, self.cyclic_table.masks)
-        for a, (split, shortcut, cyclic) in enumerate(tables):
-            for k in range(0, len(split), 4):
-                beta, gamma, nb, ng = split[k : k + 4]
-                pos = nb if beta < half else ng if gamma < half else 0
-                if shortcut[k : k + 4] != (nb, ng, pos, 0) or cyclic[k : k + 4] not in (
-                    (nb, ng, pos, 0),
-                    (nb, ng, 0, pos),
-                ):
-                    return roots[a], roots[beta], roots[gamma]
-        return None
 
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .chevalley import ChevalleyTable, build_constants
 from .flag import FlagData, PaintedDiagram, make_flag, painting_spec, parse_painted, to_dot
-from .oracle import shortcut_cone_set, transvection_cone_set
+from .oracle import oracle_check
 from .rootsystem import FAMILIES, build_root_system, is_valid_type, root_str
 from .symmetry import (
     SymmetryReport,
@@ -72,10 +72,10 @@ def dim_g(family: str, rank: int) -> int:
 
 
 def simple_types(max_rank: int, families=None) -> list[tuple[str, int]]:
-    """All simple types with rank <= max_rank, sorted by (family, rank)."""
+    """All simple types with rank <= max_rank, sorted by (family, rank), each once."""
     if not 1 <= max_rank <= MAX_RANK_BOUND:
         raise ValueError(f"max_rank must be between 1 and {MAX_RANK_BOUND}")
-    chosen = sorted(families) if families else ["A", "B", "C", "D", "E", "F", "G"]
+    chosen = sorted(set(families)) if families else FAMILIES
     out = []
     for fam in chosen:
         for rank in range(1, max_rank + 1):
@@ -205,21 +205,14 @@ def _painting(flag: FlagData) -> tuple[EnumEntry, SymmetryReport]:
 
     ``oracle_agree`` holds when both oracles give the symmetry roots on the
     whole Kahler cone.  An undecided root fails the check: it is never
-    counted as a transvection.  When the table's ``cone_verdict`` holds, that
-    is so on every painting of the type, and the per-painting walk of the
-    two oracles runs only for a table whose verdict fails.
+    counted as a transvection.  :func:`flagsym.oracle.oracle_check` decides
+    both from the table's verdict per type, or walks the painting when that
+    verdict fails.
     """
     pd, family, rank = flag.pd, flag.rs.family, flag.rs.rank
     exc = onishchik_exception(family, rank, pd.painted)
     report = build_report(flag, exception=exc)
-    table = chevalley_table(family, rank)
-    if table.cone_verdict is None:
-        undecided, oracle_agree = 0, True
-    else:
-        cyclic = transvection_cone_set(flag, table)
-        scalar = shortcut_cone_set(flag)
-        undecided = len(cyclic.undecided | scalar.undecided)
-        oracle_agree = not undecided and cyclic.proved == report.r_p_plus == scalar.proved
+    oracle_agree, undecided = oracle_check(flag, chevalley_table(family, rank), report.r_p_plus)
     checks = {
         "oracle_agree": oracle_agree,
         "diagram_agree": diagrams_agree(pd, report.leaf),

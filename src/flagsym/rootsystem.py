@@ -36,6 +36,9 @@ Every Dynkin diagram, the plain and the extended one and that of the simple
 roots of a subsystem, comes from one builder on the index,
 :meth:`RootSystem.diagram`: its Cartan integers are read off root strings
 along the ``add`` rows, and no inner product is taken.
+
+:meth:`RootSystem.splittings` lists the decompositions of a root on the
+index; the oracle tables built from them live in :mod:`flagsym.oracle`.
 """
 
 from __future__ import annotations
@@ -346,39 +349,6 @@ def classify_connected(d: Diagram) -> tuple[str, int]:
     raise ValueError("not a finite Dynkin diagram (branch shape)")
 
 
-class SplittingTable:
-    """Per positive root a, one integer vector c over all nodes for each
-    splitting -a = beta + gamma, in the order of ``splittings(neg[a])``.
-
-    ``masks[a]`` holds four rank-bit ints per splitting (bit n for node
-    n + 1): the node supports of beta and of gamma, and the nodes where c is
-    positive and where it is negative.  ``rows[a]`` holds beta, gamma and
-    c_1, ..., c_rank per splitting.  Both are flat: ``masks[a]`` a tuple of
-    ints, which the cone test iterates fastest, and ``rows[a]`` an int array.
-    Only the per-xi functions read ``rows``, so it is built on first read,
-    from the weights (u, v) with c = u beta + v gamma that the table keeps
-    per splitting.
-    """
-
-    def __init__(self, roots, splits, masks, weights):
-        self.masks: tuple[tuple[int, ...], ...] = masks
-        # the roots and ``RootSystem.negative_splittings``, not the root
-        # system itself: it keeps the table, and no cycle keeps it alive
-        self._roots, self._splits = roots, splits
-        self.weights: tuple[list[int], ...] = weights  # weights[a]: u, v per splitting
-
-    @cached_property
-    def rows(self) -> tuple[array, ...]:
-        roots = self._roots
-        out = []
-        for split, uv in zip(self._splits, self.weights):
-            row: list[int] = []
-            for beta, gamma, u, v in zip(split[::4], split[1::4], uv[::2], uv[1::2]):
-                row += (beta, gamma, *[u * y + v * z for y, z in zip(roots[beta], roots[gamma])])
-            out.append(array("i", row))
-        return tuple(out)
-
-
 class RootSystem:
     """Immutable root system of one simple type; all queries are exact.
 
@@ -522,72 +492,6 @@ class RootSystem:
             if roots[i] <= roots[j]:
                 (mixed if (i < half) != (j < half) else same).append((i, j))
         return mixed + same
-
-    @cached_property
-    def negative_splittings(self) -> tuple[tuple[int, ...], ...]:
-        """Per positive root a, ``splittings(neg[a])`` flat with the node
-        supports: beta, gamma and the node masks of beta and of gamma (bit n
-        for node n + 1) per splitting.  Walked once per type, on first use;
-        both oracle tables read it."""
-        nodes = [0] * len(self.positive_roots)
-        for n, s in enumerate(self.support):
-            for i in bits(s & self.positive_mask):
-                nodes[i] |= 1 << n
-        nodes += nodes  # -r has the support of r
-        out = []
-        for a in range(len(self.positive_roots)):
-            flat: list[int] = []
-            for beta, gamma in self.splittings(self.neg[a]):
-                flat += (beta, gamma, nodes[beta], nodes[gamma])
-            out.append(tuple(flat))
-        return tuple(out)
-
-    def splitting_table(self, coefficients) -> SplittingTable:
-        """The vectors c = p a + q beta + r gamma with (p, q, r) =
-        ``coefficients(a, beta, gamma)`` over the splittings of every -a.
-
-        As a = -(beta + gamma), c = u beta + v gamma with u = q - p and
-        v = r - p.  The coordinates of a root all carry its sign, so c has the
-        sign of u beta on the nodes of beta, that of v gamma on the nodes of
-        gamma, and is summed node by node only where the two signs clash.
-        """
-        roots, half = self.roots, len(self.positive_roots)
-        masks, weights = [], []
-        for a, split in enumerate(self.negative_splittings):
-            mask_row: list[int] = []
-            uv: list[int] = []
-            it = iter(split)
-            for beta, gamma, nb, ng in zip(it, it, it, it):
-                p, q, r = coefficients(a, beta, gamma)
-                u, v = q - p, r - p
-                sb = u if beta < half else -u
-                sg = v if gamma < half else -v
-                pos = (nb if sb > 0 else 0) | (ng if sg > 0 else 0)
-                negative = (nb if sb < 0 else 0) | (ng if sg < 0 else 0)
-                clash = pos & negative
-                if clash:
-                    pos ^= clash
-                    negative ^= clash
-                    for n in bits(clash):
-                        x = u * roots[beta][n] + v * roots[gamma][n]
-                        if x > 0:
-                            pos |= 1 << n
-                        elif x < 0:
-                            negative |= 1 << n
-                mask_row += (nb, ng, pos, negative)
-                uv += (u, v)
-            masks.append(tuple(mask_row))
-            weights.append(uv)
-        return SplittingTable(roots, self.negative_splittings, tuple(masks), tuple(weights))
-
-    @cached_property
-    def shortcut_table(self) -> SplittingTable:
-        """The splitting table of the shortcut oracle of :mod:`flagsym.oracle`:
-        (p, q, r) = (0, 1 + eps_beta, 1 + eps_gamma).  Built on first use."""
-        half = len(self.positive_roots)
-        return self.splitting_table(
-            lambda a, beta, gamma: (0, 2 if beta < half else 0, 2 if gamma < half else 0)
-        )
 
     def cartan_integer(self, t: int, s: int) -> int:
         """The Cartan integer <roots[t], roots[s]^v> of two root indices t != s.

@@ -9,7 +9,6 @@ and the same witnesses in the same order with the same exact values.
 walked the splittings itself and summed every vector node by node.
 """
 
-from array import array
 from fractions import Fraction
 from math import lcm
 
@@ -71,8 +70,9 @@ def shortcut_kernel(flag):
 
 
 def splitting_table(rs, coefficients):
-    """``masks`` and ``rows`` of the table of c = p a + q beta + r gamma, with
-    (p, q, r) = coefficients(a, beta, gamma), over the splittings of every -a."""
+    """``masks`` of the table of c = p a + q beta + r gamma, with (p, q, r) =
+    coefficients(a, beta, gamma), over the splittings of every -a, and per a
+    the list of (beta, gamma, c) with c over all nodes."""
     roots, neg = rs.roots, rs.neg
     node_bits = [1 << n for n in range(rs.rank)]
     nodes = [sum(b for b, x in zip(node_bits, r) if x) for r in roots]
@@ -90,10 +90,10 @@ def splitting_table(rs, coefficients):
                 elif x < 0:
                     negative |= b
             mask_row += (nodes[beta], nodes[gamma], pos, negative)
-            row += (beta, gamma, *c)
+            row.append((beta, gamma, c))
         masks.append(tuple(mask_row))
-        rows.append(array("i", row))
-    return tuple(masks), tuple(rows)
+        rows.append(row)
+    return tuple(masks), rows
 
 
 def on_cone(vectors):

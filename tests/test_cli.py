@@ -80,6 +80,15 @@ def test_simple_types_listing():
         simple_types(9)
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_repeated_family_letters_sweep_each_type_once(capsys, command):
+    # `--families A,A` sweeps A1..A3 once: the same stdout as `--families A`
+    _, once = run_cli(capsys, command, "--max-rank", "3", "--families", "A")
+    _, twice = run_cli(capsys, command, "--max-rank", "3", "--families", "A,A")
+    assert twice == once
+    assert simple_types(3, families=["A", "A"]) == simple_types(3, families=["A"])
+
+
 def test_enumerate_counts_family_a():
     report = enumerate_flags(max_rank=3, families=["A"])
     assert len(report.entries) == 1 + 3 + 7
@@ -271,23 +280,30 @@ def test_cleared_caches_rebuild_every_type(monkeypatch):
 
 def test_clean_sweep_walks_no_cone_set(monkeypatch):
     # on clean tables the cone verdict is decided once per type: the
-    # per-painting walk of the two oracles may not come back
-    calls = []
-    on_cone = oracle._on_cone
+    # per-painting walk of the oracles may not come back, and the shortcut
+    # table, which reads no structure constant, is never built
+    calls, requests = [], []
+    on_cone, shortcut_table = oracle._on_cone, oracle.shortcut_table
     monkeypatch.setattr(oracle, "_on_cone", lambda *args: calls.append(args) or on_cone(*args))
+    monkeypatch.setattr(
+        oracle, "shortcut_table", lambda rs: requests.append(rs) or shortcut_table(rs)
+    )
     assert len(enumerate_flags(max_rank=6).entries) == 545
     assert calls == []
-    # the counter sits on the path the walk takes
+    assert requests == []
+    # the counters sit on the path the walk takes
     flag = make_flag(parse_painted("A3:{2,3}"))
     shortcut_cone_set(flag)
     assert len(calls) == len(flag.r_m_plus)
+    assert requests == [flag.rs]
 
 
 def test_cleared_caches_free_the_root_systems_without_the_cycle_collector():
-    # nothing a root system keeps (its oracle tables, their lazy rows, the
-    # leaf memo) may refer back to it: a cycle would keep every type's tables
-    # alive past the cache clearing until a full collection, and a sweep
-    # with fresh caches would pile them up in memory
+    # nothing a root system keeps (the leaf memo), nor the oracle tables
+    # cached for it and its Chevalley table, may refer back to it: a cycle
+    # would keep every type's tables alive past the cache clearing until a
+    # full collection, and a sweep with fresh caches would pile them up in
+    # memory
     caches = flagsym_caches()
     for cache in caches:
         cache.cache_clear()
@@ -295,9 +311,10 @@ def test_cleared_caches_free_the_root_systems_without_the_cycle_collector():
     try:
         enumerate_flags(max_rank=3)
         rs = build_root_system("B", 3)
-        rs.shortcut_table.rows, cli.chevalley_table("B", 3).cyclic_table.rows
+        table = cli.chevalley_table("B", 3)
+        oracle.shortcut_table(rs), oracle.cyclic_table(table), oracle.cone_verdict(table)
         alive = weakref.ref(rs)
-        del rs
+        del rs, table
         for cache in caches:
             cache.cache_clear()
         assert alive() is None

@@ -3,8 +3,9 @@
 ``transvection_cone_set`` and ``shortcut_cone_set`` must give the symmetry
 roots, with no root left undecided, on every painting through rank 8; the
 per-xi functions must agree with them; the type-level splitting tables must
-give the cone sets and the witnesses of the per-painting kernel they replaced
-and the masks and rows of the per-table build (``oracle_helpers``); and a corrupted Chevalley table must make the oracle
+give the cone sets and the witnesses of the per-painting kernel they replaced,
+and their weights and masks the vectors and masks of the per-table build
+(``oracle_helpers``); and a corrupted Chevalley table must make the oracle
 check of the sweep and of ``analyze`` fail, never pass.
 """
 
@@ -32,8 +33,9 @@ from flagsym import (
     transvection_set,
     transvection_violations,
 )
-from flagsym import cli
-from flagsym.rootsystem import rneg, rsub
+from flagsym import cli, oracle
+from flagsym.oracle import cone_verdict, cyclic_table, negative_splittings, shortcut_table
+from flagsym.rootsystem import bits, rneg, rsub
 import oracle_helpers as ref
 from root_helpers import sum_root
 from table_helpers import with_constants
@@ -51,11 +53,39 @@ def test_cone_sets_are_the_symmetry_roots(family, rank):
     # the type-level verdict holds, and the walk it stands for gives the
     # symmetry roots with nothing undecided on every painting
     table = chevalley_table(family, rank)
-    assert table.cone_verdict is None
+    assert cone_verdict(table) is None
     for flag in paintings(family, rank):
         expected = (symmetry_roots(flag), frozenset())
         assert transvection_cone_set(flag, table) == expected, flag.pd.spec
         assert shortcut_cone_set(flag) == expected, flag.pd.spec
+
+
+def node_mask(v, keep=bool):
+    """Bit n for each node n + 1 where ``keep`` holds of the coordinate."""
+    return sum(1 << n for n, x in enumerate(v) if keep(x))
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_shortcut_table_has_the_verdict_pattern_on_every_type(family, rank):
+    # the fact the verdict rests on when it checks the cyclic masks alone:
+    # every shortcut splitting has sign masks (support of the member in R+, 0),
+    # or (0, 0) when both members are negative, whatever the table
+    rs = build_root_system(family, rank)
+    half = len(rs.positive_roots)
+    count = 0
+    for split, masks in zip(negative_splittings(rs), shortcut_table(rs).masks):
+        for k in range(0, len(split), 4):
+            beta, gamma = split[k : k + 2]
+            positive = [d for d in (beta, gamma) if d < half]
+            pos = node_mask(rs.roots[positive[0]]) if positive else 0
+            assert masks[k : k + 4] == (
+                node_mask(rs.roots[beta]),
+                node_mask(rs.roots[gamma]),
+                pos,
+                0,
+            ), (rs.roots[beta], rs.roots[gamma])
+            count += 1
+    assert count == sum(len(rs.splittings(rs.neg[a])) for a in range(half))
 
 
 @pytest.mark.parametrize("family,rank", simple_types(4))
@@ -93,6 +123,7 @@ def test_corrupted_constant_fails_the_oracle_check(monkeypatch, family, rank, ch
     # enters one of theta's cyclic sums
     table = chevalley_table(family, rank)
     theta = table.rs.highest
+    on_cone = oracle._on_cone
     assert full_painting_entry(monkeypatch, family, rank, table).checks["oracle_agree"]
     pairs = [(x, y) for x, y in table.n if x < y and sum_root(table.rs, x, y) == rneg(theta)]
     assert pairs
@@ -100,10 +131,14 @@ def test_corrupted_constant_fails_the_oracle_check(monkeypatch, family, rank, ch
         bad = mutated(table, {pair: change})
         # the constant enters only the splitting (beta, gamma) of -theta, whose
         # cyclic vector is no longer zero: the verdict names it, and the
-        # painting takes the walk
-        assert bad.cone_verdict == (theta, *pair)
-        entry = full_painting_entry(monkeypatch, family, rank, bad)
+        # painting takes the walk, over the cyclic table once per root of R_m+
+        assert cone_verdict(bad) == (theta, *pair)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_on_cone", lambda *args: calls.append(args) or on_cone(*args))
+            entry = full_painting_entry(m, family, rank, bad)
         assert entry.checks["oracle_agree"] is False, pair
+        assert len(calls) == len(table.rs.positive_roots)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
@@ -157,9 +192,10 @@ def test_flipped_constant_gives_the_verdict_of_the_walk(monkeypatch, family, ran
         bad = with_constants(table, {pair: -v})
         monkeypatch.setattr(cli, "chevalley_table", lambda f, r: bad)
         got = [cli._painting(flag)[0] for flag in flags]
-        verdicts.add(bad.cone_verdict is None)
-        bad.cone_verdict = ("forced",)  # the cached verdict, overridden
-        walked = [cli._painting(flag)[0] for flag in flags]
+        verdicts.add(cone_verdict(bad) is None)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "cone_verdict", lambda table: ("forced",))
+            walked = [cli._painting(flag)[0] for flag in flags]
         for flag, entry, walk in zip(flags, got, walked):
             assert (entry.checks["oracle_agree"], entry.undecided) == (
                 walk.checks["oracle_agree"],
@@ -204,44 +240,67 @@ def test_undecided_root_outside_the_symmetry_roots_fails_closed(monkeypatch):
     assert entry.checks["oracle_agree"] is False
 
 
+def vectors(rs, table, a):
+    """(beta, gamma, c) per splitting of -a, c = u beta + v gamma from the weights."""
+    split, uv = negative_splittings(rs)[a], table.weights[a]
+    return [
+        (beta, gamma, [u * y + v * z for y, z in zip(rs.roots[beta], rs.roots[gamma])])
+        for beta, gamma, u, v in zip(split[::4], split[1::4], uv[::2], uv[1::2])
+    ]
+
+
 @pytest.mark.parametrize("family,rank", simple_types(4))
 def test_kernel_walks_each_decomposition_in_r_m_once(family, rank):
-    table = build_root_system(family, rank).shortcut_table
-    for flag in paintings(family, rank):
-        rs, painted = flag.rs, flag.painted_mask
-        for a in flag.r_m_plus:
-            masks, row = table.masks[rs.index[a]], table.rows[rs.index[a]]
-            starts = range(0, len(row), 2 + rank)
-            got = [
-                frozenset(row[start : start + 2])
-                for k, start in enumerate(starts)
-                if masks[4 * k] & painted and masks[4 * k + 1] & painted
-            ]
-            expected = {
-                frozenset((rs.index[b], rs.index[rsub(rneg(a), b)]))
-                for b in flag.r_m
-                if rsub(rneg(a), b) in flag.r_m
-            }
-            assert len(got) == len(expected) and set(got) == expected, (flag.pd.spec, a)
+    rs = build_root_system(family, rank)
+    constants = chevalley_table(family, rank)
+    for table, kernel in (
+        (shortcut_table(rs), ref.shortcut_kernel),
+        (cyclic_table(constants), lambda flag: ref.cyclic_kernel(flag, constants)),
+    ):
+        for flag in paintings(family, rank):
+            painted, columns = flag.painted_mask, sorted(flag.pd.painted)
+            reference = kernel(flag)
+            for a in bits(flag.m_plus_mask):
+                masks = table.masks[a]
+                got = [
+                    (beta, gamma, [c[i - 1] for i in columns])
+                    for k, (beta, gamma, c) in enumerate(vectors(rs, table, a))
+                    if masks[4 * k] & painted and masks[4 * k + 1] & painted
+                ]
+                # the splittings the masks keep, with their vectors over the
+                # painted nodes, are those of the per-painting kernel, in order
+                assert got == list(reference(a)), (flag.pd.spec, a)
+                root = rs.roots[a]
+                expected = {
+                    frozenset((rs.index[b], rs.index[rsub(rneg(root), b)]))
+                    for b in flag.r_m
+                    if rsub(rneg(root), b) in flag.r_m
+                }
+                pairs = [frozenset(g[:2]) for g in got]
+                assert len(pairs) == len(expected) and set(pairs) == expected, (
+                    flag.pd.spec,
+                    root,
+                )
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_splitting_tables_match_their_vectors(family, rank):
-    # each row is a splitting of -a, in the order of rs.splittings, and the
-    # four masks are the node supports of beta, gamma and the signs of c
+    # the splittings of -a come in the order of rs.splittings, one pair of
+    # weights and four masks each, and the masks are the node supports of
+    # beta, gamma and the signs of c = u beta + v gamma
     rs = build_root_system(family, rank)
-    nodes = lambda v, keep: sum(1 << n for n, x in enumerate(v) if keep(x))
-    for table in (rs.shortcut_table, chevalley_table(family, rank).cyclic_table):
-        for a, (masks, row) in enumerate(zip(table.masks, table.rows)):
-            split = [tuple(row[s : s + 2]) for s in range(0, len(row), 2 + rank)]
-            assert split == rs.splittings(rs.neg[a])
-            for k, (beta, gamma) in enumerate(split):
-                c = row[k * (2 + rank) + 2 : (k + 1) * (2 + rank)]
+    for table in (shortcut_table(rs), cyclic_table(chevalley_table(family, rank))):
+        assert len(table.masks) == len(table.weights) == len(rs.positive_roots)
+        for a, masks in enumerate(table.masks):
+            split = vectors(rs, table, a)
+            assert [s[:2] for s in split] == rs.splittings(rs.neg[a])
+            assert len(masks) == 4 * len(split) == 2 * len(table.weights[a])
+            for k, (beta, gamma, c) in enumerate(split):
                 assert masks[4 * k : 4 * k + 4] == (
-                    nodes(rs.roots[beta], bool),
-                    nodes(rs.roots[gamma], bool),
-                    nodes(c, lambda x: x > 0),
-                    nodes(c, lambda x: x < 0),
+                    node_mask(rs.roots[beta]),
+                    node_mask(rs.roots[gamma]),
+                    node_mask(c, lambda x: x > 0),
+                    node_mask(c, lambda x: x < 0),
                 )
 
 
@@ -249,7 +308,7 @@ def clashes(rs, table):
     """Splittings where u beta and v gamma have opposite signs on a common node."""
     half = len(rs.positive_roots)
     out = 0
-    for split, uv in zip(rs.negative_splittings, table.weights):
+    for split, uv in zip(negative_splittings(rs), table.weights):
         for k in range(len(uv) // 2):
             beta, gamma, nb, ng = split[4 * k : 4 * k + 4]
             sb = uv[2 * k] if beta < half else -uv[2 * k]
@@ -261,9 +320,10 @@ def clashes(rs, table):
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_splitting_tables_match_the_per_table_build(family, rank):
     # one splitting walk and sign masks from the node supports give the masks
-    # and rows of the build that summed every vector, on the clean tables and
-    # on a copy with a third of its constants shifted, where u beta and
-    # v gamma can clash on a node and that node is summed
+    # and, through the weights, the vectors of the build that summed every
+    # vector, on the clean tables and on a copy with a third of its constants
+    # shifted, where u beta and v gamma can clash on a node and that node is
+    # summed
     rs = build_root_system(family, rank)
     table = chevalley_table(family, rank)
     rng = random.Random(rs.name)
@@ -273,16 +333,16 @@ def test_splitting_tables_match_the_per_table_build(family, rank):
         {p: table.n[p] + rng.choice((-2, -1, 1, 2)) for p in rng.sample(pairs, len(pairs) // 3)},
     )
     for got, coefficients in (
-        (rs.shortcut_table, ref.shortcut_coefficients(rs)),
-        (table.cyclic_table, ref.cyclic_coefficients(table)),
-        (bad.cyclic_table, ref.cyclic_coefficients(bad)),
+        (shortcut_table(rs), ref.shortcut_coefficients(rs)),
+        (cyclic_table(table), ref.cyclic_coefficients(table)),
+        (cyclic_table(bad), ref.cyclic_coefficients(bad)),
     ):
         masks, rows = ref.splitting_table(rs, coefficients)
         assert got.masks == masks
-        assert got.rows == rows
-    assert clashes(rs, table.cyclic_table) == 0
+        assert [vectors(rs, got, a) for a in range(len(masks))] == rows
+    assert clashes(rs, cyclic_table(table)) == 0
     if len(rs.roots) > 6:  # in A1 and A2 the two roots of a splitting share no node
-        assert clashes(rs, bad.cyclic_table) > 0
+        assert clashes(rs, cyclic_table(bad)) > 0
 
 
 def perturbed(table, seed):

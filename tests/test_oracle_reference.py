@@ -41,15 +41,15 @@ def ref_decompositions(flag, a):
             yield beta, gamma
 
 
-def ref_r_values(flag, xi, table):
-    return {
-        d: epsilon(flag, d) * eval_root(flag, xi, d) * table.b_of(d) for d in flag.r_m
-    }
+def ref_values(flag, xi, table):
+    """d(xi) and r(d) = epsilon_d d(xi) b(d) for every d in R_m, once per (flag, xi)."""
+    value = {d: eval_root(flag, xi, d) for d in flag.r_m}
+    r = {d: epsilon(flag, d) * value[d] * table.b_of(d) for d in flag.r_m}
+    return value, r
 
 
-def ref_transvection_violations(flag, xi, table, a):
+def ref_transvection_violations(flag, r, table, a):
     rs = flag.rs
-    r = ref_r_values(flag, xi, table)
 
     def n_m(x, y):
         s = sum_root(rs, x, y)
@@ -69,27 +69,13 @@ def ref_transvection_violations(flag, xi, table, a):
     return out
 
 
-def ref_shortcut_violations(flag, xi, a):
+def ref_shortcut_violations(flag, value, a):
     out = []
     for beta, gamma in ref_decompositions(flag, a):
-        val = (1 + epsilon(flag, gamma)) * eval_root(flag, xi, gamma) + (
-            1 + epsilon(flag, beta)
-        ) * eval_root(flag, xi, beta)
+        val = (1 + epsilon(flag, gamma)) * value[gamma] + (1 + epsilon(flag, beta)) * value[beta]
         if val != 0:
             out.append((beta, gamma, val))
     return out
-
-
-def ref_transvection_set(flag, xi, table):
-    return frozenset(
-        a for a in flag.r_m_plus if not ref_transvection_violations(flag, xi, table, a)
-    )
-
-
-def ref_shortcut_set(flag, xi):
-    return frozenset(
-        a for a in flag.r_m_plus if not ref_shortcut_violations(flag, xi, a)
-    )
 
 
 def paintings(family, rank):
@@ -100,15 +86,19 @@ def paintings(family, rank):
 
 
 def assert_matches_reference(flag, xi, table):
-    assert transvection_set(flag, xi, table) == ref_transvection_set(flag, xi, table)
-    assert shortcut_set(flag, xi) == ref_shortcut_set(flag, xi)
+    # the reference sets are the roots with no reference violation
+    value, r = ref_values(flag, xi, table)
+    cyclic = {a: ref_transvection_violations(flag, r, table, a) for a in flag.r_m_plus}
+    scalar = {a: ref_shortcut_violations(flag, value, a) for a in flag.r_m_plus}
+    assert transvection_set(flag, xi, table) == {a for a, v in cyclic.items() if not v}
+    assert shortcut_set(flag, xi) == {a for a, v in scalar.items() if not v}
     for a in flag.r_m_plus:
         # witnesses come in root order, the reference's in set order
         got = transvection_violations(flag, xi, table, a)
-        assert sorted(got) == sorted(ref_transvection_violations(flag, xi, table, a))
+        assert sorted(got) == sorted(cyclic[a])
         assert all(type(t) is Fraction for _, _, t in got)
         got = shortcut_violations(flag, xi, a)
-        assert sorted(got) == sorted(ref_shortcut_violations(flag, xi, a))
+        assert sorted(got) == sorted(scalar[a])
         assert all(type(t) is Fraction for _, _, t in got)
 
 
