@@ -72,10 +72,17 @@ def dim_g(family: str, rank: int) -> int:
 
 
 def simple_types(max_rank: int, families=None) -> list[tuple[str, int]]:
-    """All simple types with rank <= max_rank, sorted by (family, rank), each once."""
+    """All simple types with rank <= max_rank, sorted by (family, rank), each once.
+
+    A family letter that is not one of ``FAMILIES`` (lowercase included)
+    raises ValueError.
+    """
     if not 1 <= max_rank <= MAX_RANK_BOUND:
         raise ValueError(f"max_rank must be between 1 and {MAX_RANK_BOUND}")
     chosen = sorted(set(families)) if families else FAMILIES
+    unknown = [f for f in chosen if f not in FAMILIES]
+    if unknown:
+        raise ValueError(f"unknown families {','.join(unknown)}; choose from {','.join(FAMILIES)}")
     out = []
     for fam in chosen:
         for rank in range(1, max_rank + 1):

@@ -435,8 +435,10 @@ class RootSystem:
         self.sums: tuple[int, ...] = tuple(sums) + tuple(map(self.neg_mask, sums))
         self.add: tuple[array, ...] = tuple(add_rows)
         self._extended: Diagram | None = None
-        # the leaf fields by symmetry-root mask, filled by flagsym.symmetry
+        # filled by flagsym.symmetry: the leaf fields by symmetry-root mask, and
+        # the label of the affine node's component by its node mask
         self.leaf_memo: dict[int, tuple] = {}
+        self.component_memo: dict[int, str] = {}
 
     @property
     def name(self) -> str:
@@ -550,6 +552,16 @@ class RootSystem:
                 + [(i + 1, index[s]) for i, s in enumerate(self.simple_roots)]
             )
         return self._extended
+
+    @cached_property
+    def extended_adjacency(self) -> tuple[int, ...]:
+        """adjacency[v]: the node mask (bit w for node w) of the neighbours of
+        node v in the extended diagram.  Built on first use."""
+        adjacency = [0] * (self.rank + 1)
+        for a, b, _, _ in self.extended_diagram().edges:
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
+        return tuple(adjacency)
 
 
 @lru_cache(maxsize=None)

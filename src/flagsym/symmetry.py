@@ -12,7 +12,7 @@ m^{1,0}.  From the symmetry roots the module assembles
   * the maximal-rank subalgebra h' = h + p whose coset G/H' the leaves fiber,
   * the extended-diagram shortcut: delete the painted nodes from the extended
     Dynkin diagram and keep the component of the affine node; the result must
-    match the Dynkin diagram of u.
+    match the Dynkin diagram of u (Alekseevsky and Perelomov, 1986).
 
 Every set test runs on the dense root index of :mod:`flagsym.rootsystem`:
 sets of roots are bitmasks, ``sums[i]`` is the mask of the roots whose sum
@@ -32,24 +32,49 @@ roots and the frozenset views ``LeafDescriptor.r_u``/``r_k``,
 
 The symmetry roots are computed once per FlagData, by two independent scans
 that are cross-checked: one tests membership of a + b in R through ``sums``,
-the other membership in R_m+ through ``add``.  The result is kept on the flag
-and read by :func:`build_report`, :func:`leaf_pair`, :func:`h_prime` and
-:func:`k_prime_check`, so each painting is scanned once.  So are the masks
-derived from it, kept next to it on the flag: p = R_p+ and its negatives,
-[p, p] and h' = h + p (:func:`_masks`), and the mask of h' once
-:func:`h_prime` has proved it closed, which
-:attr:`SymmetryReport.hprime_closed` reads back instead of closing h' again.
+the other membership in R_m+ through ``add``.  The centre they give is then
+tested abelian (no two symmetry roots sum to a root).  The result is kept on
+the flag and read by :func:`build_report`, :func:`leaf_pair`, :func:`h_prime`
+and :func:`k_prime_check`, so each painting is scanned and tested once,
+whichever of them comes first.  So are the masks derived from it, kept next
+to it on the flag: p = R_p+ and its negatives, [p, p] and h' = h + p
+(:func:`_masks`), and the mask of h' once :func:`h_prime` has proved it
+closed, which :attr:`SymmetryReport.hprime_closed` reads back instead of
+closing h' again.
 
-The leaf past the test that [p, p] lies in the isotropy roots (the closure of
-u, the classification of u and k, the two ranks, the k-highest test and the
-name) depends on the painting only through the mask of R_p+, so
-:func:`leaf_pair` computes it once per mask and root system and keeps its
-plain fields in ``RootSystem.leaf_memo`` (the rank-8 sweep has 305 masks
-among 2455 paintings).  u and k are classified from their simple roots by
-index: :meth:`RootSystem.diagram`, the builder of the extended diagram too,
-reads each Cartan integer off a root string once and builds one diagram on
-all of them, which :func:`~flagsym.rootsystem.diagram_components` splits into
-the components that :func:`~flagsym.rootsystem.classify_connected` labels.
+What depends on the painting only through a smaller key is decided once per
+key and root system, in a memo on the ``RootSystem``:
+
+  * [p, p] and the leaf past the test that [p, p] lies in the isotropy roots
+    (the closure of u, the classification of u and k, the two ranks, the
+    k-highest test and the name) depend only on the mask of R_p+.
+    :func:`leaf_pair` keeps the leaf's plain fields in ``RootSystem.leaf_memo``
+    under that mask (the rank-8 sweep has 305 masks among 2455 paintings),
+    and :func:`_masks` reads [p, p] back from the entry's ``k_mask``; it
+    computes [p, p] only for a mask that has no entry yet.
+  * The diagram cross-check depends only on the nodes of the affine node's
+    component once the painted nodes are deleted from the extended diagram.
+    :func:`diagrams_agree` finds that node mask by a search over
+    ``RootSystem.extended_adjacency`` and classifies each component once, in
+    ``RootSystem.component_memo``; :func:`leaf_via_diagram` builds its
+    diagram from the same mask.
+
+The closure of u = k + p walks the rows of k only, and decides the same as a
+walk over every row of u.  A pair with a member in k is found in that
+member's row, since ``add`` is symmetric.  A pair of two roots of p never
+sums to a root outside u:
+
+  * two roots of one sign, a + b or -a - b with a, b in R_p+, never sum to a
+    root, because the centre is abelian, which :func:`_symmetry` has tested
+    before any leaf is classified;
+  * a mixed pair a - b that is a root lies in [p, p] = k, by the definition
+    of :func:`_r_k`.
+
+u and k are classified from their simple roots by index:
+:meth:`RootSystem.diagram`, the builder of the extended diagram too, reads
+each Cartan integer off a root string once and builds one diagram on all of
+them, which :func:`~flagsym.rootsystem.diagram_components` splits into the
+components that :func:`~flagsym.rootsystem.classify_connected` labels.
 """
 
 from __future__ import annotations
@@ -91,6 +116,9 @@ class LeafDescriptor:
     @property
     def r_k(self) -> frozenset:
         return self.rs.roots_of(self.k_mask)
+
+
+_K_MASK = 4  # the place of k_mask among the leaf fields kept in rs.leaf_memo
 
 
 @dataclass
@@ -142,30 +170,38 @@ def center_of_nilradical(flag: FlagData) -> frozenset:
 
 
 def _symmetry(flag: FlagData) -> tuple[frozenset, int]:
-    """R_p+ and its mask: both scans run and are cross-checked once per flag."""
+    """R_p+ and its mask: both scans run and are cross-checked once per flag,
+    and the centre they give is tested abelian."""
     if flag._symmetry is None:
+        rs = flag.rs
         via_r = symmetry_roots(flag)
         via_z = center_of_nilradical(flag)
         if via_r != via_z:
             raise InternalConsistencyError(
                 f"{flag.pd.spec}: root-list and nilradical scans disagree"
             )
-        if flag.rs.highest not in via_r:
+        if rs.highest not in via_r:
             raise InternalConsistencyError(
                 f"{flag.pd.spec}: highest root not a symmetry root"
             )
-        flag._symmetry = (via_r, flag.rs.mask_of(via_r))
+        plus, sums = rs.mask_of(via_r), rs.sums
+        if any(sums[i] & plus for i in bits(plus)):
+            raise InternalConsistencyError(f"{flag.pd.spec}: centre not abelian")
+        flag._symmetry = (via_r, plus)
     return flag._symmetry
 
 
 def _masks(flag: FlagData) -> tuple[int, int, int]:
     """The masks of p (R_p+ and its negatives), of [p, p] and of h' = h + p,
-    computed once per flag and kept on it."""
+    computed once per flag and kept on it.  [p, p] depends on R_p+ alone, so
+    it is read from the leaf memo when the mask has an entry there."""
     if flag._masks is None:
         rs = flag.rs
         _, plus = _symmetry(flag)
         rp = plus | rs.neg_mask(plus)
-        flag._masks = (rp, _r_k(rs, plus), flag.h_mask | rp)
+        fields = rs.leaf_memo.get(plus)
+        rk = _r_k(rs, plus) if fields is None else fields[_K_MASK]
+        flag._masks = (rp, rk, flag.h_mask | rp)
     return flag._masks
 
 
@@ -201,15 +237,16 @@ def _r_k(rs: RootSystem, plus: int) -> int:
     return out
 
 
-def _closure_gap(rs: RootSystem, mask: int) -> tuple[int, int] | None:
-    """The first pair (i, j) of ``mask`` whose sum is a root outside it, else None.
+def _closure_gap(rs: RootSystem, mask: int, rows: int | None = None) -> tuple[int, int] | None:
+    """The first pair (i, j), i in ``rows`` (default ``mask``) and j in ``mask``,
+    whose sum is a root outside ``mask``, else None.
 
     One set test per row; only a row that fails is walked for its first j.
     """
     add, partners = rs.add, rs.partners
     members = list(bits(mask))
     inside = set(members)
-    for i in members:
+    for i in members if rows is None else bits(rows):
         row = add[i]
         within = filter(inside.__contains__, partners[i])
         if not inside.issuperset(map(row.__getitem__, within)):
@@ -283,7 +320,7 @@ def _leaf_fields(flag: FlagData, plus: int, rp: int, rk: int) -> tuple:
     R_p+, p and [p, p] alone; a failure raises with the painting's spec."""
     rs, spec = flag.rs, flag.pd.spec
     ru = rk | rp
-    if _closure_gap(rs, ru) is not None:
+    if _closure_gap(rs, ru, rk) is not None:  # the rows of k decide it, see the module doc
         raise InternalConsistencyError(f"{spec}: leaf root set not closed")
 
     toral_rank = _rank_q(rs.roots[i] for i in bits(plus))
@@ -349,22 +386,44 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
     return LeafDescriptor(*fields, rs=rs)
 
 
+def _affine_component(pd: PaintedDiagram) -> int:
+    """Node mask (bit v for node v) of the affine node's component of the
+    extended diagram minus the painted nodes, by a search over node masks."""
+    adjacency = pd.rs.extended_adjacency
+    free = ~sum(1 << v for v in pd.painted)
+    comp = frontier = 1
+    while frontier:
+        reach = 0
+        for v in bits(frontier):
+            reach |= adjacency[v]
+        frontier = reach & free & ~comp
+        comp |= frontier
+    return comp
+
+
 def leaf_via_diagram(pd: PaintedDiagram) -> Diagram:
     """Extended diagram minus the painted nodes; component of the affine node."""
+    comp = _affine_component(pd)
     ext = pd.rs.extended_diagram()
-    keep = [v for v in ext.nodes if v not in pd.painted]
-    edges = tuple(e for e in ext.edges if e[0] in keep and e[1] in keep)
-    sub = Diagram(tuple(keep), edges)
-    for comp in diagram_components(sub):
-        if 0 in comp.nodes:
-            return comp
-    raise InternalConsistencyError("affine node lost from the extended diagram")
+    return Diagram(
+        tuple(v for v in ext.nodes if comp >> v & 1),
+        tuple(e for e in ext.edges if comp >> e[0] & comp >> e[1] & 1),
+    )
 
 
 def diagrams_agree(pd: PaintedDiagram, leaf: LeafDescriptor) -> bool:
-    """Cross-check: extended-diagram component vs the computed leaf type."""
-    fam, rank = classify_connected(leaf_via_diagram(pd))
-    return f"{fam}{rank}" == leaf.u_type
+    """Cross-check: extended-diagram component vs the computed leaf type.
+
+    Each component is classified once per root system, in
+    ``rs.component_memo`` under its node mask.
+    """
+    rs = pd.rs
+    comp = _affine_component(pd)
+    label = rs.component_memo.get(comp)
+    if label is None:
+        fam, rank = classify_connected(leaf_via_diagram(pd))
+        label = rs.component_memo[comp] = f"{fam}{rank}"
+    return label == leaf.u_type
 
 
 def h_prime(flag: FlagData) -> int:
@@ -390,10 +449,7 @@ def k_prime_check(flag: FlagData) -> bool:
 
 def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport:
     """Full symmetry report for one painted diagram (cross-checked)."""
-    rp_plus, plus = _symmetry(flag)
-    sums = flag.rs.sums
-    if any(sums[i] & plus for i in bits(plus)):
-        raise InternalConsistencyError(f"{flag.pd.spec}: centre not abelian")
+    rp_plus, _ = _symmetry(flag)
     index = 2 * len(rp_plus)
     coindex = flag.dim_m - index
     if (coindex == 0) != flag.is_symmetric_coset():

@@ -80,6 +80,15 @@ def test_simple_types_listing():
         simple_types(9)
 
 
+@pytest.mark.parametrize(
+    "families,unknown", [(["G", "x"], "x"), (["X"], "X"), (["g"], "g"), (["A", "Q", "b"], "Q,b")]
+)
+def test_enumerate_flags_rejects_unknown_family_letters(families, unknown):
+    # a letter the library does not know is an error, not a smaller sweep
+    with pytest.raises(ValueError, match=f"^unknown families {unknown}; choose from A,B,C,D,E,F,G$"):
+        enumerate_flags(max_rank=2, families=families)
+
+
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
 def test_repeated_family_letters_sweep_each_type_once(capsys, command):
     # `--families A,A` sweeps A1..A3 once: the same stdout as `--families A`

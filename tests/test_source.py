@@ -1,10 +1,15 @@
-"""Static checks on the package source, with the standard library only."""
+"""Static checks on the package source, and one check of its module-level
+state across a sweep, with the standard library only."""
 
 import argparse
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,3 +222,61 @@ def test_readme_synopsis_is_read_per_subcommand():
         "run": {"--json", "--dot"},
         "sweep": {"--max-rank", "--out", "--dedup"},
     }
+
+
+CONTAINER_SIZES = """
+import importlib, json, pkgutil, sys
+
+package = importlib.import_module(sys.argv[1])
+modules = [package] + [
+    importlib.import_module(f"{package.__name__}.{m.name}")
+    for m in pkgutil.iter_modules(package.__path__)
+    if m.name != "__main__"
+]
+
+def sizes():
+    return {
+        f"{module.__name__}.{name}": len(value)
+        for module in modules
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+before = sizes()
+exec(sys.argv[2], {package.__name__: package})
+after = sizes()
+print(json.dumps(sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))))
+"""
+
+
+def grown_module_containers(package: str, call: str, path: Path) -> list[str]:
+    """Module-level dicts, lists and sets of ``package`` and its modules whose
+    size ``call`` changes, in a fresh interpreter with ``path`` on sys.path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(path), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", CONTAINER_SIZES, package, call],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_no_module_level_memo_grows_across_a_sweep():
+    # a memo must live on a RootSystem or in a functools cache: the
+    # benchmark clears the caches for fresh passes and a module-level dict
+    # would stay warm
+    call = "flagsym.cli.enumerate_flags(max_rank=3)"
+    assert grown_module_containers("flagsym", call, SRC.parent) == []
+
+
+def test_growing_module_level_memo_is_found(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from . import work\n\nFIXED = [1, 2]\n")
+    (package / "__main__.py").write_text("raise SystemExit(2)\n")  # never imported
+    (package / "work.py").write_text(
+        "from functools import cache\n\n_memo = {}\n\n"
+        "@cache\ndef cached(x):\n    return x\n\n"
+        "def run(x):\n    _memo[x] = cached(x)\n"
+    )
+    assert grown_module_containers("pkg", "pkg.work.run(3)", tmp_path) == ["pkg.work._memo"]

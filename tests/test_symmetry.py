@@ -5,6 +5,7 @@ import re
 import pytest
 
 from flagsym import (
+    InternalConsistencyError,
     LeafDescriptor,
     PaintedDiagram,
     RootSystem,
@@ -176,27 +177,64 @@ def test_hprime_closed_is_the_mask_closure():
     assert other.hprime_closed is True
 
 
+def test_closure_gap_walks_the_given_rows():
+    rs = build_root_system("A", 2)
+    i, j = sorted((rs.index[(1, 0)], rs.index[(0, 1)]))
+    pair = 1 << i | 1 << j  # a1 + a2 is a root outside it
+    assert _closure_gap(rs, pair) == (i, j)
+    assert _closure_gap(rs, pair, 1 << j) == (j, i)
+    assert _closure_gap(rs, pair, 0) is None
+
+
+def test_non_abelian_centre_raises_before_any_leaf_is_classified(monkeypatch):
+    rs = RootSystem("A", 2)  # its own leaf memo, empty
+    f = make_flag(PaintedDiagram(rs, frozenset({1, 2})))
+    # both scans give a1, a2 and the highest root a1 + a2: a1 + a2 is a root
+    centre = frozenset({(1, 0), (0, 1), (1, 1)})
+    monkeypatch.setattr(symmetry, "symmetry_roots", lambda flag: centre)
+    monkeypatch.setattr(symmetry, "center_of_nilradical", lambda flag: centre)
+    monkeypatch.setattr(symmetry, "_leaf_fields", None)  # a classification fails
+    for entry in (build_report, leaf_pair, h_prime, k_prime_check):
+        with pytest.raises(InternalConsistencyError, match=re.escape("A2:{1,2}: centre not abelian")):
+            entry(f)
+    assert f._symmetry is None and rs.leaf_memo == {}
+
+
 def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
-    calls = {"_r_k": 0, "_closure_gap": 0}
+    calls = {"_r_k": [], "_closure_gap": []}
 
     def counted(name):
         original = getattr(symmetry, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+        def wrapper(rs, *masks):
+            calls[name].append(masks)
+            return original(rs, *masks)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(symmetry, name, counted(name))
-    f = make_flag(parse_painted("E7:{2,5}"))
+    rs = RootSystem("E", 7)  # its own memos, empty
+    f = make_flag(PaintedDiagram(rs, frozenset({2, 5})))
     rep = build_report(f)
     assert k_prime_check(f) and rep.hprime_closed
     assert h_prime(f) == rep.h_prime_mask
     assert rep.h_prime_roots == f.rs.roots_of(rep.h_prime_mask)
-    # [p, p] once; one closure for the leaf and one for h', none for hprime_closed
-    assert calls == {"_r_k": 1, "_closure_gap": 2}
+    _, plus = symmetry._symmetry(f)
+    rp, rk, hp = _masks(f)
+    # [p, p] once; the leaf closure walks the rows of k only and h' all its
+    # rows; none for hprime_closed
+    assert calls == {"_r_k": [(plus,)], "_closure_gap": [(rk | rp, rk), (hp,)]}
+
+    # E7:{2,5,6} has the same symmetry roots: [p, p] and the leaf come from the
+    # memo, and only h' is closed again
+    for name in calls:
+        calls[name].clear()
+    g = make_flag(PaintedDiagram(rs, frozenset({2, 5, 6})))
+    rep = build_report(g)
+    assert symmetry._symmetry(g)[1] == plus and rep.leaf == leaf_pair(f)
+    assert _masks(g)[:2] == (rp, rk) and k_prime_check(g) and rep.hprime_closed
+    assert calls == {"_r_k": [], "_closure_gap": [(_masks(g)[2],)]}
 
 
 def ref_closure_gap(rs, mask):

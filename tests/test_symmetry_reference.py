@@ -9,18 +9,24 @@ leaf's subsystems, which reads its Cartan integers off root strings, must
 give the labels of the Gram-product classifier it replaced (built on the
 Gram-form diagram builder of ``root_helpers``) on every symmetry-root mask
 through rank 8, and the same error on sets of positive roots that are no
-positive system; it reads each Cartan integer it needs once.  The root-index
-tables themselves (``index``, ``neg``, ``sums``, ``add``) are checked against
-coordinate addition, the ``sum_index`` test helper and ``rneg`` for every
-simple type of rank <= 8.
+positive system; it reads each Cartan integer it needs once.  The closure of
+the leaf on the rows of k alone must give the verdict of the full closure on
+every symmetry-root mask through rank 8.  The affine node's component, found
+on node masks, must be the diagram of the component split it replaced, with
+the same label, on every painting through rank 8, each component classified
+once per type.  The root-index tables themselves (``index``, ``neg``,
+``sums``, ``add``) are checked against coordinate addition, the
+``sum_index`` test helper and ``rneg`` for every simple type of rank <= 8.
 """
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from flagsym import (
+    Diagram,
     InternalConsistencyError,
     PaintedDiagram,
     RootSystem,
@@ -29,12 +35,16 @@ from flagsym import (
     center_of_nilradical,
     classify_connected,
     diagram_components,
+    diagrams_agree,
     h_prime,
     k_prime_check,
+    leaf_pair,
+    leaf_via_diagram,
     make_flag,
     simple_types,
     symmetry_roots,
 )
+from flagsym import symmetry
 from flagsym.rootsystem import bits, height, radd, rneg, rsub
 from flagsym.symmetry import (
     _classify_sub,
@@ -222,16 +232,22 @@ def test_root_index_tables(family, rank):
 
 
 @pytest.fixture(scope="module")
-def leaf_subsystems():
-    """(spec, rs, positive mask) of u and of k for each of the 305
-    symmetry-root masks of rank <= 8."""
+def symmetry_masks():
+    """The first flag of each of the 305 symmetry-root masks of rank <= 8."""
     masks = {}
     for pd in paintings(simple_types(8)):
         flag = make_flag(pd)
         masks.setdefault((pd.rs.name, _symmetry(flag)[1]), flag)
     assert len(masks) == 305
+    return list(masks.values())
+
+
+@pytest.fixture(scope="module")
+def leaf_subsystems(symmetry_masks):
+    """(spec, rs, positive mask) of u and of k for each of the 305
+    symmetry-root masks of rank <= 8."""
     subsystems = []
-    for flag in masks.values():
+    for flag in symmetry_masks:
         rs = flag.rs
         rp, rk, _ = _masks(flag)
         for pos in ((rp | rk) & rs.positive_mask, rk & rs.positive_mask):
@@ -279,3 +295,50 @@ def test_classifier_fails_as_the_gram_classifier_off_positive_systems(family, ra
         assert got[-1] == outcome(ref_classify_sub, rs, pos), pos
     if half > 3:
         assert any(r[0] is InternalConsistencyError for r in got)
+
+
+def test_leaf_closure_on_the_rows_of_k_gives_the_full_verdict(symmetry_masks):
+    # two roots of p never sum to a root outside u = k + p: two of one sign
+    # never sum to a root (the centre is abelian), a mixed pair sums into k
+    for flag in symmetry_masks:
+        rs = flag.rs
+        rp, rk, _ = _masks(flag)
+        pruned = _closure_gap(rs, rk | rp, rk) is None
+        assert pruned == (_closure_gap(rs, rk | rp) is None), flag.pd.spec
+
+
+def ref_leaf_via_diagram(pd):
+    """The construction ``leaf_via_diagram`` replaced: drop the painted nodes
+    and their edges from the extended diagram, split what is left into its
+    components and keep the one of the affine node."""
+    ext = pd.rs.extended_diagram()
+    keep = [v for v in ext.nodes if v not in pd.painted]
+    edges = tuple(e for e in ext.edges if e[0] in keep and e[1] in keep)
+    return next(c for c in diagram_components(Diagram(tuple(keep), edges)) if 0 in c.nodes)
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_affine_component_is_classified_once_per_component(family, rank, monkeypatch):
+    rs = RootSystem(family, rank)  # its own memos, empty
+    pds = [
+        PaintedDiagram(rs, frozenset(combo))
+        for size in range(1, rank + 1)
+        for combo in itertools.combinations(range(1, rank + 1), size)
+    ]
+    leaves = {pd: leaf_pair(make_flag(pd)) for pd in pds}
+    refs = {pd: ref_leaf_via_diagram(pd) for pd in pds}
+    classified = []
+
+    def counted(diagram):
+        classified.append(diagram.nodes)
+        return classify_connected(diagram)
+
+    monkeypatch.setattr(symmetry, "classify_connected", counted)
+    for pd in pds:
+        assert leaf_via_diagram(pd) == refs[pd], pd.spec
+        label = "%s%d" % classify_connected(refs[pd])
+        leaf = leaves[pd]
+        assert diagrams_agree(pd, leaf) == (label == leaf.u_type), pd.spec
+        assert diagrams_agree(pd, dataclasses.replace(leaf, u_type=label)), pd.spec
+        assert not diagrams_agree(pd, dataclasses.replace(leaf, u_type=f"{label}'")), pd.spec
+    assert sorted(classified) == sorted({ref.nodes for ref in refs.values()})
