@@ -28,7 +28,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .chevalley import ChevalleyTable, build_constants
-from .flag import FlagData, PaintedDiagram, make_flag, painting_spec, parse_painted, to_dot
+from .flag import FlagData, PaintedDiagram, make_flag, painting_spec, split_painted, to_dot
 from .oracle import oracle_check
 from .rootsystem import FAMILIES, build_root_system, is_valid_type, root_str
 from .symmetry import (
@@ -74,12 +74,15 @@ def dim_g(family: str, rank: int) -> int:
 def simple_types(max_rank: int, families=None) -> list[tuple[str, int]]:
     """All simple types with rank <= max_rank, sorted by (family, rank), each once.
 
-    A family letter that is not one of ``FAMILIES`` (lowercase included)
-    raises ValueError.
+    ``families=None`` means every family.  An empty collection, or a family
+    letter that is not one of ``FAMILIES`` (lowercase included), raises
+    ValueError.
     """
     if not 1 <= max_rank <= MAX_RANK_BOUND:
         raise ValueError(f"max_rank must be between 1 and {MAX_RANK_BOUND}")
-    chosen = sorted(set(families)) if families else FAMILIES
+    chosen = FAMILIES if families is None else sorted(set(families))
+    if not chosen:
+        raise ValueError(f"no family given; choose from {','.join(FAMILIES)}")
     unknown = [f for f in chosen if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families {','.join(unknown)}; choose from {','.join(FAMILIES)}")
@@ -394,8 +397,13 @@ def _families(text: str) -> list[str]:
 
 
 def _painted(text: str) -> PaintedDiagram:
+    """A painting of rank at most MAX_RANK_BOUND, rejected before its root
+    system is built: the root index allocates |R|^2 ``add`` entries."""
     try:
-        return parse_painted(text)
+        family, rank, painted = split_painted(text)
+        if rank > MAX_RANK_BOUND:
+            raise ValueError(f"rank must be at most {MAX_RANK_BOUND}, got {rank}")
+        return PaintedDiagram(build_root_system(family, rank), painted)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -14,11 +14,9 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .rootsystem import (
     Diagram,
-    Root,
     RootSystem,
     bits,
     build_root_system,
@@ -52,15 +50,20 @@ class PaintedDiagram:
         return f"PaintedDiagram({self.spec})"
 
 
-def parse_painted(text: str) -> PaintedDiagram:
-    """Parse the compact form '<Family><rank>:{i,j,...}', e.g. 'A3:{2,3}'."""
+def split_painted(text: str) -> tuple[str, int, frozenset[int]]:
+    """The family, rank and painted nodes of the compact form
+    '<Family><rank>:{i,j,...}', e.g. 'A3:{2,3}', before any root system is built."""
     m = _PAINTED_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse painted diagram {text!r}; expected e.g. 'A3:{{2,3}}'")
-    family, rank = m.group(1), int(m.group(2))
     toks = [t.strip() for t in m.group(3).split(",") if t.strip()]
-    rs = build_root_system(family, rank)
-    return PaintedDiagram(rs, frozenset(int(t) for t in toks))
+    return m.group(1), int(m.group(2)), frozenset(int(t) for t in toks)
+
+
+def parse_painted(text: str) -> PaintedDiagram:
+    """Parse the compact form '<Family><rank>:{i,j,...}', e.g. 'A3:{2,3}'."""
+    family, rank, painted = split_painted(text)
+    return PaintedDiagram(build_root_system(family, rank), painted)
 
 
 class KahlerParam:
@@ -83,11 +86,11 @@ class KahlerParam:
 class FlagData:
     """Root-level description of G/H for one painted diagram.
 
-    The root sets are masks over the root index of ``rs``; the tuple views
-    ``r_h``, ``r_m``, ``r_m_plus`` and ``r_m_plus_set`` are built on first
-    read.  What it describes is fixed at construction; the lazy views and
-    the caches filled by :mod:`flagsym.symmetry` only ever take one value,
-    so concurrent reads are safe.
+    The root sets are masks over the root index of ``rs``: ``h_mask``,
+    ``m_mask`` and ``m_plus_mask``.  What it describes is fixed at
+    construction; the symmetric-coset verdict and the one record that
+    :mod:`flagsym.symmetry` keeps here only ever take one value, so
+    concurrent reads are safe.
     """
 
     def __init__(self, pd: PaintedDiagram):
@@ -104,36 +107,13 @@ class FlagData:
         self.m_plus_mask = m_mask & rs.positive_mask
         self.dim_m = m_mask.bit_count()
         self._symmetric: bool | None = None
-        # filled once by flagsym.symmetry: the symmetry roots and their mask,
-        # then the p, [p, p] and h' masks, then the h' mask proved closed
-        self._symmetry: tuple[frozenset, int] | None = None
-        self._masks: tuple[int, int, int] | None = None
-        self._h_prime: int | None = None
+        # filled once by flagsym.symmetry: the symmetry roots and the masks
+        # of p, [p, p] and h' (a symmetry.Structure)
+        self._structure = None
 
     @property
     def rs(self) -> RootSystem:
         return self.pd.rs
-
-    @property
-    def center_dim(self) -> int:
-        return len(self.pd.painted)
-
-    @cached_property
-    def r_h(self) -> frozenset:
-        return self.rs.roots_of(self.h_mask)
-
-    @cached_property
-    def r_m(self) -> frozenset:
-        return self.rs.roots_of(self.m_mask)
-
-    @cached_property
-    def r_m_plus(self) -> tuple[Root, ...]:
-        """R_m+ in index order: by height, then coordinates."""
-        return tuple(map(self.rs.roots.__getitem__, bits(self.m_plus_mask)))
-
-    @cached_property
-    def r_m_plus_set(self) -> frozenset:
-        return frozenset(self.r_m_plus)
 
     def is_symmetric_coset(self) -> bool:
         """True iff no two roots of R_m+ sum to a root ([m, m] inside h)."""

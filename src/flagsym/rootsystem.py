@@ -435,9 +435,10 @@ class RootSystem:
         self.sums: tuple[int, ...] = tuple(sums) + tuple(map(self.neg_mask, sums))
         self.add: tuple[array, ...] = tuple(add_rows)
         self._extended: Diagram | None = None
-        # filled by flagsym.symmetry: the leaf fields by symmetry-root mask, and
+        # filled by flagsym.symmetry: the LeafDescriptor by symmetry-root mask
+        # (masks and labels only, no reference back to this root system), and
         # the label of the affine node's component by its node mask
-        self.leaf_memo: dict[int, tuple] = {}
+        self.leaf_memo: dict = {}
         self.component_memo: dict[int, str] = {}
 
     @property

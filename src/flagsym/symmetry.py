@@ -27,31 +27,36 @@ costs the length of the row instead of the width of the mask, and only a
 row that fails a closure is walked again for its first witness.  [p, p],
 the abelian-centre test and [k', p] = 0 are short loops over set bits.
 Roots become coordinate tuples only where a caller reads them: the symmetry
-roots and the frozenset views ``LeafDescriptor.r_u``/``r_k``,
-``SymmetryReport.h_prime_roots`` and those of ``FlagData``, built on demand.
+roots of a report.
 
-The symmetry roots are computed once per FlagData, by two independent scans
-that are cross-checked: one tests membership of a + b in R through ``sums``,
-the other membership in R_m+ through ``add``.  The centre they give is then
-tested abelian (no two symmetry roots sum to a root).  The result is kept on
-the flag and read by :func:`build_report`, :func:`leaf_pair`, :func:`h_prime`
-and :func:`k_prime_check`, so each painting is scanned and tested once,
-whichever of them comes first.  So are the masks derived from it, kept next
-to it on the flag: p = R_p+ and its negatives, [p, p] and h' = h + p
-(:func:`_masks`), and the mask of h' once :func:`h_prime` has proved it
-closed, which :attr:`SymmetryReport.hprime_closed` reads back instead of
-closing h' again.
+Each painting has one record, a :class:`Structure` kept on its FlagData and
+built once by :func:`_structure`, whichever entry point comes first:
+
+  * the symmetry roots, by two independent scans that are cross-checked: one
+    tests membership of a + b in R through ``sums``, the other membership in
+    R_m+ through ``add``;
+  * the tests that the highest root is a symmetry root and that the centre is
+    abelian (no two symmetry roots sum to a root);
+  * the masks of p = R_p+ and its negatives and of [p, p], with the test
+    that [p, p] lies in the isotropy roots;
+  * the mask of h' = h + p, proved closed under root addition.
+
+:func:`build_report`, :func:`leaf_pair`, :func:`h_prime` and
+:func:`k_prime_check` read that record, and
+:attr:`SymmetryReport.hprime_closed` reads back the h' it proved closed
+instead of closing h' again.
 
 What depends on the painting only through a smaller key is decided once per
 key and root system, in a memo on the ``RootSystem``:
 
-  * [p, p] and the leaf past the test that [p, p] lies in the isotropy roots
-    (the closure of u, the classification of u and k, the two ranks, the
-    k-highest test and the name) depend only on the mask of R_p+.
-    :func:`leaf_pair` keeps the leaf's plain fields in ``RootSystem.leaf_memo``
-    under that mask (the rank-8 sweep has 305 masks among 2455 paintings),
-    and :func:`_masks` reads [p, p] back from the entry's ``k_mask``; it
-    computes [p, p] only for a mask that has no entry yet.
+  * [p, p] and the leaf (the closure of u, the classification of u and k,
+    the two ranks, the k-highest test and the name) depend only on the mask
+    of R_p+.  :func:`leaf_pair` keeps the frozen :class:`LeafDescriptor`
+    itself in ``RootSystem.leaf_memo`` under that mask (the rank-8 sweep has
+    305 masks among 2455 paintings), and :func:`_structure` reads [p, p]
+    back from its ``k_mask``; it computes [p, p] only for a mask that has no
+    entry yet.  A descriptor holds masks and labels only, nothing that refers
+    back to the root system.
   * The diagram cross-check depends only on the nodes of the affine node's
     component once the painted nodes are deleted from the extended diagram.
     :func:`diagrams_agree` finds that node mask by a search over
@@ -65,7 +70,7 @@ member's row, since ``add`` is symmetric.  A pair of two roots of p never
 sums to a root outside u:
 
   * two roots of one sign, a + b or -a - b with a, b in R_p+, never sum to a
-    root, because the centre is abelian, which :func:`_symmetry` has tested
+    root, because the centre is abelian, which :func:`_structure` has tested
     before any leaf is classified;
   * a mixed pair a - b that is a root lies in [p, p] = k, by the definition
     of :func:`_r_k`.
@@ -79,8 +84,9 @@ components that :func:`~flagsym.rootsystem.classify_connected` labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .flag import FlagData, PaintedDiagram
 from .rootsystem import (
@@ -103,22 +109,20 @@ class LeafDescriptor:
     u_type: str
     k_semisimple_type: tuple[str, ...]
     k_center_dim: int
-    u_mask: int  # the roots of u, over the root index of rs
+    u_mask: int  # the roots of u, over the root index of the flag's root system
     k_mask: int  # the roots of k = [p, p]
     toral_rank: int
     name: str
-    rs: RootSystem = field(repr=False)
-
-    @property
-    def r_u(self) -> frozenset:
-        return self.rs.roots_of(self.u_mask)
-
-    @property
-    def r_k(self) -> frozenset:
-        return self.rs.roots_of(self.k_mask)
 
 
-_K_MASK = 4  # the place of k_mask among the leaf fields kept in rs.leaf_memo
+class Structure(NamedTuple):
+    """The symmetry roots of one painting and the masks built on them."""
+
+    r_p_plus: frozenset  # R_p+, the symmetry roots
+    plus: int  # the mask of R_p+
+    rp: int  # p: R_p+ and its negatives
+    rk: int  # k = [p, p], inside the isotropy roots
+    hp: int  # h' = h + p, proved closed under root addition
 
 
 @dataclass
@@ -132,17 +136,13 @@ class SymmetryReport:
     exception: str | None = None
 
     @property
-    def h_prime_roots(self) -> frozenset:
-        return self.flag.rs.roots_of(self.h_prime_mask)
-
-    @property
     def hprime_closed(self) -> bool:
         """h' = h + p closed under root addition.
 
-        :func:`h_prime` proved it for the mask it returned (it raises when the
-        closure fails); any other mask is tested by the mask closure.
+        The flag's :class:`Structure` proved it for its own h' mask; any other
+        mask is tested by the mask closure.
         """
-        if self.h_prime_mask == self.flag._h_prime:
+        if self.h_prime_mask == _structure(self.flag).hp:
             return True
         return _closure_gap(self.flag.rs, self.h_prime_mask) is None
 
@@ -169,40 +169,33 @@ def center_of_nilradical(flag: FlagData) -> frozenset:
     )
 
 
-def _symmetry(flag: FlagData) -> tuple[frozenset, int]:
-    """R_p+ and its mask: both scans run and are cross-checked once per flag,
-    and the centre they give is tested abelian."""
-    if flag._symmetry is None:
+def _structure(flag: FlagData) -> Structure:
+    """The flag's :class:`Structure`, built and tested once per flag in the
+    order of the module doc; a failure raises and leaves the slot empty."""
+    if flag._structure is None:
         rs = flag.rs
         via_r = symmetry_roots(flag)
-        via_z = center_of_nilradical(flag)
-        if via_r != via_z:
+        if via_r != center_of_nilradical(flag):
             raise InternalConsistencyError(
                 f"{flag.pd.spec}: root-list and nilradical scans disagree"
             )
         if rs.highest not in via_r:
-            raise InternalConsistencyError(
-                f"{flag.pd.spec}: highest root not a symmetry root"
-            )
+            raise InternalConsistencyError(f"{flag.pd.spec}: highest root not a symmetry root")
         plus, sums = rs.mask_of(via_r), rs.sums
         if any(sums[i] & plus for i in bits(plus)):
             raise InternalConsistencyError(f"{flag.pd.spec}: centre not abelian")
-        flag._symmetry = (via_r, plus)
-    return flag._symmetry
-
-
-def _masks(flag: FlagData) -> tuple[int, int, int]:
-    """The masks of p (R_p+ and its negatives), of [p, p] and of h' = h + p,
-    computed once per flag and kept on it.  [p, p] depends on R_p+ alone, so
-    it is read from the leaf memo when the mask has an entry there."""
-    if flag._masks is None:
-        rs = flag.rs
-        _, plus = _symmetry(flag)
         rp = plus | rs.neg_mask(plus)
-        fields = rs.leaf_memo.get(plus)
-        rk = _r_k(rs, plus) if fields is None else fields[_K_MASK]
-        flag._masks = (rp, rk, flag.h_mask | rp)
-    return flag._masks
+        leaf = rs.leaf_memo.get(plus)
+        rk = _r_k(rs, plus) if leaf is None else leaf.k_mask
+        if rk & ~flag.h_mask:
+            raise InternalConsistencyError(f"{flag.pd.spec}: [p,p] escapes the isotropy roots")
+        hp = flag.h_mask | rp
+        gap = _closure_gap(rs, hp)
+        if gap is not None:
+            a, b = (root_str(rs.roots[i]) for i in gap)
+            raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
+        flag._structure = Structure(via_r, plus, rp, rk, hp)
+    return flag._structure
 
 
 def _rank_q(vectors) -> int:
@@ -315,11 +308,12 @@ def _hermitian_name(u: tuple[str, int], ks: list[tuple[str, int]]) -> str:
     )
 
 
-def _leaf_fields(flag: FlagData, plus: int, rp: int, rk: int) -> tuple:
-    """The leaf fields of :class:`LeafDescriptor` but ``rs``, from the masks of
-    R_p+, p and [p, p] alone; a failure raises with the painting's spec."""
+def _leaf_descriptor(flag: FlagData, record: Structure) -> LeafDescriptor:
+    """The leaf of :func:`leaf_pair`, from the masks of R_p+, p and [p, p]
+    alone; a failure raises with the painting's spec."""
     rs, spec = flag.rs, flag.pd.spec
-    ru = rk | rp
+    plus, rk = record.plus, record.rk
+    ru = rk | record.rp
     if _closure_gap(rs, ru, rk) is not None:  # the rows of k decide it, see the module doc
         raise InternalConsistencyError(f"{spec}: leaf root set not closed")
 
@@ -350,7 +344,7 @@ def _leaf_fields(flag: FlagData, plus: int, rp: int, rk: int) -> tuple:
         name = _hermitian_name(u_type, k_labels)
     except ClassificationError as exc:
         raise ClassificationError(f"{spec}: {exc}") from None
-    return (
+    return LeafDescriptor(
         f"{u_type[0]}{u_type[1]}",
         tuple(f"{f}{r}" for f, r in k_labels),
         k_center,
@@ -369,21 +363,17 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
     of k, the highest root the unique k-highest vector of p): these are
     theorems, so a failure means a bug, not a valid outcome.
 
-    Everything past the test that [p, p] lies in the isotropy roots depends
-    on the painting only through the mask of R_p+, so its fields are kept in
-    ``rs.leaf_memo`` under that mask and computed once per mask.  A failure
-    is raised, never kept, so each painting that hits it names its own spec.
-    The memo holds plain fields, not the descriptor, which refers to ``rs``.
+    The leaf depends on the painting only through the mask of R_p+, so its
+    descriptor is kept in ``rs.leaf_memo`` under that mask and computed once
+    per mask; paintings with one mask share one descriptor.  A failure is
+    raised, never kept, so each painting that hits it names its own spec.
     """
-    rs = flag.rs
-    _, plus = _symmetry(flag)
-    rp, rk, _ = _masks(flag)
-    if rk & ~flag.h_mask:
-        raise InternalConsistencyError(f"{flag.pd.spec}: [p,p] escapes the isotropy roots")
-    fields = rs.leaf_memo.get(plus)
-    if fields is None:
-        fields = rs.leaf_memo[plus] = _leaf_fields(flag, plus, rp, rk)
-    return LeafDescriptor(*fields, rs=rs)
+    record = _structure(flag)
+    memo = flag.rs.leaf_memo
+    leaf = memo.get(record.plus)
+    if leaf is None:
+        leaf = memo[record.plus] = _leaf_descriptor(flag, record)
+    return leaf
 
 
 def _affine_component(pd: PaintedDiagram) -> int:
@@ -427,29 +417,20 @@ def diagrams_agree(pd: PaintedDiagram, leaf: LeafDescriptor) -> bool:
 
 
 def h_prime(flag: FlagData) -> int:
-    """Mask of the roots of h' = h + p, verified closed under root addition
-    once per flag."""
-    if flag._h_prime is None:
-        rs = flag.rs
-        mask = _masks(flag)[2]
-        gap = _closure_gap(rs, mask)
-        if gap is not None:
-            a, b = (root_str(rs.roots[i]) for i in gap)
-            raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
-        flag._h_prime = mask
-    return flag._h_prime
+    """Mask of the roots of h' = h + p, proved closed under root addition."""
+    return _structure(flag).hp
 
 
 def k_prime_check(flag: FlagData) -> bool:
     """True iff the orthocomplement of k inside h commutes with p at root level."""
     sums = flag.rs.sums
-    rp, rk, _ = _masks(flag)
-    return not any(sums[g] & rp for g in bits(flag.h_mask & ~rk))
+    record = _structure(flag)
+    return not any(sums[g] & record.rp for g in bits(flag.h_mask & ~record.rk))
 
 
 def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport:
     """Full symmetry report for one painted diagram (cross-checked)."""
-    rp_plus, _ = _symmetry(flag)
+    rp_plus = _structure(flag).r_p_plus
     index = 2 * len(rp_plus)
     coindex = flag.dim_m - index
     if (coindex == 0) != flag.is_symmetric_coset():

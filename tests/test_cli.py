@@ -89,6 +89,13 @@ def test_enumerate_flags_rejects_unknown_family_letters(families, unknown):
         enumerate_flags(max_rank=2, families=families)
 
 
+@pytest.mark.parametrize("families", [[], (), ""])
+def test_enumerate_flags_rejects_an_empty_family_filter(families):
+    # only None means every family: an empty filter is an error, not the full sweep
+    with pytest.raises(ValueError, match="^no family given; choose from A,B,C,D,E,F,G$"):
+        enumerate_flags(max_rank=2, families=families)
+
+
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
 def test_repeated_family_letters_sweep_each_type_once(capsys, command):
     # `--families A,A` sweeps A1..A3 once: the same stdout as `--families A`
@@ -219,6 +226,28 @@ def test_enumerate_rank_6_stdout_is_byte_stable(capsys):
     )
 
 
+def test_enumerate_rank_8_stdout_is_byte_stable(capsys):
+    # rank 8 spans all 305 symmetry-root masks, whose leaf descriptors are
+    # shared between the paintings of one mask
+    code, out = run_cli(capsys, "enumerate", "--max-rank", "8")
+    assert code == 0
+    assert len(out.encode()) == 1302681
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "adeaa3444bd37f0813aa4b0d9104837b1977b490a43a50c35955584cd5ac1912"
+    )
+
+
+def test_verify_rank_8_stdout_is_byte_stable(capsys):
+    # the three known findings, the oracle and claim coverage and the audit
+    # list of all 2455 paintings of rank <= 8
+    code, out = run_cli(capsys, "verify", "--max-rank", "8")
+    assert code == 1
+    assert len(out.encode()) == 503
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c4be573f4d85b737dd39cf7658ab484508ce5d037a52dc2ba1a17a9eda3a8beb"
+    )
+
+
 def analyze_pin_specs() -> list[str]:
     """Every painting of rank <= 3, and three of rank 5-8."""
     small = [
@@ -303,7 +332,7 @@ def test_clean_sweep_walks_no_cone_set(monkeypatch):
     # the counters sit on the path the walk takes
     flag = make_flag(parse_painted("A3:{2,3}"))
     shortcut_cone_set(flag)
-    assert len(calls) == len(flag.r_m_plus)
+    assert len(calls) == flag.m_plus_mask.bit_count()
     assert requests == [flag.rs]
 
 
@@ -400,6 +429,8 @@ def bad_input(number, argv, message):
         bad_input(13, ["analyze", "A3:{2,3}", "--seed", "1"], "unrecognized arguments: --seed 1"),
         bad_input(14, ["verify", "--max-rank", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
         bad_input(15, ["enumerate", "--max-rank", "x"], "must be an integer, got 'x'"),
+        # the root index of A_n holds |R|^2 sums: the bound is checked before it is built
+        bad_input(16, ["analyze", "A9:{1}"], "rank must be at most 8, got 9"),
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -411,6 +442,15 @@ def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):
     assert "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0]
+
+
+def test_analyze_rejects_a_rank_above_the_bound_before_building_it(capsys, monkeypatch):
+    # A300 would need a root index of about 10**10 entries; no build may start
+    monkeypatch.setattr(cli, "build_root_system", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "A300:{1}"])
+    assert exc.value.code == 2
+    assert "rank must be at most 8, got 300" in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_enumerate_to_an_unwritable_path_exits_2_with_one_line(tmp_path, capsys):

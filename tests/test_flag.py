@@ -17,7 +17,7 @@ from flagsym import (
 )
 from flagsym.rootsystem import radd, rneg
 
-from flag_helpers import epsilon, eval_root, t_modules
+from flag_helpers import epsilon, eval_root, ref_r_h, ref_r_m, ref_r_m_plus, t_modules
 
 
 def all_paintings(family, rank):
@@ -53,21 +53,21 @@ def test_parse_rejects(text):
 
 def test_a3_23_flag_data():
     f = make_flag(parse_painted("A3:{2,3}"))
-    assert f.r_h == {(1, 0, 0), (-1, 0, 0)}
-    assert len(f.r_m_plus) == 5
-    assert f.center_dim == 2
+    assert f.rs.roots_of(f.h_mask) == {(1, 0, 0), (-1, 0, 0)}
+    assert f.m_plus_mask.bit_count() == 5
+    assert f.painted_mask.bit_count() == 2
 
 
 def test_full_painting_empty_isotropy():
     f = make_flag(parse_painted("B3:{1,2,3}"))
-    assert f.r_h == frozenset()
-    assert len(f.r_m) == 18
+    assert f.h_mask == 0
+    assert f.dim_m == 18
 
 
 def test_g2_1_flag_data():
     f = make_flag(parse_painted("G2:{1}"))
-    assert f.r_h == {(0, 1), (0, -1)}
-    assert len(f.r_m_plus) == 5
+    assert f.rs.roots_of(f.h_mask) == {(0, 1), (0, -1)}
+    assert f.m_plus_mask.bit_count() == 5
     # the white root is short: this is the twistor-space painting
     assert f.rs.lengths[(0, 1)] == Fraction(2, 3)
 
@@ -76,34 +76,37 @@ def test_g2_1_flag_data():
 def test_ordering_axioms_exhaustive(family, rank):
     rs = build_root_system(family, rank)
     for f in all_paintings(family, rank):
-        assert f.r_h | f.r_m == rs.root_set and not (f.r_h & f.r_m)
-        assert f.r_h == {rneg(r) for r in f.r_h}
-        minus = {rneg(r) for r in f.r_m_plus}
-        assert f.r_m == f.r_m_plus_set | minus and not (f.r_m_plus_set & minus)
-        for h in f.r_h:
-            for m in f.r_m:
+        r_h, r_m = rs.roots_of(f.h_mask), rs.roots_of(f.m_mask)
+        r_m_plus = rs.roots_of(f.m_plus_mask)
+        assert r_h | r_m == rs.root_set and not (r_h & r_m)
+        assert r_h == {rneg(r) for r in r_h}
+        minus = {rneg(r) for r in r_m_plus}
+        assert r_m == r_m_plus | minus and not (r_m_plus & minus)
+        for h in r_h:
+            for m in r_m:
                 s = radd(h, m)
                 if s in rs.root_set:
-                    assert s in f.r_m
-            for m in f.r_m_plus:
+                    assert s in r_m
+            for m in r_m_plus:
                 s = radd(h, m)
                 if s in rs.root_set:
-                    assert s in f.r_m_plus_set
+                    assert s in r_m_plus
 
 
 def test_mask_views_through_rank_8():
-    """The tuple views of FlagData agree with its masks on all 2455 paintings."""
+    """The masks of FlagData agree with R_h, R_m and R_m+ built from
+    coordinates on all 2455 paintings."""
     seen = 0
     for family, rank in simple_types(8):
         rs = build_root_system(family, rank)
         for f in all_paintings(family, rank):
             seen += 1
-            assert f.dim_m == len(f.r_m) == f.m_mask.bit_count()
-            assert f.r_h | f.r_m == rs.root_set and not (f.r_h & f.r_m)
-            assert f.r_h == rs.roots_of(f.h_mask)
-            index = [rs.index[r] for r in f.r_m_plus]
-            assert index == sorted(index) and rs.mask_of(f.r_m_plus) == f.m_plus_mask
-            assert f.r_m_plus_set == frozenset(f.r_m_plus) <= f.r_m
+            r_m = ref_r_m(f)
+            assert f.dim_m == len(r_m) == f.m_mask.bit_count()
+            assert rs.roots_of(f.m_mask) == r_m
+            assert rs.roots_of(f.h_mask) == ref_r_h(f) == rs.root_set - r_m
+            assert rs.roots_of(f.m_plus_mask) == ref_r_m_plus(f) <= r_m
+            assert rs.mask_of(ref_r_m_plus(f)) == f.m_plus_mask
     assert seen == 2455
 
 
@@ -111,11 +114,11 @@ def test_mask_views_through_rank_8():
 def test_t_modules_partition(family, rank):
     for f in all_paintings(family, rank):
         cells = t_modules(f)
-        assert sorted(r for c in cells.values() for r in c) == sorted(f.r_m_plus)
+        assert sorted(r for c in cells.values() for r in c) == sorted(ref_r_m_plus(f))
         painted = sorted(f.pd.painted)
         for fp, roots in cells.items():
             assert all(tuple(r[i - 1] for i in painted) == fp for r in roots)
-        assert len(f.r_m) == 2 * len(f.r_m_plus)
+        assert f.m_mask.bit_count() == 2 * f.m_plus_mask.bit_count()
 
 
 def test_eval_root_examples():
@@ -129,9 +132,9 @@ def test_eval_root_examples():
 def test_eval_root_sign_on_isotropy():
     f = make_flag(parse_painted("A3:{2,3}"))
     xi = kahler_param(f, [Fraction(1, 3), 5])
-    for a in f.r_m_plus:
+    for a in f.rs.roots_of(f.m_plus_mask):
         assert eval_root(f, xi, a) > 0
-    for a in f.r_h:
+    for a in f.rs.roots_of(f.h_mask):
         assert eval_root(f, xi, a) == 0
 
 

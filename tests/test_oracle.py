@@ -64,7 +64,7 @@ def test_pairing_g2_length_factors(g2_setup):
 
 def test_pairing_positive_and_even_under_negation(a3_setup):
     f, xi, t = a3_setup
-    for d in f.r_m:
+    for d in f.rs.roots_of(f.m_mask):
         v = pairing(f, xi, t, d)
         assert v > 0
         assert v == pairing(f, xi, t, rneg(d))
@@ -122,7 +122,7 @@ def test_transvection_set_symmetric_coset():
     f = make_flag(parse_painted("A3:{2}"))
     t = chevalley_table("A", 3)
     xi = kahler_param(f, [2])
-    assert transvection_set(f, xi, t) == f.r_m_plus_set
+    assert transvection_set(f, xi, t) == f.rs.roots_of(f.m_plus_mask)
 
 
 def test_g2_weighted_cancellation(g2_setup):
@@ -142,11 +142,12 @@ def test_eq6_reduction_simply_laced(a3_setup):
     def r(d):
         return pairing(f, xi, t, d)
 
-    for a in f.r_m_plus:
+    r_m = rs.roots_of(f.m_mask)
+    for a in rs.roots_of(f.m_plus_mask):
         na = rneg(a)
-        for beta in f.r_m:
+        for beta in r_m:
             gamma = tuple(x - y for x, y in zip(na, beta))
-            if gamma not in f.r_m:
+            if gamma not in r_m:
                 continue
             total = (
                 t.n_of(beta, gamma) * r(a)
@@ -162,7 +163,7 @@ def test_two_methods_agree_exhaustive(family, rank):
     for f in all_flags([(family, rank)]):
         for seed in range(5):
             xi = random_kahler_param(f, f"{f.pd.spec}|{seed}")
-            for a in f.r_m_plus:
+            for a in f.rs.roots_of(f.m_plus_mask):
                 assert (not transvection_violations(f, xi, t, a)) == (
                     not shortcut_violations(f, xi, a)
                 ), (f.pd.spec, a)

@@ -152,11 +152,11 @@ def test_corrupted_constant_fails_the_oracle_check_on_a_partial_painting(
     monkeypatch.setattr(cli, "chevalley_table", lambda f, r: table)
     flag = make_flag(PaintedDiagram(table.rs, frozenset(range(2, rank + 1))))
     assert cli._painting(flag)[0].checks["oracle_agree"]
-    theta = table.rs.highest
+    theta, r_m = table.rs.highest, table.rs.roots_of(flag.m_mask)
     pairs = [
         (x, y)
         for x, y in table.n
-        if x < y and sum_root(table.rs, x, y) == rneg(theta) and {x, y} <= flag.r_m
+        if x < y and sum_root(table.rs, x, y) == rneg(theta) and {x, y} <= r_m
     ]
     assert pairs
     for pair in pairs:
@@ -259,6 +259,7 @@ def test_kernel_walks_each_decomposition_in_r_m_once(family, rank):
     ):
         for flag in paintings(family, rank):
             painted, columns = flag.painted_mask, sorted(flag.pd.painted)
+            r_m = rs.roots_of(flag.m_mask)
             reference = kernel(flag)
             for a in bits(flag.m_plus_mask):
                 masks = table.masks[a]
@@ -273,8 +274,8 @@ def test_kernel_walks_each_decomposition_in_r_m_once(family, rank):
                 root = rs.roots[a]
                 expected = {
                     frozenset((rs.index[b], rs.index[rsub(rneg(root), b)]))
-                    for b in flag.r_m
-                    if rsub(rneg(root), b) in flag.r_m
+                    for b in r_m
+                    if rsub(rneg(root), b) in r_m
                 }
                 pairs = [frozenset(g[:2]) for g in got]
                 assert len(pairs) == len(expected) and set(pairs) == expected, (
@@ -360,14 +361,14 @@ def assert_matches_the_per_painting_kernel(flag, table, xi=None):
     assert shortcut_cone_set(flag) == ref.cone_set(flag, ref.shortcut_kernel(flag)), spec
     if xi is not None:
         vectors = ref.shortcut_kernel(flag)
-        for a in flag.r_m_plus:
+        for a in flag.rs.roots_of(flag.m_plus_mask):
             got = shortcut_violations(flag, xi, a)
             assert got == ref.violations(flag, xi, vectors, a), (spec, a)
     for t in (table, perturbed(table, spec)):
         vectors = ref.cyclic_kernel(flag, t)
         assert transvection_cone_set(flag, t) == ref.cone_set(flag, vectors), spec
         if xi is not None:
-            for a in flag.r_m_plus:
+            for a in flag.rs.roots_of(flag.m_plus_mask):
                 got = transvection_violations(flag, xi, t, a)
                 assert got == ref.violations(flag, xi, vectors, a), (spec, a)
 
@@ -376,7 +377,7 @@ def assert_matches_the_per_painting_kernel(flag, table, xi=None):
 def test_mask_kernel_matches_the_per_painting_kernel_rank_le_6(family, rank):
     table = chevalley_table(family, rank)
     for flag in paintings(family, rank):
-        xi = kahler_param(flag, [Fraction(k + 2, k + 1) for k in range(flag.center_dim)])
+        xi = kahler_param(flag, [Fraction(k + 2, k + 1) for k in range(len(flag.pd.painted))])
         assert_matches_the_per_painting_kernel(flag, table, xi if rank <= 4 else None)
 
 

@@ -29,22 +29,24 @@ from flagsym import (
 )
 from flagsym.rootsystem import rneg, rsub
 
-from flag_helpers import epsilon, eval_root
+from flag_helpers import epsilon, eval_root, ref_r_m, ref_r_m_plus
 from root_helpers import sum_root
 
 
-def ref_decompositions(flag, a):
+def ref_decompositions(r_m, a):
+    """The pairs {beta, gamma} of R_m with beta + gamma = -a, once each."""
     na = rneg(a)
-    for beta in flag.r_m:
+    for beta in r_m:
         gamma = rsub(na, beta)
-        if gamma in flag.r_m and beta <= gamma:
+        if gamma in r_m and beta <= gamma:
             yield beta, gamma
 
 
 def ref_values(flag, xi, table):
     """d(xi) and r(d) = epsilon_d d(xi) b(d) for every d in R_m, once per (flag, xi)."""
-    value = {d: eval_root(flag, xi, d) for d in flag.r_m}
-    r = {d: epsilon(flag, d) * value[d] * table.b_of(d) for d in flag.r_m}
+    r_m = ref_r_m(flag)
+    value = {d: eval_root(flag, xi, d) for d in r_m}
+    r = {d: epsilon(flag, d) * value[d] * table.b_of(d) for d in r_m}
     return value, r
 
 
@@ -53,12 +55,12 @@ def ref_transvection_violations(flag, r, table, a):
 
     def n_m(x, y):
         s = sum_root(rs, x, y)
-        if s is None or s in flag.r_h:
+        if s is None or s not in r:  # r is keyed by R_m
             return 0
         return table.n_of(x, y)
 
     out = []
-    for beta, gamma in ref_decompositions(flag, a):
+    for beta, gamma in ref_decompositions(r.keys(), a):
         total = (
             n_m(beta, gamma) * r[a]
             + n_m(a, gamma) * r[beta]
@@ -71,7 +73,7 @@ def ref_transvection_violations(flag, r, table, a):
 
 def ref_shortcut_violations(flag, value, a):
     out = []
-    for beta, gamma in ref_decompositions(flag, a):
+    for beta, gamma in ref_decompositions(value.keys(), a):
         val = (1 + epsilon(flag, gamma)) * value[gamma] + (1 + epsilon(flag, beta)) * value[beta]
         if val != 0:
             out.append((beta, gamma, val))
@@ -88,11 +90,12 @@ def paintings(family, rank):
 def assert_matches_reference(flag, xi, table):
     # the reference sets are the roots with no reference violation
     value, r = ref_values(flag, xi, table)
-    cyclic = {a: ref_transvection_violations(flag, r, table, a) for a in flag.r_m_plus}
-    scalar = {a: ref_shortcut_violations(flag, value, a) for a in flag.r_m_plus}
+    r_m_plus = ref_r_m_plus(flag)
+    cyclic = {a: ref_transvection_violations(flag, r, table, a) for a in r_m_plus}
+    scalar = {a: ref_shortcut_violations(flag, value, a) for a in r_m_plus}
     assert transvection_set(flag, xi, table) == {a for a, v in cyclic.items() if not v}
     assert shortcut_set(flag, xi) == {a for a, v in scalar.items() if not v}
-    for a in flag.r_m_plus:
+    for a in r_m_plus:
         # witnesses come in root order, the reference's in set order
         got = transvection_violations(flag, xi, table, a)
         assert sorted(got) == sorted(cyclic[a])
@@ -126,7 +129,7 @@ LARGE_PRIMES = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079]
 def test_integer_oracles_match_reference_coprime_denominators(spec, primes, nums):
     flag = make_flag(parse_painted(spec))
     table = chevalley_table(flag.rs.family, flag.rs.rank)
-    k = flag.center_dim
+    k = len(flag.pd.painted)
     xi = kahler_param(flag, [Fraction(n, p) for n, p in zip(nums[:k], primes[:k])])
     assert_matches_reference(flag, xi, table)
 
@@ -142,6 +145,6 @@ def test_integer_oracles_match_reference_weighted_types(family, rank, weights):
         for step in range(4):
             coeffs = [
                 Fraction(2 * i + step + 1, 3 * i + 2 * step + 5)
-                for i in range(flag.center_dim)
+                for i in range(len(flag.pd.painted))
             ]
             assert_matches_reference(flag, kahler_param(flag, coeffs), table)

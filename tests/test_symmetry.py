@@ -29,8 +29,8 @@ from flagsym.symmetry import (
     ClassificationError,
     _closure_gap,
     _hermitian_name,
-    _masks,
     _rank_q,
+    _structure,
 )
 
 from root_helpers import diagram_isomorphic
@@ -63,7 +63,7 @@ def test_symmetry_roots_g2_twistor():
 
 def test_symmetry_roots_symmetric_coset_is_everything():
     f = make_flag(parse_painted("A3:{2}"))
-    assert symmetry_roots(f) == f.r_m_plus_set
+    assert symmetry_roots(f) == f.rs.roots_of(f.m_plus_mask)
 
 
 def test_center_examples():
@@ -82,13 +82,14 @@ def test_two_scans_agree_exhaustive(family, rank):
 
 
 def test_leaf_pair_a3_23():
-    leaf = leaf_pair(make_flag(parse_painted("A3:{2,3}")))
+    f = make_flag(parse_painted("A3:{2,3}"))
+    leaf = leaf_pair(f)
     assert leaf.u_type == "A2"
     assert leaf.k_semisimple_type == ("A1",)
     assert leaf.k_center_dim == 1
     assert leaf.name == "CP^2"
     assert leaf.toral_rank == 2
-    assert leaf.r_k == {(1, 0, 0), (-1, 0, 0)}
+    assert f.rs.roots_of(leaf.k_mask) == {(1, 0, 0), (-1, 0, 0)}
 
 
 def test_leaf_pair_g2_twistor():
@@ -104,7 +105,7 @@ def test_leaf_pair_symmetric_coset_is_m_itself():
     assert leaf.u_type == "A3"
     assert leaf.k_semisimple_type == ("A1", "A1")
     assert leaf.name == "Gr_2(C^4)"
-    assert leaf.r_u == f.rs.root_set
+    assert f.rs.roots_of(leaf.u_mask) == f.rs.root_set
 
 
 def test_leaf_pair_b3_3():
@@ -171,7 +172,7 @@ def test_hprime_closed_is_the_mask_closure():
     # {a1, a2} misses a1 + a2, so it is not closed under root addition
     broken = dataclasses.replace(rep, h_prime_mask=rs.mask_of({(1, 0, 0), (0, 1, 0)}))
     assert broken.hprime_closed is False
-    assert broken.h_prime_roots == {(1, 0, 0), (0, 1, 0)}
+    assert rs.roots_of(broken.h_prime_mask) == {(1, 0, 0), (0, 1, 0)}
     # a mask other than the proved one is closed by the mask closure
     other = dataclasses.replace(rep, h_prime_mask=rs.mask_of({(1, 0, 0), (-1, 0, 0)}))
     assert other.hprime_closed is True
@@ -193,11 +194,24 @@ def test_non_abelian_centre_raises_before_any_leaf_is_classified(monkeypatch):
     centre = frozenset({(1, 0), (0, 1), (1, 1)})
     monkeypatch.setattr(symmetry, "symmetry_roots", lambda flag: centre)
     monkeypatch.setattr(symmetry, "center_of_nilradical", lambda flag: centre)
-    monkeypatch.setattr(symmetry, "_leaf_fields", None)  # a classification fails
+    monkeypatch.setattr(symmetry, "_leaf_descriptor", None)  # a classification fails
     for entry in (build_report, leaf_pair, h_prime, k_prime_check):
         with pytest.raises(InternalConsistencyError, match=re.escape("A2:{1,2}: centre not abelian")):
             entry(f)
-    assert f._symmetry is None and rs.leaf_memo == {}
+    assert f._structure is None and rs.leaf_memo == {}
+
+
+def test_p_p_escaping_the_isotropy_roots_raises_from_every_entry_point(monkeypatch):
+    rs = RootSystem("A", 3)  # its own leaf memo, empty
+    f = make_flag(PaintedDiagram(rs, frozenset({2, 3})))
+    outside = 1 << rs.index[(0, 1, 0)]  # node 2 is painted: a2 is a tangent root
+    monkeypatch.setattr(symmetry, "_r_k", lambda rs, plus: outside)
+    monkeypatch.setattr(symmetry, "_leaf_descriptor", None)  # a classification fails
+    message = re.escape("A3:{2,3}: [p,p] escapes the isotropy roots")
+    for entry in (build_report, leaf_pair, h_prime, k_prime_check):
+        with pytest.raises(InternalConsistencyError, match=message):
+            entry(f)
+    assert f._structure is None and rs.leaf_memo == {}
 
 
 def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
@@ -219,12 +233,13 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
     rep = build_report(f)
     assert k_prime_check(f) and rep.hprime_closed
     assert h_prime(f) == rep.h_prime_mask
-    assert rep.h_prime_roots == f.rs.roots_of(rep.h_prime_mask)
-    _, plus = symmetry._symmetry(f)
-    rp, rk, hp = _masks(f)
-    # [p, p] once; the leaf closure walks the rows of k only and h' all its
-    # rows; none for hprime_closed
-    assert calls == {"_r_k": [(plus,)], "_closure_gap": [(rk | rp, rk), (hp,)]}
+    record = _structure(f)
+    # [p, p] once; h' is closed on all its rows before the leaf, whose closure
+    # walks the rows of k only; none for hprime_closed
+    assert calls == {
+        "_r_k": [(record.plus,)],
+        "_closure_gap": [(record.hp,), (record.rk | record.rp, record.rk)],
+    }
 
     # E7:{2,5,6} has the same symmetry roots: [p, p] and the leaf come from the
     # memo, and only h' is closed again
@@ -232,9 +247,10 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
         calls[name].clear()
     g = make_flag(PaintedDiagram(rs, frozenset({2, 5, 6})))
     rep = build_report(g)
-    assert symmetry._symmetry(g)[1] == plus and rep.leaf == leaf_pair(f)
-    assert _masks(g)[:2] == (rp, rk) and k_prime_check(g) and rep.hprime_closed
-    assert calls == {"_r_k": [], "_closure_gap": [(_masks(g)[2],)]}
+    other = _structure(g)
+    assert other[:4] == record[:4] and rep.leaf is leaf_pair(f)
+    assert k_prime_check(g) and rep.hprime_closed
+    assert calls == {"_r_k": [], "_closure_gap": [(other.hp,)]}
 
 
 def ref_closure_gap(rs, mask):
@@ -254,9 +270,8 @@ def test_closure_gap_gives_the_loop_witness(family, rank):
     one root added."""
     count = len(build_root_system(family, rank).roots)
     for f in all_flags([(family, rank)]):
-        rp, rk, hp = _masks(f)
-        rs = f.rs
-        for closed in (rk | rp, hp):
+        record, rs = _structure(f), f.rs
+        for closed in (record.rk | record.rp, record.hp):
             assert _closure_gap(rs, closed) is None
             for i in range(count):
                 variant = closed ^ 1 << i
@@ -283,12 +298,14 @@ def test_report_invariants_exhaustive(family, rank):
             for b in rep.r_p_plus:
                 assert radd(a, b) not in rs.root_set
         # h' is closed and contains the isotropy roots
-        assert f.r_h <= rep.h_prime_roots
+        r_h = rs.roots_of(f.h_mask)
+        assert r_h <= rs.roots_of(rep.h_prime_mask)
         assert k_prime_check(f)
         # leaf sanity: r_k inside r_h, rank equality
         leaf = rep.leaf
-        assert leaf.r_k <= f.r_h
-        assert leaf.r_u == leaf.r_k | {
+        r_k = rs.roots_of(leaf.k_mask)
+        assert r_k <= r_h
+        assert rs.roots_of(leaf.u_mask) == r_k | {
             r for a in rep.r_p_plus for r in (a, rneg(a))
         }
         assert leaf.k_center_dim == 1
@@ -324,7 +341,8 @@ def test_leaf_memo_is_keyed_by_the_symmetry_roots(monkeypatch):
     # A3:{1,3} and A3:{1,2,3} have the same symmetry roots, so one memo entry
     rs = RootSystem("A", 3)
     one, two = (make_flag(PaintedDiagram(rs, frozenset(p))) for p in ({1, 3}, {1, 2, 3}))
-    assert symmetry._symmetry(one)[1] == symmetry._symmetry(two)[1]
+    plus = _structure(one).plus
+    assert _structure(two).plus == plus
 
     def reject(u, ks):
         raise ClassificationError("injected")
@@ -337,13 +355,12 @@ def test_leaf_memo_is_keyed_by_the_symmetry_roots(monkeypatch):
     monkeypatch.undo()
 
     leaf = leaf_pair(one)
-    monkeypatch.setattr(symmetry, "_leaf_fields", None)  # a second computation fails
-    assert leaf_pair(two) == leaf and leaf.name == "CP^1"
-    (fields,) = rs.leaf_memo.values()
-    # plain fields, no descriptor: a memo entry refers to nothing that refers to rs
-    assert all(isinstance(x, (str, int, tuple)) for x in fields)
-    assert all(isinstance(x, str) for x in fields[1])
-    assert LeafDescriptor(*fields, rs=rs) == leaf
+    monkeypatch.setattr(symmetry, "_leaf_descriptor", None)  # a second computation fails
+    assert leaf_pair(two) is leaf and leaf.name == "CP^1"
+    assert rs.leaf_memo == {plus: leaf} and isinstance(leaf, LeafDescriptor)
+    # masks and labels only: a memo entry refers to nothing that refers to rs
+    assert all(isinstance(x, (str, int, tuple)) for x in vars(leaf).values())
+    assert all(isinstance(x, str) for x in leaf.k_semisimple_type)
 
 
 def test_rank_helper():

@@ -47,28 +47,25 @@ from flagsym import (
 from flagsym import symmetry
 from flagsym.rootsystem import bits, height, radd, rneg, rsub
 from flagsym.symmetry import (
+    Structure,
     _classify_sub,
     _closure_gap,
     _indecomposables,
-    _masks,
     _r_k,
-    _symmetry,
+    _structure,
 )
+from flag_helpers import ref_r_h, ref_r_m_plus
 from root_helpers import diagram_from_vectors, sum_index
 
 
 def ref_symmetry_roots(flag):
-    rset = flag.rs.root_set
-    return frozenset(
-        a for a in flag.r_m_plus if not any(radd(a, b) in rset for b in flag.r_m_plus)
-    )
+    rset, nil = flag.rs.root_set, ref_r_m_plus(flag)
+    return frozenset(a for a in nil if not any(radd(a, b) in rset for b in nil))
 
 
 def ref_center_of_nilradical(flag):
-    nil = flag.r_m_plus_set
-    return frozenset(
-        a for a in flag.r_m_plus if all(radd(a, b) not in nil for b in flag.r_m_plus)
-    )
+    nil = ref_r_m_plus(flag)
+    return frozenset(a for a in nil if all(radd(a, b) not in nil for b in nil))
 
 
 def ref_r_k(flag, rp_plus):
@@ -95,12 +92,12 @@ def ref_k_prime_check(flag, rp_plus):
     rk = ref_r_k(flag, rp_plus)
     rp = rp_plus | frozenset(rneg(a) for a in rp_plus)
     rset = flag.rs.root_set
-    return all(radd(g, a) not in rset for g in (flag.r_h - rk) for a in rp)
+    return all(radd(g, a) not in rset for g in (ref_r_h(flag) - rk) for a in rp)
 
 
 def ref_is_symmetric_coset(flag):
-    rset = flag.rs.root_set
-    return not any(radd(a, b) in rset for a in flag.r_m_plus for b in flag.r_m_plus)
+    rset, nil = flag.rs.root_set, ref_r_m_plus(flag)
+    return not any(radd(a, b) in rset for a in nil for b in nil)
 
 
 def ref_indecomposables(pos):
@@ -150,8 +147,9 @@ def assert_kernel_matches_reference(pd, rng):
     assert symmetry_roots(flag) == rp_plus, spec
     assert center_of_nilradical(flag) == ref_center_of_nilradical(flag) == rp_plus, spec
     assert flag.is_symmetric_coset() == ref_is_symmetric_coset(flag), spec
-    assert flag.h_mask == rs.mask_of(flag.r_h)
-    assert flag.m_plus_mask == rs.mask_of(flag.r_m_plus)
+    r_h, r_m_plus = ref_r_h(flag), ref_r_m_plus(flag)
+    assert flag.h_mask == rs.mask_of(r_h)
+    assert flag.m_plus_mask == rs.mask_of(r_m_plus)
 
     plus = rs.mask_of(rp_plus)
     rk = ref_r_k(flag, rp_plus)
@@ -160,11 +158,11 @@ def assert_kernel_matches_reference(pd, rng):
 
     rep = build_report(flag)
     assert rep.r_p_plus == rp_plus, spec
-    assert rep.leaf.r_k == rk, spec
+    assert rs.roots_of(rep.leaf.k_mask) == rk, spec
     ru = rk | rp_plus | frozenset(rneg(a) for a in rp_plus)
-    assert rep.leaf.r_u == ru, spec
-    hp = flag.r_h | rp_plus | frozenset(rneg(a) for a in rp_plus)
-    assert rs.roots_of(h_prime(flag)) == rep.h_prime_roots == hp, spec
+    assert rs.roots_of(rep.leaf.u_mask) == ru, spec
+    hp = r_h | rp_plus | frozenset(rneg(a) for a in rp_plus)
+    assert rs.roots_of(h_prime(flag)) == rs.roots_of(rep.h_prime_mask) == hp, spec
     assert ref_closed(rs, ru) and ref_closed(rs, hp), spec
     assert rep.hprime_closed, spec
 
@@ -174,14 +172,17 @@ def assert_kernel_matches_reference(pd, rng):
         assert got == ref_indecomposables(pos), spec
 
     # off the theorems: a random part of R_m+ stands in for the symmetry roots
-    fake = frozenset(rng.sample(flag.r_m_plus, rng.randint(1, len(flag.r_m_plus))))
+    members = sorted(r_m_plus, key=rs.index.__getitem__)  # index order
+    fake = frozenset(rng.sample(members, rng.randint(1, len(members))))
     other = make_flag(pd)
-    other._symmetry = (fake, rs.mask_of(fake))
-    assert rs.roots_of(_r_k(rs, rs.mask_of(fake))) == ref_r_k(other, fake), spec
+    plus = rs.mask_of(fake)
+    rp = plus | rs.neg_mask(plus)
+    other._structure = Structure(fake, plus, rp, _r_k(rs, plus), other.h_mask | rp)
+    assert rs.roots_of(_r_k(rs, plus)) == ref_r_k(other, fake), spec
     assert k_prime_check(other) == ref_k_prime_check(other, fake), spec
 
     # closure verdicts, also on sets that are not closed
-    for roots in (ru, hp, flag.r_h, flag.r_m_plus_set):
+    for roots in (ru, hp, r_h, r_m_plus):
         members = sorted(roots)
         variants = [roots]
         if members:
@@ -237,7 +238,7 @@ def symmetry_masks():
     masks = {}
     for pd in paintings(simple_types(8)):
         flag = make_flag(pd)
-        masks.setdefault((pd.rs.name, _symmetry(flag)[1]), flag)
+        masks.setdefault((pd.rs.name, _structure(flag).plus), flag)
     assert len(masks) == 305
     return list(masks.values())
 
@@ -248,8 +249,8 @@ def leaf_subsystems(symmetry_masks):
     symmetry-root masks of rank <= 8."""
     subsystems = []
     for flag in symmetry_masks:
-        rs = flag.rs
-        rp, rk, _ = _masks(flag)
+        rs, record = flag.rs, _structure(flag)
+        rp, rk = record.rp, record.rk
         for pos in ((rp | rk) & rs.positive_mask, rk & rs.positive_mask):
             subsystems.append((flag.pd.spec, rs, pos))
     return subsystems
@@ -301,8 +302,8 @@ def test_leaf_closure_on_the_rows_of_k_gives_the_full_verdict(symmetry_masks):
     # two roots of p never sum to a root outside u = k + p: two of one sign
     # never sum to a root (the centre is abelian), a mixed pair sums into k
     for flag in symmetry_masks:
-        rs = flag.rs
-        rp, rk, _ = _masks(flag)
+        rs, record = flag.rs, _structure(flag)
+        rp, rk = record.rp, record.rk
         pruned = _closure_gap(rs, rk | rp, rk) is None
         assert pruned == (_closure_gap(rs, rk | rp) is None), flag.pd.spec
 
