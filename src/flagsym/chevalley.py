@@ -21,18 +21,49 @@ positive roots are the indices 0..N-1 in (height, coordinates) order, so the
 order of the convention is the index order.  The decompositions gamma =
 alpha + beta of a positive root are read from ``sums[gamma]``: alpha is the
 negative of a negative partner x of gamma and beta = ``add[gamma][x]``.  Every
-weight b(d) is the int 1, 2 or 3, each constant of the Jacobi step is one
-exact integer quotient over a common denominator with its remainder checked,
-and the mixed-sign constants follow from the same-sign ones through the
-weighted cyclic identity.  The table stores n as ``n_dense``, an int8 array
-with n(roots[i], roots[j]) at ``i * C + j`` (C = 2N, zero where the sum is no
-root), and b as ``b_dense``, ints by root index.
+weight b(d) is the int 1, 2 or 3, and each constant of the Jacobi step is one
+exact integer quotient over a common denominator with its remainder checked.
+The table stores n as ``n_dense``, an int8 array with n(roots[i], roots[j]) at
+``i * C + j`` (C = 2N, zero where the sum is no root), and b as ``b_dense``,
+ints by root index.
 
-The audit (:func:`convention_violations`) reads those stored arrays, so a
-table changed after construction is audited as it stands.  It walks the sum
-pairs from the ``sums`` masks, a zeroed constant included.  Its exhaustive
-Jacobi check visits only the triples that can fail, and this pruning is
-exact.  Each term of
+Orbits.  Antisymmetry n(b, a) = -n(a, b) and the negation rule n(-a, -b) =
+-n(a, b) tie the four pairs {(a, b), (b, a), (-a, -b), (-b, -a)} of an orbit
+to one value, and the build writes each orbit at once.  A mixed-sign constant
+comes from the same-sign constant of its zero-sum triple (x, y, z) through
+the weighted cyclic identity, once per orbit: for x positive, y negative and
+x < -y.  Each other member of the orbit gets its quotient from the same
+triple or its negation, with the numerator negated or not and the same
+denominator b(z), so it divides exactly when this one does, and the build
+raises for an orbit exactly when it would for any one member.
+
+The audit (:func:`convention_violations`) reads the stored arrays, so a table
+changed after construction is audited as it stands.  It has two tiers.  The
+verdict, :func:`sign_convention_check`, checks each identity once per orbit
+and stops at the first fault.  Only when it fails does the witness tier run:
+the weight, pair and cyclic checks on every pair, in index order, then the
+Jacobi check on every triple that can fail, so the witnesses and their order
+are those of the exhaustive enumeration.  The verdict passes exactly when the
+witness tier reports nothing, by the arguments below.  Both tiers compare
+every weight with 2/(d, d) first: the structure-constant oracle multiplies by
+the weights, a table whose weights are all zero passes the weighted cyclic
+identity vacuously, and the arguments below need b(d) = b(-d) = 2/(d, d).
+
+- Pairs.  The antisymmetry, negation and |n| = p+1 checks of a pair read
+  only the entries of its orbit.  The verdict visits each orbit once, from
+  its member (i, j) with i positive and j > i (j positive) or -j > i (j
+  negative), and checks antisymmetry and the negation rule on all four
+  entries, and |n| against both the i-string through j and the j-string
+  through i; the strings of (-i, -j) and (-j, -i) are those negated.
+- Cycles.  A zero-sum triple {a, b, c} and its negation carry twelve
+  identities, one per ordered pair.  The three rotations state the same
+  equalities; reversing the order negates every term by antisymmetry, and
+  negating the roots does too by the negation rule.  So once the pair checks
+  are clean the twelve hold together.  One triple of each class {T, -T} has
+  two positive roots i < j, and the verdict checks the identity there.
+
+The exhaustive Jacobi check visits only the triples that can fail, and this
+pruning is exact.  Each term of
 
     [[E_x, E_y], E_z] + [[E_y, E_z], E_x] + [[E_z, E_x], E_y]
 
@@ -40,66 +71,85 @@ lies in the weight space g_{x+y+z}, which is zero unless x + y + z is a root
 or 0, and each term vanishes unless its first two roots sum to a root or to
 0.  So, whatever the constants in the table, a triple whose sum is not in
 R ∪ {0}, or none of whose pairs sums into R ∪ {0}, has defect zero.  The
-remaining triples are found from the ``sums`` masks, each once, from its
-first pair (in index order) that sums into R ∪ {0}.
+remaining triples, the candidates, are found from the ``sums`` masks, each
+once, from its first pair (in index order) that sums into R ∪ {0}.  The
+canonical candidates are those with at least two positive roots; every other
+candidate is the negation of one of them.
 
-When the pair and cyclic checks report nothing, the exhaustive check walks
-only the canonical triples, those with at least two positive roots; every
-other candidate is the negation of one of them, and this too is exact.
-The Jacobi terms read n only at sum pairs, where the negation rule
-n(-a, -b) = -n(a, b) has just been checked.  Negating a triple negates
-both factors of each root term n(a, c) n(a + c, d), so the term keeps its
-value; a Cartan term m H_{s^v} becomes (-m) H_{-s^v}, the same element; the
-a-string lengths that give <d, a^v> are those of the (-a)-string through
--d; and the sorted negated triple is a cyclic shift of (-x, -y, -z), whose
-defect is the same sum.  So the defect of (-x, -y, -z) is the image of the
-defect of (x, y, z) under the negation, and one is zero exactly when the
-other is (Carter, *Simple Groups of Lie Type*, ch. 4).
+Once the weights are true and the pair and cyclic checks clean, the verdict
+reasons as follows.
 
-The half walk also leaves out two classes of canonical triples whose defect
-the clean pair and cyclic checks already decide: the zero-sum triples
-(x + y + z = 0) and the opposite-pair triples (two of the roots opposite).
-Both classes are closed under negation.  The argument needs the weights of
-the table to be the true b(d) = 2/(d, d); a table with other weights gets
-the walk over all the candidates.
-
-- A zero-sum triple has no root term; its defect is the Cartan part
-  n(x, y) H_{(x+y)^v} + n(y, z) H_{(y+z)^v} + n(z, x) H_{(z+x)^v}.  Under
-  the identification of h with h* by the invariant form, H_{(-z)^v} =
-  -b(z) z, and the checked weighted cyclic identity n(x, y) b(z) =
+- Negation.  The Jacobi terms read n only at sum pairs, where the negation
+  rule n(-a, -b) = -n(a, b) holds.  Negating a triple negates both factors
+  of each root term n(a, c) n(a + c, d), so the term keeps its value; a
+  Cartan term m H_{s^v} becomes (-m) H_{-s^v}, the same element; the
+  a-string lengths that give <d, a^v> are those of the (-a)-string through
+  -d; and the sorted negated triple is a cyclic shift of (-x, -y, -z), whose
+  defect is the same sum.  So the defect of (-x, -y, -z) is the image of the
+  defect of (x, y, z) under the negation, and one is zero exactly when the
+  other is (Carter, *Simple Groups of Lie Type*, ch. 4).  Antisymmetry holds
+  at the same pairs, so permuting a triple changes its defect only in sign.
+- Zero-sum triples (x + y + z = 0) have no root term; the defect is the
+  Cartan part n(x, y) H_{(x+y)^v} + n(y, z) H_{(y+z)^v} + n(z, x)
+  H_{(z+x)^v}.  Under the identification of h with h* by the invariant form,
+  H_{(-z)^v} = -b(z) z, and the weighted cyclic identity n(x, y) b(z) =
   n(y, z) b(x) = n(z, x) b(y) = K makes the sum -K (x + y + z) = 0.
-- An opposite-pair triple (p, -p, r) has x + y + z = r, and its defect is
-  the E_r coefficient <r, p^v> + n(-p, r) n(r - p, p) + n(r, p) n(r + p, -p).
+- Opposite-pair triples (p, -p, r) have x + y + z = r, and the defect is the
+  E_r coefficient <r, p^v> + n(-p, r) n(r - p, p) + n(r, p) n(r + p, -p).
   The Cartan integer depends on the root system alone.  By the negation rule
   n(r - p, p) = -n(p - r, -p), and the weighted cyclic identity on the
   zero-sum triple (-p, r, p - r) gives n(p - r, -p) b(r) = n(-p, r) b(p - r),
-  so the first product is -n(-p, r)^2 b(r - p) / b(r), zero when r - p is
-  no root.  Antisymmetry, the negation rule and the identity on (r, p,
-  -(r + p)) make the second +n(r, p)^2 b(r + p) / b(r) in the same way.
-  The check |n| = p + 1 fixes each square, so the defect is the same on
-  every table that passes the pair and cyclic checks.  A Chevalley basis
-  passes them and satisfies the Jacobi identity, so that defect is zero
-  (the tests evaluate every such triple of the built tables through E8).
+  so the first product is -n(-p, r)^2 b(r - p) / b(r), zero when r - p is no
+  root.  Antisymmetry, the negation rule and the identity on (r, p, -(r + p))
+  make the second +n(r, p)^2 b(r + p) / b(r) in the same way.  The check
+  |n| = p + 1 fixes each square, so the defect is the same on every table
+  that passes the pair and cyclic checks.  A Chevalley basis passes them and
+  satisfies the Jacobi identity, so that defect is zero (the tests evaluate
+  every such triple of the built tables through E8).
+- Generic triples T = (x, y, z) have no opposite pair and a root t = x + y +
+  z.  With u = -t the quadruple Q = {x, y, z, u} sums to zero.  The weighted
+  cyclic identity on (x + y, z, u) gives n(x + y, z) b(t) = n(z, u) b(x + y),
+  and likewise for the other two terms, so the defect of T, the coefficient
+  of E_t, is G(Q) / b(t) with
 
-The remaining canonical triples are those with no opposite pair and x + y +
-z = t a root.  Their defect is one coefficient, that of E_t, summed inline
-from three products.  If an earlier check reported a fault, or the half
-walk finds a defect, the walk over all the candidates runs instead, so the
-witnesses and their order are those of the full enumeration.  That walk
-also evaluates the opposite-pair and zero-sum triples, one term at a time.
-Coroots, needed for the Cartan part of a zero-sum defect, are computed in
-integers, and only when such a triple is evaluated.
+      G(Q) = n(x, y) n(z, u) b(x + y) + n(y, z) n(x, u) b(y + z)
+             + n(z, x) n(y, u) b(z + x),
 
-Before the pair checks the audit compares every weight with 2/(d, d): the
-structure-constant oracle multiplies by the weights, and a table whose
-weights are all zero passes the weighted cyclic identity vacuously.
+  one term per pairing of Q, zero when its pairs sum to no root.  Since
+  b(x + y) = b(z + u), antisymmetry makes every transposition of Q map G to
+  -G, so G changes only sign under every permutation of Q, and every triple
+  Q - {w} has defect +-G(Q) / b(w): all four are zero together.  G = 0 is the
+  identity of Carter, Lemma 4.1.2, for four roots of zero sum.  With the
+  negation argument, every triple of Q and of -Q has zero defect once one
+  has, so the verdict evaluates one triple per class {Q, -Q}.  It keeps the
+  canonical triples with
+  - three positive roots: a class with three positive roots in Q and one
+    negative has exactly one such triple;
+  - t in -T: then Q repeats a root, and T is the only canonical triple of
+    its class;
+  - two positive roots x, y, one negative z and t positive, with t the
+    largest index of {x, y, -z, t}: a class with two positive roots in Q and
+    two negative has four canonical triples of this form, one per choice of
+    t from that set, so exactly one.
+  A class none of whose pairings sums to a root has G = 0 and no candidate.
+  Positive roots are indexed by height, so :func:`_jacobi_candidates` picks
+  a superset of these triples from each pair (p, q) of the canonical walk
+  with one prefix or suffix mask of heights plus the roots -(2p + q) and
+  -(p + 2q).  E8 evaluates 23 331 of its 90 720 generic canonical triples,
+  22 680 of them kept by the rule.  Each extra triple is a candidate of the
+  witness tier, so the verdict stays exact.
+
+The witness tier evaluates every candidate, most of them inline as one root
+coefficient of three products.  Coroots, needed for the Cartan part of a
+zero-sum defect, are computed in integers, and only when such a triple is
+evaluated.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 from .rootsystem import (
     InternalConsistencyError,
@@ -117,9 +167,7 @@ class ChevalleyTable:
     ``n_dense`` holds n(roots[i], roots[j]) at ``i * C + j`` over the root
     index (C = |R|) as int8, zero where roots[i] + roots[j] is no root;
     ``b_dense`` holds b(roots[i]) as ints.  ``audited`` is True when
-    :func:`build_constants` ran the exhaustive audit.  The dict views ``n``
-    and ``b`` are built from the arrays on first use, for the tests; writing
-    to a view changes nothing the program reads.  :mod:`flagsym.oracle`
+    :func:`build_constants` ran the exhaustive audit.  :mod:`flagsym.oracle`
     builds its cyclic table and verdict from the arrays and caches them per
     instance (tables hash and compare by identity), so a changed table is a
     changed copy, not a table the oracle has read.
@@ -130,28 +178,10 @@ class ChevalleyTable:
     b_dense: list[int]
     audited: bool = False
 
-    @cached_property
-    def n(self) -> dict[tuple[Root, Root], int]:
-        """n(a, b) for every pair with a + b a root (zeros included), in index order."""
-        roots, sums, n = self.rs.roots, self.rs.sums, self.n_dense
-        count = len(roots)
-        return {
-            (roots[i], roots[j]): n[i * count + j]
-            for i in range(count)
-            for j in bits(sums[i])
-        }
-
-    @cached_property
-    def b(self) -> dict[Root, int]:
-        return dict(zip(self.rs.roots, self.b_dense))
-
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""
         index = self.rs.index
         return self.n_dense[index[a] * len(self.rs.roots) + index[b]]
-
-    def b_of(self, d: Root) -> int:
-        return self.b_dense[self.rs.index[d]]
 
 
 def _pairing_weights(rs: RootSystem) -> list[int]:
@@ -180,7 +210,7 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
     n = array("b", bytes(count * count))
 
     def put(x: int, y: int, v: int) -> None:
-        """n(x, y) = v for positive x, y, with antisymmetry and the negation rule."""
+        """n(x, y) = v and the rest of its orbit, by antisymmetry and the negation rule."""
         nx, ny = neg[x], neg[y]
         n[x * count + y] = n[ny * count + nx] = v
         n[y * count + x] = n[nx * count + ny] = -v
@@ -221,13 +251,13 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
                 )
             put(al, be, x)
 
-    positive = rs.positive_mask
-    for x in range(count):
+    for x in range(half):
         row = add[x]
-        for y in bits(sums[x] & (negative if x < half else positive)):
+        # one mixed-sign pair per orbit: x positive, y negative with x < -y
+        for y in bits(sums[x] >> (half + x + 1) << (half + x + 1)):
             # close the zero-sum triple (x, y, z) and step to the same-sign pair
             z = neg[row[y]]
-            if (y < half) == (z < half):
+            if z >= half:
                 v, rem = divmod(n[y * count + z] * b[x], b[z])
             else:
                 v, rem = divmod(n[z * count + x] * b[y], b[z])
@@ -235,7 +265,7 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
                 raise InternalConsistencyError(
                     f"non-integral constant for ({roots[x]}, {roots[y]})"
                 )
-            n[x * count + y] = v
+            put(x, y, v)
 
     table = ChevalleyTable(rs, n, b)
     if verify is None:
@@ -309,16 +339,52 @@ def _jacobi_walk(rs: RootSystem, canonical: bool = False):
             yield p, q, third ^ special, special
 
 
+def _jacobi_candidates(rs: RootSystem):
+    """The generic triples the verdict evaluates, as (p, q, third).
+
+    From each (p, q, generic) of the canonical walk it keeps the third roots r
+    of a superset of the representatives (module docstring): every positive r
+    when q is positive, negative r with ht(-r) <= ht(p) when q is positive,
+    positive r with ht(r) >= ht(-q) when q is negative and ht(p) >= ht(-q),
+    and the roots -(2p + q) and -(p + 2q).  The positive roots are indexed by
+    height, so each range is one prefix or suffix mask.
+    """
+    count, neg, add = len(rs.roots), rs.neg, rs.add
+    half, positive = len(rs.positive_roots), rs.positive_mask
+    heights = [sum(r) for r in rs.positive_roots]
+    # start[k] and stop[k] bound the indices of the positive roots of height ht(k)
+    start = [bisect_left(heights, h) for h in heights]
+    stop = [bisect_right(heights, h) for h in heights]
+    for p, q, generic, _ in _jacobi_walk(rs, canonical=True):
+        if not generic:
+            continue
+        s = add[p][q]
+        if q < half:
+            window = (1 << (half + stop[p])) - 1
+        else:
+            k = start[neg[q]]
+            window = positive >> k << k if p >= k else 0
+        for u in (add[p][s], add[q][s]):
+            if u != count:
+                window |= 1 << neg[u]
+        if generic & window:
+            yield p, q, generic & window
+
+
 def convention_violations(table: ChevalleyTable, *, limit: int | None = None) -> list[str]:
     """Audit the table; returns human-readable witnesses (empty = clean).
 
     Checks the weights b(d) = 2/(d, d), antisymmetry, the negation rule,
     |n| = p+1, the weighted cyclic identity on every zero-sum triple, and the
-    Jacobi identity on every triple that can fail.  With ``limit`` the audit
-    stops after that many witnesses.
+    Jacobi identity on every triple that can fail.  A table that passes the
+    verdict (:func:`sign_convention_check`) has no witness; any other gets the
+    witness tier, each check on each pair and candidate triple in index order.
+    With ``limit`` the audit stops after that many witnesses.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    if sign_convention_check(table):
+        return []
     rs = table.rs
     roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
     count = len(roots)
@@ -386,13 +452,9 @@ def convention_violations(table: ChevalleyTable, *, limit: int | None = None) ->
             )
         return at_root != 0
 
-    def jacobi_defects(canonical: bool):
-        """The defective candidate triples, sorted, in the order of the walk.
-
-        The half walk (``canonical``) evaluates only the generic triples; the
-        module docstring shows the special ones have zero defect there.
-        """
-        for p, q, generic, special in _jacobi_walk(rs, canonical):
+    def jacobi_defects():
+        """The defective candidate triples, sorted, in the order of the walk."""
+        for p, q, generic, special in _jacobi_walk(rs):
             bad = []
             if generic:
                 # x + y + z = t is a root, each term whose first two roots sum
@@ -412,22 +474,59 @@ def convention_violations(table: ChevalleyTable, *, limit: int | None = None) ->
                             t += n[r * count + a] * n[u * count + c]
                         if t:
                             bad.append(r)
-            if not canonical:
-                for r in bits(special):
-                    if defective(*sorted((p, q, r))):
-                        bad.append(r)
+            for r in bits(special):
+                if defective(*sorted((p, q, r))):
+                    bad.append(r)
             for r in sorted(bad):
                 yield tuple(sorted((p, q, r)))
 
-    # a fault found so far (a wrong weight included: the half walk's argument
-    # needs b(d) = 2/(d, d)) or in the half walk gets the walk over all triples
-    if out or next(jacobi_defects(canonical=True), None) is not None:
-        for x, y, z in jacobi_defects(canonical=False):
-            if report(f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"):
-                return out
+    for x, y, z in jacobi_defects():
+        if report(f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"):
+            return out
     return out
 
 
 def sign_convention_check(table: ChevalleyTable) -> bool:
-    """True iff the weight, pair, weighted cyclic and Jacobi audits pass."""
-    return not convention_violations(table, limit=1)
+    """True iff the weight, pair, weighted cyclic and Jacobi audits pass.
+
+    This is the verdict of :func:`convention_violations`, which checks each
+    identity once per orbit (module docstring) and stops at the first fault.
+    """
+    rs = table.rs
+    neg, add, sums = rs.neg, rs.add, rs.sums
+    count, half = len(rs.roots), len(rs.positive_roots)
+    n, b = table.n_dense.tolist(), table.b_dense
+    if b != _pairing_weights(rs):
+        return False
+    positive, every = rs.positive_mask, (1 << count) - 1
+    for i in range(half):
+        ni, row, ic = neg[i], add[i], i * count
+        # one pair per orbit {(i, j), (j, i), (-i, -j), (-j, -i)}: j > i
+        # when j is positive, -j > i when j is negative
+        for j in bits(sums[i] & (positive >> (i + 1) << (i + 1) | every >> (ni + 1) << (ni + 1))):
+            v, nj = n[ic + j], neg[j]
+            if n[j * count + i] != -v or n[ni * count + nj] != -v or n[nj * count + ni] != v:
+                return False
+            if abs(v) != walk(add[ni], j) + 1 or abs(v) != walk(add[nj], i) + 1:
+                return False
+            if j < half:  # the one pair of its zero-sum class with both roots positive
+                k = neg[row[j]]
+                lhs = v * b[k]
+                if lhs != n[j * count + k] * b[i] or lhs != n[k * count + i] * b[j]:
+                    return False
+    for p, q, third in _jacobi_candidates(rs):
+        # the pair checks hold, so the defect of (p, q, r) is that of the
+        # sorted triple up to sign: the terms of E_{p+q+r}, in any order
+        pq, row_p, row_q = n[p * count + q], add[p], add[q]
+        sc, qc = add[p][q] * count, q * count
+        for r in bits(third):
+            t = pq * n[sc + r]
+            u = row_q[r]
+            if u != count:
+                t += n[qc + r] * n[u * count + p]
+            u = row_p[r]
+            if u != count:
+                t += n[r * count + p] * n[u * count + q]
+            if t:
+                return False
+    return True

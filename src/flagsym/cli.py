@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -449,7 +450,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    try:
+        status = _run(parser, args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+    except BrokenPipeError:
+        # the reader stopped early (``flagsym enumerate | head -1``): send what
+        # is still buffered to devnull, as the Python docs advise for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "analyze":
         pd = args.spec
         entry, report = _painting(make_flag(pd))

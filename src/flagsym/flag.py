@@ -57,6 +57,11 @@ def split_painted(text: str) -> tuple[str, int, frozenset[int]]:
     if not m:
         raise ValueError(f"cannot parse painted diagram {text!r}; expected e.g. 'A3:{{2,3}}'")
     toks = [t.strip() for t in m.group(3).split(",") if t.strip()]
+    for t in toks:
+        if not t.isdigit():  # digits and blanks pass the pattern: '1 2' lacks a comma
+            raise ValueError(
+                f"cannot parse painted node {t!r} in {text!r}; expected e.g. 'A3:{{2,3}}'"
+            )
     return m.group(1), int(m.group(2)), frozenset(int(t) for t in toks)
 
 

@@ -11,6 +11,7 @@ the pairing r(d) of the Levi-Civita equations.
 from fractions import Fraction
 
 from flagsym.rootsystem import root_str
+from table_helpers import b_of
 
 
 def is_tangent(flag, a) -> bool:
@@ -58,4 +59,4 @@ def pairing(flag, xi, table, d) -> Fraction:
     """r(d) = epsilon_d * d(xi) * b(d); strictly positive on all of R_m."""
     if not is_tangent(flag, d):
         raise ValueError("pairing is defined on tangent roots only")
-    return epsilon(flag, d) * eval_root(flag, xi, d) * table.b_of(d)
+    return epsilon(flag, d) * eval_root(flag, xi, d) * b_of(table, d)

@@ -1,15 +1,35 @@
-"""Corrupted copies of a Chevalley table and audit walks, for the audit and oracle tests."""
+"""Dict views and corrupted copies of a Chevalley table, and audit walks, for the tests."""
 
 from flagsym import ChevalleyTable
 from flagsym.chevalley import _jacobi_pairs
 from flagsym.rootsystem import bits, walk
 
 
+def table_constants(table):
+    """n(a, b) for every pair with a + b a root (zeros included), in index order.
+
+    A dict built from ``table.n_dense``; writing to it changes nothing the
+    program reads.
+    """
+    rs, n = table.rs, table.n_dense
+    roots, count = rs.roots, len(rs.roots)
+    return {(roots[i], roots[j]): n[i * count + j] for i in range(count) for j in bits(rs.sums[i])}
+
+
+def table_weights(table):
+    """b(d) for every root d, from ``table.b_dense``."""
+    return dict(zip(table.rs.roots, table.b_dense))
+
+
+def b_of(table, d):
+    return table.b_dense[table.rs.index[d]]
+
+
 def with_constants(table, values):
     """A copy of ``table`` with n(x, y) = v for each (x, y): v in ``values``.
 
     The values are written into a copy of the dense array ``n_dense``, which
-    the audit and the oracles read; the dict views of the copy are built from it.
+    the audit and the oracles read.
     """
     rs = table.rs
     index, count = rs.index, len(rs.roots)

@@ -33,7 +33,7 @@ from flagsym import (
 from flagsym.flag import make_flag, parse_painted
 from flagsym.rootsystem import radd, rneg
 from root_helpers import sum_index
-from table_helpers import _string_down
+from table_helpers import _string_down, b_of, table_constants
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -155,13 +155,13 @@ def test_c7_structure_constant_integrity():
     for typ in RANK_LE_4:
         rs = build_root_system(*typ)
         table = chevalley_table(*typ)
-        for (x, y), v in table.n.items():
+        for (x, y), v in table_constants(table).items():
             ok &= abs(v) == _string_down(rs, x, y) + 1
         for (x, y), s in sum_index(rs).items():
             z = rneg(s)
-            lhs = table.n_of(x, y) * table.b_of(z)
-            ok &= lhs == table.n_of(y, z) * table.b_of(x)
-            ok &= lhs == table.n_of(z, x) * table.b_of(y)
+            lhs = table.n_of(x, y) * b_of(table, z)
+            ok &= lhs == table.n_of(y, z) * b_of(table, x)
+            ok &= lhs == table.n_of(z, x) * b_of(table, y)
         # Jacobi was audited exhaustively at construction for every one of
         # these systems (build_constants raises otherwise); re-run one small
         # system here so the criterion is exercised inside this test too

@@ -22,10 +22,10 @@ from flagsym import (
     sign_convention_check,
     simple_types,
 )
-from flagsym.chevalley import _coroots, _jacobi_walk
+from flagsym.chevalley import _coroots, _jacobi_candidates, _jacobi_walk
 from flagsym.rootsystem import InternalConsistencyError, bits, height, rneg, rsub
 from root_helpers import cartan_int, coroot, sum_index, sum_root
-from table_helpers import _jacobi_triples, with_constants
+from table_helpers import _jacobi_triples, b_of, table_constants, with_constants
 
 
 def ref_string_down(rs, a, base):
@@ -150,9 +150,9 @@ def ref_violations(table):
     out = []
     for r in rs.roots:
         want = Fraction(2) / rs.lengths[r]
-        if table.b_of(r) != want:
-            out.append(f"weight b != 2/(d, d) at {r}: {table.b_of(r)} vs {want}")
-    for (x, y), v in table.n.items():
+        if b_of(table, r) != want:
+            out.append(f"weight b != 2/(d, d) at {r}: {b_of(table, r)} vs {want}")
+    for (x, y), v in table_constants(table).items():
         if v != -table.n_of(y, x):
             out.append(f"antisymmetry fails at ({x}, {y})")
         if v != -table.n_of(rneg(x), rneg(y)):
@@ -162,8 +162,8 @@ def ref_violations(table):
             out.append(f"|n| != p+1 at ({x}, {y}): {v} vs {p + 1}")
     for (x, y), s in sum_index(rs).items():
         z = rneg(s)
-        lhs = table.n_of(x, y) * table.b_of(z)
-        if lhs != table.n_of(y, z) * table.b_of(x) or lhs != table.n_of(z, x) * table.b_of(y):
+        lhs = table.n_of(x, y) * b_of(table, z)
+        if lhs != table.n_of(y, z) * b_of(table, x) or lhs != table.n_of(z, x) * b_of(table, y):
             out.append(f"weighted cyclic identity fails on ({x}, {y}, {z})")
     for x, y, z in itertools.combinations(rs.roots, 3):
         roots, cart = ref_jacobi_defect(table, rs, x, y, z)
@@ -182,7 +182,7 @@ MUTATIONS = {
 
 def mutated(table, kind, count, seed):
     """A copy of ``table`` with ``count`` seeded constants changed by ``kind``."""
-    n = table.n
+    n = table_constants(table)
     keys = random.Random(seed).sample(sorted(n), count)
     return with_constants(table, {key: MUTATIONS[kind](n[key]) for key in keys})
 
@@ -199,7 +199,7 @@ def clean_tables():
 def test_audit_matches_reference_rank_le_5(name, clean_tables):
     table = clean_tables[name]
     assert convention_violations(table) == ref_violations(table) == []
-    if len(table.n) < 2:
+    if len(table_constants(table)) < 2:
         return  # A1 has no constants to corrupt
     for step, kind in enumerate(MUTATIONS):
         bad = mutated(table, kind, 1 + step % 2, f"{name}|{kind}")
@@ -238,7 +238,7 @@ def test_every_zeroed_constant_gives_the_reference_witnesses(name, clean_tables)
     # the audit walks the sum pairs from the masks, so a constant set to zero
     # is reported like any other fault
     table = clean_tables[name]
-    for key in table.n:
+    for key in table_constants(table):
         bad = with_constants(table, {key: 0})
         want = ref_violations(bad)
         assert want, (name, key)
@@ -247,7 +247,7 @@ def test_every_zeroed_constant_gives_the_reference_witnesses(name, clean_tables)
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_canonical_triples_and_their_negations_are_the_candidates(family, rank):
-    # the audit walks only the canonical half when the pair checks are clean
+    # the verdict draws its candidates from the canonical half
     rs = build_root_system(family, rank)
     half = len(rs.positive_roots)
     canonical = set(_jacobi_triples(rs, canonical=True))
@@ -289,22 +289,24 @@ ZERO_SUM_ORBITS = {
 def test_flipped_zero_sum_orbit_gives_the_reference_witnesses(name, clean_tables):
     # flipping the 12 constants of a triple and its negation keeps every
     # pair and cyclic check clean, so only the Jacobi walk can see it: the
-    # canonical half must find exactly what the walk over all triples finds
+    # verdict's candidates must fail exactly when some triple fails
     table = clean_tables[name]
-    orbits, caught = zero_sum_orbits(table.rs), 0
+    n, orbits, caught = table_constants(table), zero_sum_orbits(table.rs), 0
     for orbit in orbits:
-        flips = {(x, y): -table.n[(x, y)] for t in orbit for x in t for y in t if x != y}
+        flips = {(x, y): -n[(x, y)] for t in orbit for x in t for y in t if x != y}
         assert len(flips) == 12
         bad = with_constants(table, flips)
         want = ref_violations(bad)
         assert all(m.startswith("Jacobi") for m in want), (name, orbit)
+        assert sign_convention_check(bad) == (not want), (name, orbit)
         assert sorted(convention_violations(bad)) == sorted(want), (name, orbit)
         caught += bool(want)
     assert (len(orbits), caught) == ZERO_SUM_ORBITS[name]
 
 
 def half_walk_classes(rs):
-    """The canonical triples the clean audit evaluates, and those it leaves out."""
+    """The canonical triples as (generic, special): the verdict draws its
+    candidates from the first and leaves the second out."""
     generic, special = [], []
     for p, q, g, s in _jacobi_walk(rs, canonical=True):
         generic += (tuple(sorted((p, q, r))) for r in bits(g))
@@ -350,14 +352,111 @@ def test_half_walk_triple_counts_of_e6_to_e8():
     assert counts == {6: (3240, 1380), 7: (15120, 4242), 8: (90720, 15400)}
 
 
+def sums_of_triples(rs, walk):
+    """{sorted triple: index of its sum root} over the (p, q, third) of a walk
+    of generic triples, for which p + q is a root."""
+    add, out = rs.add, {}
+    for p, q, third in walk:
+        s = add[p][q]
+        for r in bits(third):
+            out[tuple(sorted((p, q, r)))] = add[s][r]
+    return out
+
+
+def quadruple_class(rs, triple, t):
+    """{Q, -Q} for Q = triple + (-t), the zero-sum quadruple of a generic
+    triple with sum roots[t], as the smaller of the two sorted index tuples."""
+    neg = rs.neg
+    q = sorted((*triple, neg[t]))
+    return min(tuple(q), tuple(sorted(neg[i] for i in q)))
+
+
+def kept_triples(rs, sums):
+    """The canonical triples of ``sums`` that the representative rule keeps:
+    three positive roots; a sum t in -T; or two positive roots x, y, one
+    negative z and t positive with the largest index of {x, y, -z, t}."""
+    half, neg = len(rs.positive_roots), rs.neg
+    kept = set()
+    for triple, t in sums.items():
+        positive = [i for i in triple if i < half]
+        if len(positive) == 3 or len(positive) == 2 and neg[t] in triple:
+            kept.add(triple)
+        elif len(positive) == 2 and t < half:
+            z = next(i for i in triple if i >= half)
+            if t > max(*positive, neg[z]):
+                kept.add(triple)
+    return kept
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_verdict_candidates_meet_every_quadruple_class(family, rank):
+    # a clean verdict needs one triple of each class {Q, -Q} with a root
+    # pairing: the generic triples of the full walk are the triples of those
+    # classes, each class with all its triples
+    rs = build_root_system(family, rank)
+    half = len(rs.positive_roots)
+    generic = sums_of_triples(rs, ((p, q, g) for p, q, g, _ in _jacobi_walk(rs)))
+    candidates = sums_of_triples(rs, _jacobi_candidates(rs))
+    assert candidates.items() <= generic.items()
+    assert all(sum(i < half for i in t) >= 2 for t in candidates)
+    assert kept_triples(rs, generic) <= candidates.keys()
+    classes = {quadruple_class(rs, t, s) for t, s in generic.items()}
+    assert {quadruple_class(rs, t, s) for t, s in candidates.items()} == classes
+
+
+def test_verdict_triple_counts_of_e6_to_e8():
+    # (kept by the representative rule, candidates of the height masks), one
+    # triple per class in these simply-laced types; the half walk evaluated
+    # 3240, 15120 and 90720
+    counts = {}
+    for rank in (6, 7, 8):
+        rs = build_root_system("E", rank)
+        canonical = sums_of_triples(rs, ((p, q, g) for p, q, g, _ in _jacobi_walk(rs, True)))
+        candidates = sums_of_triples(rs, _jacobi_candidates(rs))
+        counts[rank] = (len(kept_triples(rs, canonical)), len(candidates))
+    assert counts == {6: (810, 876), 7: (3780, 3970), 8: (22680, 23331)}
+
+
+def pair_orbits(table):
+    """Each orbit {(x, y), (y, x), (-x, -y), (-y, -x)} of sum pairs, once, in order."""
+    seen, out = set(), []
+    for x, y in table_constants(table):
+        orbit = ((x, y), (y, x), (rneg(x), rneg(y)), (rneg(y), rneg(x)))
+        if orbit[0] not in seen:
+            seen.update(orbit)
+            out.append(orbit)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "B2", "G2"])
+def test_changed_orbit_member_fails_the_verdict(name, clean_tables):
+    # the verdict reads each orbit once: a change to any one member breaks
+    # antisymmetry and the negation rule; negating the whole orbit breaks
+    # only the weighted cyclic identity, doubling it |n| = p+1 as well
+    table = clean_tables[name]
+    n = table_constants(table)
+    for orbit in pair_orbits(table):
+        changes = [{member: -n[member]} for member in orbit]
+        changes += [{m: -n[m] for m in orbit}, {m: 2 * n[m] for m in orbit}]
+        for values in changes:
+            bad = with_constants(table, values)
+            want = ref_violations(bad)
+            assert want and not sign_convention_check(bad), (name, values)
+            got = convention_violations(bad)
+            assert sorted(got) == sorted(want), (name, values)
+            assert convention_violations(bad, limit=2) == got[:2], (name, values)
+        # the doubled orbit, last, breaks |n| = p+1 and the cyclic identity
+        assert {"|n|", "weighted"} <= {m.split(" ")[0] for m in want}, (name, orbit)
+
+
 @pytest.mark.parametrize("name", sorted(ZERO_SUM_ORBITS))
 def test_flipped_zero_sum_orbit_keeps_the_left_out_triples_at_zero(name, clean_tables):
     # these tables pass the pair and cyclic checks but are not Chevalley
     # tables; the triples the half walk leaves out still have zero defect
-    table = clean_tables[name]
+    table, n = clean_tables[name], table_constants(clean_tables[name])
     _, special = half_walk_classes(table.rs)
     for orbit in zero_sum_orbits(table.rs):
-        flips = {(x, y): -table.n[(x, y)] for t in orbit for x in t for y in t if x != y}
+        flips = {(x, y): -n[(x, y)] for t in orbit for x in t for y in t if x != y}
         bad = with_constants(table, flips)
         assert all(m.startswith("Jacobi") for m in convention_violations(bad)), orbit
         assert_zero_defect(bad, special)
@@ -375,8 +474,8 @@ def test_table_with_other_weights_gets_the_full_walk(name, clean_tables):
     # does not hold; a flipped pair constant must still be found, as the
     # reference finds it, after one weight witness per root
     table = clean_tables[name]
-    x, y = next(iter(table.n))
-    flips = {(x, y): -table.n[(x, y)], (y, x): table.n[(x, y)]}
+    (x, y), v = next(iter(table_constants(table).items()))
+    flips = {(x, y): -v, (y, x): v}
     flips |= {(rneg(a), rneg(b)): -v for (a, b), v in flips.items()}
     bad = dataclasses.replace(with_constants(table, flips), b_dense=[0] * len(table.rs.roots))
     want = ref_violations(bad)

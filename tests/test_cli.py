@@ -431,6 +431,8 @@ def bad_input(number, argv, message):
         bad_input(15, ["enumerate", "--max-rank", "x"], "must be an integer, got 'x'"),
         # the root index of A_n holds |R|^2 sums: the bound is checked before it is built
         bad_input(16, ["analyze", "A9:{1}"], "rank must be at most 8, got 9"),
+        # a painted node is one number: a missing comma is named, not passed to int()
+        bad_input(17, ["analyze", "A3:{1 2}"], "cannot parse painted node '1 2' in 'A3:{1 2}'"),
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -523,6 +525,25 @@ def test_shared_parser_carries_nothing_between_calls(capsys, fresh_parser):
         [sys.executable, "-m", "flagsym", *good], capture_output=True, check=True, env=env
     )
     assert fresh.stdout == first.encode()
+
+
+def test_closed_pipe_ends_without_a_traceback():
+    # 118 kB of JSON fills the pipe, so the write that follows the close
+    # always meets a closed reader
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flagsym", "enumerate", "--max-rank", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_analyze_help_is_the_same_on_every_call(capsys, fresh_parser):

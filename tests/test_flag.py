@@ -51,6 +51,28 @@ def test_parse_rejects(text):
         parse_painted(text)
 
 
+@pytest.mark.parametrize(
+    "text,painted",
+    [
+        (" A3 : { 1 , 2, } ", {1, 2}),
+        ("A3:{1,,02}", {1, 2}),
+        ("A3:{ 3 ,1}", {1, 3}),
+        ("A3:{2,2}", {2}),
+    ],
+)
+def test_parse_keeps_the_lenient_forms(text, painted):
+    assert parse_painted(text).painted == frozenset(painted)
+
+
+@pytest.mark.parametrize("text,token", [("A3:{1 2}", "1 2"), ("B3:{1, 2 3}", "2 3")])
+def test_parse_names_a_token_without_its_comma(text, token):
+    with pytest.raises(ValueError) as exc:
+        parse_painted(text)
+    assert str(exc.value) == (
+        f"cannot parse painted node {token!r} in {text!r}; expected e.g. 'A3:{{2,3}}'"
+    )
+
+
 def test_a3_23_flag_data():
     f = make_flag(parse_painted("A3:{2,3}"))
     assert f.rs.roots_of(f.h_mask) == {(1, 0, 0), (-1, 0, 0)}

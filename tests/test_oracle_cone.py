@@ -38,7 +38,7 @@ from flagsym.oracle import cone_verdict, cyclic_table, negative_splittings, shor
 from flagsym.rootsystem import bits, rneg, rsub
 import oracle_helpers as ref
 from root_helpers import sum_root
-from table_helpers import with_constants
+from table_helpers import table_constants, with_constants
 
 
 def paintings(family, rank):
@@ -102,7 +102,7 @@ def test_per_xi_sets_equal_the_cone_sets(family, rank):
 
 def mutated(table, changes):
     """A copy of ``table`` with n(x, y) -> f(n(x, y)), and n(y, x) = -n(x, y) kept."""
-    n = dict(table.n)
+    n = table_constants(table)
     for (x, y), f in changes.items():
         n[(x, y)] = f(n[(x, y)])
         n[(y, x)] = -n[(x, y)]
@@ -125,7 +125,11 @@ def test_corrupted_constant_fails_the_oracle_check(monkeypatch, family, rank, ch
     theta = table.rs.highest
     on_cone = oracle._on_cone
     assert full_painting_entry(monkeypatch, family, rank, table).checks["oracle_agree"]
-    pairs = [(x, y) for x, y in table.n if x < y and sum_root(table.rs, x, y) == rneg(theta)]
+    pairs = [
+        (x, y)
+        for x, y in table_constants(table)
+        if x < y and sum_root(table.rs, x, y) == rneg(theta)
+    ]
     assert pairs
     for pair in pairs:
         bad = mutated(table, {pair: change})
@@ -155,7 +159,7 @@ def test_corrupted_constant_fails_the_oracle_check_on_a_partial_painting(
     theta, r_m = table.rs.highest, table.rs.roots_of(flag.m_mask)
     pairs = [
         (x, y)
-        for x, y in table.n
+        for x, y in table_constants(table)
         if x < y and sum_root(table.rs, x, y) == rneg(theta) and {x, y} <= r_m
     ]
     assert pairs
@@ -168,7 +172,9 @@ def test_corrupted_constant_fails_the_oracle_check_through_analyze(monkeypatch, 
     table = chevalley_table("A", 3)
     theta = table.rs.highest
     pair = next(
-        (x, y) for x, y in table.n if x < y and sum_root(table.rs, x, y) == rneg(theta)
+        (x, y)
+        for x, y in table_constants(table)
+        if x < y and sum_root(table.rs, x, y) == rneg(theta)
     )
     monkeypatch.setattr(cli, "chevalley_table", lambda f, r: mutated(table, {pair: lambda v: -v}))
     assert cli.main(["analyze", "A3:{1,2,3}", "--json"]) == 0
@@ -184,7 +190,7 @@ def test_flipped_constant_gives_the_verdict_of_the_walk(monkeypatch, family, ran
     # test short.
     table = chevalley_table(family, rank)
     flags = list(paintings(family, rank))
-    constants = [(pair, v) for pair, v in table.n.items() if v]
+    constants = [(pair, v) for pair, v in table_constants(table).items() if v]
     if family == "E":
         constants = constants[::10]
     verdicts = set()
@@ -328,10 +334,11 @@ def test_splitting_tables_match_the_per_table_build(family, rank):
     rs = build_root_system(family, rank)
     table = chevalley_table(family, rank)
     rng = random.Random(rs.name)
-    pairs = sorted(table.n)
+    n = table_constants(table)
+    pairs = sorted(n)
     bad = with_constants(
         table,
-        {p: table.n[p] + rng.choice((-2, -1, 1, 2)) for p in rng.sample(pairs, len(pairs) // 3)},
+        {p: n[p] + rng.choice((-2, -1, 1, 2)) for p in rng.sample(pairs, len(pairs) // 3)},
     )
     for got, coefficients in (
         (shortcut_table(rs), ref.shortcut_coefficients(rs)),
@@ -349,7 +356,7 @@ def test_splitting_tables_match_the_per_table_build(family, rank):
 def perturbed(table, seed):
     """``table`` with three seeded constants shifted by +-1, antisymmetry kept."""
     rng = random.Random(seed)
-    pairs = sorted((x, y) for x, y in table.n if x < y)
+    pairs = sorted((x, y) for x, y in table_constants(table) if x < y)
     pairs = rng.sample(pairs, min(3, len(pairs)))
     return mutated(table, {pair: lambda v, d=rng.choice((-1, 1)): v + d for pair in pairs})
 
