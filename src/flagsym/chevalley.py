@@ -1,10 +1,11 @@
 """Integer structure constants of a Chevalley basis.
 
 For every pair of roots with a + b again a root the table stores the integer
-n(a, b) with [E_a, E_b] = n(a, b) E_{a+b}, together with the pairing weights
-b(d) = 2/(d, d).  In this basis the Killing pairing of E_d with E_{-d} is
-proportional to b(d), and for any zero-sum triple a + b + c = 0 the constants
-satisfy the weighted cyclic identity
+n(a, b) with [E_a, E_b] = n(a, b) E_{a+b}.  The pairing weights b(d) =
+2/(d, d) are fixed by the root system and live there, as
+``RootSystem.weights``.  In this basis the Killing pairing of E_d with E_{-d}
+is proportional to b(d), and for any zero-sum triple a + b + c = 0 the
+constants satisfy the weighted cyclic identity
 
     n(a, b) b(c) = n(b, c) b(a) = n(c, a) b(b),
 
@@ -24,8 +25,7 @@ negative of a negative partner x of gamma and beta = ``add[gamma][x]``.  Every
 weight b(d) is the int 1, 2 or 3, and each constant of the Jacobi step is one
 exact integer quotient over a common denominator with its remainder checked.
 The table stores n as ``n_dense``, an int8 array with n(roots[i], roots[j]) at
-``i * C + j`` (C = 2N, zero where the sum is no root), and b as ``b_dense``,
-ints by root index.
+``i * C + j`` (C = 2N, zero where the sum is no root).
 
 Orbits.  Antisymmetry n(b, a) = -n(a, b) and the negation rule n(-a, -b) =
 -n(a, b) tie the four pairs {(a, b), (b, a), (-a, -b), (-b, -a)} of an orbit
@@ -37,24 +37,25 @@ triple or its negation, with the numerator negated or not and the same
 denominator b(z), so it divides exactly when this one does, and the build
 raises for an orbit exactly when it would for any one member.
 
-The audit (:func:`convention_violations`) reads the stored arrays, so a table
+The audit (:func:`convention_violations`) reads the stored array, so a table
 changed after construction is audited as it stands.  It has two tiers.  The
 verdict, :func:`sign_convention_check`, checks each identity once per orbit
 and stops at the first fault.  Only when it fails does the witness tier run:
-the weight, pair and cyclic checks on every pair, in index order, then the
-Jacobi check on every triple that can fail, so the witnesses and their order
-are those of the exhaustive enumeration.  The verdict passes exactly when the
-witness tier reports nothing, by the arguments below.  Both tiers compare
-every weight with 2/(d, d) first: the structure-constant oracle multiplies by
-the weights, a table whose weights are all zero passes the weighted cyclic
-identity vacuously, and the arguments below need b(d) = b(-d) = 2/(d, d).
+the pair and cyclic checks on every pair, in index order, then the Jacobi
+check on every triple that can fail, so the witnesses and their order are
+those of the exhaustive enumeration.  The verdict passes exactly when the
+witness tier reports nothing, by the arguments below.
 
 - Pairs.  The antisymmetry, negation and |n| = p+1 checks of a pair read
   only the entries of its orbit.  The verdict visits each orbit once, from
   its member (i, j) with i positive and j > i (j positive) or -j > i (j
   negative), and checks antisymmetry and the negation rule on all four
-  entries, and |n| against both the i-string through j and the j-string
-  through i; the strings of (-i, -j) and (-j, -i) are those negated.
+  entries, and |n| against the i-string through j.  That one walk serves
+  the orbit: the strings of (-i, -j) and (-j, -i) are those of (i, j) and
+  (j, i) negated, and the j-string through i runs down as far as the
+  i-string through j whenever i + j is a root, since n(j, i) = -n(i, j) and
+  |n| = p + 1 in any Chevalley basis (Carter, *Simple Groups of Lie Type*,
+  ch. 4; the tests check it on every sum pair through rank 8).
 - Cycles.  A zero-sum triple {a, b, c} and its negation carry twelve
   identities, one per ordered pair.  The three rotations state the same
   equalities; reversing the order negates every term by antisymmetry, and
@@ -76,8 +77,7 @@ once, from its first pair (in index order) that sums into R ∪ {0}.  The
 canonical candidates are those with at least two positive roots; every other
 candidate is the negation of one of them.
 
-Once the weights are true and the pair and cyclic checks clean, the verdict
-reasons as follows.
+Once the pair and cyclic checks are clean, the verdict reasons as follows.
 
 - Negation.  The Jacobi terms read n only at sum pairs, where the negation
   rule n(-a, -b) = -n(a, b) holds.  Negating a triple negates both factors
@@ -150,6 +150,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from .rootsystem import (
     InternalConsistencyError,
@@ -162,38 +163,25 @@ from .rootsystem import (
 
 @dataclass(eq=False)
 class ChevalleyTable:
-    """Structure constants n and pairing weights b for one root system.
+    """Structure constants n for one root system.
 
     ``n_dense`` holds n(roots[i], roots[j]) at ``i * C + j`` over the root
-    index (C = |R|) as int8, zero where roots[i] + roots[j] is no root;
-    ``b_dense`` holds b(roots[i]) as ints.  ``audited`` is True when
+    index (C = |R|) as int8, zero where roots[i] + roots[j] is no root; the
+    weights b are ``rs.weights``.  ``audited`` is True when
     :func:`build_constants` ran the exhaustive audit.  :mod:`flagsym.oracle`
-    builds its cyclic table and verdict from the arrays and caches them per
+    builds its cyclic table and verdict from the array and caches them per
     instance (tables hash and compare by identity), so a changed table is a
     changed copy, not a table the oracle has read.
     """
 
     rs: RootSystem
     n_dense: array
-    b_dense: list[int]
     audited: bool = False
 
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""
         index = self.rs.index
         return self.n_dense[index[a] * len(self.rs.roots) + index[b]]
-
-
-def _pairing_weights(rs: RootSystem) -> list[int]:
-    """b(d) = 2/(d, d) by root index; every weight is 1, 2 or 3."""
-    out = []
-    for r in rs.positive_roots:
-        length = rs.lengths[r]
-        w, rem = divmod(2 * length.denominator, length.numerator)
-        if rem:
-            raise InternalConsistencyError(f"non-integral pairing weight b = 2/({length})")
-        out.append(w)
-    return out + out
 
 
 def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTable:
@@ -206,7 +194,7 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
     roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
     count, half = len(roots), len(rs.positive_roots)
     negative = rs.positive_mask << half
-    b = _pairing_weights(rs)
+    b = rs.weights
     n = array("b", bytes(count * count))
 
     def put(x: int, y: int, v: int) -> None:
@@ -267,7 +255,7 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
                 )
             put(x, y, v)
 
-    table = ChevalleyTable(rs, n, b)
+    table = ChevalleyTable(rs, n)
     if verify is None:
         verify = count <= 48
     if verify:
@@ -280,19 +268,19 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
 def _coroots(rs: RootSystem) -> list[list[int]]:
     """Coordinates of every coroot 2r/(r, r) over the simple coroots, as ints.
 
-    Coefficient i is r_i 2 d_i / (r, r), with d_i = (a_i, a_i)/2, one exact
-    quotient with its remainder checked.
+    r^v = b(r) r and a_i^v = b(a_i) a_i, so coefficient i is r_i b(r) /
+    b(a_i), one exact quotient with its remainder checked.
     """
-    twice = [2 * d for d in rs._d]
+    weights = rs.weights
+    simple = [weights[rs.index[s]] for s in rs.simple_roots]
     out = []
-    for r in rs.roots:
-        square = rs.lengths[r]
+    for r, w in zip(rs.roots, weights):
         co = []
-        for c, d in zip(r, twice):
-            v = c * d / square
-            if v.denominator != 1:
+        for c, d in zip(r, simple):
+            v, rem = divmod(c * w, d)
+            if rem:
                 raise InternalConsistencyError(f"non-integral coroot of {r}")
-            co.append(v.numerator)
+            co.append(v)
         out.append(co)
     return out
 
@@ -371,59 +359,33 @@ def _jacobi_candidates(rs: RootSystem):
             yield p, q, generic & window
 
 
-def convention_violations(table: ChevalleyTable, *, limit: int | None = None) -> list[str]:
-    """Audit the table; returns human-readable witnesses (empty = clean).
-
-    Checks the weights b(d) = 2/(d, d), antisymmetry, the negation rule,
-    |n| = p+1, the weighted cyclic identity on every zero-sum triple, and the
-    Jacobi identity on every triple that can fail.  A table that passes the
-    verdict (:func:`sign_convention_check`) has no witness; any other gets the
-    witness tier, each check on each pair and candidate triple in index order.
-    With ``limit`` the audit stops after that many witnesses.
-    """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    if sign_convention_check(table):
-        return []
+def _witnesses(table: ChevalleyTable):
+    """Every witness of the audit: the pair checks on each pair, then the
+    weighted cyclic identity on each pair, in index order, then the Jacobi
+    check on each candidate triple, in the order of the walk."""
     rs = table.rs
-    roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
+    roots, neg, add, sums, b = rs.roots, rs.neg, rs.add, rs.sums, rs.weights
     count = len(roots)
     # the stored constants as they stand now, as a list: CPython indexes a
     # list faster than an array, and the Jacobi loop reads one entry per term
-    n, b = table.n_dense.tolist(), table.b_dense
-    out: list[str] = []
-
-    def report(msg: str) -> bool:
-        out.append(msg)
-        return limit is not None and len(out) >= limit
-
-    for i, (have, want) in enumerate(zip(b, _pairing_weights(rs))):
-        if have != want:
-            if report(f"weight b != 2/(d, d) at {roots[i]}: {have} vs {want}"):
-                return out
+    n = table.n_dense.tolist()
     for i in range(count):
         for j in bits(sums[i]):
             v = n[i * count + j]
             if v != -n[j * count + i]:
-                if report(f"antisymmetry fails at ({roots[i]}, {roots[j]})"):
-                    return out
+                yield f"antisymmetry fails at ({roots[i]}, {roots[j]})"
             if v != -n[neg[i] * count + neg[j]]:
-                if report(f"negation rule fails at ({roots[i]}, {roots[j]})"):
-                    return out
+                yield f"negation rule fails at ({roots[i]}, {roots[j]})"
             p = walk(add[neg[i]], j)
             if abs(v) != p + 1:
-                if report(f"|n| != p+1 at ({roots[i]}, {roots[j]}): {v} vs {p + 1}"):
-                    return out
+                yield f"|n| != p+1 at ({roots[i]}, {roots[j]}): {v} vs {p + 1}"
     for i in range(count):
         row = add[i]
         for j in bits(sums[i]):
             k = neg[row[j]]
             lhs = n[i * count + j] * b[k]
             if lhs != n[j * count + k] * b[i] or lhs != n[k * count + i] * b[j]:
-                if report(
-                    f"weighted cyclic identity fails on ({roots[i]}, {roots[j]}, {roots[k]})"
-                ):
-                    return out
+                yield f"weighted cyclic identity fails on ({roots[i]}, {roots[j]}, {roots[k]})"
 
     coroots = None  # over the simple coroots, once a zero-sum triple needs them
 
@@ -452,42 +414,53 @@ def convention_violations(table: ChevalleyTable, *, limit: int | None = None) ->
             )
         return at_root != 0
 
-    def jacobi_defects():
-        """The defective candidate triples, sorted, in the order of the walk."""
-        for p, q, generic, special in _jacobi_walk(rs):
-            bad = []
-            if generic:
-                # x + y + z = t is a root, each term whose first two roots sum
-                # to a root lands on E_t, and (x, y, z) is a cyclic shift of
-                # (p, q, r) when r < p or r > q, of (q, p, r) when p < r < q
-                middle = generic & ((1 << q) - (1 << (p + 1)))
-                sc = add[p][q] * count
-                for a, c, seg in ((p, q, generic ^ middle), (q, p, middle)):
-                    ac, row_a, row_c, cc = n[a * count + c], add[a], add[c], c * count
-                    for r in bits(seg):
-                        t = ac * n[sc + r]
-                        u = row_c[r]
-                        if u != count:
-                            t += n[cc + r] * n[u * count + a]
-                        u = row_a[r]
-                        if u != count:
-                            t += n[r * count + a] * n[u * count + c]
-                        if t:
-                            bad.append(r)
-            for r in bits(special):
-                if defective(*sorted((p, q, r))):
-                    bad.append(r)
-            for r in sorted(bad):
-                yield tuple(sorted((p, q, r)))
+    for p, q, generic, special in _jacobi_walk(rs):
+        bad = []
+        if generic:
+            # x + y + z = t is a root, each term whose first two roots sum
+            # to a root lands on E_t, and (x, y, z) is a cyclic shift of
+            # (p, q, r) when r < p or r > q, of (q, p, r) when p < r < q
+            middle = generic & ((1 << q) - (1 << (p + 1)))
+            sc = add[p][q] * count
+            for a, c, seg in ((p, q, generic ^ middle), (q, p, middle)):
+                ac, row_a, row_c, cc = n[a * count + c], add[a], add[c], c * count
+                for r in bits(seg):
+                    t = ac * n[sc + r]
+                    u = row_c[r]
+                    if u != count:
+                        t += n[cc + r] * n[u * count + a]
+                    u = row_a[r]
+                    if u != count:
+                        t += n[r * count + a] * n[u * count + c]
+                    if t:
+                        bad.append(r)
+        for r in bits(special):
+            if defective(*sorted((p, q, r))):
+                bad.append(r)
+        for r in sorted(bad):
+            x, y, z = sorted((p, q, r))
+            yield f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"
 
-    for x, y, z in jacobi_defects():
-        if report(f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"):
-            return out
-    return out
+
+def convention_violations(table: ChevalleyTable, *, limit: int | None = None) -> list[str]:
+    """Audit the table; returns human-readable witnesses (empty = clean).
+
+    Checks antisymmetry, the negation rule, |n| = p+1, the weighted cyclic
+    identity on every zero-sum triple, and the Jacobi identity on every
+    triple that can fail.  A table that passes the verdict
+    (:func:`sign_convention_check`) has no witness; any other gets the
+    witness tier, each check on each pair and candidate triple in index
+    order.  With ``limit`` the audit stops after that many witnesses.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    if sign_convention_check(table):
+        return []
+    return list(islice(_witnesses(table), limit))
 
 
 def sign_convention_check(table: ChevalleyTable) -> bool:
-    """True iff the weight, pair, weighted cyclic and Jacobi audits pass.
+    """True iff the pair, weighted cyclic and Jacobi audits pass.
 
     This is the verdict of :func:`convention_violations`, which checks each
     identity once per orbit (module docstring) and stops at the first fault.
@@ -495,9 +468,7 @@ def sign_convention_check(table: ChevalleyTable) -> bool:
     rs = table.rs
     neg, add, sums = rs.neg, rs.add, rs.sums
     count, half = len(rs.roots), len(rs.positive_roots)
-    n, b = table.n_dense.tolist(), table.b_dense
-    if b != _pairing_weights(rs):
-        return False
+    n, b = table.n_dense.tolist(), rs.weights
     positive, every = rs.positive_mask, (1 << count) - 1
     for i in range(half):
         ni, row, ic = neg[i], add[i], i * count
@@ -507,7 +478,7 @@ def sign_convention_check(table: ChevalleyTable) -> bool:
             v, nj = n[ic + j], neg[j]
             if n[j * count + i] != -v or n[ni * count + nj] != -v or n[nj * count + ni] != v:
                 return False
-            if abs(v) != walk(add[ni], j) + 1 or abs(v) != walk(add[nj], i) + 1:
+            if abs(v) != walk(add[ni], j) + 1:
                 return False
             if j < half:  # the one pair of its zero-sum class with both roots positive
                 k = neg[row[j]]

@@ -72,6 +72,17 @@ def dim_g(family: str, rank: int) -> int:
     ]
 
 
+def _known_families(chosen: list[str]) -> list[str]:
+    """``chosen``, or ValueError when it is empty or names a letter that is
+    not one of ``FAMILIES``; the unknown letters come in the order given."""
+    if not chosen:
+        raise ValueError(f"no family given; choose from {','.join(FAMILIES)}")
+    unknown = [f for f in chosen if f not in FAMILIES]
+    if unknown:
+        raise ValueError(f"unknown families {','.join(unknown)}; choose from {','.join(FAMILIES)}")
+    return chosen
+
+
 def simple_types(max_rank: int, families=None) -> list[tuple[str, int]]:
     """All simple types with rank <= max_rank, sorted by (family, rank), each once.
 
@@ -81,12 +92,7 @@ def simple_types(max_rank: int, families=None) -> list[tuple[str, int]]:
     """
     if not 1 <= max_rank <= MAX_RANK_BOUND:
         raise ValueError(f"max_rank must be between 1 and {MAX_RANK_BOUND}")
-    chosen = FAMILIES if families is None else sorted(set(families))
-    if not chosen:
-        raise ValueError(f"no family given; choose from {','.join(FAMILIES)}")
-    unknown = [f for f in chosen if f not in FAMILIES]
-    if unknown:
-        raise ValueError(f"unknown families {','.join(unknown)}; choose from {','.join(FAMILIES)}")
+    chosen = FAMILIES if families is None else _known_families(sorted(set(families)))
     out = []
     for fam in chosen:
         for rank in range(1, max_rank + 1):
@@ -386,15 +392,10 @@ def _max_rank(text: str) -> int:
 
 
 def _families(text: str) -> list[str]:
-    chosen = [f.strip().upper() for f in text.split(",") if f.strip()]
-    if not chosen:
-        raise argparse.ArgumentTypeError(f"no family given; choose from {','.join(FAMILIES)}")
-    unknown = [f for f in chosen if f not in FAMILIES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown families {','.join(unknown)}; choose from {','.join(FAMILIES)}"
-        )
-    return chosen
+    try:
+        return _known_families([f.strip().upper() for f in text.split(",") if f.strip()])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _painted(text: str) -> PaintedDiagram:

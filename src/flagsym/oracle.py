@@ -58,22 +58,22 @@ mixed sign, so never undecided, and nonzero exactly when a + gamma is a root.
 The structure-constant oracle is the check that reads the Chevalley table.
 
 The kernel.  c depends on the painting only through the columns it keeps:
-eps_d is the sign of d, n and b come from the table, and a decomposition lies
-in R_m exactly when the node supports of beta and gamma both meet the painted
-nodes.  So the vectors are built once per type, as a :class:`SplittingTable`:
-for each positive a and each splitting -a = beta + gamma, in the order of
-``RootSystem.splittings`` (mixed-sign pairs first, since each one inside R_m
-rules a out at once), the weights (u, v) with c = u beta + v gamma and four
-rank-bit ints, the node supports of beta and of gamma and the nodes where c
-is positive and where it is negative.  With P the painted nodes, the
-splitting lies in R_m when both supports meet P, its vector is zero when
-neither sign mask meets P, and it has one sign when one of them misses P:
-the cone verdict of a painting is integer ANDs.  The tables live here:
-:func:`cyclic_table` per Chevalley table, read from ``n_dense`` and
-``b_dense``, and :func:`shortcut_table` per root system, both over one walk
-of the splittings with the node supports, :func:`negative_splittings`.  Each
-is cached per instance it reads (tables hash by identity), so a changed copy
-of a table gets its own.
+eps_d is the sign of d, n comes from the table and b from the root system
+(``RootSystem.weights``), and a decomposition lies in R_m exactly when the
+node supports of beta and gamma both meet the painted nodes.  So the vectors
+are built once per type, as a :class:`SplittingTable`: for each positive a and
+each splitting -a = beta + gamma, in the order of ``RootSystem.splittings``
+(mixed-sign pairs first, since each one inside R_m rules a out at once), the
+weights (u, v) with c = u beta + v gamma and four rank-bit ints, the node
+supports of beta and of gamma and the nodes where c is positive and where it
+is negative.  With P the painted nodes, the splitting lies in R_m when both
+supports meet P, its vector is zero when neither sign mask meets P, and it has
+one sign when one of them misses P: the cone verdict of a painting is integer
+ANDs.  The tables live here: :func:`cyclic_table` per Chevalley table, read
+from ``n_dense`` and ``rs.weights``, and :func:`shortcut_table` per root
+system, both over one walk of the splittings with the node supports,
+:func:`negative_splittings`.  Each is cached per instance it reads (tables
+hash by identity), so a changed copy of a table gets its own.
 
 The verdict per type.  A painting reads each splitting only through
 (supp beta, supp gamma, pos, neg) & P, and :func:`_on_cone` treats pos and
@@ -213,7 +213,7 @@ def cyclic_table(table: ChevalleyTable) -> SplittingTable:
     n(beta, gamma), n(a, gamma), n(beta, a) for d = a, beta, gamma."""
     rs = table.rs
     n, count, half = table.n_dense, len(rs.roots), len(rs.positive_roots)
-    r = [b if i < half else -b for i, b in enumerate(table.b_dense)]
+    r = [b if i < half else -b for i, b in enumerate(rs.weights)]
 
     def coefficients(a: int, beta: int, gamma: int):
         row_b = beta * count

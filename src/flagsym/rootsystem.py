@@ -2,7 +2,10 @@
 
 Roots are integer coordinate tuples over the simple roots a_1..a_n, so every
 root, squared length and Cartan integer is an exact integer or rational.
-Squared lengths are normalised so that long roots have squared length 2.
+Squared lengths are normalised so that long roots have squared length 2, and
+the pairing weight b(r) = 2/(r, r) of a Chevalley basis (Carter, *Simple
+Groups of Lie Type*, ch. 4) is the int 1 on long roots and 2 or 3 on short
+ones.
 
 Node numbering (chains drawn left to right; the arrow points at the short
 root):
@@ -28,9 +31,11 @@ of Lie type*, Math. Comp. 2004, use indexed root tables the same way).
 
 The index is built in integers.  The positive roots come one height at a
 time from root strings, each with its Cartan pairings <r, a_i^v>, and the
-squared lengths follow from those pairings.  ``sums`` and ``add`` come from
-integer keys of the coordinates; the table is symmetric and odd under
-negation, so one ordered pair of roots in four is looked up.
+squared lengths follow from those pairings, and from them ``weights[i]`` =
+b(roots[i]): the one copy of the weights, which the Chevalley build, its
+audit and the oracles read.  ``sums`` and ``add`` come from integer keys of
+the coordinates; the table is symmetric and odd under negation, so one
+ordered pair of roots in four is looked up.
 
 Every Dynkin diagram, the plain and the extended one and that of the simple
 roots of a subsystem, comes from one builder on the index,
@@ -58,14 +63,6 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 class InternalConsistencyError(RuntimeError):
     """A structural cross-check failed; this signals a bug, not bad input."""
-
-
-def radd(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def rsub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def rneg(a: Root) -> Root:
@@ -360,12 +357,11 @@ class RootSystem:
         self.cartan = cartan_matrix(family, rank)
         self.family = family
         self.rank = rank
-        self._d = _length_halves(self.cartan)
+        d = _length_halves(self.cartan)
         pos, pairings = _positive_roots(self.cartan)
         half, count = len(pos), 2 * len(pos)
         self.positive_roots: tuple[Root, ...] = tuple(pos)
         self.roots: tuple[Root, ...] = tuple(pos) + tuple(rneg(r) for r in pos)
-        self.root_set = frozenset(self.roots)
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
         )
@@ -373,19 +369,21 @@ class RootSystem:
         if len(pos) > 1 and height(pos[-2]) == height(self.highest):
             raise InternalConsistencyError("highest root is not unique")
         # (r, r) = sum_i r_i <r, a_i^v> (a_i, a_i) / 2, here times scale, the
-        # common denominator of the d_i (so the halves d_i scale are ints); a
-        # simple type has two root lengths at most, so two Fractions
-        scale = lcm(*(x.denominator for x in self._d))
-        halves = [x.numerator * (scale // x.denominator) for x in self._d]
-        length_of: dict[int, Fraction] = {}
-        lengths = []
+        # common denominator of the d_i (so the halves d_i scale are ints), and
+        # b(r) = 2/(r, r) = 2 scale / square
+        scale = lcm(*(x.denominator for x in d))
+        halves = [x.numerator * (scale // x.denominator) for x in d]
+        weights = []
         for r, pairing in zip(pos, pairings):
             square = sum(map(mul, r, map(mul, pairing, halves)))
-            length = length_of.get(square)
-            if length is None:
-                length = length_of[square] = Fraction(square, scale)
-            lengths.append(length)
-        self.lengths = dict(zip(self.roots, lengths + lengths))
+            w, rem = divmod(2 * scale, square)
+            if rem:
+                raise InternalConsistencyError(
+                    f"non-integral pairing weight b = 2/({Fraction(square, scale)}) at {r}"
+                )
+            weights.append(w)
+        # b(-r) = b(r)
+        self.weights: tuple[int, ...] = tuple(weights) * 2
         self.index: dict[Root, int] = dict(zip(self.roots, range(count)))
         self.neg: tuple[int, ...] = tuple(range(half, count)) + tuple(range(half))
         self.positive_mask = (1 << half) - 1

@@ -40,7 +40,7 @@ def cyclic_coefficients(table):
     """(p, q, r) of the cyclic sums: eps_d b(d) times n(beta, gamma),
     n(a, gamma), n(beta, a) for d = a, beta, gamma."""
     n, count, half = table.n_dense, len(table.rs.roots), len(table.rs.positive_roots)
-    r = [b if i < half else -b for i, b in enumerate(table.b_dense)]
+    r = [b if i < half else -b for i, b in enumerate(table.rs.weights)]
 
     def coefficients(a, beta, gamma):
         row_b = beta * count

@@ -4,8 +4,10 @@ Gram form, and a diagram isomorphism test, that only the tests read.
 Every layer of the program works on the root index (``sums``, ``add``,
 ``splittings``), so the dict of sums keyed by coordinate tuples moved here
 from ``RootSystem``: the reference implementations and the checks against
-coordinate addition look sums up by tuple.  :func:`ref_root_tables` is the
-former build of the index: positive roots by root strings searched as
+coordinate addition look sums up by tuple.  So did the set of roots
+(:func:`root_set`) and coordinate addition and subtraction (:func:`radd`,
+:func:`rsub`), which no layer of the program reads.  :func:`ref_root_tables`
+is the former build of the index: positive roots by root strings searched as
 coordinate tuples, lengths as Fraction inner products from a Fraction Gram
 matrix, and ``sums``/``add`` by a lookup for every ordered pair of roots.
 
@@ -31,10 +33,22 @@ from flagsym.rootsystem import (
     _length_halves,
     bits,
     height,
-    radd,
     rneg,
-    rsub,
 )
+
+
+def radd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def rsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+@lru_cache(maxsize=None)
+def root_set(rs) -> frozenset:
+    """The roots of ``rs`` as a set of coordinate tuples."""
+    return frozenset(rs.roots)
 
 
 @lru_cache(maxsize=None)
@@ -75,27 +89,37 @@ def cartan_int(rs, a, b) -> int:
 def root_string(rs, a, b) -> tuple[int, int]:
     """The a-string through b: (p, q) with b - p a .. b + q a the maximal
     unbroken string of roots.  p - q equals the Cartan integer 2(b, a)/(a, a)."""
-    if a not in rs.root_set or b not in rs.root_set:
+    roots = root_set(rs)
+    if a not in roots or b not in roots:
         raise ValueError("root_string arguments must be roots")
     if a == b or a == rneg(b):
         raise ValueError("degenerate root string through +/- itself")
     p = 0
     v = rsub(b, a)
-    while v in rs.root_set:
+    while v in roots:
         p += 1
         v = rsub(v, a)
     q = 0
     v = radd(b, a)
-    while v in rs.root_set:
+    while v in roots:
         q += 1
         v = radd(v, a)
     return p, q
 
 
 def coroot(rs, r) -> tuple[Fraction, ...]:
-    """Coordinates of the coroot 2r/(r, r) over the simple coroots."""
-    dr = rs.lengths[r] / 2
-    return tuple(r[i] * rs._d[i] / dr for i in range(rs.rank))
+    """Coordinates of the coroot 2r/(r, r) over the simple coroots
+    2a_i/(a_i, a_i): coefficient i is r_i (a_i, a_i) / (r, r), from the Gram
+    form."""
+    gram, square = gram_form(rs.cartan)[0], scaled_product(rs, r, r)
+    return tuple(Fraction(c * gram[i][i], square) for i, c in enumerate(r))
+
+
+@lru_cache(maxsize=None)
+def ref_weights(cartan) -> dict:
+    """b(d) = 2/(d, d) for every root d, from the Fraction lengths of
+    :func:`ref_root_tables`."""
+    return {r: Fraction(2) / length for r, length in ref_root_tables(cartan)[2].items()}
 
 
 def diagram_from_vectors(rs, labeled) -> Diagram:

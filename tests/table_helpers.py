@@ -17,12 +17,12 @@ def table_constants(table):
 
 
 def table_weights(table):
-    """b(d) for every root d, from ``table.b_dense``."""
-    return dict(zip(table.rs.roots, table.b_dense))
+    """b(d) for every root d, from ``table.rs.weights``."""
+    return dict(zip(table.rs.roots, table.rs.weights))
 
 
 def b_of(table, d):
-    return table.b_dense[table.rs.index[d]]
+    return table.rs.weights[table.rs.index[d]]
 
 
 def with_constants(table, values):
@@ -36,7 +36,7 @@ def with_constants(table, values):
     n = table.n_dense[:]
     for (x, y), v in values.items():
         n[index[x] * count + index[y]] = v
-    return ChevalleyTable(rs, n, list(table.b_dense))
+    return ChevalleyTable(rs, n)
 
 
 def _string_down(rs, a, base):

@@ -31,8 +31,8 @@ from flagsym import (
     verify_theorem,
 )
 from flagsym.flag import make_flag, parse_painted
-from flagsym.rootsystem import radd, rneg
-from root_helpers import sum_index
+from flagsym.rootsystem import rneg
+from root_helpers import radd, root_set, sum_index
 from table_helpers import _string_down, b_of, table_constants
 
 RANK_LE_4 = [
@@ -199,7 +199,7 @@ def test_c9_invariant_suite_rank_le_6():
         report = build_report(flag)
         ok &= rs.highest in report.r_p_plus
         ok &= all(
-            radd(a, b) not in rs.root_set
+            radd(a, b) not in root_set(rs)
             for a in report.r_p_plus
             for b in report.r_p_plus
         )

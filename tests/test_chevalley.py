@@ -10,8 +10,8 @@ from flagsym import (
     sign_convention_check,
     simple_types,
 )
-from flagsym.rootsystem import radd, rneg
-from root_helpers import sum_index
+from flagsym.rootsystem import rneg
+from root_helpers import radd, sum_index
 from table_helpers import _string_down, b_of, table_constants, with_constants
 
 RANK_LE_4 = [

@@ -4,11 +4,11 @@ The reference functions below walk root strings on coordinate tuples, look
 constants up by tuple key, build the table in Fraction arithmetic and check
 the Jacobi identity on every triple of ``itertools.combinations(rs.roots, 3)``.
 The build in ``flagsym.chevalley`` works on root indices in integers and must
-store the same constants and weights; its audit prunes the triples and must
-report the same violations, on clean tables and on tables with seeded faults.
+store the same constants, with the weights of the root system the same as
+those of the Fraction reference; its audit prunes the triples and must report
+the same violations, on clean tables and on tables with seeded faults.
 """
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -23,15 +23,15 @@ from flagsym import (
     simple_types,
 )
 from flagsym.chevalley import _coroots, _jacobi_candidates, _jacobi_walk
-from flagsym.rootsystem import InternalConsistencyError, bits, height, rneg, rsub
-from root_helpers import cartan_int, coroot, sum_index, sum_root
-from table_helpers import _jacobi_triples, b_of, table_constants, with_constants
+from flagsym.rootsystem import InternalConsistencyError, bits, height, rneg
+from root_helpers import cartan_int, coroot, ref_weights, root_set, rsub, sum_index, sum_root
+from table_helpers import _jacobi_triples, table_constants, with_constants
 
 
 def ref_string_down(rs, a, base):
     p = 0
     v = rsub(base, a)
-    while v in rs.root_set:
+    while v in root_set(rs):
         p += 1
         v = rsub(v, a)
     return p
@@ -42,7 +42,7 @@ def ref_build_constants(rs):
     pos = rs.positive_roots
     pos_set = frozenset(pos)
     order = {r: i for i, r in enumerate(pos)}
-    b = {r: Fraction(2) / rs.lengths[r] for r in rs.roots}
+    b = ref_weights(rs.cartan)
 
     special = {}
 
@@ -110,8 +110,8 @@ def test_build_matches_reference_through_e8(family, rank):
     for (x, y), v in n.items():
         want[index[x] * count + index[y]] = v
     assert table.n_dense.tolist() == want
-    assert table.b_dense == [b[r] for r in rs.roots]
-    assert all(type(w) is int for w in table.b_dense)
+    assert list(rs.weights) == [b[r] for r in rs.roots]
+    assert all(type(w) is int for w in rs.weights)
 
 
 def ref_jacobi_defect(table, rs, x, y, z):
@@ -147,11 +147,8 @@ def ref_jacobi_defect(table, rs, x, y, z):
 
 def ref_violations(table):
     rs = table.rs
+    b = ref_weights(rs.cartan)
     out = []
-    for r in rs.roots:
-        want = Fraction(2) / rs.lengths[r]
-        if b_of(table, r) != want:
-            out.append(f"weight b != 2/(d, d) at {r}: {b_of(table, r)} vs {want}")
     for (x, y), v in table_constants(table).items():
         if v != -table.n_of(y, x):
             out.append(f"antisymmetry fails at ({x}, {y})")
@@ -162,8 +159,8 @@ def ref_violations(table):
             out.append(f"|n| != p+1 at ({x}, {y}): {v} vs {p + 1}")
     for (x, y), s in sum_index(rs).items():
         z = rneg(s)
-        lhs = table.n_of(x, y) * b_of(table, z)
-        if lhs != table.n_of(y, z) * b_of(table, x) or lhs != table.n_of(z, x) * b_of(table, y):
+        lhs = table.n_of(x, y) * b[z]
+        if lhs != table.n_of(y, z) * b[x] or lhs != table.n_of(z, x) * b[y]:
             out.append(f"weighted cyclic identity fails on ({x}, {y}, {z})")
     for x, y, z in itertools.combinations(rs.roots, 3):
         roots, cart = ref_jacobi_defect(table, rs, x, y, z)
@@ -460,38 +457,3 @@ def test_flipped_zero_sum_orbit_keeps_the_left_out_triples_at_zero(name, clean_t
         bad = with_constants(table, flips)
         assert all(m.startswith("Jacobi") for m in convention_violations(bad)), orbit
         assert_zero_defect(bad, special)
-
-
-def zero_weight_witnesses(rs):
-    return [
-        f"weight b != 2/(d, d) at {r}: 0 vs {Fraction(2) / rs.lengths[r]}" for r in rs.roots
-    ]
-
-
-@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
-def test_table_with_other_weights_gets_the_full_walk(name, clean_tables):
-    # zero weights make the cyclic check vacuous, so the half walk's argument
-    # does not hold; a flipped pair constant must still be found, as the
-    # reference finds it, after one weight witness per root
-    table = clean_tables[name]
-    (x, y), v = next(iter(table_constants(table).items()))
-    flips = {(x, y): -v, (y, x): v}
-    flips |= {(rneg(a), rneg(b)): -v for (a, b), v in flips.items()}
-    bad = dataclasses.replace(with_constants(table, flips), b_dense=[0] * len(table.rs.roots))
-    want = ref_violations(bad)
-    weights = zero_weight_witnesses(table.rs)
-    assert want[: len(weights)] == weights, name
-    jacobi = want[len(weights):]
-    assert jacobi and all(m.startswith("Jacobi") for m in jacobi), name
-    assert sorted(convention_violations(bad)) == sorted(want)
-
-
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
-def test_clean_table_with_zero_weights_fails_the_audit(name, clean_tables):
-    # every constant is right, so only the weight check can see the fault
-    table = clean_tables[name]
-    bad = dataclasses.replace(table, b_dense=[0] * len(table.rs.roots))
-    want = zero_weight_witnesses(table.rs)
-    assert convention_violations(bad) == ref_violations(bad) == want
-    assert convention_violations(bad, limit=1) == want[:1]
-    assert not sign_convention_check(bad)

@@ -15,9 +15,10 @@ from flagsym import (
     simple_types,
     to_dot,
 )
-from flagsym.rootsystem import radd, rneg
+from flagsym.rootsystem import rneg
 
 from flag_helpers import epsilon, eval_root, ref_r_h, ref_r_m, ref_r_m_plus, t_modules
+from root_helpers import inner_product, radd, root_set
 
 
 def all_paintings(family, rank):
@@ -91,7 +92,7 @@ def test_g2_1_flag_data():
     assert f.rs.roots_of(f.h_mask) == {(0, 1), (0, -1)}
     assert f.m_plus_mask.bit_count() == 5
     # the white root is short: this is the twistor-space painting
-    assert f.rs.lengths[(0, 1)] == Fraction(2, 3)
+    assert inner_product(f.rs, (0, 1), (0, 1)) == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("family,rank", RANK_LE_4)
@@ -100,18 +101,18 @@ def test_ordering_axioms_exhaustive(family, rank):
     for f in all_paintings(family, rank):
         r_h, r_m = rs.roots_of(f.h_mask), rs.roots_of(f.m_mask)
         r_m_plus = rs.roots_of(f.m_plus_mask)
-        assert r_h | r_m == rs.root_set and not (r_h & r_m)
+        assert r_h | r_m == root_set(rs) and not (r_h & r_m)
         assert r_h == {rneg(r) for r in r_h}
         minus = {rneg(r) for r in r_m_plus}
         assert r_m == r_m_plus | minus and not (r_m_plus & minus)
         for h in r_h:
             for m in r_m:
                 s = radd(h, m)
-                if s in rs.root_set:
+                if s in root_set(rs):
                     assert s in r_m
             for m in r_m_plus:
                 s = radd(h, m)
-                if s in rs.root_set:
+                if s in root_set(rs):
                     assert s in r_m_plus
 
 
@@ -126,7 +127,7 @@ def test_mask_views_through_rank_8():
             r_m = ref_r_m(f)
             assert f.dim_m == len(r_m) == f.m_mask.bit_count()
             assert rs.roots_of(f.m_mask) == r_m
-            assert rs.roots_of(f.h_mask) == ref_r_h(f) == rs.root_set - r_m
+            assert rs.roots_of(f.h_mask) == ref_r_h(f) == root_set(rs) - r_m
             assert rs.roots_of(f.m_plus_mask) == ref_r_m_plus(f) <= r_m
             assert rs.mask_of(ref_r_m_plus(f)) == f.m_plus_mask
     assert seen == 2455

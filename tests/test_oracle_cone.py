@@ -35,9 +35,9 @@ from flagsym import (
 )
 from flagsym import cli, oracle
 from flagsym.oracle import cone_verdict, cyclic_table, negative_splittings, shortcut_table
-from flagsym.rootsystem import bits, rneg, rsub
+from flagsym.rootsystem import bits, rneg
 import oracle_helpers as ref
-from root_helpers import sum_root
+from root_helpers import rsub, sum_root
 from table_helpers import table_constants, with_constants
 
 

@@ -27,10 +27,10 @@ from flagsym import (
     transvection_set,
     transvection_violations,
 )
-from flagsym.rootsystem import rneg, rsub
+from flagsym.rootsystem import rneg
 
 from flag_helpers import epsilon, eval_root, ref_r_m, ref_r_m_plus
-from root_helpers import sum_root
+from root_helpers import rsub, sum_root
 from table_helpers import b_of, table_weights
 
 

@@ -20,19 +20,20 @@ from flagsym.rootsystem import (
     _length_halves,
     bits,
     height,
-    radd,
     rneg,
-    rsub,
     walk,
 )
 from root_helpers import (
     cartan_int,
     diagram_isomorphic,
     inner_product,
+    radd,
     ref_dynkin_diagram,
     ref_extended_diagram,
     ref_root_tables,
+    root_set,
     root_string,
+    rsub,
     sum_index,
 )
 
@@ -75,7 +76,7 @@ def test_root_counts_match_classical(family, rank):
 def test_roots_closed_under_negation_and_signs(family, rank):
     rs = build_root_system(family, rank)
     for r in rs.roots:
-        assert rneg(r) in rs.root_set
+        assert rneg(r) in root_set(rs)
         assert all(c >= 0 for c in r) or all(c <= 0 for c in r)
         assert height(r) != 0
 
@@ -96,20 +97,23 @@ def test_g2_highest_and_lengths():
     rs = build_root_system("G", 2)
     assert len(rs.roots) == 12
     assert rs.highest == (2, 3)
-    assert rs.lengths[(1, 0)] == 2  # node 1 long
-    assert rs.lengths[(0, 1)] == Fraction(2, 3)
-    assert rs.lengths[(2, 3)] == 2
+    assert inner_product(rs, (1, 0), (1, 0)) == 2  # node 1 long
+    assert inner_product(rs, (0, 1), (0, 1)) == Fraction(2, 3)
+    assert inner_product(rs, (2, 3), (2, 3)) == 2
+    assert [rs.weights[rs.index[r]] for r in ((1, 0), (0, 1), (2, 3))] == [1, 3, 1]
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_root_index_build_matches_the_reference(family, rank):
     # the integer build gives the tables of the tuple and Fraction build, in
-    # the same order, on every simple type of rank <= 8
+    # the same order, on every simple type of rank <= 8, and the pairing
+    # weights b(d) = 2/(d, d) of its Fraction lengths as ints
     rs = build_root_system(family, rank)
     roots, index, lengths, sums, add = ref_root_tables(rs.cartan)
     assert rs.roots == roots
     assert list(rs.index.items()) == list(index.items())
-    assert list(rs.lengths.items()) == list(lengths.items())
+    assert rs.weights == tuple(Fraction(2) / lengths[r] for r in roots)
+    assert all(type(w) is int for w in rs.weights)
     assert rs.sums == sums
     assert rs.add == add
 
@@ -135,7 +139,7 @@ def test_sum_index_agrees_with_coordinate_addition(family, rank):
     for a in rs.roots:
         for b in rs.roots:
             s = radd(a, b)
-            if s in rs.root_set:
+            if s in root_set(rs):
                 assert sum_index(rs)[(a, b)] == s
             else:
                 assert (a, b) not in sum_index(rs)
@@ -152,7 +156,7 @@ def test_splittings_list_each_decomposition_once(family, rank):
         assert unordered == {
             frozenset((rs.index[x], rs.index[rsub(s, x)]))
             for x in rs.roots
-            if rsub(s, x) in rs.root_set
+            if rsub(s, x) in root_set(rs)
         }
         assert all(rs.roots[i] <= rs.roots[j] for i, j in pairs)
         mixed = [(i < half) != (j < half) for i, j in pairs]
@@ -241,6 +245,18 @@ def test_string_identity_property(typ, data):
     b = data.draw(st.sampled_from([r for r in rs.roots if r not in (a, rneg(a))]))
     p, q = root_string(rs, a, b)
     assert p - q == cartan_int(rs, b, a) == rs.cartan_integer(rs.index[b], rs.index[a])
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_both_strings_of_a_sum_pair_run_down_equally(family, rank):
+    # |n(a, b)| = p + 1 with p from the a-string through b, and n(b, a) =
+    # -n(a, b), so when a + b is a root the b-string through a has the same
+    # p; the Chevalley audit walks one of the two strings per pair orbit
+    rs = build_root_system(family, rank)
+    for i in range(len(rs.roots)):
+        for j in bits(rs.sums[i]):
+            p = walk(rs.add[rs.neg[i]], j)
+            assert p == walk(rs.add[rs.neg[j]], i), (rs.roots[i], rs.roots[j])
 
 
 @pytest.mark.parametrize(
@@ -378,7 +394,7 @@ def test_root_str():
 def test_partners_are_the_sum_rows(family, rank):
     rs = build_root_system(family, rank)
     for i, a in enumerate(rs.roots):
-        want = tuple(j for j, b in enumerate(rs.roots) if radd(a, b) in rs.root_set)
+        want = tuple(j for j, b in enumerate(rs.roots) if radd(a, b) in root_set(rs))
         assert rs.partners[i] == want
 
 

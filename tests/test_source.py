@@ -47,13 +47,14 @@ def test_unused_import_is_found(tmp_path):
     assert unused_imports(module) == ["gcd", "os"]
 
 
-def unread_private_definitions(paths) -> list[str]:
-    """Module-level ``_name`` functions and classes, and ``_name`` methods of
-    module-level classes, that no module of ``paths`` reads.
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def parsed_and_read(paths) -> tuple[dict, set[str]]:
+    """The modules of ``paths`` parsed, by name, and the names they read.
 
     A read is an ``ast.Name``, an ``ast.Attribute`` or an imported alias, in
-    any of the modules; each result is ``module.name`` or
-    ``module.Class.name``.
+    any of the modules.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in paths}
     read = set()
@@ -65,7 +66,16 @@ def unread_private_definitions(paths) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return trees, read
+
+
+def unread_private_definitions(paths) -> list[str]:
+    """Module-level ``_name`` functions and classes, and ``_name`` methods of
+    module-level classes, that no module of ``paths`` reads.
+
+    Each result is ``module.name`` or ``module.Class.name``.
+    """
+    trees, read = parsed_and_read(paths)
 
     def unread(node, kinds):
         return (
@@ -78,10 +88,10 @@ def unread_private_definitions(paths) -> list[str]:
     found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if unread(node, (*functions, ast.ClassDef)):
+            if unread(node, (*FUNCTIONS, ast.ClassDef)):
                 found.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                found += (f"{module}.{node.name}.{m.name}" for m in node.body if unread(m, functions))
+                found += (f"{module}.{node.name}.{m.name}" for m in node.body if unread(m, FUNCTIONS))
     return sorted(found)
 
 
@@ -118,6 +128,41 @@ def test_unread_private_method_is_found(tmp_path):
     (tmp_path / "b.py").write_text("from a import Table\n\nTable()._read_elsewhere()\n")
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
     assert unread_private_definitions(paths) == ["a.Table._dead"]
+
+
+def unread_public_definitions(paths) -> list[str]:
+    """Module-level public functions and classes that no module of ``paths``
+    reads, as ``module.name``; a re-export from ``__init__`` imports the name,
+    so it is a read."""
+    trees, read = parsed_and_read(paths)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_every_public_definition_is_read_by_the_package():
+    # a public function only the tests call belongs in a test helper module,
+    # as rootsystem.radd and rsub did; one the package exports is read by
+    # its __init__
+    assert unread_public_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_unread_public_definition_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def called():\n    pass\n\ndef exported():\n    pass\n\n"
+        "def attribute():\n    pass\n\ndef dead():\n    called()\n\n"
+        "class Dead:\n    def method(self):\n        pass\n\n"
+        "def _private():\n    pass\n\ndef __getattr__(name):\n    pass\n"
+    )
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "b.py").write_text("import a\n\na.attribute()\n")
+    paths = [tmp_path / "__init__.py", tmp_path / "a.py", tmp_path / "b.py"]
+    assert unread_public_definitions(paths) == ["a.Dead", "a.dead"]
 
 
 def parser_builders(path: Path) -> tuple[int, list[tuple[str, list[str]]]]:

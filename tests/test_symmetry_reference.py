@@ -45,7 +45,7 @@ from flagsym import (
     symmetry_roots,
 )
 from flagsym import symmetry
-from flagsym.rootsystem import bits, height, radd, rneg, rsub
+from flagsym.rootsystem import bits, height, rneg
 from flagsym.symmetry import (
     Structure,
     _classify_sub,
@@ -55,11 +55,11 @@ from flagsym.symmetry import (
     _structure,
 )
 from flag_helpers import ref_r_h, ref_r_m_plus
-from root_helpers import diagram_from_vectors, sum_index
+from root_helpers import diagram_from_vectors, radd, root_set, rsub, sum_index
 
 
 def ref_symmetry_roots(flag):
-    rset, nil = flag.rs.root_set, ref_r_m_plus(flag)
+    rset, nil = root_set(flag.rs), ref_r_m_plus(flag)
     return frozenset(a for a in nil if not any(radd(a, b) in rset for b in nil))
 
 
@@ -69,7 +69,7 @@ def ref_center_of_nilradical(flag):
 
 
 def ref_r_k(flag, rp_plus):
-    rset = flag.rs.root_set
+    rset = root_set(flag.rs)
     out = set()
     for a in rp_plus:
         for b in rp_plus:
@@ -82,7 +82,7 @@ def ref_r_k(flag, rp_plus):
 
 def ref_closed(rs, roots):
     return not any(
-        radd(a, b) in rs.root_set and radd(a, b) not in roots
+        radd(a, b) in root_set(rs) and radd(a, b) not in roots
         for a in roots
         for b in roots
     )
@@ -91,12 +91,12 @@ def ref_closed(rs, roots):
 def ref_k_prime_check(flag, rp_plus):
     rk = ref_r_k(flag, rp_plus)
     rp = rp_plus | frozenset(rneg(a) for a in rp_plus)
-    rset = flag.rs.root_set
+    rset = root_set(flag.rs)
     return all(radd(g, a) not in rset for g in (ref_r_h(flag) - rk) for a in rp)
 
 
 def ref_is_symmetric_coset(flag):
-    rset, nil = flag.rs.root_set, ref_r_m_plus(flag)
+    rset, nil = root_set(flag.rs), ref_r_m_plus(flag)
     return not any(radd(a, b) in rset for a in nil for b in nil)
 
 
@@ -218,7 +218,7 @@ def test_root_index_tables(family, rank):
         assert rs.roots[rs.neg[i]] == rneg(a)
         for j, b in enumerate(rs.roots):
             s = radd(a, b)
-            is_root = s in rs.root_set
+            is_root = s in root_set(rs)
             assert (rs.sums[i] >> j & 1) == is_root
             assert rs.add[i][j] == (rs.index[s] if is_root else count)
             assert sum_index(rs).get((a, b)) == (s if is_root else None)
