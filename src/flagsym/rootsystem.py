@@ -434,10 +434,12 @@ class RootSystem:
         self.add: tuple[array, ...] = tuple(add_rows)
         self._extended: Diagram | None = None
         # filled by flagsym.symmetry: the LeafDescriptor by symmetry-root mask
-        # (masks and labels only, no reference back to this root system), and
-        # the label of the affine node's component by its node mask
+        # (masks and labels only, no reference back to this root system), the
+        # label of the affine node's component by its node mask, and the node
+        # mask of the nodes whose zero set is closed under ``add``
         self.leaf_memo: dict = {}
         self.component_memo: dict[int, str] = {}
+        self.closed_nodes: int | None = None
 
     @property
     def name(self) -> str:

@@ -39,7 +39,8 @@ built once by :func:`_structure`, whichever entry point comes first:
     abelian (no two symmetry roots sum to a root);
   * the masks of p = R_p+ and its negatives and of [p, p], with the test
     that [p, p] lies in the isotropy roots;
-  * the mask of h' = h + p, proved closed under root addition.
+  * the mask of h' = h + p, proved closed under root addition on the rows
+    of p (see below).
 
 :func:`build_report`, :func:`leaf_pair`, :func:`h_prime` and
 :func:`k_prime_check` read that record, and
@@ -63,6 +64,10 @@ key and root system, in a memo on the ``RootSystem``:
     ``RootSystem.extended_adjacency`` and classifies each component once, in
     ``RootSystem.component_memo``; :func:`leaf_via_diagram` builds its
     diagram from the same mask.
+  * Whether the zero set Z_n of node n, the roots with coefficient 0 at n, is
+    closed under ``add`` does not depend on the painting at all.
+    :func:`_closed_nodes` decides it for every node once per root system, in
+    ``RootSystem.closed_nodes``, together with the symmetry of the table.
 
 The closure of u = k + p walks the rows of k only, and decides the same as a
 walk over every row of u.  A pair with a member in k is found in that
@@ -74,6 +79,25 @@ sums to a root outside u:
     before any leaf is classified;
   * a mixed pair a - b that is a root lies in [p, p] = k, by the definition
     of :func:`_r_k`.
+
+The closure of h' = h + p walks the rows of p only when every painted
+node's Z_n is closed, and then decides the same as a walk over every row of
+h'.  Take a pair of roots of h':
+
+  * two roots of p of one sign never sum to a root, because the centre is
+    abelian, which the abelian-centre test checks;
+  * a mixed pair of p sums into [p, p], which lies in h, as the escape test
+    checks;
+  * two roots of h sum into h, because h is closed: h is the intersection of
+    the Z_n over the painted nodes, and each of those is closed;
+  * every other pair has a member in p, and is found in that member's row,
+    since ``add`` is symmetric (``sums`` too), which :func:`_closed_nodes`
+    checks with the zero sets.
+
+So only the rows of p can hold a gap.  When a painted Z_n is not closed, or
+the table is not symmetric, or the rows of p find a gap, :func:`_structure`
+walks every row of h' as before, so the verdict and the witness of an
+"h' not closed" error are those of the full walk on every table.
 
 u and k are classified from their simple roots by index:
 :meth:`RootSystem.diagram`, the builder of the extended diagram too, reads
@@ -190,10 +214,12 @@ def _structure(flag: FlagData) -> Structure:
         if rk & ~flag.h_mask:
             raise InternalConsistencyError(f"{flag.pd.spec}: [p,p] escapes the isotropy roots")
         hp = flag.h_mask | rp
-        gap = _closure_gap(rs, hp)
-        if gap is not None:
-            a, b = (root_str(rs.roots[i]) for i in gap)
-            raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
+        # h closed: the rows of p decide; else the full walk, for its witness
+        if flag.painted_mask & ~_closed_nodes(rs) or _closure_gap(rs, hp, rp) is not None:
+            gap = _closure_gap(rs, hp)
+            if gap is not None:
+                a, b = (root_str(rs.roots[i]) for i in gap)
+                raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
         flag._structure = Structure(via_r, plus, rp, rk, hp)
     return flag._structure
 
@@ -245,6 +271,32 @@ def _closure_gap(rs: RootSystem, mask: int, rows: int | None = None) -> tuple[in
         if not inside.issuperset(map(row.__getitem__, within)):
             return i, next(j for j in partners[i] if j in inside and row[j] not in inside)
     return None
+
+
+def _closed_nodes(rs: RootSystem) -> int:
+    """Node mask (bit n for node n + 1) of the nodes whose zero set Z_n is
+    closed under ``add``; 0 when ``add`` or ``sums`` is not symmetric on the
+    sum partners.  Decided once per root system, in ``rs.closed_nodes``."""
+    if rs.closed_nodes is None:
+        closed = 0
+        if _symmetric(rs):
+            full = (1 << len(rs.roots)) - 1
+            for n, support in enumerate(rs.support):
+                if _closure_gap(rs, full & ~support) is None:
+                    closed |= 1 << n
+        rs.closed_nodes = closed
+    return rs.closed_nodes
+
+
+def _symmetric(rs: RootSystem) -> bool:
+    """j a sum partner of i exactly when i is one of j, with add[j][i] = add[i][j]."""
+    add, sums = rs.add, rs.sums
+    for i, partners in enumerate(rs.partners):
+        row = add[i]
+        for j in partners:
+            if add[j][i] != row[j] or not sums[j] >> i & 1:
+                return False
+    return True
 
 
 def _stuck(rs: RootSystem, source: int, steps: int, target: int) -> list[int]:

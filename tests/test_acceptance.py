@@ -11,8 +11,6 @@ import json
 import random
 import time
 
-import pytest
-
 from flagsym import (
     PaintedDiagram,
     build_report,
@@ -30,7 +28,7 @@ from flagsym import (
     transvection_set,
     verify_theorem,
 )
-from flagsym.flag import make_flag, parse_painted
+from flagsym.flag import make_flag
 from flagsym.rootsystem import rneg
 from root_helpers import radd, root_set, sum_index
 from table_helpers import _string_down, b_of, table_constants

@@ -1,5 +1,4 @@
 import csv
-from fractions import Fraction
 
 import pytest
 

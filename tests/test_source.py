@@ -1,5 +1,6 @@
-"""Static checks on the package source, and one check of its module-level
-state across a sweep, with the standard library only."""
+"""Static checks on the package source and on the imports of the test
+modules, and one check of the package's module-level state across a sweep,
+with the standard library only."""
 
 import argparse
 import ast
@@ -18,6 +19,7 @@ from flagsym import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "flagsym"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -33,9 +35,12 @@ def unused_imports(path: Path) -> list[str]:
     return sorted(imported - read)
 
 
-# __init__.py imports to re-export: its imports are the public names
+# __init__.py imports to re-export: its imports are the public names; the
+# test modules and their helpers are held to the same rule
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path) == []

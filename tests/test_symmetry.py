@@ -24,13 +24,16 @@ from flagsym import (
 )
 from flagsym import symmetry
 from flagsym.cli import simple_types
-from flagsym.rootsystem import bits, rneg
+from flagsym.flag import split_painted
+from flagsym.rootsystem import bits, rneg, root_str
 from flagsym.symmetry import (
     ClassificationError,
+    _closed_nodes,
     _closure_gap,
     _hermitian_name,
     _rank_q,
     _structure,
+    _symmetric,
 )
 
 from root_helpers import diagram_isomorphic, radd, root_set
@@ -234,15 +237,19 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
     assert k_prime_check(f) and rep.hprime_closed
     assert h_prime(f) == rep.h_prime_mask
     record = _structure(f)
-    # [p, p] once; h' is closed on all its rows before the leaf, whose closure
-    # walks the rows of k only; none for hprime_closed
+    full = (1 << len(rs.roots)) - 1
+    # [p, p] once; the zero set of each node is closed once per root system,
+    # then h' on the rows of p before the leaf, whose closure walks the rows
+    # of k only; none for hprime_closed
     assert calls == {
         "_r_k": [(record.plus,)],
-        "_closure_gap": [(record.hp,), (record.rk | record.rp, record.rk)],
+        "_closure_gap": [(full & ~zero,) for zero in rs.support]
+        + [(record.hp, record.rp), (record.rk | record.rp, record.rk)],
     }
+    assert rs.closed_nodes == (1 << 7) - 1
 
     # E7:{2,5,6} has the same symmetry roots: [p, p] and the leaf come from the
-    # memo, and only h' is closed again
+    # memo, the node verdict from the root system, and only h' is closed again
     for name in calls:
         calls[name].clear()
     g = make_flag(PaintedDiagram(rs, frozenset({2, 5, 6})))
@@ -250,7 +257,7 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
     other = _structure(g)
     assert other[:4] == record[:4] and rep.leaf is leaf_pair(f)
     assert k_prime_check(g) and rep.hprime_closed
-    assert calls == {"_r_k": [], "_closure_gap": [(other.hp,)]}
+    assert calls == {"_r_k": [], "_closure_gap": [(other.hp, other.rp)]}
 
 
 def ref_closure_gap(rs, mask):
@@ -276,6 +283,65 @@ def test_closure_gap_gives_the_loop_witness(family, rank):
             for i in range(count):
                 variant = closed ^ 1 << i
                 assert _closure_gap(rs, variant) == ref_closure_gap(rs, variant), f.pd.spec
+
+
+# m holds roots outside h', h holds sums, and a root of p and one of h sum
+# to a root
+GAP_PAINTINGS = ["A5:{1,2}", "B4:{3}", "C4:{2}", "F4:{3,4}", "E6:{4}"]
+
+
+def fresh_flag(spec):
+    """A flag on a fresh root system, with the h' and p masks of a clean table."""
+    family, rank, painted = split_painted(spec)
+    clean = _structure(make_flag(PaintedDiagram(build_root_system(family, rank), painted)))
+    return make_flag(PaintedDiagram(RootSystem(family, rank), painted)), clean.hp, clean.rp
+
+
+def hprime_message(flag, hp):
+    """The error of the walk over every row of h': its first pairwise witness."""
+    a, b = (root_str(flag.rs.roots[i]) for i in ref_closure_gap(flag.rs, hp))
+    return f"{flag.pd.spec}: h' not closed ({a} + {b})"
+
+
+@pytest.mark.parametrize("rows", ["p and h", "p", "h"])
+@pytest.mark.parametrize("spec", GAP_PAINTINGS)
+def test_planted_gap_between_p_and_h_raises_the_full_walk_witness(spec, rows):
+    f, hp, rp = fresh_flag(spec)
+    rs = f.rs
+    # the sum of a root of p and a root of h, sent outside h' in the row of
+    # p, in the row of h or in both
+    i = next(i for i in bits(rp) if rs.sums[i] & hp & ~rp)
+    j = next(bits(rs.sums[i] & hp & ~rp))
+    outside = next(bits(f.m_mask & ~rp))
+    if rows != "h":
+        rs.add[i][j] = outside
+    if rows != "p":
+        rs.add[j][i] = outside
+    # a gap in the row of h alone escapes the rows of p, but the table is no
+    # longer symmetric, so no node counts as closed
+    assert _symmetric(rs) == (rows == "p and h")
+    assert (_closure_gap(rs, hp, rp) is None) == (rows == "h")
+    with pytest.raises(InternalConsistencyError) as exc:
+        build_report(f)
+    assert str(exc.value) == hprime_message(f, hp)
+    assert f._structure is None
+
+
+@pytest.mark.parametrize("spec", GAP_PAINTINGS)
+def test_sum_inside_h_sent_outside_fails_the_node_verdict(spec):
+    f, hp, rp = fresh_flag(spec)
+    rs, h = f.rs, f.h_mask
+    i = next(i for i in bits(h) if rs.sums[i] & h)
+    j = next(bits(rs.sums[i] & h))
+    rs.add[i][j] = rs.add[j][i] = next(bits(f.m_mask & ~rp))
+    # the rows of p miss the gap; a painted zero set is not closed, so the
+    # full walk runs and finds it
+    assert _closure_gap(rs, hp, rp) is None
+    assert f.painted_mask & ~_closed_nodes(rs)
+    with pytest.raises(InternalConsistencyError) as exc:
+        build_report(f)
+    assert str(exc.value) == hprime_message(f, hp)
+    assert f._structure is None
 
 
 def test_k_prime_examples():

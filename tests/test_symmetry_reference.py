@@ -11,7 +11,9 @@ Gram-form diagram builder of ``root_helpers``) on every symmetry-root mask
 through rank 8, and the same error on sets of positive roots that are no
 positive system; it reads each Cartan integer it needs once.  The closure of
 the leaf on the rows of k alone must give the verdict of the full closure on
-every symmetry-root mask through rank 8.  The affine node's component, found
+every symmetry-root mask through rank 8, and the closure of h' on the rows of
+p alone that of the full closure on every painting through rank 8, with the
+zero set of every node closed on every type.  The affine node's component, found
 on node masks, must be the diagram of the component split it replaced, with
 the same label, on every painting through rank 8, each component classified
 once per type.  The root-index tables themselves (``index``, ``neg``,
@@ -49,10 +51,12 @@ from flagsym.rootsystem import bits, height, rneg
 from flagsym.symmetry import (
     Structure,
     _classify_sub,
+    _closed_nodes,
     _closure_gap,
     _indecomposables,
     _r_k,
     _structure,
+    _symmetric,
 )
 from flag_helpers import ref_r_h, ref_r_m_plus
 from root_helpers import diagram_from_vectors, radd, root_set, rsub, sum_index
@@ -306,6 +310,26 @@ def test_leaf_closure_on_the_rows_of_k_gives_the_full_verdict(symmetry_masks):
         rp, rk = record.rp, record.rk
         pruned = _closure_gap(rs, rk | rp, rk) is None
         assert pruned == (_closure_gap(rs, rk | rp) is None), flag.pd.spec
+
+
+def test_hprime_closure_on_the_rows_of_p_gives_the_full_verdict():
+    # h is closed once every painted node's zero set is: the rows of p decide
+    count = 0
+    for pd in paintings(simple_types(8)):
+        flag = make_flag(pd)
+        rs, record = flag.rs, _structure(flag)
+        assert flag.painted_mask & ~_closed_nodes(rs) == 0, pd.spec
+        pruned = _closure_gap(rs, record.hp, record.rp) is None
+        assert pruned == (_closure_gap(rs, record.hp) is None), pd.spec
+        count += 1
+    assert count == 2455
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_every_zero_set_is_closed(family, rank):
+    rs = RootSystem(family, rank)  # its own verdict, not yet decided
+    assert _symmetric(rs)
+    assert _closed_nodes(rs) == rs.closed_nodes == (1 << rank) - 1
 
 
 def ref_leaf_via_diagram(pd):
