@@ -240,42 +240,63 @@ class Diagram:
     Edges are (a, b, multiplicity, short_end) with a < b; short_end names the
     node on the short-root side of a multiple bond ("both" for the degenerate
     affine A1 double bond, None for single bonds).
+
+    Sets of nodes are node masks: bit k stands for ``nodes[k]``, the node in
+    place k (on the plain and the extended diagram of a root system, place
+    and label agree).
     """
 
     nodes: tuple
     edges: tuple
 
-    def degree(self, v) -> int:
-        return sum(1 for a, b, _, _ in self.edges if v in (a, b))
-
-    def neighbors(self, v) -> list:
-        out = []
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """adjacency[k]: the node mask of the neighbours of ``nodes[k]``.
+        Built on first use."""
+        place = dict(zip(self.nodes, range(len(self.nodes))))
+        adjacency = [0] * len(self.nodes)
         for a, b, _, _ in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
+            adjacency[place[a]] |= 1 << place[b]
+            adjacency[place[b]] |= 1 << place[a]
+        return tuple(adjacency)
+
+    def component(self, start: int, within: int = -1) -> int:
+        """Node mask of the component of the node in place ``start`` in the
+        subdiagram on the node mask ``within``, by a search over node masks.
+
+        The nodes still to visit are taken off their mask lowest bit first,
+        which on masks of a few nodes costs less than :func:`bits`.
+        """
+        adjacency = self.adjacency
+        comp = todo = 1 << start
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = adjacency[low.bit_length() - 1] & within & ~comp
+            comp |= new
+            todo |= new
+        return comp
+
+    def restrict(self, mask: int) -> Diagram:
+        """The subdiagram on the node mask ``mask``, nodes and edges in their
+        order here; the diagram itself when ``mask`` holds every node."""
+        if mask == (1 << len(self.nodes)) - 1:
+            return self
+        inside = {v for k, v in enumerate(self.nodes) if mask >> k & 1}
+        return Diagram(
+            tuple(v for v in self.nodes if v in inside),
+            tuple(e for e in self.edges if e[0] in inside and e[1] in inside),
+        )
 
 
 def diagram_components(d: Diagram) -> list[Diagram]:
-    seen: set = set()
+    """The connected components of ``d``, in the order of their first nodes."""
     comps: list[Diagram] = []
-    for start in d.nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in d.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        nodes = tuple(sorted(comp, key=d.nodes.index))
-        edges = tuple(e for e in d.edges if e[0] in comp)
-        comps.append(Diagram(nodes, edges))
+    rest = (1 << len(d.nodes)) - 1
+    while rest:
+        comp = d.component((rest & -rest).bit_length() - 1)
+        rest &= ~comp
+        comps.append(d.restrict(comp))
     return comps
 
 
@@ -297,15 +318,16 @@ def classify_connected(d: Diagram) -> tuple[str, int]:
         if n == 2:
             return ("G", 2)
         raise ValueError("triple bond in a diagram of size > 2")
-    degrees = {v: d.degree(v) for v in d.nodes}
+    adjacency = d.adjacency
+    degrees = [a.bit_count() for a in adjacency]  # by place
     if max(mults) == 2:
         doubles = [e for e in d.edges if e[2] == 2]
-        if len(doubles) != 1 or max(degrees.values()) > 2:
+        if len(doubles) != 1 or max(degrees) > 2:
             raise ValueError("not a finite Dynkin diagram (bad double bond)")
         if n == 2:
             return ("B", 2)
         a, b, _, short = doubles[0]
-        ends = [v for v in (a, b) if degrees[v] == 1]
+        ends = [v for v in (a, b) if degrees[d.nodes.index(v)] == 1]
         if not ends:
             if n == 4:
                 return ("F", 4)
@@ -318,21 +340,20 @@ def classify_connected(d: Diagram) -> tuple[str, int]:
             return ("C", n)
         raise ValueError("double bond without orientation")
     # simply laced
-    branch = [v for v in d.nodes if degrees[v] >= 3]
+    branch = [k for k, degree in enumerate(degrees) if degree >= 3]
     if not branch:
-        if max(degrees.values()) <= 2 and list(degrees.values()).count(1) == 2:
+        if max(degrees) <= 2 and degrees.count(1) == 2:
             return ("A", n)
         raise ValueError("not a finite Dynkin diagram (cycle)")
     if len(branch) > 1 or degrees[branch[0]] > 3:
         raise ValueError("more than one branch point")
     center = branch[0]
     arms = []
-    for w in d.neighbors(center):
+    for k in bits(adjacency[center]):
         length = 1
-        prev, cur = center, w
+        prev, cur = center, k
         while degrees[cur] == 2:
-            nxt = [x for x in d.neighbors(cur) if x != prev][0]
-            prev, cur = cur, nxt
+            prev, cur = cur, (adjacency[cur] & ~(1 << prev)).bit_length() - 1
             length += 1
         arms.append(length)
     arms.sort()
@@ -435,11 +456,11 @@ class RootSystem:
         self._extended: Diagram | None = None
         # filled by flagsym.symmetry: the LeafDescriptor by symmetry-root mask
         # (masks and labels only, no reference back to this root system), the
-        # label of the affine node's component by its node mask, and the node
-        # mask of the nodes whose zero set is closed under ``add``
+        # label of the affine node's component by its node mask, and whether
+        # ``add`` is sound for the closures that walk some rows only
         self.leaf_memo: dict = {}
         self.component_memo: dict[int, str] = {}
-        self.closed_nodes: int | None = None
+        self.sound: bool | None = None
 
     @property
     def name(self) -> str:
@@ -553,16 +574,6 @@ class RootSystem:
                 + [(i + 1, index[s]) for i, s in enumerate(self.simple_roots)]
             )
         return self._extended
-
-    @cached_property
-    def extended_adjacency(self) -> tuple[int, ...]:
-        """adjacency[v]: the node mask (bit w for node w) of the neighbours of
-        node v in the extended diagram.  Built on first use."""
-        adjacency = [0] * (self.rank + 1)
-        for a, b, _, _ in self.extended_diagram().edges:
-            adjacency[a] |= 1 << b
-            adjacency[b] |= 1 << a
-        return tuple(adjacency)
 
 
 @lru_cache(maxsize=None)

@@ -60,44 +60,34 @@ key and root system, in a memo on the ``RootSystem``:
     back to the root system.
   * The diagram cross-check depends only on the nodes of the affine node's
     component once the painted nodes are deleted from the extended diagram.
-    :func:`diagrams_agree` finds that node mask by a search over
-    ``RootSystem.extended_adjacency`` and classifies each component once, in
-    ``RootSystem.component_memo``; :func:`leaf_via_diagram` builds its
-    diagram from the same mask.
-  * Whether the zero set Z_n of node n, the roots with coefficient 0 at n, is
-    closed under ``add`` does not depend on the painting at all.
-    :func:`_closed_nodes` decides it for every node once per root system, in
-    ``RootSystem.closed_nodes``, together with the symmetry of the table.
+    :func:`diagrams_agree` finds that node mask by
+    :meth:`~flagsym.rootsystem.Diagram.component` and classifies each
+    component once, in ``RootSystem.component_memo``;
+    :func:`leaf_via_diagram` restricts the extended diagram to the same mask.
 
-The closure of u = k + p walks the rows of k only, and decides the same as a
-walk over every row of u.  A pair with a member in k is found in that
-member's row, since ``add`` is symmetric.  A pair of two roots of p never
-sums to a root outside u:
+Two closures walk some rows of their set only, the closure of u = k + p the
+rows of k and that of h' = h + p the rows of p, and each decides the same
+as a walk over every row of its set on a sound table: ``add`` and ``sums``
+symmetric on the sum partners, and the zero set Z_n of every node n (the
+roots with coefficient 0 at n) closed under ``add``.  On such a table a pair
+with a member in the walked rows is found in that member's row, and every
+other pair sums inside the set:
 
-  * two roots of one sign, a + b or -a - b with a, b in R_p+, never sum to a
-    root, because the centre is abelian, which :func:`_structure` has tested
-    before any leaf is classified;
-  * a mixed pair a - b that is a root lies in [p, p] = k, by the definition
-    of :func:`_r_k`.
+  * two roots of p of one sign, a + b or -a - b with a, b in R_p+, never sum
+    to a root, because the centre is abelian, which :func:`_structure` tests
+    before either closure;
+  * a mixed pair of p that sums to a root sums into [p, p] = k, by the
+    definition of :func:`_r_k`, and k lies in h, as the escape test checks;
+  * two roots of h sum into h, because h is the intersection of the Z_n over
+    the painted nodes.
 
-The closure of h' = h + p walks the rows of p only when every painted
-node's Z_n is closed, and then decides the same as a walk over every row of
-h'.  Take a pair of roots of h':
-
-  * two roots of p of one sign never sum to a root, because the centre is
-    abelian, which the abelian-centre test checks;
-  * a mixed pair of p sums into [p, p], which lies in h, as the escape test
-    checks;
-  * two roots of h sum into h, because h is closed: h is the intersection of
-    the Z_n over the painted nodes, and each of those is closed;
-  * every other pair has a member in p, and is found in that member's row,
-    since ``add`` is symmetric (``sums`` too), which :func:`_closed_nodes`
-    checks with the zero sets.
-
-So only the rows of p can hold a gap.  When a painted Z_n is not closed, or
-the table is not symmetric, or the rows of p find a gap, :func:`_structure`
-walks every row of h' as before, so the verdict and the witness of an
-"h' not closed" error are those of the full walk on every table.
+:func:`_sound` decides soundness once per root system, in
+``RootSystem.sound``, and :func:`_closure_gap` walks every row of its set on
+a table that is not sound, so each verdict is that of the full walk on every
+table; an "h' not closed" error names the full walk's first witness.  The
+verdict is taken on the root system's first closure of some rows: a table
+changed after that is not judged again, as a root system is not changed
+once built.
 
 u and k are classified from their simple roots by index:
 :meth:`RootSystem.diagram`, the builder of the extended diagram too, reads
@@ -214,12 +204,10 @@ def _structure(flag: FlagData) -> Structure:
         if rk & ~flag.h_mask:
             raise InternalConsistencyError(f"{flag.pd.spec}: [p,p] escapes the isotropy roots")
         hp = flag.h_mask | rp
-        # h closed: the rows of p decide; else the full walk, for its witness
-        if flag.painted_mask & ~_closed_nodes(rs) or _closure_gap(rs, hp, rp) is not None:
-            gap = _closure_gap(rs, hp)
-            if gap is not None:
-                a, b = (root_str(rs.roots[i]) for i in gap)
-                raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
+        # the rows of p decide; the full walk names the witness
+        if _closure_gap(rs, hp, rp) is not None:
+            a, b = (root_str(rs.roots[i]) for i in _closure_gap(rs, hp))
+            raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
         flag._structure = Structure(via_r, plus, rp, rk, hp)
     return flag._structure
 
@@ -257,15 +245,16 @@ def _r_k(rs: RootSystem, plus: int) -> int:
 
 
 def _closure_gap(rs: RootSystem, mask: int, rows: int | None = None) -> tuple[int, int] | None:
-    """The first pair (i, j), i in ``rows`` (default ``mask``) and j in ``mask``,
-    whose sum is a root outside ``mask``, else None.
+    """The first pair (i, j), i in ``rows`` and j in ``mask``, whose sum is a
+    root outside ``mask``, else None.
 
-    One set test per row; only a row that fails is walked for its first j.
+    ``rows`` is read only when ``add`` is sound (:func:`_sound`); by default,
+    or on any other table, every row of ``mask`` is walked.  One set test per
+    row; only a row that fails is walked for its first j.
     """
     add, partners = rs.add, rs.partners
-    members = list(bits(mask))
-    inside = set(members)
-    for i in members if rows is None else bits(rows):
+    inside = set(bits(mask))
+    for i in bits(mask if rows is None or not _sound(rs) else rows):
         row = add[i]
         within = filter(inside.__contains__, partners[i])
         if not inside.issuperset(map(row.__getitem__, within)):
@@ -273,19 +262,17 @@ def _closure_gap(rs: RootSystem, mask: int, rows: int | None = None) -> tuple[in
     return None
 
 
-def _closed_nodes(rs: RootSystem) -> int:
-    """Node mask (bit n for node n + 1) of the nodes whose zero set Z_n is
-    closed under ``add``; 0 when ``add`` or ``sums`` is not symmetric on the
-    sum partners.  Decided once per root system, in ``rs.closed_nodes``."""
-    if rs.closed_nodes is None:
-        closed = 0
-        if _symmetric(rs):
-            full = (1 << len(rs.roots)) - 1
-            for n, support in enumerate(rs.support):
-                if _closure_gap(rs, full & ~support) is None:
-                    closed |= 1 << n
-        rs.closed_nodes = closed
-    return rs.closed_nodes
+def _sound(rs: RootSystem) -> bool:
+    """Whether ``add`` is sound for the closures of some rows (module doc):
+    ``add`` and ``sums`` symmetric on the sum partners, and the zero set Z_n
+    of every node closed under ``add``.  Decided on the first call, in
+    ``rs.sound``."""
+    if rs.sound is None:
+        full = (1 << len(rs.roots)) - 1
+        rs.sound = _symmetric(rs) and all(
+            _closure_gap(rs, full & ~support) is None for support in rs.support
+        )
+    return rs.sound
 
 
 def _symmetric(rs: RootSystem) -> bool:
@@ -430,27 +417,13 @@ def leaf_pair(flag: FlagData) -> LeafDescriptor:
 
 def _affine_component(pd: PaintedDiagram) -> int:
     """Node mask (bit v for node v) of the affine node's component of the
-    extended diagram minus the painted nodes, by a search over node masks."""
-    adjacency = pd.rs.extended_adjacency
-    free = ~sum(1 << v for v in pd.painted)
-    comp = frontier = 1
-    while frontier:
-        reach = 0
-        for v in bits(frontier):
-            reach |= adjacency[v]
-        frontier = reach & free & ~comp
-        comp |= frontier
-    return comp
+    extended diagram minus the painted nodes."""
+    return pd.rs.extended_diagram().component(0, ~sum(map((1).__lshift__, pd.painted)))
 
 
 def leaf_via_diagram(pd: PaintedDiagram) -> Diagram:
     """Extended diagram minus the painted nodes; component of the affine node."""
-    comp = _affine_component(pd)
-    ext = pd.rs.extended_diagram()
-    return Diagram(
-        tuple(v for v in ext.nodes if comp >> v & 1),
-        tuple(e for e in ext.edges if comp >> e[0] & comp >> e[1] & 1),
-    )
+    return pd.rs.extended_diagram().restrict(_affine_component(pd))
 
 
 def diagrams_agree(pd: PaintedDiagram, leaf: LeafDescriptor) -> bool:

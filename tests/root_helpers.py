@@ -18,7 +18,9 @@ here from ``RootSystem`` when its diagrams moved to Cartan integers read off
 root strings on the index: they are the references that builder, the
 subsystem classifier and the integer coroots are checked against.
 :func:`diagram_isomorphic` tries every node bijection, the brute-force
-reference the diagram classifier is checked against.
+reference the diagram classifier is checked against, and
+:func:`ref_diagram_components` is the search over edge lists that the
+component split on node masks replaced.
 """
 
 import itertools
@@ -268,3 +270,29 @@ def diagram_isomorphic(d1: Diagram, d2: Diagram) -> bool:
         if ok:
             return True
     return False
+
+
+def ref_diagram_components(d: Diagram) -> list[Diagram]:
+    """The components of ``d`` by a set search over its edge list, grown from
+    each node not yet seen: nodes in the order of ``d.nodes``, the edges of
+    ``d`` that start in the component."""
+
+    def neighbors(v):
+        return [b if a == v else a for a, b, _, _ in d.edges if v in (a, b)]
+
+    seen: set = set()
+    comps = []
+    for start in d.nodes:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in neighbors(stack.pop()):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        nodes = tuple(sorted(comp, key=d.nodes.index))
+        comps.append(Diagram(nodes, tuple(e for e in d.edges if e[0] in comp)))
+    return comps

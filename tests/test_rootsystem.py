@@ -28,6 +28,7 @@ from root_helpers import (
     diagram_isomorphic,
     inner_product,
     radd,
+    ref_diagram_components,
     ref_dynkin_diagram,
     ref_extended_diagram,
     ref_root_tables,
@@ -292,7 +293,7 @@ def test_extended_a3_is_cycle():
     d = build_root_system("A", 3).extended_diagram()
     assert d.nodes == (0, 1, 2, 3)
     assert len(d.edges) == 4
-    assert all(d.degree(v) == 2 for v in d.nodes)
+    assert all(neighbours.bit_count() == 2 for neighbours in d.adjacency)
 
 
 def test_extended_a1_double_bond_both_arrows():
@@ -372,6 +373,22 @@ def test_diagram_components():
     d = Diagram((1, 2, 3, 4), ((1, 2, 1, None),))
     comps = diagram_components(d)
     assert sorted(tuple(c.nodes) for c in comps) == [(1, 2), (3,), (4,)]
+
+
+def test_diagram_components_match_the_edge_list_search():
+    # every node subset of every extended diagram through rank 8 (node labels
+    # are not places there): the same components in the same order, each with
+    # its nodes and edges in the order of the subdiagram
+    count = 0
+    for family, rank in simple_types(8):
+        ext = build_root_system(family, rank).extended_diagram()
+        for mask in range(1 << len(ext.nodes)):
+            nodes = tuple(v for v in ext.nodes if mask >> v & 1)
+            edges = tuple(e for e in ext.edges if e[0] in nodes and e[1] in nodes)
+            sub = Diagram(nodes, edges)
+            assert diagram_components(sub) == ref_diagram_components(sub), (family, rank, mask)
+            count += 1
+    assert count == 4972
 
 
 def test_diagram_isomorphism_oracle_agrees_with_classification():

@@ -28,10 +28,10 @@ from flagsym.flag import split_painted
 from flagsym.rootsystem import bits, rneg, root_str
 from flagsym.symmetry import (
     ClassificationError,
-    _closed_nodes,
     _closure_gap,
     _hermitian_name,
     _rank_q,
+    _sound,
     _structure,
     _symmetric,
 )
@@ -238,15 +238,16 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
     assert h_prime(f) == rep.h_prime_mask
     record = _structure(f)
     full = (1 << len(rs.roots)) - 1
-    # [p, p] once; the zero set of each node is closed once per root system,
-    # then h' on the rows of p before the leaf, whose closure walks the rows
-    # of k only; none for hprime_closed
+    # [p, p] once; h' on the rows of p, whose closure first decides, once per
+    # root system, that the table is sound by closing the zero set of each
+    # node; then the leaf on the rows of k only; none for hprime_closed
     assert calls == {
         "_r_k": [(record.plus,)],
-        "_closure_gap": [(full & ~zero,) for zero in rs.support]
-        + [(record.hp, record.rp), (record.rk | record.rp, record.rk)],
+        "_closure_gap": [(record.hp, record.rp)]
+        + [(full & ~zero,) for zero in rs.support]
+        + [(record.rk | record.rp, record.rk)],
     }
-    assert rs.closed_nodes == (1 << 7) - 1
+    assert rs.sound is True
 
     # E7:{2,5,6} has the same symmetry roots: [p, p] and the leaf come from the
     # memo, the node verdict from the root system, and only h' is closed again
@@ -318,9 +319,9 @@ def test_planted_gap_between_p_and_h_raises_the_full_walk_witness(spec, rows):
     if rows != "p":
         rs.add[j][i] = outside
     # a gap in the row of h alone escapes the rows of p, but the table is no
-    # longer symmetric, so no node counts as closed
+    # longer symmetric, so not sound, and every row of h' is walked
     assert _symmetric(rs) == (rows == "p and h")
-    assert (_closure_gap(rs, hp, rp) is None) == (rows == "h")
+    assert _closure_gap(rs, hp, rp) is not None
     with pytest.raises(InternalConsistencyError) as exc:
         build_report(f)
     assert str(exc.value) == hprime_message(f, hp)
@@ -334,14 +335,27 @@ def test_sum_inside_h_sent_outside_fails_the_node_verdict(spec):
     i = next(i for i in bits(h) if rs.sums[i] & h)
     j = next(bits(rs.sums[i] & h))
     rs.add[i][j] = rs.add[j][i] = next(bits(f.m_mask & ~rp))
-    # the rows of p miss the gap; a painted zero set is not closed, so the
-    # full walk runs and finds it
-    assert _closure_gap(rs, hp, rp) is None
-    assert f.painted_mask & ~_closed_nodes(rs)
+    # the rows of p would miss the gap; a painted zero set is not closed, so
+    # the table is not sound and every row of h' is walked
+    assert not _sound(rs)
+    assert _closure_gap(rs, hp, rp) == ref_closure_gap(rs, hp)
     with pytest.raises(InternalConsistencyError) as exc:
         build_report(f)
     assert str(exc.value) == hprime_message(f, hp)
     assert f._structure is None
+
+
+def test_gap_in_one_row_of_the_leaf_raises_from_the_leaf_closure():
+    rs = RootSystem("A", 5)  # planted before first use
+    f = make_flag(PaintedDiagram(rs, frozenset({1, 3})))
+    record = _structure(make_flag(PaintedDiagram(build_root_system("A", 5), f.pd.painted)))
+    # 11 is a root of p and 1 one of k; 3 is a root of h outside u = k + p
+    assert record.rp >> 11 & 1 and record.rk >> 1 & 1
+    assert f.h_mask >> 3 & 1 and not (record.rk | record.rp) >> 3 & 1
+    rs.add[11][1] = 3  # only in the row of p: the rows of k miss the gap
+    with pytest.raises(InternalConsistencyError, match=re.escape("A5:{1,3}: leaf root set not closed")):
+        leaf_pair(f)
+    assert rs.sound is False and rs.leaf_memo == {}
 
 
 def test_k_prime_examples():

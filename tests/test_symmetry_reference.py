@@ -14,11 +14,13 @@ the leaf on the rows of k alone must give the verdict of the full closure on
 every symmetry-root mask through rank 8, and the closure of h' on the rows of
 p alone that of the full closure on every painting through rank 8, with the
 zero set of every node closed on every type.  The affine node's component, found
-on node masks, must be the diagram of the component split it replaced, with
-the same label, on every painting through rank 8, each component classified
-once per type.  The root-index tables themselves (``index``, ``neg``,
-``sums``, ``add``) are checked against coordinate addition, the
-``sum_index`` test helper and ``rneg`` for every simple type of rank <= 8.
+on node masks, must be the diagram of the component split it replaced (the
+edge-list search of ``root_helpers``, which the reference classifier splits
+its diagrams with too), with the same label, on every painting through rank
+8, each component classified once per type.  The root-index tables
+themselves (``index``, ``neg``, ``sums``, ``add``) are checked against
+coordinate addition, the ``sum_index`` test helper and ``rneg`` for every
+simple type of rank <= 8.
 """
 
 import dataclasses
@@ -36,7 +38,6 @@ from flagsym import (
     build_root_system,
     center_of_nilradical,
     classify_connected,
-    diagram_components,
     diagrams_agree,
     h_prime,
     k_prime_check,
@@ -51,15 +52,22 @@ from flagsym.rootsystem import bits, height, rneg
 from flagsym.symmetry import (
     Structure,
     _classify_sub,
-    _closed_nodes,
     _closure_gap,
     _indecomposables,
     _r_k,
+    _sound,
     _structure,
     _symmetric,
 )
 from flag_helpers import ref_r_h, ref_r_m_plus
-from root_helpers import diagram_from_vectors, radd, root_set, rsub, sum_index
+from root_helpers import (
+    diagram_from_vectors,
+    radd,
+    ref_diagram_components,
+    root_set,
+    rsub,
+    sum_index,
+)
 
 
 def ref_symmetry_roots(flag):
@@ -119,7 +127,7 @@ def ref_classify_sub(rs, pos):
     among them, split into connected components."""
     simples = ref_indecomposables(list(rs.roots_of(pos)))
     diagram = diagram_from_vectors(rs, list(enumerate(simples)))
-    return sorted(classify_connected(comp) for comp in diagram_components(diagram))
+    return sorted(classify_connected(comp) for comp in ref_diagram_components(diagram))
 
 
 def outcome(classify, rs, pos):
@@ -313,12 +321,12 @@ def test_leaf_closure_on_the_rows_of_k_gives_the_full_verdict(symmetry_masks):
 
 
 def test_hprime_closure_on_the_rows_of_p_gives_the_full_verdict():
-    # h is closed once every painted node's zero set is: the rows of p decide
+    # h is closed, as every zero set is: the rows of p decide
     count = 0
     for pd in paintings(simple_types(8)):
         flag = make_flag(pd)
         rs, record = flag.rs, _structure(flag)
-        assert flag.painted_mask & ~_closed_nodes(rs) == 0, pd.spec
+        assert _sound(rs), pd.spec
         pruned = _closure_gap(rs, record.hp, record.rp) is None
         assert pruned == (_closure_gap(rs, record.hp) is None), pd.spec
         count += 1
@@ -329,7 +337,7 @@ def test_hprime_closure_on_the_rows_of_p_gives_the_full_verdict():
 def test_every_zero_set_is_closed(family, rank):
     rs = RootSystem(family, rank)  # its own verdict, not yet decided
     assert _symmetric(rs)
-    assert _closed_nodes(rs) == rs.closed_nodes == (1 << rank) - 1
+    assert _sound(rs) and rs.sound is True
 
 
 def ref_leaf_via_diagram(pd):
@@ -339,7 +347,7 @@ def ref_leaf_via_diagram(pd):
     ext = pd.rs.extended_diagram()
     keep = [v for v in ext.nodes if v not in pd.painted]
     edges = tuple(e for e in ext.edges if e[0] in keep and e[1] in keep)
-    return next(c for c in diagram_components(Diagram(tuple(keep), edges)) if 0 in c.nodes)
+    return next(c for c in ref_diagram_components(Diagram(tuple(keep), edges)) if 0 in c.nodes)
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
