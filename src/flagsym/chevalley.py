@@ -143,14 +143,32 @@ The witness tier evaluates every candidate, most of them inline as one root
 coefficient of three products.  Coroots, needed for the Cartan part of a
 zero-sum defect, are computed in integers, and only when such a triple is
 evaluated.
+
+Certificates.  The verdict is a function of the arrays it reads: the roots
+in index order (the heights and the count), ``rs.neg``, ``rs.weights``,
+``sums``, ``add`` and ``n_dense``.  :func:`digest` is the sha256 of exactly
+these, in a byte order that does not depend on the host (``add`` rows are
+native-endian ``array('H')``, and are hashed little-endian).  Two tables with
+the same digest have the same arrays, so the verdict on one is the verdict on
+the other.  ``AUDITED_DIGESTS`` pins one digest per type through rank 8, and
+the tests build every one of those types with the audit and require its
+digest to equal the pin, so a pin names only a build that passed the audit.
+:func:`build_constants` therefore certifies a table whose digest equals its
+pin without running the audit again: equality with an audited build is the
+audit's verdict, not the audit run once more, and the table says which of the
+two it has (``certified``).  A table whose digest misses its pin (a changed
+builder or root system) or whose type has no pin gets the exhaustive audit,
+whatever its size, and raises when the audit fails.
 """
 
 from __future__ import annotations
 
+import hashlib
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .rootsystem import (
     InternalConsistencyError,
@@ -167,16 +185,20 @@ class ChevalleyTable:
 
     ``n_dense`` holds n(roots[i], roots[j]) at ``i * C + j`` over the root
     index (C = |R|) as int8, zero where roots[i] + roots[j] is no root; the
-    weights b are ``rs.weights``.  ``audited`` is True when
-    :func:`build_constants` ran the exhaustive audit.  :mod:`flagsym.oracle`
-    builds its cyclic table and verdict from the array and caches them per
-    instance (tables hash and compare by identity), so a changed table is a
-    changed copy, not a table the oracle has read.
+    weights b are ``rs.weights``.  ``certified`` says how
+    :func:`build_constants` knows the table passes the audit: ``"audit"``
+    when it ran the exhaustive audit in this process, ``"digest"`` when the
+    table's digest equals the pin of an audited build, None when it did
+    neither.  :mod:`flagsym.oracle` reads its cone verdict off the
+    certificate, and builds its cyclic table and verdict from the array of an
+    uncertified table, cached per instance (tables hash and compare by
+    identity).  So a changed table is a changed, uncertified copy, not a
+    table the oracle has read.
     """
 
     rs: RootSystem
     n_dense: array
-    audited: bool = False
+    certified: str | None = None
 
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""
@@ -184,12 +206,68 @@ class ChevalleyTable:
         return self.n_dense[index[a] * len(self.rs.roots) + index[b]]
 
 
+def digest(table: ChevalleyTable) -> str:
+    """The sha256 (hex) of every array the audit reads (module docstring)."""
+    rs = table.rs
+    count = len(rs.roots)
+    width = (count + 7) // 8
+    wide = array("H", rs.neg)  # the 16-bit arrays, little-endian
+    wide.frombytes(b"".join(rs.add))
+    if sys.byteorder == "big":
+        wide.byteswap()
+    h = hashlib.sha256(f"{rs.name} {count}\n".encode())
+    h.update(array("b", chain.from_iterable(rs.roots)))
+    h.update(bytes(rs.weights))
+    h.update(b"".join(s.to_bytes(width, "little") for s in rs.sums))
+    h.update(wide)
+    h.update(table.n_dense)
+    return h.hexdigest()
+
+
+# the digest of each type's table as built and audited exhaustively; the
+# tests audit every one of them again and compare
+AUDITED_DIGESTS = {
+    "A1": "3ed934a28efdea2cd1ccb0b38fbf5025a5bceb4eebeb0d7a4560dd81851d2949",
+    "A2": "be1c20b09ed5769ff82918e82e1185f1b12ef3798a1186b0688963ed26343526",
+    "A3": "e128ba76c6528ef16d926f600005da28bae1657cc8ea1e2910c20faf13e61bf4",
+    "A4": "39fc232e64dd8e53acbb2be396edae0f5a472f817b1e4575e4880118ce47f30a",
+    "A5": "6c541d547ce03869a4177908ddaa38398cd1f82132af67905bf979b802018bf7",
+    "A6": "31a83949185b6e78f4b955df984415ddc7d51558559d1a3ef8cc198f7f15bf5f",
+    "A7": "d6afdccb24aa2c84fc677020542723301414c150f3d758de8a19a01fba0229bc",
+    "A8": "a75e820d393177e0b5282bd8fcc74b910ee0622e9ffc62da86d8eda4f5eb7181",
+    "B2": "b4bb65f30927d183279d0c90dc820e69b658609c9759f7887466305d4eed4fc0",
+    "B3": "e749f9a68e50cacd6f8208a34d2489b361c5763ae0c01a6a2198bb609afa10c5",
+    "B4": "f1820e1acaff4730127310a1d79cc9b0aa93f20ab67a62416d9d69d3f1def27b",
+    "B5": "fe5c54af0f1b47a1756a2c95f36b4d6cf6d37f52c9927c1c7aab3cb0ec682f4c",
+    "B6": "dee748d290bc771be132d5760c61568eeea8f8b6d2ea54962ee94a537785460c",
+    "B7": "455018f6b292e8355802be27ee6e1f44a18f36c9d992712829004f9a921b7c1a",
+    "B8": "f508d77c95537f46a0898dc78e9ef19ac550f676243b9dfed9d1edd30bc96606",
+    "C3": "f249fdb08f3fda9342d94e9c676f815160829d720c386202a2d6e8a1dfd103b8",
+    "C4": "5443b8e7eb41ad32aa436b44e335c3cd31a8e36cae37b88ac69cca91a35c00c8",
+    "C5": "f75ab99ae99070352756a7875c5fc6098ac5b1f7ff4c6c685ee0035302118ee9",
+    "C6": "c9aa73991d42ada646aa6abfd2245a04fd9445373791b1c548d0814e8719bd0a",
+    "C7": "78622670a1aa253185b37d7bc7e99198583408088fdbfec468b139440b9a8138",
+    "C8": "45e095e80112c4b5a107431cd65f57dae437f1f010dafb132153e6a71ed02d89",
+    "D4": "8d581d1b4f229e8ab0147aec0aa396ec74aa719c1481ab04fd8369bd7a162a34",
+    "D5": "9cbc12b8d4123d9740666db2cc57776072e6a347ee6c4cc05bb7be62567c493f",
+    "D6": "4bff98b59062cf39d66723189e2ae52648a4b997edf7ec71df7799901e999925",
+    "D7": "2067d5ee697d608d60fb474e2b99b3b4ed4736a3f21f28cecb74b4c34a2b8e85",
+    "D8": "4925652b243e82a008375c81dbe8cd6cffb67eafa1f325df2af1e2af9ea0ffbe",
+    "E6": "30d178a24255a6e8076cff8093c6cbd6deef433ecb65f81b31c7beae31db0d38",
+    "E7": "d020fa11649fc2628b4e1471ca155c5a01152cdbe5e08a7bb216643d3bd9bda6",
+    "E8": "4fb84b045ed958297e9927ca615f1216c65a0292b8d744f917f6602af5666ecf",
+    "F4": "41564bfdd1c59871f22bcab7cba5556282c22f73d7f8346f8aec21de84ace66e",
+    "G2": "85b7a43f4fcae65a1be0e7b110e374dd77a39b739be5c97b000eebe78eb1777c",
+}
+
+
 def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTable:
     """Build the full constant table for ``rs``.
 
-    ``verify`` controls the exhaustive Jacobi/cyclic audit after construction:
-    None runs it for systems with at most 48 roots (rank <= 4), True forces
-    it, False skips it.
+    ``verify`` controls the certificate (module docstring): None certifies a
+    table whose digest equals its pin in ``AUDITED_DIGESTS`` and runs the
+    exhaustive audit on any other, True always runs the audit, False does
+    neither.  A failed audit raises InternalConsistencyError.
     """
     roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
     count, half = len(roots), len(rs.positive_roots)
@@ -256,12 +334,12 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
             put(x, y, v)
 
     table = ChevalleyTable(rs, n)
-    if verify is None:
-        verify = count <= 48
-    if verify:
+    if verify is None and AUDITED_DIGESTS.get(rs.name) == digest(table):
+        table.certified = "digest"
+    elif verify is not False:
         if not sign_convention_check(table):
             raise InternalConsistencyError(f"{rs.name}: constant table fails the audit")
-        table.audited = True
+        table.certified = "audit"
     return table
 
 

@@ -83,11 +83,21 @@ c is twice the member in R+, or 0, by construction.  So when the cyclic
 masks are the same pair or the swapped one on every splitting, both oracles
 give the symmetry roots, with nothing undecided, on every painting of the
 type.  :func:`cone_verdict` decides this once per table and names the first
-splitting that breaks it.  :func:`oracle_check` gives the sweep and
-``analyze`` their verdict; it walks the cyclic cone set of a painting only
-for a table whose verdict fails, so a changed table gets the results of the
-walk.  The shortcut reads no table, so its cone set is the symmetry
-criterion on every table and no check walks it.
+splitting that breaks it.  The shortcut reads no table, so its cone set is
+the symmetry criterion on every table and no check walks it.
+
+The verdict off the certificate.  A table that :mod:`flagsym.chevalley`
+certifies (audited in this process, or equal by digest to an audited build)
+satisfies antisymmetry, the negation rule, |n| = p+1 and the weighted cyclic
+identity.  The argument above uses no painting, so on every splitting the
+cyclic vector is -K times the shortcut's, K = n(beta, gamma) b(a), and
+|n| = p+1 makes K nonzero: each cyclic sign mask pair is the shortcut's or
+the swapped one, and :func:`cone_verdict` is None.  :func:`oracle_check`
+gives the sweep and ``analyze`` their verdict.  It reads the verdict of a
+certified table off its certificate and builds no splitting table for it;
+for an uncertified table (a changed copy) it takes :func:`cone_verdict`, and
+walks the cyclic cone set of a painting only when that fails, so a changed
+table gets the results of the walk.
 
 The per-xi functions (:func:`transvection_set`, :func:`shortcut_set` and the
 ``*_violations`` ones) are library and test API: no CLI command calls them,
@@ -287,11 +297,12 @@ def oracle_check(flag: FlagData, table: ChevalleyTable, symmetry: frozenset) -> 
 
     oracle_agree holds when both oracles give the symmetry roots on the whole
     Kahler cone; undecided counts the roots the structure-constant oracle
-    leaves open, and fails the check.  When :func:`cone_verdict` holds that
-    is so on every painting of the type, and only a table whose verdict
-    fails has the cone set of the painting walked.
+    leaves open, and fails the check.  On a certified table, and on one whose
+    :func:`cone_verdict` holds, that is so on every painting of the type
+    (module docstring); only an uncertified table whose verdict fails has the
+    cone set of the painting walked.
     """
-    if cone_verdict(table) is None:
+    if table.certified or cone_verdict(table) is None:
         return True, 0
     cyclic = transvection_cone_set(flag, table)
     return not cyclic.undecided and cyclic.proved == symmetry, len(cyclic.undecided)

@@ -160,9 +160,11 @@ def test_c7_structure_constant_integrity():
             lhs = table.n_of(x, y) * b_of(table, z)
             ok &= lhs == table.n_of(y, z) * b_of(table, x)
             ok &= lhs == table.n_of(z, x) * b_of(table, y)
-        # Jacobi was audited exhaustively at construction for every one of
-        # these systems (build_constants raises otherwise); re-run one small
-        # system here so the criterion is exercised inside this test too
+        # each of these tables is certified at construction: its digest
+        # equals the pin of a build that the Chevalley tests audit
+        # exhaustively (build_constants audits any other table, and raises
+        # when the audit fails); run the audit on one small system here so
+        # the criterion is exercised inside this test too
     from flagsym import sign_convention_check
 
     ok &= sign_convention_check(chevalley_table("F", 4))

@@ -3,12 +3,17 @@ import csv
 import pytest
 
 from flagsym import (
+    InternalConsistencyError,
     build_constants,
     build_root_system,
+    chevalley,
+    cli,
     convention_violations,
     sign_convention_check,
     simple_types,
 )
+from flagsym.chevalley import AUDITED_DIGESTS, digest
+from flagsym.oracle import cone_verdict
 from flagsym.rootsystem import rneg
 from root_helpers import radd, sum_index
 from table_helpers import _string_down, b_of, table_constants, with_constants
@@ -34,7 +39,7 @@ def dump_csv(table, path) -> None:
 
 @pytest.fixture(scope="module")
 def tables():
-    # build_constants runs the exhaustive Jacobi/cyclic audit for these sizes
+    # build_constants certifies each one by the digest of an audited build
     return {t: build_constants(build_root_system(*t)) for t in RANK_LE_4}
 
 
@@ -118,17 +123,69 @@ def test_witness_limit_below_one_is_rejected(tables):
 
 
 def test_exhaustive_audit_of_every_type_through_e8():
-    # build_constants audits only systems with <= 48 roots by default; the
-    # larger tables (B5+, C5+, D6+, E6-E8) get their full Jacobi check here
+    # every type through E8 gets the full Jacobi check here, and its digest
+    # must be the pinned one: so a pin names only a build that passed the
+    # audit, and build_constants may certify a table by its pin
+    assert set(AUDITED_DIGESTS) == {f"{f}{r}" for f, r in simple_types(8)}
     for family, rank in simple_types(8):
         table = build_constants(build_root_system(family, rank), verify=True)
-        assert table.audited, (family, rank)
+        assert table.certified == "audit", (family, rank)
+        assert digest(table) == AUDITED_DIGESTS[f"{family}{rank}"], (family, rank)
+        # the theorem the oracle reads off a certificate, on the bare build
+        assert cone_verdict(build_constants(table.rs, verify=False)) is None, (family, rank)
 
 
-def test_audited_flag_follows_the_verify_threshold():
-    assert build_constants(build_root_system("F", 4)).audited  # 48 roots
-    assert not build_constants(build_root_system("B", 5)).audited  # 50 roots
-    assert not build_constants(build_root_system("A", 2), verify=False).audited
+@pytest.fixture
+def audits(monkeypatch):
+    """The names of the tables the audit runs on, in order."""
+    names, check = [], chevalley.sign_convention_check
+    monkeypatch.setattr(
+        chevalley, "sign_convention_check", lambda t: names.append(t.rs.name) or check(t)
+    )
+    return names
+
+
+def test_certificate_follows_the_verify_argument(audits):
+    assert build_constants(build_root_system("F", 4)).certified == "digest"  # 48 roots
+    assert build_constants(build_root_system("B", 5)).certified == "digest"  # 50 roots
+    assert audits == []
+    # verify=True audits even when the pin matches
+    assert build_constants(build_root_system("B", 5), verify=True).certified == "audit"
+    assert audits == ["B5"]
+    assert build_constants(build_root_system("A", 2), verify=False).certified is None
+    assert audits == ["B5"]
+
+
+def test_a_table_without_its_pin_is_audited_at_build(monkeypatch, audits):
+    monkeypatch.delitem(AUDITED_DIGESTS, "E6")
+    table = build_constants(build_root_system("E", 6))
+    assert audits == ["E6"] and table.certified == "audit"
+    monkeypatch.setattr(cli, "chevalley_table", lambda f, r: table)
+    assert cli._audit_coverage([("E", 6)]) == (
+        "Chevalley tables: 1 of 1 certified (1 audited exhaustively in this run, "
+        "0 by the digest of an audited build)"
+    )
+    # a pin that names another build is no certificate either
+    monkeypatch.setitem(AUDITED_DIGESTS, "B3", AUDITED_DIGESTS["B4"])
+    assert build_constants(build_root_system("B", 3)).certified == "audit"
+    assert audits == ["E6", "B3"]
+
+
+def test_a_failed_audit_at_build_raises(monkeypatch):
+    monkeypatch.delitem(AUDITED_DIGESTS, "A3")
+    monkeypatch.setattr(chevalley, "sign_convention_check", lambda t: False)
+    with pytest.raises(InternalConsistencyError, match="A3: constant table fails the audit"):
+        build_constants(build_root_system("A", 3))
+
+
+def test_a_changed_copy_is_never_certified(tables):
+    for table in tables.values():
+        assert table.certified == "digest"
+        copy = with_constants(table, {})
+        assert copy.certified is None
+        assert digest(copy) == digest(table)
+        for key, v in list(table_constants(table).items())[:1]:  # A1 has none
+            assert digest(with_constants(table, {key: -v})) != digest(table)
 
 
 def test_violation_listing_names_the_witness(tables):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from flagsym import (
+    build_constants,
     build_root_system,
     cli,
     dim_g,
@@ -242,9 +243,9 @@ def test_verify_rank_8_stdout_is_byte_stable(capsys):
     # list of all 2455 paintings of rank <= 8
     code, out = run_cli(capsys, "verify", "--max-rank", "8")
     assert code == 1
-    assert len(out.encode()) == 503
+    assert len(out.encode()) == 490
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c4be573f4d85b737dd39cf7658ab484508ce5d037a52dc2ba1a17a9eda3a8beb"
+        "7e3f908d4945d7d2d427b18ec1fdc6249f54f9fdedee1d0e24b612a83736436f"
     )
 
 
@@ -334,6 +335,25 @@ def test_clean_sweep_walks_no_cone_set(monkeypatch):
     shortcut_cone_set(flag)
     assert len(calls) == flag.m_plus_mask.bit_count()
     assert requests == [flag.rs]
+
+
+def test_certified_sweep_builds_no_oracle_table():
+    # every table of a rank-6 sweep is certified, and the oracle reads its
+    # verdict off the certificate: in a fresh interpreter no splitting walk,
+    # cyclic table or cone verdict is built
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "from flagsym import cli, oracle\n"
+        "assert len(cli.enumerate_flags(max_rank=6).entries) == 545\n"
+        "print([f.cache_info().currsize for f in "
+        "(oracle.negative_splittings, oracle.cyclic_table, oracle.cone_verdict)])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert run.stdout == "[0, 0, 0]\n"
 
 
 def test_cleared_caches_free_the_root_systems_without_the_cycle_collector():
@@ -575,15 +595,30 @@ def test_verify_cli_exit_codes(capsys):
     assert "A2:{1,2}" in out and "B2:{1,2}" in out
 
 
-def test_verify_reports_chevalley_audit_coverage(capsys):
+def test_verify_reports_chevalley_audit_coverage(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "--max-rank", "2", "--families", "G")
     assert code == 0
-    assert out.splitlines()[-1] == "Chevalley tables: 1 of 1 audited exhaustively"
+    assert out.splitlines()[-1] == (
+        "Chevalley tables: 1 of 1 certified (0 audited exhaustively in this run, "
+        "1 by the digest of an audited build)"
+    )
     code, out = run_cli(capsys, "verify", "--max-rank", "5", "--families", "B,C")
     lines = out.splitlines()
     assert lines[0].startswith(("PASS", "FAIL"))
     assert lines[-1] == (
-        "Chevalley tables: 5 of 7 audited exhaustively; not audited: B5, C5"
+        "Chevalley tables: 7 of 7 certified (0 audited exhaustively in this run, "
+        "7 by the digest of an audited build)"
+    )
+    # the line counts an audit only where one ran, and no table that has no
+    # certificate
+    tables = {
+        ("B", 2): build_constants(build_root_system("B", 2), verify=True),
+        ("B", 3): build_constants(build_root_system("B", 3), verify=False),
+    }
+    monkeypatch.setattr(cli, "chevalley_table", lambda f, r: tables[(f, r)])
+    assert cli._audit_coverage([("B", 3), ("B", 2)]) == (
+        "Chevalley tables: 1 of 2 certified (1 audited exhaustively in this run, "
+        "0 by the digest of an audited build)"
     )
 
 

@@ -34,6 +34,7 @@ from flagsym import (
     transvection_violations,
 )
 from flagsym import cli, oracle
+from flagsym.chevalley import _witnesses
 from flagsym.oracle import cone_verdict, cyclic_table, negative_splittings, shortcut_table
 from flagsym.rootsystem import bits, rneg
 import oracle_helpers as ref
@@ -208,6 +209,64 @@ def test_flipped_constant_gives_the_verdict_of_the_walk(monkeypatch, family, ran
                 walk.undecided,
             ), (pair, flag.pd.spec)
     assert verdicts == {True, False}  # both branches ran
+
+
+def test_a_changed_copy_is_walked_not_read_off_a_certificate():
+    # a copy from with_constants has no certificate, even with every constant
+    # unchanged: oracle_check takes the cone verdict of the copy, as every
+    # table did before certificates, and walks the painting when it fails
+    table = chevalley_table("B", 3)
+    flag = make_flag(parse_painted("B3:{1,2,3}"))
+    symmetry = symmetry_roots(flag)
+    walks = cone_verdict.cache_info().misses
+    assert table.certified == "digest"
+    assert oracle.oracle_check(flag, table, symmetry) == (True, 0)
+    assert cone_verdict.cache_info().misses == walks  # read off the certificate
+    copy = with_constants(table, {})
+    assert copy.certified is None
+    assert oracle.oracle_check(flag, copy, symmetry) == (True, 0)
+    assert cone_verdict.cache_info().misses == walks + 1  # the verdict walked
+    (x, y), v = next((pair, v) for pair, v in table_constants(table).items() if v)
+    bad = with_constants(table, {(x, y): -v})
+    assert bad.certified is None and cone_verdict(bad) is not None
+    cyclic = transvection_cone_set(flag, bad)
+    assert oracle.oracle_check(flag, bad, symmetry) == (
+        not cyclic.undecided and cyclic.proved == symmetry,
+        len(cyclic.undecided),
+    )
+
+
+@pytest.mark.parametrize("family,rank", simple_types(5)[1:])  # A1 has no sum pair
+def test_pair_and_cyclic_checks_decide_the_cone_verdict(family, rank):
+    # the theorem oracle_check reads off a certificate: on a table whose pair
+    # and weighted cyclic checks pass, the walked verdict is None, Jacobi or
+    # not.  Seeded flips of one entry, of one orbit (its four members) and of
+    # one zero-sum class (the orbits of its three pairs, which keeps the
+    # cyclic identity)
+    table = chevalley_table(family, rank)
+    rs, constants = table.rs, table_constants(table)
+    pairs = [pair for pair, v in constants.items() if v]
+    rng = random.Random(f"flips|{family}{rank}")
+
+    def orbit(x, y):
+        return [(x, y), (y, x), (rneg(x), rneg(y)), (rneg(y), rneg(x))]
+
+    def zero_sum_class(x, y):
+        z = rneg(sum_root(rs, x, y))
+        return orbit(x, y) + orbit(y, z) + orbit(z, x)
+
+    kept, verdicts = 0, set()
+    for flip in (lambda x, y: [(x, y)], orbit, zero_sum_class):
+        for _ in range(20):
+            bad = with_constants(table, {p: -constants[p] for p in flip(*rng.choice(pairs))})
+            verdict = cone_verdict(bad)
+            verdicts.add(verdict is None)
+            if next(_witnesses(bad), "Jacobi").startswith("Jacobi"):
+                # the pair and weighted cyclic checks pass
+                kept += 1
+                assert verdict is None
+    assert kept >= 20  # every class flip keeps them
+    assert verdicts == {True, False}
 
 
 def test_undecided_root_fails_closed(monkeypatch):
