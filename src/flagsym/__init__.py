@@ -40,10 +40,8 @@ from .symmetry import (
     symmetry_roots,
 )
 from .oracle import (
-    shortcut_cone_set,
     shortcut_set,
     shortcut_violations,
-    transvection_cone_set,
     transvection_set,
     transvection_violations,
 )

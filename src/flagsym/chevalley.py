@@ -189,10 +189,10 @@ class ChevalleyTable:
     :func:`build_constants` knows the table passes the audit: ``"audit"``
     when it ran the exhaustive audit in this process, ``"digest"`` when the
     table's digest equals the pin of an audited build, None when it did
-    neither.  :mod:`flagsym.oracle` reads its cone verdict off the
-    certificate, and builds its cyclic table and verdict from the array of an
-    uncertified table, cached per instance (tables hash and compare by
-    identity).  So a changed table is a changed, uncertified copy, not a
+    neither.  :func:`flagsym.oracle.oracle_check` reads the oracles' verdict
+    off the certificate, and audits an uncertified table.  The per-xi oracles
+    read the array into weights cached per instance (tables hash and compare
+    by identity), so a changed table is a changed, uncertified copy, not a
     table the oracle has read.
     """
 

@@ -141,13 +141,12 @@ def _audit_coverage(types) -> str:
 
 
 def _oracle_coverage(report: EnumerationReport) -> str:
-    """One line: on how many paintings the oracles were decided on the whole cone."""
+    """One line: on how many paintings the oracles were proved on the whole cone."""
     entries = report.entries
-    proved = sum(1 for e in entries if not e.undecided)
-    undecided = sum(e.undecided for e in entries)
+    proved = sum(1 for e in entries if e.checks["oracle_agree"])
     return (
         f"Transvection oracles: proved on the whole Kähler cone for {proved} of "
-        f"{len(entries)} paintings; {undecided} roots undecided"
+        f"{len(entries)} paintings by the certificates of their Chevalley tables"
     )
 
 
@@ -178,7 +177,6 @@ class EnumEntry:
     leaf_k_center: int
     leaf_name: str
     checks: dict
-    undecided: int = 0  # roots neither oracle settled on the Kahler cone (not in JSON)
 
     @property
     def spec(self) -> str:
@@ -221,17 +219,15 @@ def _painting(flag: FlagData) -> tuple[EnumEntry, SymmetryReport]:
     """The record of one painting, and the symmetry report it was read from.
 
     ``oracle_agree`` holds when both oracles give the symmetry roots on the
-    whole Kahler cone.  An undecided root fails the check: it is never
-    counted as a transvection.  :func:`flagsym.oracle.oracle_check` decides
-    both from the table's verdict per type, or walks the painting when that
-    verdict fails.
+    whole Kahler cone.  :func:`flagsym.oracle.oracle_check` reads it off the
+    certificate of the type's Chevalley table, and audits a table that has
+    none; a table that fails the audit fails the check on every painting.
     """
     pd, family, rank = flag.pd, flag.rs.family, flag.rs.rank
     exc = onishchik_exception(family, rank, pd.painted)
     report = build_report(flag, exception=exc)
-    oracle_agree, undecided = oracle_check(flag, chevalley_table(family, rank), report.r_p_plus)
     checks = {
-        "oracle_agree": oracle_agree,
+        "oracle_agree": oracle_check(chevalley_table(family, rank)),
         "diagram_agree": diagrams_agree(pd, report.leaf),
         "hprime_closed": report.hprime_closed,
         "kprime_commutes": k_prime_check(flag),
@@ -251,7 +247,6 @@ def _painting(flag: FlagData) -> tuple[EnumEntry, SymmetryReport]:
         leaf_k_center=report.leaf.k_center_dim,
         leaf_name=report.leaf.name,
         checks=checks,
-        undecided=undecided,
     )
     return entry, report
 

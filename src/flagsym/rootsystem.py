@@ -43,7 +43,7 @@ roots of a subsystem, comes from one builder on the index,
 along the ``add`` rows, and no inner product is taken.
 
 :meth:`RootSystem.splittings` lists the decompositions of a root on the
-index; the oracle tables built from them live in :mod:`flagsym.oracle`.
+index; the per-xi oracles of :mod:`flagsym.oracle` walk them.
 """
 
 from __future__ import annotations

@@ -1,18 +1,20 @@
-"""The per-painting oracle kernel that the type-level splitting tables replaced,
-and the per-table build of those tables.
+"""The reference for the cone argument of ``flagsym.oracle``: the oracle
+vectors built per painting, and their walk on the whole Kahler cone.
 
 The kernel builds every vector c over the painted nodes of each painting from
 the constants and the root coordinates, with no table shared between
-paintings.  The tests compare ``flagsym.oracle`` with it: the same cone sets,
-and the same witnesses in the same order with the same exact values.
-:func:`splitting_table` is the former build of a type's table: each table
-walked the splittings itself and summed every vector node by node.
+paintings, and :func:`cone_set` walks them by the rules of the argument.  The
+tests check with it that the walk gives the symmetry roots, with no root left
+open, where ``oracle_check`` passes, and that the per-xi functions report its
+witnesses in the same order with the same exact values.
+:func:`splitting_table` builds the vectors of a type over all nodes, and
+:func:`cyclic_multiple_breaks` checks on them the identity the argument rests
+on: every cyclic vector is -n(beta, gamma) b(a) times the shortcut's.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from flagsym.oracle import ConeSet
 from flagsym.rootsystem import bits
 
 
@@ -70,30 +72,35 @@ def shortcut_kernel(flag):
 
 
 def splitting_table(rs, coefficients):
-    """``masks`` of the table of c = p a + q beta + r gamma, with (p, q, r) =
-    coefficients(a, beta, gamma), over the splittings of every -a, and per a
-    the list of (beta, gamma, c) with c over all nodes."""
+    """Per positive root a, the list of (beta, gamma, c) over the splittings of
+    -a, with c = p a + q beta + r gamma over all nodes and (p, q, r) =
+    coefficients(a, beta, gamma)."""
     roots, neg = rs.roots, rs.neg
-    node_bits = [1 << n for n in range(rs.rank)]
-    nodes = [sum(b for b, x in zip(node_bits, r) if x) for r in roots]
-    masks, rows = [], []
+    rows = []
     for a in range(len(rs.positive_roots)):
-        mask_row, row = [], []
+        row = []
         for beta, gamma in rs.splittings(neg[a]):
             p, q, r = coefficients(a, beta, gamma)
             u, v = q - p, r - p  # a = -(beta + gamma)
-            c = [u * y + v * z for y, z in zip(roots[beta], roots[gamma])]
-            pos = negative = 0
-            for b, x in zip(node_bits, c):
-                if x > 0:
-                    pos |= b
-                elif x < 0:
-                    negative |= b
-            mask_row += (nodes[beta], nodes[gamma], pos, negative)
-            row.append((beta, gamma, c))
-        masks.append(tuple(mask_row))
+            row.append((beta, gamma, [u * y + v * z for y, z in zip(roots[beta], roots[gamma])]))
         rows.append(row)
-    return tuple(masks), rows
+    return rows
+
+
+def cyclic_multiple_breaks(table):
+    """None when every cyclic vector of ``table`` is K times the shortcut
+    vector of its splitting with K = -n(beta, gamma) b(a) nonzero, the identity
+    the cone argument derives from the pair and cyclic checks; else the first
+    splitting (a, beta, gamma) that breaks it."""
+    rs, n, count = table.rs, table.n_dense, len(table.rs.roots)
+    cyclic = splitting_table(rs, cyclic_coefficients(table))
+    shortcut = splitting_table(rs, shortcut_coefficients(rs))
+    for a, (row, short) in enumerate(zip(cyclic, shortcut)):
+        for (beta, gamma, c), (_, _, s) in zip(row, short):
+            k = -n[beta * count + gamma] * rs.weights[a]
+            if not k or c != [k * x for x in s]:
+                return rs.roots[a], rs.roots[beta], rs.roots[gamma]
+    return None
 
 
 def on_cone(vectors):
@@ -108,6 +115,8 @@ def on_cone(vectors):
 
 
 def cone_set(flag, vectors):
+    """(proved, open): the roots of R_m+ that :func:`on_cone` proves, and those
+    it leaves open."""
     roots = flag.rs.roots
     proved, undecided = [], []
     for a in bits(flag.m_plus_mask):
@@ -116,7 +125,7 @@ def cone_set(flag, vectors):
             proved.append(roots[a])
         elif verdict is None:
             undecided.append(roots[a])
-    return ConeSet(frozenset(proved), frozenset(undecided))
+    return frozenset(proved), frozenset(undecided)
 
 
 def violations(flag, xi, vectors, a):

@@ -23,13 +23,12 @@ from flagsym import (
     oracle,
     parse_painted,
     root_str,
-    shortcut_cone_set,
     simple_types,
     symmetry_roots,
     verify_theorem,
 )
 from flagsym.cli import _canonical_painting
-from flagsym.flag import painting_spec
+from flagsym.flag import painting_spec, random_kahler_param
 from flagsym.rootsystem import RootSystem
 
 
@@ -243,9 +242,9 @@ def test_verify_rank_8_stdout_is_byte_stable(capsys):
     # list of all 2455 paintings of rank <= 8
     code, out = run_cli(capsys, "verify", "--max-rank", "8")
     assert code == 1
-    assert len(out.encode()) == 490
+    assert len(out.encode()) == 517
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7e3f908d4945d7d2d427b18ec1fdc6249f54f9fdedee1d0e24b612a83736436f"
+        "599af7e2c46916e6bcb5be3a756ffd1038c3ea6b847a2ee616391bf43841afc8"
     )
 
 
@@ -318,42 +317,48 @@ def test_cleared_caches_rebuild_every_type(monkeypatch):
 
 
 def test_clean_sweep_walks_no_cone_set(monkeypatch):
-    # on clean tables the cone verdict is decided once per type: the
-    # per-painting walk of the oracles may not come back, and the shortcut
-    # table, which reads no structure constant, is never built
+    # on clean tables the cone verdict is read off the certificate: no
+    # splitting of a painting is walked, and the shortcut table, which reads
+    # no structure constant, is never built
     calls, requests = [], []
-    on_cone, shortcut_table = oracle._on_cone, oracle.shortcut_table
-    monkeypatch.setattr(oracle, "_on_cone", lambda *args: calls.append(args) or on_cone(*args))
+    splittings, shortcut_table = oracle.negative_splittings, oracle.shortcut_table
+    monkeypatch.setattr(
+        oracle, "negative_splittings", lambda rs: calls.append(rs) or splittings(rs)
+    )
     monkeypatch.setattr(
         oracle, "shortcut_table", lambda rs: requests.append(rs) or shortcut_table(rs)
     )
     assert len(enumerate_flags(max_rank=6).entries) == 545
     assert calls == []
     assert requests == []
-    # the counters sit on the path the walk takes
+    # the counters sit on the path a per-painting oracle takes
     flag = make_flag(parse_painted("A3:{2,3}"))
-    shortcut_cone_set(flag)
-    assert len(calls) == flag.m_plus_mask.bit_count()
+    oracle.shortcut_set(flag, random_kahler_param(flag, 0))
     assert requests == [flag.rs]
+    assert calls and set(calls) == {flag.rs}
 
 
 def test_certified_sweep_builds_no_oracle_table():
     # every table of a rank-6 sweep is certified, and the oracle reads its
-    # verdict off the certificate: in a fresh interpreter no splitting walk,
-    # cyclic table or cone verdict is built
+    # verdict off the certificate: in a fresh interpreter no splitting walk
+    # or weight table is built and no table is audited
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
-        "from flagsym import cli, oracle\n"
+        "from flagsym import chevalley, cli, oracle\n"
+        "audits = []\n"
+        "for module in (chevalley, oracle):\n"
+        "    check = module.sign_convention_check\n"
+        "    module.sign_convention_check = lambda t, check=check: audits.append(t) or check(t)\n"
         "assert len(cli.enumerate_flags(max_rank=6).entries) == 545\n"
         "print([f.cache_info().currsize for f in "
-        "(oracle.negative_splittings, oracle.cyclic_table, oracle.cone_verdict)])"
+        "(oracle.negative_splittings, oracle.cyclic_table, oracle.shortcut_table)], len(audits))"
     )
     run = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
-    assert run.stdout == "[0, 0, 0]\n"
+    assert run.stdout == "[0, 0, 0] 0\n"
 
 
 def test_cleared_caches_free_the_root_systems_without_the_cycle_collector():
@@ -370,7 +375,7 @@ def test_cleared_caches_free_the_root_systems_without_the_cycle_collector():
         enumerate_flags(max_rank=3)
         rs = build_root_system("B", 3)
         table = cli.chevalley_table("B", 3)
-        oracle.shortcut_table(rs), oracle.cyclic_table(table), oracle.cone_verdict(table)
+        oracle.negative_splittings(rs), oracle.shortcut_table(rs), oracle.cyclic_table(table)
         alive = weakref.ref(rs)
         del rs, table
         for cache in caches:
@@ -628,7 +633,7 @@ def test_verify_reports_oracle_proof_coverage(capsys):
     lines = out.splitlines()
     assert lines[-3] == (
         "Transvection oracles: proved on the whole Kähler cone for 14 of 14 "
-        "paintings; 0 roots undecided"
+        "paintings by the certificates of their Chevalley tables"
     )
     assert lines[-2].startswith("coindex ≥ 6")
     assert lines[-1].startswith("Chevalley tables:")

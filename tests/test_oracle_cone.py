@@ -1,12 +1,13 @@
 """The transvection oracles decided on the whole open Kahler cone.
 
-``transvection_cone_set`` and ``shortcut_cone_set`` must give the symmetry
-roots, with no root left undecided, on every painting through rank 8; the
-per-xi functions must agree with them; the type-level splitting tables must
-give the cone sets and the witnesses of the per-painting kernel they replaced,
-and their weights and masks the vectors and masks of the per-table build
-(``oracle_helpers``); and a corrupted Chevalley table must make the oracle
-check of the sweep and of ``analyze`` fail, never pass.
+The walk of the reference kernel (``oracle_helpers``) must give the symmetry
+roots, with no root left open, on every painting through rank 6 and on a
+sample of rank 7-8, for both oracles; the per-xi functions must agree with it
+and report its witnesses; the weights of the type-level tables must give the
+vectors of the per-table build; the cyclic vectors must be nonzero multiples
+of the shortcut's on every table that keeps the pair and cyclic checks; and a
+corrupted Chevalley table must make the oracle check of the sweep and of
+``analyze`` fail, never pass.
 """
 
 import itertools
@@ -24,18 +25,16 @@ from flagsym import (
     make_flag,
     parse_painted,
     random_kahler_param,
-    shortcut_cone_set,
     shortcut_set,
     shortcut_violations,
     simple_types,
     symmetry_roots,
-    transvection_cone_set,
     transvection_set,
     transvection_violations,
 )
 from flagsym import cli, oracle
 from flagsym.chevalley import _witnesses
-from flagsym.oracle import cone_verdict, cyclic_table, negative_splittings, shortcut_table
+from flagsym.oracle import cyclic_table, negative_splittings, shortcut_table
 from flagsym.rootsystem import bits, rneg
 import oracle_helpers as ref
 from root_helpers import rsub, sum_root
@@ -49,42 +48,47 @@ def paintings(family, rank):
             yield make_flag(PaintedDiagram(rs, frozenset(combo)))
 
 
+def cone_sets(flag, table):
+    """The walks of the cyclic and the shortcut vectors of the reference kernel."""
+    return (
+        ref.cone_set(flag, ref.cyclic_kernel(flag, table)),
+        ref.cone_set(flag, ref.shortcut_kernel(flag)),
+    )
+
+
+def sample(family, rank, count):
+    """``count`` seeded paintings of a type."""
+    rng = random.Random(f"sample|{family}{rank}")
+    rs = build_root_system(family, rank)
+    for _ in range(count):
+        painted = frozenset(rng.sample(range(1, rank + 1), rng.randint(1, rank)))
+        yield make_flag(PaintedDiagram(rs, painted))
+
+
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_cone_sets_are_the_symmetry_roots(family, rank):
-    # the type-level verdict holds, and the walk it stands for gives the
-    # symmetry roots with nothing undecided on every painting
+    # the walk the certificate stands for gives the symmetry roots with no
+    # root left open, on every painting through rank 6 and a sample beyond
     table = chevalley_table(family, rank)
-    assert cone_verdict(table) is None
-    for flag in paintings(family, rank):
+    flags = paintings(family, rank) if rank <= 6 else sample(family, rank, 4)
+    for flag in flags:
         expected = (symmetry_roots(flag), frozenset())
-        assert transvection_cone_set(flag, table) == expected, flag.pd.spec
-        assert shortcut_cone_set(flag) == expected, flag.pd.spec
-
-
-def node_mask(v, keep=bool):
-    """Bit n for each node n + 1 where ``keep`` holds of the coordinate."""
-    return sum(1 << n for n, x in enumerate(v) if keep(x))
+        assert cone_sets(flag, table) == (expected, expected), flag.pd.spec
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_shortcut_table_has_the_verdict_pattern_on_every_type(family, rank):
-    # the fact the verdict rests on when it checks the cyclic masks alone:
-    # every shortcut splitting has sign masks (support of the member in R+, 0),
-    # or (0, 0) when both members are negative, whatever the table
+    # the fact the cone argument rests on for the shortcut: every splitting
+    # has the vector twice its member in R+, or 0 when both members are
+    # negative, whatever the table
     rs = build_root_system(family, rank)
     half = len(rs.positive_roots)
     count = 0
-    for split, masks in zip(negative_splittings(rs), shortcut_table(rs).masks):
-        for k in range(0, len(split), 4):
-            beta, gamma = split[k : k + 2]
+    for a in range(half):
+        for beta, gamma, c in vectors(rs, shortcut_table(rs), a):
             positive = [d for d in (beta, gamma) if d < half]
-            pos = node_mask(rs.roots[positive[0]]) if positive else 0
-            assert masks[k : k + 4] == (
-                node_mask(rs.roots[beta]),
-                node_mask(rs.roots[gamma]),
-                pos,
-                0,
-            ), (rs.roots[beta], rs.roots[gamma])
+            member = rs.roots[positive[0]] if positive else (0,) * rank
+            assert c == [2 * x for x in member], (rs.roots[beta], rs.roots[gamma])
             count += 1
     assert count == sum(len(rs.splittings(rs.neg[a])) for a in range(half))
 
@@ -93,8 +97,7 @@ def test_shortcut_table_has_the_verdict_pattern_on_every_type(family, rank):
 def test_per_xi_sets_equal_the_cone_sets(family, rank):
     table = chevalley_table(family, rank)
     for flag in paintings(family, rank):
-        cyclic = transvection_cone_set(flag, table).proved
-        scalar = shortcut_cone_set(flag).proved
+        (cyclic, _), (scalar, _) = cone_sets(flag, table)
         for seed in range(5):
             xi = random_kahler_param(flag, f"cone|{flag.pd.spec}|{seed}")
             assert transvection_set(flag, xi, table) == cyclic, flag.pd.spec
@@ -124,8 +127,8 @@ def test_corrupted_constant_fails_the_oracle_check(monkeypatch, family, rank, ch
     # enters one of theta's cyclic sums
     table = chevalley_table(family, rank)
     theta = table.rs.highest
-    on_cone = oracle._on_cone
     assert full_painting_entry(monkeypatch, family, rank, table).checks["oracle_agree"]
+    flag = make_flag(PaintedDiagram(table.rs, frozenset(range(1, rank + 1))))
     pairs = [
         (x, y)
         for x, y in table_constants(table)
@@ -135,15 +138,12 @@ def test_corrupted_constant_fails_the_oracle_check(monkeypatch, family, rank, ch
     for pair in pairs:
         bad = mutated(table, {pair: change})
         # the constant enters only the splitting (beta, gamma) of -theta, whose
-        # cyclic vector is no longer zero: the verdict names it, and the
-        # painting takes the walk, over the cyclic table once per root of R_m+
-        assert cone_verdict(bad) == (theta, *pair)
-        calls = []
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_on_cone", lambda *args: calls.append(args) or on_cone(*args))
-            entry = full_painting_entry(m, family, rank, bad)
+        # cyclic vector is no longer zero: the walk no longer proves theta,
+        # and the check fails
+        proved, _ = ref.cone_set(flag, ref.cyclic_kernel(flag, bad))
+        assert theta not in proved, pair
+        entry = full_painting_entry(monkeypatch, family, rank, bad)
         assert entry.checks["oracle_agree"] is False, pair
-        assert len(calls) == len(table.rs.positive_roots)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
@@ -183,66 +183,68 @@ def test_corrupted_constant_fails_the_oracle_check_through_analyze(monkeypatch, 
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("E", 6)])
-def test_flipped_constant_gives_the_verdict_of_the_walk(monkeypatch, family, rank):
+def test_flipped_constant_fails_closed(family, rank):
     # one constant n(x, y) negated at a time, its partner n(y, x) left alone:
-    # whether the type verdict still holds or not, each painting gets the
-    # oracle_agree and undecided of the walk forced on the same table.  E6
+    # whenever the reference walk leaves a root open or gives a set other
+    # than the symmetry roots on some painting, the check fails.  Put the
+    # other way round, which walks only the tables the check passes: a
+    # passed table has the walk of the symmetry roots on every painting.  E6
     # flips every tenth of its 1440 constants, in table order, to keep the
-    # test short.
+    # test short
     table = chevalley_table(family, rank)
-    flags = list(paintings(family, rank))
+    flags = list(paintings(family, rank))  # the full painting, all of R in R_m, last
+
+    def walk_agrees(t, flags=flags):
+        return all(
+            ref.cone_set(flag, ref.cyclic_kernel(flag, t)) == (symmetry_roots(flag), frozenset())
+            for flag in flags
+        )
+
+    copy = with_constants(table, {})
+    assert oracle.oracle_check(copy) is True and walk_agrees(copy)
     constants = [(pair, v) for pair, v in table_constants(table).items() if v]
     if family == "E":
         constants = constants[::10]
-    verdicts = set()
+    caught = 0
     for pair, v in constants:
         bad = with_constants(table, {pair: -v})
-        monkeypatch.setattr(cli, "chevalley_table", lambda f, r: bad)
-        got = [cli._painting(flag)[0] for flag in flags]
-        verdicts.add(cone_verdict(bad) is None)
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "cone_verdict", lambda table: ("forced",))
-            walked = [cli._painting(flag)[0] for flag in flags]
-        for flag, entry, walk in zip(flags, got, walked):
-            assert (entry.checks["oracle_agree"], entry.undecided) == (
-                walk.checks["oracle_agree"],
-                walk.undecided,
-            ), (pair, flag.pd.spec)
-    assert verdicts == {True, False}  # both branches ran
+        if oracle.oracle_check(bad):
+            assert walk_agrees(bad), pair
+        else:
+            caught += not walk_agrees(bad, flags[-1:])
+    assert caught  # the full painting's walk tells some of the failed flips apart
 
 
-def test_a_changed_copy_is_walked_not_read_off_a_certificate():
+def test_a_changed_copy_is_audited_not_read_off_a_certificate(monkeypatch):
     # a copy from with_constants has no certificate, even with every constant
-    # unchanged: oracle_check takes the cone verdict of the copy, as every
-    # table did before certificates, and walks the painting when it fails
+    # unchanged: oracle_check audits the copy, and reads a certified table
+    # off its certificate with no audit
     table = chevalley_table("B", 3)
-    flag = make_flag(parse_painted("B3:{1,2,3}"))
-    symmetry = symmetry_roots(flag)
-    walks = cone_verdict.cache_info().misses
+    audits, check = [], oracle.sign_convention_check
+    monkeypatch.setattr(
+        oracle, "sign_convention_check", lambda t: audits.append(t) or check(t)
+    )
     assert table.certified == "digest"
-    assert oracle.oracle_check(flag, table, symmetry) == (True, 0)
-    assert cone_verdict.cache_info().misses == walks  # read off the certificate
+    assert oracle.oracle_check(table) is True
+    assert audits == []  # read off the certificate
     copy = with_constants(table, {})
     assert copy.certified is None
-    assert oracle.oracle_check(flag, copy, symmetry) == (True, 0)
-    assert cone_verdict.cache_info().misses == walks + 1  # the verdict walked
+    assert oracle.oracle_check(copy) is True
+    assert audits == [copy]  # the copy audited
     (x, y), v = next((pair, v) for pair, v in table_constants(table).items() if v)
     bad = with_constants(table, {(x, y): -v})
-    assert bad.certified is None and cone_verdict(bad) is not None
-    cyclic = transvection_cone_set(flag, bad)
-    assert oracle.oracle_check(flag, bad, symmetry) == (
-        not cyclic.undecided and cyclic.proved == symmetry,
-        len(cyclic.undecided),
-    )
+    assert bad.certified is None
+    assert oracle.oracle_check(bad) is False
+    assert audits == [copy, bad]
 
 
 @pytest.mark.parametrize("family,rank", simple_types(5)[1:])  # A1 has no sum pair
 def test_pair_and_cyclic_checks_decide_the_cone_verdict(family, rank):
     # the theorem oracle_check reads off a certificate: on a table whose pair
-    # and weighted cyclic checks pass, the walked verdict is None, Jacobi or
-    # not.  Seeded flips of one entry, of one orbit (its four members) and of
-    # one zero-sum class (the orbits of its three pairs, which keeps the
-    # cyclic identity)
+    # and weighted cyclic checks pass, every cyclic vector is a nonzero
+    # multiple of the shortcut's, Jacobi or not.  Seeded flips of one entry,
+    # of one orbit (its four members) and of one zero-sum class (the orbits
+    # of its three pairs, which keeps the cyclic identity)
     table = chevalley_table(family, rank)
     rs, constants = table.rs, table_constants(table)
     pairs = [pair for pair, v in constants.items() if v]
@@ -259,7 +261,7 @@ def test_pair_and_cyclic_checks_decide_the_cone_verdict(family, rank):
     for flip in (lambda x, y: [(x, y)], orbit, zero_sum_class):
         for _ in range(20):
             bad = with_constants(table, {p: -constants[p] for p in flip(*rng.choice(pairs))})
-            verdict = cone_verdict(bad)
+            verdict = ref.cyclic_multiple_breaks(bad)
             verdicts.add(verdict is None)
             if next(_witnesses(bad), "Jacobi").startswith("Jacobi"):
                 # the pair and weighted cyclic checks pass
@@ -272,19 +274,18 @@ def test_pair_and_cyclic_checks_decide_the_cone_verdict(family, rank):
 def test_undecided_root_fails_closed(monkeypatch):
     # shifting the two other constants of the triple (theta, -a1, -a2-a3) by
     # opposite amounts gives theta the mixed-sign cyclic vector (1, -1, -1):
-    # zero for some xi and not for others, so theta is undecided
+    # zero for some xi and not for others, so the walk leaves theta open
     table = chevalley_table("A", 3)
     theta, beta, gamma = (1, 1, 1), (-1, 0, 0), (0, -1, -1)
     bad = mutated(table, {(theta, gamma): lambda v: v + 1, (beta, theta): lambda v: v - 1})
     flag = make_flag(parse_painted("A3:{1,2,3}"))
-    assert transvection_cone_set(flag, bad) == (frozenset(), frozenset({theta}))
+    assert ref.cone_set(flag, ref.cyclic_kernel(flag, bad)) == (frozenset(), frozenset({theta}))
     entry = full_painting_entry(monkeypatch, "A", 3, bad)
     assert entry.checks["oracle_agree"] is False
-    assert entry.undecided == 1
     report = cli.EnumerationReport([entry])
     assert cli._oracle_coverage(report) == (
         "Transvection oracles: proved on the whole Kähler cone for 0 of 1 "
-        "paintings; 1 roots undecided"
+        "paintings by the certificates of their Chevalley tables"
     )
 
 
@@ -298,16 +299,16 @@ def test_undecided_root_outside_the_symmetry_roots_fails_closed(monkeypatch):
         table, {((-1, -1, 0), (0, 1, 0)): shift, ((-1, -1, -1), (0, 1, 1)): shift}
     )
     flag = make_flag(parse_painted("A3:{1,2,3}"))
-    cone = transvection_cone_set(flag, bad)
-    assert cone.proved == symmetry_roots(flag) == {(1, 1, 1)}
-    assert cone.undecided == {(1, 0, 0)}
+    proved, left_open = ref.cone_set(flag, ref.cyclic_kernel(flag, bad))
+    assert proved == symmetry_roots(flag) == {(1, 1, 1)}
+    assert left_open == {(1, 0, 0)}
     entry = full_painting_entry(monkeypatch, "A", 3, bad)
     assert entry.checks["oracle_agree"] is False
 
 
-def vectors(rs, table, a):
+def vectors(rs, weights, a):
     """(beta, gamma, c) per splitting of -a, c = u beta + v gamma from the weights."""
-    split, uv = negative_splittings(rs)[a], table.weights[a]
+    split, uv = negative_splittings(rs)[a], weights[a]
     return [
         (beta, gamma, [u * y + v * z for y, z in zip(rs.roots[beta], rs.roots[gamma])])
         for beta, gamma, u, v in zip(split[::4], split[1::4], uv[::2], uv[1::2])
@@ -318,7 +319,7 @@ def vectors(rs, table, a):
 def test_kernel_walks_each_decomposition_in_r_m_once(family, rank):
     rs = build_root_system(family, rank)
     constants = chevalley_table(family, rank)
-    for table, kernel in (
+    for weights, kernel in (
         (shortcut_table(rs), ref.shortcut_kernel),
         (cyclic_table(constants), lambda flag: ref.cyclic_kernel(flag, constants)),
     ):
@@ -327,14 +328,15 @@ def test_kernel_walks_each_decomposition_in_r_m_once(family, rank):
             r_m = rs.roots_of(flag.m_mask)
             reference = kernel(flag)
             for a in bits(flag.m_plus_mask):
-                masks = table.masks[a]
+                split = negative_splittings(rs)[a]
                 got = [
                     (beta, gamma, [c[i - 1] for i in columns])
-                    for k, (beta, gamma, c) in enumerate(vectors(rs, table, a))
-                    if masks[4 * k] & painted and masks[4 * k + 1] & painted
+                    for k, (beta, gamma, c) in enumerate(vectors(rs, weights, a))
+                    if split[4 * k + 2] & painted and split[4 * k + 3] & painted
                 ]
-                # the splittings the masks keep, with their vectors over the
-                # painted nodes, are those of the per-painting kernel, in order
+                # the splittings whose node supports both meet the painted
+                # nodes, with their vectors over the painted nodes, are those
+                # of the per-painting kernel, in order
                 assert got == list(reference(a)), (flag.pd.spec, a)
                 root = rs.roots[a]
                 expected = {
@@ -349,47 +351,30 @@ def test_kernel_walks_each_decomposition_in_r_m_once(family, rank):
                 )
 
 
+def node_mask(v):
+    """Bit n for each node n + 1 where the coordinate is nonzero."""
+    return sum(1 << n for n, x in enumerate(v) if x)
+
+
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_splitting_tables_match_their_vectors(family, rank):
-    # the splittings of -a come in the order of rs.splittings, one pair of
-    # weights and four masks each, and the masks are the node supports of
-    # beta, gamma and the signs of c = u beta + v gamma
+    # the splittings of -a come in the order of rs.splittings, each with the
+    # node supports of beta and gamma and one pair of weights
     rs = build_root_system(family, rank)
-    for table in (shortcut_table(rs), cyclic_table(chevalley_table(family, rank))):
-        assert len(table.masks) == len(table.weights) == len(rs.positive_roots)
-        for a, masks in enumerate(table.masks):
-            split = vectors(rs, table, a)
-            assert [s[:2] for s in split] == rs.splittings(rs.neg[a])
-            assert len(masks) == 4 * len(split) == 2 * len(table.weights[a])
-            for k, (beta, gamma, c) in enumerate(split):
-                assert masks[4 * k : 4 * k + 4] == (
-                    node_mask(rs.roots[beta]),
-                    node_mask(rs.roots[gamma]),
-                    node_mask(c, lambda x: x > 0),
-                    node_mask(c, lambda x: x < 0),
-                )
-
-
-def clashes(rs, table):
-    """Splittings where u beta and v gamma have opposite signs on a common node."""
-    half = len(rs.positive_roots)
-    out = 0
-    for split, uv in zip(negative_splittings(rs), table.weights):
-        for k in range(len(uv) // 2):
-            beta, gamma, nb, ng = split[4 * k : 4 * k + 4]
-            sb = uv[2 * k] if beta < half else -uv[2 * k]
-            sg = uv[2 * k + 1] if gamma < half else -uv[2 * k + 1]
-            out += bool(nb & ng and sb * sg < 0)
-    return out
+    for weights in (shortcut_table(rs), cyclic_table(chevalley_table(family, rank))):
+        assert len(negative_splittings(rs)) == len(weights) == len(rs.positive_roots)
+        for a, split in enumerate(negative_splittings(rs)):
+            assert len(split) == 2 * len(weights[a])
+            assert list(zip(split[::4], split[1::4])) == rs.splittings(rs.neg[a])
+            for k in range(0, len(split), 4):
+                beta, gamma, nb, ng = split[k : k + 4]
+                assert (nb, ng) == (node_mask(rs.roots[beta]), node_mask(rs.roots[gamma]))
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_splitting_tables_match_the_per_table_build(family, rank):
-    # one splitting walk and sign masks from the node supports give the masks
-    # and, through the weights, the vectors of the build that summed every
-    # vector, on the clean tables and on a copy with a third of its constants
-    # shifted, where u beta and v gamma can clash on a node and that node is
-    # summed
+    # the weights give the vectors of the build that summed every vector, on
+    # the clean tables and on a copy with a third of its constants shifted
     rs = build_root_system(family, rank)
     table = chevalley_table(family, rank)
     rng = random.Random(rs.name)
@@ -404,12 +389,8 @@ def test_splitting_tables_match_the_per_table_build(family, rank):
         (cyclic_table(table), ref.cyclic_coefficients(table)),
         (cyclic_table(bad), ref.cyclic_coefficients(bad)),
     ):
-        masks, rows = ref.splitting_table(rs, coefficients)
-        assert got.masks == masks
-        assert [vectors(rs, got, a) for a in range(len(masks))] == rows
-    assert clashes(rs, cyclic_table(table)) == 0
-    if len(rs.roots) > 6:  # in A1 and A2 the two roots of a splitting share no node
-        assert clashes(rs, cyclic_table(bad)) > 0
+        rows = ref.splitting_table(rs, coefficients)
+        assert [vectors(rs, got, a) for a in range(len(rows))] == rows
 
 
 def perturbed(table, seed):
@@ -420,41 +401,37 @@ def perturbed(table, seed):
     return mutated(table, {pair: lambda v, d=rng.choice((-1, 1)): v + d for pair in pairs})
 
 
-def assert_matches_the_per_painting_kernel(flag, table, xi=None):
-    """Cone sets, and with ``xi`` every witness list, equal those of the
-    reference kernel, on ``table`` and on a perturbed copy of it."""
+def assert_matches_the_per_painting_kernel(flag, table, xi):
+    """Every witness list at ``xi`` equals that of the reference kernel, on
+    ``table`` and on a perturbed copy of it."""
     spec = flag.pd.spec
-    assert shortcut_cone_set(flag) == ref.cone_set(flag, ref.shortcut_kernel(flag)), spec
-    if xi is not None:
-        vectors = ref.shortcut_kernel(flag)
-        for a in flag.rs.roots_of(flag.m_plus_mask):
-            got = shortcut_violations(flag, xi, a)
-            assert got == ref.violations(flag, xi, vectors, a), (spec, a)
+    vectors = ref.shortcut_kernel(flag)
+    for a in flag.rs.roots_of(flag.m_plus_mask):
+        got = shortcut_violations(flag, xi, a)
+        assert got == ref.violations(flag, xi, vectors, a), (spec, a)
     for t in (table, perturbed(table, spec)):
         vectors = ref.cyclic_kernel(flag, t)
-        assert transvection_cone_set(flag, t) == ref.cone_set(flag, vectors), spec
-        if xi is not None:
-            for a in flag.rs.roots_of(flag.m_plus_mask):
-                got = transvection_violations(flag, xi, t, a)
-                assert got == ref.violations(flag, xi, vectors, a), (spec, a)
+        for a in flag.rs.roots_of(flag.m_plus_mask):
+            got = transvection_violations(flag, xi, t, a)
+            assert got == ref.violations(flag, xi, vectors, a), (spec, a)
+
+
+def fixed_xi(flag):
+    return kahler_param(flag, [Fraction(k + 2, k + 1) for k in range(len(flag.pd.painted))])
 
 
 @pytest.mark.parametrize("family,rank", simple_types(6))
 def test_mask_kernel_matches_the_per_painting_kernel_rank_le_6(family, rank):
+    # every painting through rank 4, two seeded ones of rank 5 and 6
     table = chevalley_table(family, rank)
-    for flag in paintings(family, rank):
-        xi = kahler_param(flag, [Fraction(k + 2, k + 1) for k in range(len(flag.pd.painted))])
-        assert_matches_the_per_painting_kernel(flag, table, xi if rank <= 4 else None)
+    flags = paintings(family, rank) if rank <= 4 else sample(family, rank, 2)
+    for flag in flags:
+        assert_matches_the_per_painting_kernel(flag, table, fixed_xi(flag))
 
 
 def test_mask_kernel_matches_the_per_painting_kernel_rank_7_8_sample():
-    rng = random.Random(11)
     for family, rank in simple_types(8):
-        if rank < 7:
-            continue
-        table = chevalley_table(family, rank)
-        for _ in range(4):
-            painted = frozenset(rng.sample(range(1, rank + 1), rng.randint(1, rank)))
-            flag = make_flag(PaintedDiagram(table.rs, painted))
-            xi = kahler_param(flag, [Fraction(k + 2, k + 1) for k in range(len(painted))])
-            assert_matches_the_per_painting_kernel(flag, table, xi)
+        if rank >= 7:
+            table = chevalley_table(family, rank)
+            for flag in sample(family, rank, 4):
+                assert_matches_the_per_painting_kernel(flag, table, fixed_xi(flag))

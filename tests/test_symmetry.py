@@ -392,6 +392,24 @@ def test_report_invariants_exhaustive(family, rank):
         assert int(leaf.u_type[1:]) == leaf.toral_rank
 
 
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_a_family_closed_forms(rank):
+    # the painted nodes of A_n cut the n + 1 indices of e_1..e_{n+1} into
+    # blocks n_0..n_k, so M = SU(n+1)/S(U(n_0) x ... x U(n_k)) and
+    # dim M = (n+1)^2 - sum n_i^2.  One painted node gives a Grassmannian,
+    # symmetric, with index dim M; with more, the symmetry roots are the
+    # e_i - e_j with i in the first block and j in the last: index 2 n_0 n_k
+    rs = build_root_system("A", rank)
+    for size in range(1, rank + 1):
+        for painted in itertools.combinations(range(1, rank + 1), size):
+            cuts = (0, *painted, rank + 1)
+            blocks = [b - a for a, b in zip(cuts, cuts[1:])]
+            dim_m = (rank + 1) ** 2 - sum(n * n for n in blocks)
+            index = dim_m if size == 1 else 2 * blocks[0] * blocks[-1]
+            flag = make_flag(PaintedDiagram(rs, frozenset(painted)))
+            assert (flag.dim_m, build_report(flag).index) == (dim_m, index), painted
+
+
 def test_symmetric_coset_names():
     cases = {
         "A4:{2}": "Gr_2(C^5)",
