@@ -188,12 +188,10 @@ class ChevalleyTable:
     weights b are ``rs.weights``.  ``certified`` says how
     :func:`build_constants` knows the table passes the audit: ``"audit"``
     when it ran the exhaustive audit in this process, ``"digest"`` when the
-    table's digest equals the pin of an audited build, None when it did
-    neither.  :func:`flagsym.oracle.oracle_check` reads the oracles' verdict
-    off the certificate, and audits an uncertified table.  The per-xi oracles
-    read the array into weights cached per instance (tables hash and compare
-    by identity), so a changed table is a changed, uncertified copy, not a
-    table the oracle has read.
+    table's digest equals the pin of an audited build, None on a table it
+    did not build (a changed copy).  :func:`flagsym.oracle.oracle_check`
+    reads the oracles' verdict off the certificate, and audits an
+    uncertified table.
     """
 
     rs: RootSystem
@@ -261,13 +259,13 @@ AUDITED_DIGESTS = {
 }
 
 
-def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTable:
+def build_constants(rs: RootSystem, verify: bool = False) -> ChevalleyTable:
     """Build the full constant table for ``rs``.
 
-    ``verify`` controls the certificate (module docstring): None certifies a
-    table whose digest equals its pin in ``AUDITED_DIGESTS`` and runs the
-    exhaustive audit on any other, True always runs the audit, False does
-    neither.  A failed audit raises InternalConsistencyError.
+    ``verify`` controls the certificate (module docstring): False certifies
+    a table whose digest equals its pin in ``AUDITED_DIGESTS`` and runs the
+    exhaustive audit on any other, True always runs the audit.  A failed
+    audit raises InternalConsistencyError.
     """
     roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
     count, half = len(roots), len(rs.positive_roots)
@@ -334,12 +332,12 @@ def build_constants(rs: RootSystem, verify: bool | None = None) -> ChevalleyTabl
             put(x, y, v)
 
     table = ChevalleyTable(rs, n)
-    if verify is None and AUDITED_DIGESTS.get(rs.name) == digest(table):
+    if not verify and AUDITED_DIGESTS.get(rs.name) == digest(table):
         table.certified = "digest"
-    elif verify is not False:
-        if not sign_convention_check(table):
-            raise InternalConsistencyError(f"{rs.name}: constant table fails the audit")
+    elif sign_convention_check(table):
         table.certified = "audit"
+    else:
+        raise InternalConsistencyError(f"{rs.name}: constant table fails the audit")
     return table
 
 

@@ -102,12 +102,10 @@ class FlagData:
         self.pd = pd
         rs = pd.rs
         # R_m: the roots with a nonzero coefficient on a painted node; R_h: the rest
-        m_mask = painted_mask = 0
+        m_mask = 0
         for i in pd.painted:
             m_mask |= rs.support[i - 1]
-            painted_mask |= 1 << (i - 1)
         self.m_mask = m_mask
-        self.painted_mask = painted_mask  # the painted nodes, bit n for node n + 1
         self.h_mask = ((1 << len(rs.roots)) - 1) & ~m_mask
         self.m_plus_mask = m_mask & rs.positive_mask
         self.dim_m = m_mask.bit_count()

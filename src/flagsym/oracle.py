@@ -75,90 +75,34 @@ breaks Jacobi fails too.
 
 The per-xi functions (:func:`transvection_set`, :func:`shortcut_set` and the
 ``*_violations`` ones) are library and test API: no CLI command calls them,
-since the verdict already holds for every xi.  They read the splittings of
-each -a from one walk per type, with the node supports of beta and gamma
-(:func:`negative_splittings`): a splitting lies in R_m when both supports
-meet the painted nodes.  Per splitting they keep only the weights (u, v)
-with c = u beta + v gamma, from :func:`cyclic_table` per Chevalley table
-(read from ``n_dense`` and ``rs.weights``) and :func:`shortcut_table` per
-root system, each cached per instance it reads (tables hash by identity), so
-a changed copy of a table gets its own.  They evaluate c . xi =
-u beta(xi) + v gamma(xi), each root's value at xi computed once per call, in
-integers: xi is scaled by L, the lcm of the denominators of its
-coefficients, so every c . xi * L is an integer with the sign of c . xi.  The
-witnesses the ``*_violations`` functions report are divided by L again, so
-they are the exact rational values of the unscaled sums; they come in the
-order of ``RootSystem.splittings``, mixed-sign pairs first.
+since the verdict already holds for every xi.  Per painting they walk
+``RootSystem.splittings`` of each -a, keep the splittings with both members
+in R_m, and evaluate c . xi = p a(xi) + q beta(xi) + r gamma(xi), with
+(p, q, r) the coefficients of the cyclic sum (:func:`_cyclic`, read from
+``n_dense`` and ``rs.weights``) or of the shortcut (:func:`_shortcut`).  Each
+root's value at xi is computed once per call, in integers: xi is scaled by L,
+the lcm of the denominators of its coefficients, so every c . xi * L is an
+integer with the sign of c . xi.  A xi whose nodes are not the painted ones
+raises ValueError.  The witnesses the ``*_violations`` functions report are
+divided by L again, so they are the exact rational values of the unscaled
+sums; they come in the order of ``RootSystem.splittings``, mixed-sign pairs
+first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .chevalley import ChevalleyTable, sign_convention_check
 from .flag import FlagData, KahlerParam
 from .rootsystem import Root, RootSystem, bits
 
-# more than the 31 types through rank 8, so a sweep rebuilds nothing, while
-# tables a caller builds for itself, such as changed copies, cannot pile up
-_CACHED_TYPES = 64
 
-
-@lru_cache(maxsize=_CACHED_TYPES)
-def negative_splittings(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """Per positive root a, ``rs.splittings(neg[a])`` flat with the node
-    supports: beta, gamma and the node masks of beta and of gamma (bit n for
-    node n + 1) per splitting.  Walked once per type; both weight tables and
-    the per-xi functions read it."""
-    half = len(rs.positive_roots)
-    nodes = [0] * half
-    for n, s in enumerate(rs.support):
-        for i in bits(s & rs.positive_mask):
-            nodes[i] |= 1 << n
-    nodes += nodes  # -r has the support of r
-    out = []
-    for a in range(half):
-        flat: list[int] = []
-        for beta, gamma in rs.splittings(rs.neg[a]):
-            flat += (beta, gamma, nodes[beta], nodes[gamma])
-        out.append(tuple(flat))
-    return tuple(out)
-
-
-def splitting_table(rs: RootSystem, coefficients) -> tuple[list[int], ...]:
-    """Per positive root a, the weights u, v of c = p a + q beta + r gamma
-    with (p, q, r) = ``coefficients(a, beta, gamma)``, flat over the
-    splittings of -a in the order of :func:`negative_splittings`.
-
-    As a = -(beta + gamma), c = u beta + v gamma with u = q - p and
-    v = r - p.
-    """
-    out = []
-    for a, split in enumerate(negative_splittings(rs)):
-        uv: list[int] = []
-        for beta, gamma in zip(split[::4], split[1::4]):
-            p, q, r = coefficients(a, beta, gamma)
-            uv += (q - p, r - p)
-        out.append(uv)
-    return tuple(out)
-
-
-@lru_cache(maxsize=_CACHED_TYPES)
-def shortcut_table(rs: RootSystem) -> tuple[list[int], ...]:
-    """The weights of the shortcut oracle: (p, q, r) =
-    (0, 1 + eps_beta, 1 + eps_gamma)."""
-    half = len(rs.positive_roots)
-    return splitting_table(
-        rs, lambda a, beta, gamma: (0, 2 if beta < half else 0, 2 if gamma < half else 0)
-    )
-
-
-@lru_cache(maxsize=_CACHED_TYPES)
-def cyclic_table(table: ChevalleyTable) -> tuple[list[int], ...]:
-    """The weights of the cyclic sums: (p, q, r) = eps_d b(d) times
-    n(beta, gamma), n(a, gamma), n(beta, a) for d = a, beta, gamma."""
+def _cyclic(table: ChevalleyTable):
+    """(p, q, r) of the cyclic sums: eps_d b(d) times n(beta, gamma),
+    n(a, gamma), n(beta, a) for d = a, beta, gamma."""
     rs = table.rs
     n, count, half = table.n_dense, len(rs.roots), len(rs.positive_roots)
     r = [b if i < half else -b for i, b in enumerate(rs.weights)]
@@ -171,7 +115,13 @@ def cyclic_table(table: ChevalleyTable) -> tuple[list[int], ...]:
             n[row_b + a] * r[gamma],
         )
 
-    return splitting_table(rs, coefficients)
+    return coefficients
+
+
+def _shortcut(rs: RootSystem):
+    """(p, q, r) of the shortcut condition: (0, 1 + eps_beta, 1 + eps_gamma)."""
+    half = len(rs.positive_roots)
+    return lambda a, beta, gamma: (0, 2 if beta < half else 0, 2 if gamma < half else 0)
 
 
 def oracle_check(table: ChevalleyTable) -> bool:
@@ -187,25 +137,32 @@ def oracle_check(table: ChevalleyTable) -> bool:
 def _scaled_values(flag: FlagData, xi: KahlerParam) -> tuple[int, list[int]]:
     """L and d(xi) * L for every root d, by root index, in integers."""
     painted = sorted(flag.pd.painted)
-    coeffs = [xi.coeffs[i] for i in painted]
-    scale = lcm(*(c.denominator for c in coeffs))
-    w = [(i - 1, c.numerator * (scale // c.denominator)) for i, c in zip(painted, coeffs)]
-    return scale, [sum(d[j] * x for j, x in w) for d in flag.rs.roots]
+    if list(xi.coeffs) != painted:
+        raise ValueError(
+            f"{xi!r} does not fit {flag.pd.spec}: coefficients on nodes "
+            f"{list(xi.coeffs)}, painted nodes {painted}"
+        )
+    scale = lcm(*(c.denominator for c in xi.coeffs.values()))
+    x = [0] * flag.rs.rank  # xi L over all nodes, 0 on the white ones
+    for i, c in xi.coeffs.items():
+        x[i - 1] = c.numerator * (scale // c.denominator)
+    return scale, [sum(map(mul, d, x)) for d in flag.rs.roots]
 
 
-def _nonzero_terms(flag: FlagData, weights: tuple[list[int], ...], a: int, at: list[int]):
-    """(beta, gamma, c . xi L) over the decompositions of -a in R_m with
-    c . xi != 0, ``at`` holding d(xi) L by root index."""
-    painted = flag.painted_mask
-    s, w = iter(negative_splittings(flag.rs)[a]), iter(weights[a])
-    for (beta, gamma, nb, ng), (u, v) in zip(zip(s, s, s, s), zip(w, w)):
-        if nb & painted and ng & painted:
-            total = u * at[beta] + v * at[gamma]
+def _nonzero_terms(flag: FlagData, coefficients, a: int, at: list[int]):
+    """(beta, gamma, c . xi L) over the decompositions -a = beta + gamma in
+    R_m with c . xi != 0, c = p a + q beta + r gamma with (p, q, r) =
+    ``coefficients(a, beta, gamma)``, ``at`` holding d(xi) L by root index."""
+    m = flag.m_mask
+    for beta, gamma in flag.rs.splittings(flag.rs.neg[a]):
+        if m >> beta & 1 and m >> gamma & 1:
+            p, q, r = coefficients(a, beta, gamma)
+            total = p * at[a] + q * at[beta] + r * at[gamma]
             if total:
                 yield beta, gamma, total
 
 
-def _violations(flag: FlagData, xi: KahlerParam, weights: tuple[list[int], ...], a: Root) -> list:
+def _violations(flag: FlagData, xi: KahlerParam, coefficients, a: Root) -> list:
     index = flag.rs.index.get(a)
     if index is None or not flag.m_plus_mask >> index & 1:
         raise ValueError("transvection candidates live in R_m+")
@@ -213,17 +170,17 @@ def _violations(flag: FlagData, xi: KahlerParam, weights: tuple[list[int], ...],
     scale, at = _scaled_values(flag, xi)
     return [
         (roots[b], roots[g], Fraction(t, scale))
-        for b, g, t in _nonzero_terms(flag, weights, index, at)
+        for b, g, t in _nonzero_terms(flag, coefficients, index, at)
     ]
 
 
-def _xi_set(flag: FlagData, xi: KahlerParam, weights: tuple[list[int], ...]) -> frozenset:
+def _xi_set(flag: FlagData, xi: KahlerParam, coefficients) -> frozenset:
     roots = flag.rs.roots
     _, at = _scaled_values(flag, xi)
     return frozenset(
         roots[a]
         for a in bits(flag.m_plus_mask)
-        if next(_nonzero_terms(flag, weights, a, at), None) is None
+        if next(_nonzero_terms(flag, coefficients, a, at), None) is None
     )
 
 
@@ -231,23 +188,23 @@ def transvection_violations(
     flag: FlagData, xi: KahlerParam, table: ChevalleyTable, a: Root
 ) -> list[tuple[Root, Root, Fraction]]:
     """Witnessing (beta, gamma, sum) tuples where the cyclic sum is nonzero."""
-    return _violations(flag, xi, cyclic_table(table), a)
+    return _violations(flag, xi, _cyclic(table), a)
 
 
 def shortcut_violations(
     flag: FlagData, xi: KahlerParam, a: Root
 ) -> list[tuple[Root, Root, Fraction]]:
     """Nonzero evaluations of ((1+eps_g) g + (1+eps_b) b)(xi) over decompositions."""
-    return _violations(flag, xi, shortcut_table(flag.rs), a)
+    return _violations(flag, xi, _shortcut(flag.rs), a)
 
 
 def transvection_set(
     flag: FlagData, xi: KahlerParam, table: ChevalleyTable
 ) -> frozenset:
     """All transvection roots for one Kahler parameter (structure constants)."""
-    return _xi_set(flag, xi, cyclic_table(table))
+    return _xi_set(flag, xi, _cyclic(table))
 
 
 def shortcut_set(flag: FlagData, xi: KahlerParam) -> frozenset:
     """All transvection roots by the scalar condition (no structure constants)."""
-    return _xi_set(flag, xi, shortcut_table(flag.rs))
+    return _xi_set(flag, xi, _shortcut(flag.rs))

@@ -103,7 +103,7 @@ def ref_build_constants(rs):
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_build_matches_reference_through_e8(family, rank):
     rs = build_root_system(family, rank)
-    table = build_constants(rs, verify=False)
+    table = build_constants(rs)
     n, b = ref_build_constants(rs)
     count, index = len(rs.roots), rs.index
     want = [0] * (count * count)
@@ -187,7 +187,7 @@ def mutated(table, kind, count, seed):
 @pytest.fixture(scope="module")
 def clean_tables():
     return {
-        f"{f}{r}": build_constants(build_root_system(f, r), verify=False)
+        f"{f}{r}": build_constants(build_root_system(f, r))
         for f, r in simple_types(5)
     }
 
@@ -337,7 +337,7 @@ def test_half_walk_leaves_out_only_triples_of_zero_defect(family, rank):
     assert set(generic) | set(special) == set(_jacobi_triples(rs, canonical=True))
     assert all(decided(rs, t) for t in special)
     assert not any(decided(rs, t) for t in generic)
-    assert_zero_defect(build_constants(rs, verify=False), special)
+    assert_zero_defect(build_constants(rs), special)
 
 
 def test_half_walk_triple_counts_of_e6_to_e8():

@@ -30,6 +30,7 @@ from flagsym import (
 from flagsym.cli import _canonical_painting
 from flagsym.flag import painting_spec, random_kahler_param
 from flagsym.rootsystem import RootSystem
+from table_helpers import with_constants
 
 
 def run_cli(capsys, *argv):
@@ -318,55 +319,49 @@ def test_cleared_caches_rebuild_every_type(monkeypatch):
 
 def test_clean_sweep_walks_no_cone_set(monkeypatch):
     # on clean tables the cone verdict is read off the certificate: no
-    # splitting of a painting is walked, and the shortcut table, which reads
-    # no structure constant, is never built
-    calls, requests = [], []
-    splittings, shortcut_table = oracle.negative_splittings, oracle.shortcut_table
+    # decomposition of a root is walked on any painting
+    calls, splittings = [], RootSystem.splittings
     monkeypatch.setattr(
-        oracle, "negative_splittings", lambda rs: calls.append(rs) or splittings(rs)
-    )
-    monkeypatch.setattr(
-        oracle, "shortcut_table", lambda rs: requests.append(rs) or shortcut_table(rs)
+        RootSystem, "splittings", lambda rs, s: calls.append(rs) or splittings(rs, s)
     )
     assert len(enumerate_flags(max_rank=6).entries) == 545
     assert calls == []
-    assert requests == []
-    # the counters sit on the path a per-painting oracle takes
+    # the counter sits on the path a per-painting oracle takes
     flag = make_flag(parse_painted("A3:{2,3}"))
     oracle.shortcut_set(flag, random_kahler_param(flag, 0))
-    assert requests == [flag.rs]
     assert calls and set(calls) == {flag.rs}
 
 
 def test_certified_sweep_builds_no_oracle_table():
     # every table of a rank-6 sweep is certified, and the oracle reads its
-    # verdict off the certificate: in a fresh interpreter no splitting walk
-    # or weight table is built and no table is audited
+    # verdict off the certificate: in a fresh interpreter no table is
+    # audited and no decomposition of a root is walked
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "from flagsym import chevalley, cli, oracle\n"
-        "audits = []\n"
+        "from flagsym.rootsystem import RootSystem\n"
+        "audits, walks = [], []\n"
         "for module in (chevalley, oracle):\n"
         "    check = module.sign_convention_check\n"
         "    module.sign_convention_check = lambda t, check=check: audits.append(t) or check(t)\n"
+        "splittings = RootSystem.splittings\n"
+        "RootSystem.splittings = lambda rs, s: walks.append(s) or splittings(rs, s)\n"
         "assert len(cli.enumerate_flags(max_rank=6).entries) == 545\n"
-        "print([f.cache_info().currsize for f in "
-        "(oracle.negative_splittings, oracle.cyclic_table, oracle.shortcut_table)], len(audits))"
+        "print(len(audits), len(walks))"
     )
     run = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
-    assert run.stdout == "[0, 0, 0] 0\n"
+    assert run.stdout == "0 0\n"
 
 
 def test_cleared_caches_free_the_root_systems_without_the_cycle_collector():
-    # nothing a root system keeps (the leaf memo), nor the oracle tables
-    # cached for it and its Chevalley table, may refer back to it: a cycle
-    # would keep every type's tables alive past the cache clearing until a
-    # full collection, and a sweep with fresh caches would pile them up in
-    # memory
+    # nothing a root system keeps (the leaf memo) may refer back to it: a
+    # cycle would keep every type's tables alive past the cache clearing
+    # until a full collection, and a sweep with fresh caches would pile them
+    # up in memory
     caches = flagsym_caches()
     for cache in caches:
         cache.cache_clear()
@@ -375,7 +370,6 @@ def test_cleared_caches_free_the_root_systems_without_the_cycle_collector():
         enumerate_flags(max_rank=3)
         rs = build_root_system("B", 3)
         table = cli.chevalley_table("B", 3)
-        oracle.negative_splittings(rs), oracle.shortcut_table(rs), oracle.cyclic_table(table)
         alive = weakref.ref(rs)
         del rs, table
         for cache in caches:
@@ -618,7 +612,7 @@ def test_verify_reports_chevalley_audit_coverage(capsys, monkeypatch):
     # certificate
     tables = {
         ("B", 2): build_constants(build_root_system("B", 2), verify=True),
-        ("B", 3): build_constants(build_root_system("B", 3), verify=False),
+        ("B", 3): with_constants(build_constants(build_root_system("B", 3)), {}),
     }
     monkeypatch.setattr(cli, "chevalley_table", lambda f, r: tables[(f, r)])
     assert cli._audit_coverage([("B", 3), ("B", 2)]) == (

@@ -78,7 +78,6 @@ def test_a3_23_flag_data():
     f = make_flag(parse_painted("A3:{2,3}"))
     assert f.rs.roots_of(f.h_mask) == {(1, 0, 0), (-1, 0, 0)}
     assert f.m_plus_mask.bit_count() == 5
-    assert f.painted_mask.bit_count() == 2
 
 
 def test_full_painting_empty_isotropy():

@@ -3,9 +3,9 @@
 The walk of the reference kernel (``oracle_helpers``) must give the symmetry
 roots, with no root left open, on every painting through rank 6 and on a
 sample of rank 7-8, for both oracles; the per-xi functions must agree with it
-and report its witnesses; the weights of the type-level tables must give the
-vectors of the per-table build; the cyclic vectors must be nonzero multiples
-of the shortcut's on every table that keeps the pair and cyclic checks; and a
+and report its witnesses; their coefficients must give the vectors of the
+per-table build; the cyclic vectors must be nonzero multiples of the
+shortcut's on every table that keeps the pair and cyclic checks; and a
 corrupted Chevalley table must make the oracle check of the sweep and of
 ``analyze`` fail, never pass.
 """
@@ -13,11 +13,15 @@ corrupted Chevalley table must make the oracle check of the sweep and of
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import pytest
 
 from flagsym import (
+    KahlerParam,
     PaintedDiagram,
     build_root_system,
     chevalley_table,
@@ -34,7 +38,7 @@ from flagsym import (
 )
 from flagsym import cli, oracle
 from flagsym.chevalley import _witnesses
-from flagsym.oracle import cyclic_table, negative_splittings, shortcut_table
+from flagsym.oracle import _cyclic, _nonzero_terms, _scaled_values, _shortcut
 from flagsym.rootsystem import bits, rneg
 import oracle_helpers as ref
 from root_helpers import rsub, sum_root
@@ -83,14 +87,11 @@ def test_shortcut_table_has_the_verdict_pattern_on_every_type(family, rank):
     # negative, whatever the table
     rs = build_root_system(family, rank)
     half = len(rs.positive_roots)
-    count = 0
-    for a in range(half):
-        for beta, gamma, c in vectors(rs, shortcut_table(rs), a):
+    for row in ref.splitting_table(rs, _shortcut(rs)):
+        for beta, gamma, c in row:
             positive = [d for d in (beta, gamma) if d < half]
             member = rs.roots[positive[0]] if positive else (0,) * rank
             assert c == [2 * x for x in member], (rs.roots[beta], rs.roots[gamma])
-            count += 1
-    assert count == sum(len(rs.splittings(rs.neg[a])) for a in range(half))
 
 
 @pytest.mark.parametrize("family,rank", simple_types(4))
@@ -306,91 +307,88 @@ def test_undecided_root_outside_the_symmetry_roots_fails_closed(monkeypatch):
     assert entry.checks["oracle_agree"] is False
 
 
-def vectors(rs, weights, a):
-    """(beta, gamma, c) per splitting of -a, c = u beta + v gamma from the weights."""
-    split, uv = negative_splittings(rs)[a], weights[a]
-    return [
-        (beta, gamma, [u * y + v * z for y, z in zip(rs.roots[beta], rs.roots[gamma])])
-        for beta, gamma, u, v in zip(split[::4], split[1::4], uv[::2], uv[1::2])
-    ]
-
-
 @pytest.mark.parametrize("family,rank", simple_types(4))
 def test_kernel_walks_each_decomposition_in_r_m_once(family, rank):
+    # both walks, the reference kernel's and the per-xi functions', give each
+    # decomposition -a = beta + gamma in R_m once, in the same order; the
+    # coefficients (1, 0, 0) make every term a(xi) L > 0, so the per-xi walk
+    # keeps them all
     rs = build_root_system(family, rank)
     constants = chevalley_table(family, rank)
-    for weights, kernel in (
-        (shortcut_table(rs), ref.shortcut_kernel),
-        (cyclic_table(constants), lambda flag: ref.cyclic_kernel(flag, constants)),
-    ):
+    everything = lambda a, beta, gamma: (1, 0, 0)
+    for kernel in (ref.shortcut_kernel, lambda flag: ref.cyclic_kernel(flag, constants)):
         for flag in paintings(family, rank):
-            painted, columns = flag.painted_mask, sorted(flag.pd.painted)
             r_m = rs.roots_of(flag.m_mask)
             reference = kernel(flag)
+            _, at = _scaled_values(flag, fixed_xi(flag))
             for a in bits(flag.m_plus_mask):
-                split = negative_splittings(rs)[a]
-                got = [
-                    (beta, gamma, [c[i - 1] for i in columns])
-                    for k, (beta, gamma, c) in enumerate(vectors(rs, weights, a))
-                    if split[4 * k + 2] & painted and split[4 * k + 3] & painted
-                ]
-                # the splittings whose node supports both meet the painted
-                # nodes, with their vectors over the painted nodes, are those
-                # of the per-painting kernel, in order
-                assert got == list(reference(a)), (flag.pd.spec, a)
+                got = [(beta, gamma) for beta, gamma, _ in reference(a)]
+                walked = _nonzero_terms(flag, everything, a, at)
+                assert [(beta, gamma) for beta, gamma, _ in walked] == got, (flag.pd.spec, a)
                 root = rs.roots[a]
                 expected = {
                     frozenset((rs.index[b], rs.index[rsub(rneg(root), b)]))
                     for b in r_m
                     if rsub(rneg(root), b) in r_m
                 }
-                pairs = [frozenset(g[:2]) for g in got]
+                pairs = [frozenset(g) for g in got]
                 assert len(pairs) == len(expected) and set(pairs) == expected, (
                     flag.pd.spec,
                     root,
                 )
 
 
-def node_mask(v):
-    """Bit n for each node n + 1 where the coordinate is nonzero."""
-    return sum(1 << n for n, x in enumerate(v) if x)
+@lru_cache(maxsize=None)
+def shifted(table):
+    """A copy of ``table`` with a third of its constants shifted, seeded by the type."""
+    rng = random.Random(table.rs.name)
+    n = table_constants(table)
+    pairs = sorted(n)
+    return with_constants(
+        table,
+        {p: n[p] + rng.choice((-2, -1, 1, 2)) for p in rng.sample(pairs, len(pairs) // 3)},
+    )
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_splitting_tables_match_their_vectors(family, rank):
-    # the splittings of -a come in the order of rs.splittings, each with the
-    # node supports of beta and gamma and one pair of weights
+    # on the full painting, where R_m is all of R, the walk of the per-xi
+    # functions gives for each positive root a the nonzero values c . xi L of
+    # the vectors of the per-table build, in the order of rs.splittings: on
+    # the clean table and on a copy with a third of its constants shifted
     rs = build_root_system(family, rank)
-    for weights in (shortcut_table(rs), cyclic_table(chevalley_table(family, rank))):
-        assert len(negative_splittings(rs)) == len(weights) == len(rs.positive_roots)
-        for a, split in enumerate(negative_splittings(rs)):
-            assert len(split) == 2 * len(weights[a])
-            assert list(zip(split[::4], split[1::4])) == rs.splittings(rs.neg[a])
-            for k in range(0, len(split), 4):
-                beta, gamma, nb, ng = split[k : k + 4]
-                assert (nb, ng) == (node_mask(rs.roots[beta]), node_mask(rs.roots[gamma]))
+    table = chevalley_table(family, rank)
+    flag = make_flag(PaintedDiagram(rs, frozenset(range(1, rank + 1))))
+    xi = fixed_xi(flag)
+    scale, at = _scaled_values(flag, xi)
+    w = [int(c * scale) for c in xi.coeffs.values()]
+    bad = shifted(table)
+    for got, coefficients in (
+        (_shortcut(rs), ref.shortcut_coefficients(rs)),
+        (_cyclic(table), ref.cyclic_coefficients(table)),
+        (_cyclic(bad), ref.cyclic_coefficients(bad)),
+    ):
+        for a, row in enumerate(ref.splitting_table(rs, coefficients)):
+            values = [(beta, gamma, sum(map(mul, c, w))) for beta, gamma, c in row]
+            assert list(_nonzero_terms(flag, got, a, at)) == [v for v in values if v[2]], a
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_splitting_tables_match_the_per_table_build(family, rank):
-    # the weights give the vectors of the build that summed every vector, on
-    # the clean tables and on a copy with a third of its constants shifted
+    # the coefficients of the per-xi functions are those of the build that
+    # summed every vector, on every splitting: on the clean table and on a
+    # copy with a third of its constants shifted
     rs = build_root_system(family, rank)
     table = chevalley_table(family, rank)
-    rng = random.Random(rs.name)
-    n = table_constants(table)
-    pairs = sorted(n)
-    bad = with_constants(
-        table,
-        {p: n[p] + rng.choice((-2, -1, 1, 2)) for p in rng.sample(pairs, len(pairs) // 3)},
-    )
+    bad = shifted(table)
     for got, coefficients in (
-        (shortcut_table(rs), ref.shortcut_coefficients(rs)),
-        (cyclic_table(table), ref.cyclic_coefficients(table)),
-        (cyclic_table(bad), ref.cyclic_coefficients(bad)),
+        (_shortcut(rs), ref.shortcut_coefficients(rs)),
+        (_cyclic(table), ref.cyclic_coefficients(table)),
+        (_cyclic(bad), ref.cyclic_coefficients(bad)),
     ):
-        rows = ref.splitting_table(rs, coefficients)
-        assert [vectors(rs, got, a) for a in range(len(rows))] == rows
+        for a in range(len(rs.positive_roots)):
+            for beta, gamma in rs.splittings(rs.neg[a]):
+                assert got(a, beta, gamma) == coefficients(a, beta, gamma), (a, beta, gamma)
 
 
 def perturbed(table, seed):
@@ -435,3 +433,21 @@ def test_mask_kernel_matches_the_per_painting_kernel_rank_7_8_sample():
             table = chevalley_table(family, rank)
             for flag in sample(family, rank, 4):
                 assert_matches_the_per_painting_kernel(flag, table, fixed_xi(flag))
+
+
+@pytest.mark.parametrize(
+    "coeffs", [{1: 1}, {1: 1, 2: 1, 3: 5}], ids=["painted-node-missing", "white-node-given"]
+)
+def test_kahler_param_off_the_painting_raises(coeffs):
+    # xi lives on the painted nodes: one missing, or one on a white node,
+    # names the painting and both node sets
+    flag = make_flag(parse_painted("A3:{1,2}"))
+    xi, table = KahlerParam(coeffs), chevalley_table("A", 3)
+    message = (
+        f"{xi!r} does not fit A3:{{1,2}}: coefficients on nodes {sorted(coeffs)}, "
+        "painted nodes [1, 2]"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        transvection_set(flag, xi, table)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        shortcut_violations(flag, xi, flag.rs.highest)
