@@ -139,10 +139,12 @@ Once the pair and cyclic checks are clean, the verdict reasons as follows.
   22 680 of them kept by the rule.  Each extra triple is a candidate of the
   witness tier, so the verdict stays exact.
 
-The witness tier evaluates every candidate, most of them inline as one root
-coefficient of three products.  Coroots, needed for the Cartan part of a
-zero-sum defect, are computed in integers, and only when such a triple is
-evaluated.
+The witness tier evaluates every candidate triple, sorted, with one
+evaluator: the sum of its three terms, at E_{x+y+z} or, for a zero-sum
+triple, in the Cartan subalgebra.  It assumes nothing of the pair checks, so
+it decides a triple with an opposite pair or a zero sum as it decides any
+other.  Coroots, needed for the Cartan part of a zero-sum defect, are
+computed in integers, and only when such a triple is evaluated.
 
 Certificates.  The verdict is a function of the arrays it reads: the roots
 in index order (the heights and the count), ``rs.neg``, ``rs.weights``,
@@ -387,31 +389,16 @@ def _jacobi_pairs(rs: RootSystem, canonical: bool = False):
                 yield p, q, third
 
 
-def _jacobi_walk(rs: RootSystem, canonical: bool = False):
-    """The candidate triples of :func:`_jacobi_pairs` as (p, q, generic, special).
-
-    ``special`` holds the third roots r that make an opposite pair (q = -p, or
-    r = -p or -q) or a zero sum (r = -(p + q)); ``generic`` holds the others,
-    for which p + q + r is a root and no two of the roots are opposite.
-    """
-    neg, add = rs.neg, rs.add
-    for p, q, third in _jacobi_pairs(rs, canonical):
-        if q == neg[p]:
-            yield p, q, 0, third
-        else:
-            special = third & (1 << neg[add[p][q]] | 1 << neg[p] | 1 << neg[q])
-            yield p, q, third ^ special, special
-
-
 def _jacobi_candidates(rs: RootSystem):
     """The generic triples the verdict evaluates, as (p, q, third).
 
-    From each (p, q, generic) of the canonical walk it keeps the third roots r
-    of a superset of the representatives (module docstring): every positive r
-    when q is positive, negative r with ht(-r) <= ht(p) when q is positive,
-    positive r with ht(r) >= ht(-q) when q is negative and ht(p) >= ht(-q),
-    and the roots -(2p + q) and -(p + 2q).  The positive roots are indexed by
-    height, so each range is one prefix or suffix mask.
+    The generic third roots r of a canonical pair (p, q) leave no opposite
+    pair in (p, q, r) and make p + q + r a root.  Of them it keeps the third
+    roots of a superset of the representatives (module docstring): every
+    positive r when q is positive, negative r with ht(-r) <= ht(p) when q is
+    positive, positive r with ht(r) >= ht(-q) when q is negative and ht(p) >=
+    ht(-q), and the roots -(2p + q) and -(p + 2q).  The positive roots are
+    indexed by height, so each range is one prefix or suffix mask.
     """
     count, neg, add = len(rs.roots), rs.neg, rs.add
     half, positive = len(rs.positive_roots), rs.positive_mask
@@ -419,10 +406,12 @@ def _jacobi_candidates(rs: RootSystem):
     # start[k] and stop[k] bound the indices of the positive roots of height ht(k)
     start = [bisect_left(heights, h) for h in heights]
     stop = [bisect_right(heights, h) for h in heights]
-    for p, q, generic, _ in _jacobi_walk(rs, canonical=True):
-        if not generic:
+    for p, q, third in _jacobi_pairs(rs, canonical=True):
+        if q == neg[p]:
             continue
         s = add[p][q]
+        # leave out r = -p, -q (an opposite pair) and -(p + q) (a zero sum)
+        generic = third & ~(1 << neg[s] | 1 << neg[p] | 1 << neg[q])
         if q < half:
             window = (1 << (half + stop[p])) - 1
         else:
@@ -490,32 +479,11 @@ def _witnesses(table: ChevalleyTable):
             )
         return at_root != 0
 
-    for p, q, generic, special in _jacobi_walk(rs):
-        bad = []
-        if generic:
-            # x + y + z = t is a root, each term whose first two roots sum
-            # to a root lands on E_t, and (x, y, z) is a cyclic shift of
-            # (p, q, r) when r < p or r > q, of (q, p, r) when p < r < q
-            middle = generic & ((1 << q) - (1 << (p + 1)))
-            sc = add[p][q] * count
-            for a, c, seg in ((p, q, generic ^ middle), (q, p, middle)):
-                ac, row_a, row_c, cc = n[a * count + c], add[a], add[c], c * count
-                for r in bits(seg):
-                    t = ac * n[sc + r]
-                    u = row_c[r]
-                    if u != count:
-                        t += n[cc + r] * n[u * count + a]
-                    u = row_a[r]
-                    if u != count:
-                        t += n[r * count + a] * n[u * count + c]
-                    if t:
-                        bad.append(r)
-        for r in bits(special):
-            if defective(*sorted((p, q, r))):
-                bad.append(r)
-        for r in sorted(bad):
+    for p, q, third in _jacobi_pairs(rs):
+        for r in bits(third):
             x, y, z = sorted((p, q, r))
-            yield f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"
+            if defective(x, y, z):
+                yield f"Jacobi fails on ({roots[x]}, {roots[y]}, {roots[z]})"
 
 
 def convention_violations(table: ChevalleyTable, *, limit: int | None = None) -> list[str]:

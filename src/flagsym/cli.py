@@ -33,6 +33,7 @@ from .flag import FlagData, PaintedDiagram, make_flag, painting_spec, split_pain
 from .oracle import oracle_check
 from .rootsystem import FAMILIES, build_root_system, is_valid_type, root_str
 from .symmetry import (
+    LeafDescriptor,
     SymmetryReport,
     build_report,
     diagrams_agree,
@@ -172,10 +173,7 @@ class EnumEntry:
     exception: str | None
     index: int
     coindex: int
-    leaf_u: str
-    leaf_k_factors: tuple[str, ...]
-    leaf_k_center: int
-    leaf_name: str
+    leaf: LeafDescriptor
     checks: dict
 
     @property
@@ -194,10 +192,10 @@ class EnumEntry:
             "index": self.index,
             "coindex": self.coindex,
             "leaf": {
-                "u": self.leaf_u,
-                "k_factors": list(self.leaf_k_factors),
-                "k_center_dim": self.leaf_k_center,
-                "name": self.leaf_name,
+                "u": self.leaf.u_type,
+                "k_factors": list(self.leaf.k_semisimple_type),
+                "k_center_dim": self.leaf.k_center_dim,
+                "name": self.leaf.name,
             },
             "checks": dict(self.checks),
         }
@@ -242,10 +240,7 @@ def _painting(flag: FlagData) -> tuple[EnumEntry, SymmetryReport]:
         exception=exc,
         index=report.index,
         coindex=report.coindex,
-        leaf_u=report.leaf.u_type,
-        leaf_k_factors=report.leaf.k_semisimple_type,
-        leaf_k_center=report.leaf.k_center_dim,
-        leaf_name=report.leaf.name,
+        leaf=report.leaf,
         checks=checks,
     )
     return entry, report

@@ -22,7 +22,7 @@ from .rootsystem import (
     build_root_system,
 )
 
-_PAINTED_RE = re.compile(r"\s*([A-G])\s*(\d+)\s*:\s*\{([0-9,\s]*)\}\s*\Z")
+_PAINTED_RE = re.compile(r"\s*([A-G])\s*([0-9]+)\s*:\s*\{([0-9,\s]*)\}\s*\Z")
 
 
 def painting_spec(type_name: str, painted) -> str:

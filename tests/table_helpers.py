@@ -49,3 +49,19 @@ def _jacobi_triples(rs, canonical=False):
     for p, q, third in _jacobi_pairs(rs, canonical):
         for r in bits(third):
             yield (r, p, q) if r < p else (p, r, q) if r < q else (p, q, r)
+
+
+def jacobi_walk(rs, canonical=False):
+    """The candidate triples of ``_jacobi_pairs`` as (p, q, generic, special).
+
+    ``special`` holds the third roots r that make an opposite pair (q = -p, or
+    r = -p or -q) or a zero sum (r = -(p + q)); ``generic`` holds the others,
+    for which p + q + r is a root and no two of the roots are opposite.
+    """
+    neg, add = rs.neg, rs.add
+    for p, q, third in _jacobi_pairs(rs, canonical):
+        if q == neg[p]:
+            yield p, q, 0, third
+        else:
+            special = third & (1 << neg[add[p][q]] | 1 << neg[p] | 1 << neg[q])
+            yield p, q, third ^ special, special

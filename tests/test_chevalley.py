@@ -191,6 +191,25 @@ def test_a_changed_copy_is_never_certified(tables):
             assert digest(with_constants(table, {key: -v})) != digest(table)
 
 
+def test_only_a_failing_table_enters_the_witness_tier(monkeypatch, capsys):
+    # the verdict decides every clean table: a sweep, audited builds and an
+    # analyze call never enter the witness tier
+    calls, witnesses = [], chevalley._witnesses
+    monkeypatch.setattr(chevalley, "_witnesses", lambda t: calls.append(t) or witnesses(t))
+    cli.chevalley_table.cache_clear()  # the sweep builds its tables here
+    assert len(cli.enumerate_flags(max_rank=6).entries) == 545
+    for family, rank in simple_types(7):
+        assert build_constants(build_root_system(family, rank), verify=True).certified == "audit"
+    assert cli.main(["analyze", "E7:{2,5}", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the counter sits on the path a failing table takes
+    clean = cli.chevalley_table("B", 3)
+    key, v = next(iter(table_constants(clean).items()))
+    assert convention_violations(with_constants(clean, {key: -v}))
+    assert len(calls) == 1
+
+
 def test_violation_listing_names_the_witness(tables):
     t = tables[("A", 2)]
     key, v = next(iter(table_constants(t).items()))

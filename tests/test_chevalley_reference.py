@@ -22,10 +22,10 @@ from flagsym import (
     sign_convention_check,
     simple_types,
 )
-from flagsym.chevalley import _coroots, _jacobi_candidates, _jacobi_walk
+from flagsym.chevalley import _coroots, _jacobi_candidates
 from flagsym.rootsystem import InternalConsistencyError, bits, height, rneg
 from root_helpers import cartan_int, coroot, ref_weights, root_set, rsub, sum_index, sum_root
-from table_helpers import _jacobi_triples, table_constants, with_constants
+from table_helpers import _jacobi_triples, jacobi_walk, table_constants, with_constants
 
 
 def ref_string_down(rs, a, base):
@@ -305,7 +305,7 @@ def half_walk_classes(rs):
     """The canonical triples as (generic, special): the verdict draws its
     candidates from the first and leaves the second out."""
     generic, special = [], []
-    for p, q, g, s in _jacobi_walk(rs, canonical=True):
+    for p, q, g, s in jacobi_walk(rs, canonical=True):
         generic += (tuple(sorted((p, q, r))) for r in bits(g))
         special += (tuple(sorted((p, q, r))) for r in bits(s))
     return generic, special
@@ -392,7 +392,7 @@ def test_verdict_candidates_meet_every_quadruple_class(family, rank):
     # classes, each class with all its triples
     rs = build_root_system(family, rank)
     half = len(rs.positive_roots)
-    generic = sums_of_triples(rs, ((p, q, g) for p, q, g, _ in _jacobi_walk(rs)))
+    generic = sums_of_triples(rs, ((p, q, g) for p, q, g, _ in jacobi_walk(rs)))
     candidates = sums_of_triples(rs, _jacobi_candidates(rs))
     assert candidates.items() <= generic.items()
     assert all(sum(i < half for i in t) >= 2 for t in candidates)
@@ -408,7 +408,7 @@ def test_verdict_triple_counts_of_e6_to_e8():
     counts = {}
     for rank in (6, 7, 8):
         rs = build_root_system("E", rank)
-        canonical = sums_of_triples(rs, ((p, q, g) for p, q, g, _ in _jacobi_walk(rs, True)))
+        canonical = sums_of_triples(rs, ((p, q, g) for p, q, g, _ in jacobi_walk(rs, True)))
         candidates = sums_of_triples(rs, _jacobi_candidates(rs))
         counts[rank] = (len(kept_triples(rs, canonical)), len(candidates))
     assert counts == {6: (810, 876), 7: (3780, 3970), 8: (22680, 23331)}

@@ -452,6 +452,8 @@ def bad_input(number, argv, message):
         bad_input(16, ["analyze", "A9:{1}"], "rank must be at most 8, got 9"),
         # a painted node is one number: a missing comma is named, not passed to int()
         bad_input(17, ["analyze", "A3:{1 2}"], "cannot parse painted node '1 2' in 'A3:{1 2}'"),
+        # the rank is ASCII digits, as the nodes are: a fullwidth 3 is no rank
+        bad_input(18, ["analyze", "A\uff13:{1}"], "cannot parse painted diagram"),
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv, message):

@@ -45,7 +45,12 @@ def test_parse_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "text", ["A3:{}", "A3:{0}", "A3:{4}", "Z3:{1}", "A3:2,3", "C2:{1}", "A3:{x}"]
+    "text",
+    [
+        "A3:{}", "A3:{0}", "A3:{4}", "Z3:{1}", "A3:2,3", "C2:{1}", "A3:{x}",
+        # a rank in fullwidth or Arabic-Indic digits
+        "A\uff13:{1}", "A\u0663:{1}",
+    ],
 )
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
