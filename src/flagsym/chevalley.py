@@ -32,7 +32,10 @@ Orbits.  Antisymmetry n(b, a) = -n(a, b) and the negation rule n(-a, -b) =
 to one value, and the build writes each orbit at once.  A mixed-sign constant
 comes from the same-sign constant of its zero-sum triple (x, y, z) through
 the weighted cyclic identity, once per orbit: for x positive, y negative and
-x < -y.  Each other member of the orbit gets its quotient from the same
+x < -y.  The index order is the (height, coordinates) order, so ht(x) <=
+ht(-y), the root x + y has height ht(x) - ht(-y) <= 0 and is negative, and
+z = -(x + y) is positive: the identity reads n(x, y) off the same-sign
+n(z, x).  Each other member of the orbit gets its quotient from the same
 triple or its negation, with the numerator negated or not and the same
 denominator b(z), so it divides exactly when this one does, and the build
 raises for an orbit exactly when it would for any one member.
@@ -143,8 +146,8 @@ The witness tier evaluates every candidate triple, sorted, with one
 evaluator: the sum of its three terms, at E_{x+y+z} or, for a zero-sum
 triple, in the Cartan subalgebra.  It assumes nothing of the pair checks, so
 it decides a triple with an opposite pair or a zero sum as it decides any
-other.  Coroots, needed for the Cartan part of a zero-sum defect, are
-computed in integers, and only when such a triple is evaluated.
+other.  A zero-sum defect sum m H_{s^v} is zero exactly when sum m <a_k,
+s^v> = 0 for every simple root a_k, since the simple roots span h*.
 
 Certificates.  The verdict is a function of the arrays it reads: the roots
 in index order (the heights and the count), ``rs.neg``, ``rs.weights``,
@@ -321,12 +324,9 @@ def build_constants(rs: RootSystem, verify: bool = False) -> ChevalleyTable:
         row = add[x]
         # one mixed-sign pair per orbit: x positive, y negative with x < -y
         for y in bits(sums[x] >> (half + x + 1) << (half + x + 1)):
-            # close the zero-sum triple (x, y, z) and step to the same-sign pair
+            # close the zero-sum triple (x, y, z); z is positive (module docstring)
             z = neg[row[y]]
-            if z >= half:
-                v, rem = divmod(n[y * count + z] * b[x], b[z])
-            else:
-                v, rem = divmod(n[z * count + x] * b[y], b[z])
+            v, rem = divmod(n[z * count + x] * b[y], b[z])
             if rem:
                 raise InternalConsistencyError(
                     f"non-integral constant for ({roots[x]}, {roots[y]})"
@@ -341,26 +341,6 @@ def build_constants(rs: RootSystem, verify: bool = False) -> ChevalleyTable:
     else:
         raise InternalConsistencyError(f"{rs.name}: constant table fails the audit")
     return table
-
-
-def _coroots(rs: RootSystem) -> list[list[int]]:
-    """Coordinates of every coroot 2r/(r, r) over the simple coroots, as ints.
-
-    r^v = b(r) r and a_i^v = b(a_i) a_i, so coefficient i is r_i b(r) /
-    b(a_i), one exact quotient with its remainder checked.
-    """
-    weights = rs.weights
-    simple = [weights[rs.index[s]] for s in rs.simple_roots]
-    out = []
-    for r, w in zip(rs.roots, weights):
-        co = []
-        for c, d in zip(r, simple):
-            v, rem = divmod(c * w, d)
-            if rem:
-                raise InternalConsistencyError(f"non-integral coroot of {r}")
-            co.append(v)
-        out.append(co)
-    return out
 
 
 def _jacobi_pairs(rs: RootSystem, canonical: bool = False):
@@ -452,11 +432,8 @@ def _witnesses(table: ChevalleyTable):
             if lhs != n[j * count + k] * b[i] or lhs != n[k * count + i] * b[j]:
                 yield f"weighted cyclic identity fails on ({roots[i]}, {roots[j]}, {roots[k]})"
 
-    coroots = None  # over the simple coroots, once a zero-sum triple needs them
-
     def defective(x: int, y: int, z: int) -> bool:
         """Whether [[E_x,E_y],E_z] + [[E_y,E_z],E_x] + [[E_z,E_x],E_y] != 0."""
-        nonlocal coroots
         at_root = 0  # the coefficient of E_{x+y+z}
         at_cartan = []  # (n, s) for each term n [E_s, E_{-s}] = n H_{s^v}
         for a, c, d in ((x, y, z), (y, z, x), (z, x, y)):
@@ -472,10 +449,10 @@ def _witnesses(table: ChevalleyTable):
             elif add[s][d] != count:
                 at_root += n[a * count + c] * n[s * count + d]
         if at_cartan:  # x + y + z = 0: the defect lies in the Cartan subalgebra
-            if coroots is None:
-                coroots = _coroots(rs)
+            # sum m s^v != 0 iff it pairs nonzero with some simple root, the
+            # indices 0..rank-1, which span h*
             return any(
-                sum(m * coroots[s][k] for m, s in at_cartan) for k in range(rs.rank)
+                sum(m * rs.cartan_integer(k, s) for m, s in at_cartan) for k in range(rs.rank)
             )
         return at_root != 0
 

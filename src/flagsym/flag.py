@@ -72,9 +72,13 @@ def parse_painted(text: str) -> PaintedDiagram:
 
 
 class KahlerParam:
-    """Strictly positive rational coefficients of xi on the painted nodes."""
+    """Strictly positive rational coefficients of xi on the painted nodes: ints,
+    Fractions or strings such as "1/3", never floats (binary approximations)."""
 
     def __init__(self, coeffs: dict[int, Fraction]):
+        for i, v in coeffs.items():
+            if isinstance(v, float):
+                raise ValueError(f"Kahler coefficient {v!r} on node {i} is a float, not exact")
         coeffs = {i: Fraction(v) for i, v in coeffs.items()}
         if not coeffs or any(v <= 0 for v in coeffs.values()):
             raise ValueError("Kahler parameter needs strictly positive coefficients")
@@ -136,7 +140,7 @@ def make_flag(pd: PaintedDiagram) -> FlagData:
 def kahler_param(flag: FlagData, values) -> KahlerParam:
     """Kahler parameter from coefficients listed in increasing painted-node order."""
     painted = sorted(flag.pd.painted)
-    vals = [Fraction(v) for v in values]
+    vals = list(values)
     if len(vals) != len(painted):
         raise ValueError(
             f"expected {len(painted)} coefficients for painted nodes {painted}, got {len(vals)}"

@@ -83,10 +83,10 @@ in R_m, and evaluate c . xi = p a(xi) + q beta(xi) + r gamma(xi), with
 root's value at xi is computed once per call, in integers: xi is scaled by L,
 the lcm of the denominators of its coefficients, so every c . xi * L is an
 integer with the sign of c . xi.  A xi whose nodes are not the painted ones
-raises ValueError.  The witnesses the ``*_violations`` functions report are
-divided by L again, so they are the exact rational values of the unscaled
-sums; they come in the order of ``RootSystem.splittings``, mixed-sign pairs
-first.
+raises ValueError, and so does a table of another type than the painting.
+The witnesses the ``*_violations`` functions report are divided by L again,
+so they are the exact rational values of the unscaled sums; they come in the
+order of ``RootSystem.splittings``, mixed-sign pairs first.
 """
 
 from __future__ import annotations
@@ -116,6 +116,13 @@ def _cyclic(table: ChevalleyTable):
         )
 
     return coefficients
+
+
+def _cyclic_on(flag: FlagData, table: ChevalleyTable):
+    """:func:`_cyclic` of a table of the painting's type; ValueError on another."""
+    if table.rs.name != flag.rs.name:
+        raise ValueError(f"a {table.rs.name} table does not fit the painting {flag.pd.spec}")
+    return _cyclic(table)
 
 
 def _shortcut(rs: RootSystem):
@@ -188,7 +195,7 @@ def transvection_violations(
     flag: FlagData, xi: KahlerParam, table: ChevalleyTable, a: Root
 ) -> list[tuple[Root, Root, Fraction]]:
     """Witnessing (beta, gamma, sum) tuples where the cyclic sum is nonzero."""
-    return _violations(flag, xi, _cyclic(table), a)
+    return _violations(flag, xi, _cyclic_on(flag, table), a)
 
 
 def shortcut_violations(
@@ -202,7 +209,7 @@ def transvection_set(
     flag: FlagData, xi: KahlerParam, table: ChevalleyTable
 ) -> frozenset:
     """All transvection roots for one Kahler parameter (structure constants)."""
-    return _xi_set(flag, xi, _cyclic(table))
+    return _xi_set(flag, xi, _cyclic_on(flag, table))
 
 
 def shortcut_set(flag: FlagData, xi: KahlerParam) -> frozenset:

@@ -518,16 +518,19 @@ class RootSystem:
         return mixed + same
 
     def cartan_integer(self, t: int, s: int) -> int:
-        """The Cartan integer <roots[t], roots[s]^v> of two root indices t != s.
+        """The Cartan integer <roots[t], roots[s]^v> of two root indices.
 
         It is p - q on the s-string t - p s, ..., t + q s (Humphreys,
         *Introduction to Lie Algebras and Representation Theory*, §9.4), two
         walks along the ``add`` rows of -s and s.  (t, s) != 0 needs t + s or
         t - s to be a root (ibid., Lemma 9.4), so only a pair whose ``sums``
-        bits say so walks its string.  An opposite pair, whose string through
-        t = -s is empty, pairs to -2.
+        bits say so walks its string.  A root pairs to 2 with itself and to
+        -2 with its negative, where t + s and t - s are never roots and the
+        walks would give 0.
         """
         neg = self.neg
+        if t == s:
+            return 2
         if t == neg[s]:
             return -2
         near = self.sums[t]

@@ -22,7 +22,7 @@ from flagsym import (
     sign_convention_check,
     simple_types,
 )
-from flagsym.chevalley import _coroots, _jacobi_candidates
+from flagsym.chevalley import _jacobi_candidates
 from flagsym.rootsystem import InternalConsistencyError, bits, height, rneg
 from root_helpers import cartan_int, coroot, ref_weights, root_set, rsub, sum_index, sum_root
 from table_helpers import _jacobi_triples, jacobi_walk, table_constants, with_constants
@@ -256,10 +256,15 @@ def test_canonical_triples_and_their_negations_are_the_candidates(family, rank):
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_integer_coroots_match_the_fraction_coroots(family, rank):
+    # the witness tier reads a coroot s^v through its pairings <a_k, s^v>
+    # with the simple roots, the Cartan integers of the index; they must be
+    # those of the Fraction coroot, sum_i s^v_i <a_k, a_i^v>
     rs = build_root_system(family, rank)
-    coroots = _coroots(rs)
-    assert [tuple(co) for co in coroots] == [coroot(rs, r) for r in rs.roots]
-    assert all(type(c) is int for co in coroots for c in co)
+    for k, a in enumerate(rs.simple_roots):
+        ia = rs.index[a]
+        for s, r in enumerate(rs.roots):
+            pairing = sum(c * rs.cartan[k][i] for i, c in enumerate(coroot(rs, r)))
+            assert rs.cartan_integer(ia, s) == pairing
 
 
 def zero_sum_orbits(rs):

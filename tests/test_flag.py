@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagsym import (
+    KahlerParam,
     PaintedDiagram,
     build_root_system,
     kahler_param,
@@ -189,6 +190,13 @@ def test_kahler_param_validation():
         kahler_param(f, [1, 0])
     with pytest.raises(ValueError):
         kahler_param(f, [1, -2])
+    # no floats: 0.1 is a binary approximation, not 1/10
+    with pytest.raises(ValueError, match="node 2"):
+        kahler_param(f, [0.1, 2])
+    with pytest.raises(ValueError, match="node 3"):
+        KahlerParam({2: 1, 3: 2.0})
+    xi = kahler_param(f, [1, "1/3"])
+    assert xi == kahler_param(f, [Fraction(1), Fraction(1, 3)]) == KahlerParam({2: 1, 3: "1/3"})
 
 
 @settings(max_examples=40, deadline=None)

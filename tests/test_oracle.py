@@ -111,6 +111,20 @@ def test_transvection_set_examples(a3_setup):
         assert shortcut_set(f, xi) == expected
 
 
+@pytest.mark.parametrize("family,rank", [("B", 3), ("A", 2)])
+def test_table_of_another_type_is_rejected(a3_setup, family, rank):
+    # the B3 table has the A3 table's shape and would give a wrong set
+    # silently, the A2 table is too small to index
+    f, _, _ = a3_setup
+    xi, t = kahler_param(f, [1, 2]), chevalley_table(family, rank)
+    for call in (
+        lambda: transvection_set(f, xi, t),
+        lambda: transvection_violations(f, xi, t, (0, 1, 1)),
+    ):
+        with pytest.raises(ValueError, match=f"{family}{rank} table .* painting A3:"):
+            call()
+
+
 def test_transvection_set_g2(g2_setup):
     f, _, t = g2_setup
     for seed in range(20):

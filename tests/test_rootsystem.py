@@ -174,8 +174,7 @@ def test_cartan_matrix_matches_inner_products(family, rank):
         for j, sj in enumerate(rs.simple_roots):
             want = 2 * inner_product(rs, si, sj) / inner_product(rs, sj, sj)
             assert rs.cartan[i][j] == want
-            if i != j:
-                assert rs.cartan_integer(rs.index[si], rs.index[sj]) == want
+            assert rs.cartan_integer(rs.index[si], rs.index[sj]) == want
 
 
 def test_inner_products_a3():
@@ -223,12 +222,14 @@ def test_root_string_rejects_degenerate():
 @pytest.mark.parametrize("family,rank", SMALL_TYPES)
 def test_string_identity_exhaustive(family, rank):
     # p - q = 2(b,a)/(a,a) for every root pair, and the index reads the same
-    # Cartan integer off its walks; an opposite pair pairs to -2
+    # Cartan integer off its walks; a root pairs to 2 with itself and an
+    # opposite pair to -2
     rs = build_root_system(family, rank)
     for a in rs.roots:
         for b in rs.roots:
             ia, ib = rs.index[a], rs.index[b]
             if a == b:
+                assert rs.cartan_integer(ia, ia) == cartan_int(rs, a, a) == 2
                 continue
             if a == rneg(b):
                 assert rs.cartan_integer(ib, ia) == cartan_int(rs, b, a) == -2
