@@ -277,6 +277,29 @@ def test_analyze_stdout_is_byte_stable(capsys):
     )
 
 
+def test_analyze_json_of_rank_7_and_8_is_byte_stable(capsys):
+    # every A-E painting of rank 7 and 8 with 1-4 painted nodes, in the order
+    # the benchmark's analyze workload draws from
+    specs = [
+        painting_spec(f"{family}{rank}", painted)
+        for family in "ABCDE"
+        for rank in (7, 8)
+        for size in range(1, 5)
+        for painted in itertools.combinations(range(1, rank + 1), size)
+    ]
+    assert len(specs) == 1300
+    out = []
+    for spec in specs:
+        code, text = run_cli(capsys, "analyze", spec, "--json")
+        assert code == 0, spec
+        out.append(text)
+    data = "".join(out).encode()
+    assert len(data) == 719841
+    assert hashlib.sha256(data).hexdigest() == (
+        "dc520517bcc1227929ed4da902aafb067a8e7a158890a161e8cf9eaef6ed12bd"
+    )
+
+
 def flagsym_caches():
     """Every functools cache of the flagsym modules."""
     found = {}
