@@ -32,13 +32,7 @@ from .chevalley import ChevalleyTable, build_constants
 from .flag import FlagData, PaintedDiagram, make_flag, painting_spec, split_painted, to_dot
 from .oracle import oracle_check
 from .rootsystem import FAMILIES, build_root_system, is_valid_type, root_str
-from .symmetry import (
-    LeafDescriptor,
-    SymmetryReport,
-    build_report,
-    diagrams_agree,
-    k_prime_check,
-)
+from .symmetry import SymmetryReport, build_report, diagrams_agree, k_prime_check
 
 MAX_RANK_BOUND = 8
 
@@ -163,47 +157,8 @@ def _claim_coverage(report: EnumerationReport) -> str:
 
 
 @dataclass
-class EnumEntry:
-    family: str
-    rank: int
-    painted: tuple[int, ...]
-    dim_g: int
-    dim_m: int
-    symmetric: bool
-    exception: str | None
-    index: int
-    coindex: int
-    leaf: LeafDescriptor
-    checks: dict
-
-    @property
-    def spec(self) -> str:
-        return painting_spec(f"{self.family}{self.rank}", self.painted)
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "rank": self.rank,
-            "painted": list(self.painted),
-            "dim_g": self.dim_g,
-            "dim_M": self.dim_m,
-            "symmetric": self.symmetric,
-            "exception": self.exception,
-            "index": self.index,
-            "coindex": self.coindex,
-            "leaf": {
-                "u": self.leaf.u_type,
-                "k_factors": list(self.leaf.k_semisimple_type),
-                "k_center_dim": self.leaf.k_center_dim,
-                "name": self.leaf.name,
-            },
-            "checks": dict(self.checks),
-        }
-
-
-@dataclass
 class EnumerationReport:
-    entries: list[EnumEntry]
+    entries: list[SymmetryReport]
     summary: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -213,37 +168,26 @@ class EnumerationReport:
         }
 
 
-def _painting(flag: FlagData) -> tuple[EnumEntry, SymmetryReport]:
-    """The record of one painting, and the symmetry report it was read from.
+def _painting(flag: FlagData) -> SymmetryReport:
+    """The record of one painting, with its consistency checks.
 
     ``oracle_agree`` holds when both oracles give the symmetry roots on the
     whole Kahler cone.  :func:`flagsym.oracle.oracle_check` reads it off the
     certificate of the type's Chevalley table, and audits a table that has
     none; a table that fails the audit fails the check on every painting.
+    ``hprime_closed`` is true on every record: :func:`build_report` raises
+    on an h' that is not closed.
     """
     pd, family, rank = flag.pd, flag.rs.family, flag.rs.rank
-    exc = onishchik_exception(family, rank, pd.painted)
-    report = build_report(flag, exception=exc)
-    checks = {
-        "oracle_agree": oracle_check(chevalley_table(family, rank)),
-        "diagram_agree": diagrams_agree(pd, report.leaf),
-        "hprime_closed": report.hprime_closed,
-        "kprime_commutes": k_prime_check(flag),
-    }
-    entry = EnumEntry(
-        family=family,
-        rank=rank,
-        painted=tuple(sorted(pd.painted)),
-        dim_g=dim_g(family, rank),
-        dim_m=flag.dim_m,
-        symmetric=flag.is_symmetric_coset(),
-        exception=exc,
-        index=report.index,
-        coindex=report.coindex,
-        leaf=report.leaf,
-        checks=checks,
+    report = build_report(flag, exception=onishchik_exception(family, rank, pd.painted))
+    return report._replace(
+        checks={
+            "oracle_agree": oracle_check(chevalley_table(family, rank)),
+            "diagram_agree": diagrams_agree(pd, report.leaf),
+            "hprime_closed": True,
+            "kprime_commutes": k_prime_check(flag),
+        }
     )
-    return entry, report
 
 
 def enumerate_flags(
@@ -267,7 +211,7 @@ def enumerate_flags(
                 ) != painted:
                     continue
                 pd = PaintedDiagram(build_root_system(family, rank), painted)
-                entries.append(_painting(make_flag(pd))[0])
+                entries.append(_painting(make_flag(pd)))
     entries.sort(key=lambda e: (e.family, e.rank, e.painted))
     summary = {
         "total": len(entries),
@@ -293,7 +237,7 @@ def verify_theorem(report: EnumerationReport) -> tuple[bool, list[dict]]:
     """
     violations: list[dict] = []
 
-    def flag_violation(entry: EnumEntry | None, check: str, detail: str) -> None:
+    def flag_violation(entry: SymmetryReport | None, check: str, detail: str) -> None:
         violations.append(
             {"entry": entry.spec if entry else None, "check": check, "detail": detail}
         )
@@ -455,8 +399,8 @@ def main(argv=None) -> int:
 def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "analyze":
         pd = args.spec
-        entry, report = _painting(make_flag(pd))
-        record = entry.to_json()
+        report = _painting(make_flag(pd))
+        record = report.to_json()
         record["symmetry_roots"] = [root_str(a) for a in sorted(report.r_p_plus)]
         if args.dot:
             try:

@@ -73,12 +73,16 @@ def parse_painted(text: str) -> PaintedDiagram:
 
 class KahlerParam:
     """Strictly positive rational coefficients of xi on the painted nodes: ints,
-    Fractions or strings such as "1/3", never floats (binary approximations)."""
+    Fractions or strings such as "1/3", never floats (binary approximations)
+    or bools (flags, though ``True`` is the int 1)."""
 
     def __init__(self, coeffs: dict[int, Fraction]):
         for i, v in coeffs.items():
-            if isinstance(v, float):
-                raise ValueError(f"Kahler coefficient {v!r} on node {i} is a float, not exact")
+            if isinstance(v, (bool, float)):
+                raise ValueError(
+                    f"Kahler coefficient {v!r} on node {i} is a {type(v).__name__}; "
+                    "give an int, a Fraction or a string such as '1/3'"
+                )
         coeffs = {i: Fraction(v) for i, v in coeffs.items()}
         if not coeffs or any(v <= 0 for v in coeffs.values()):
             raise ValueError("Kahler parameter needs strictly positive coefficients")

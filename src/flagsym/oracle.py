@@ -1,4 +1,4 @@
-"""Transvection oracles via the Levi-Civita equations, proved on the Kahler cone.
+"""Transvection oracles from the Nomizu map, proved on the Kahler cone.
 
 A root vector E_a (a in R_m+) generates a transvection exactly when, for
 every decomposition -a = beta + gamma with beta, gamma in R_m, the cyclic sum
@@ -7,8 +7,17 @@ every decomposition -a = beta + gamma with beta, gamma in R_m, the cyclic sum
 
 vanishes, where r(d) = epsilon_d * d(xi) * b(d) is the pairing of E_d with
 E_{-d} (a common factor -i is dropped; every significant term carries one).
-The three brackets land at -a, -beta and -gamma, all in R_m, so the
-m-projection of the Levi-Civita connection drops none of them.
+
+Where the sum comes from.  A transvection at the base point o is a Killing
+field X from g whose covariant derivative vanishes at o.  The maximal torus
+T of H acts on these fields, so their m-parts span root spaces E_a, a in
+R_m, and a field with m-part E_a has X_h = 0, since h has no T-weight a.
+The covariant derivative of E_a at o is the Nomizu map Lambda_m(E_a) =
+1/2 [E_a, .]_m + U(E_a, .), with 2 <U(X, Y), Z> = <[Z, X]_m, Y> +
+<X, [Z, Y]_m> (K. Nomizu, Amer. J. Math. 76 (1954); Kobayashi-Nomizu II,
+ch. X).  On E_beta, paired with E_gamma, its brackets [E_x, E_y] =
+n(x, y) E_{x+y} give half the cyclic sum, up to sign; they land at -a,
+-beta and -gamma, all in R_m, so the m-projections drop none of them.
 
 The cone argument.  Each cyclic sum is linear in xi: it is c . xi for the
 integer vector c over the painted nodes with entries

@@ -29,8 +29,8 @@ the abelian-centre test and [k', p] = 0 are short loops over set bits.
 Roots become coordinate tuples only where a caller reads them: the symmetry
 roots of a report.
 
-Each painting has one record, a :class:`Structure` kept on its FlagData and
-built once by :func:`_structure`, whichever entry point comes first:
+The masks of each painting are built once, in a :class:`Structure` kept on
+its FlagData, by :func:`_structure`, whichever entry point comes first:
 
   * the symmetry roots, by two independent scans that are cross-checked: one
     tests membership of a + b in R through ``sums``, the other membership in
@@ -43,9 +43,7 @@ built once by :func:`_structure`, whichever entry point comes first:
     of p (see below).
 
 :func:`build_report`, :func:`leaf_pair`, :func:`h_prime` and
-:func:`k_prime_check` read that record, and
-:attr:`SymmetryReport.hprime_closed` reads back the h' it proved closed
-instead of closing h' again.
+:func:`k_prime_check` read that Structure.
 
 What depends on the painting only through a smaller key is decided once per
 key and root system, in a memo on the ``RootSystem``:
@@ -139,26 +137,63 @@ class Structure(NamedTuple):
     hp: int  # h' = h + p, proved closed under root addition
 
 
-@dataclass
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
+    """The one record of a painting, from :func:`build_report`; the sweep
+    adds the consistency checks, and ``to_json`` is its ``enumerate`` entry."""
+
     flag: FlagData
     r_p_plus: frozenset
     index: int
     coindex: int
     leaf: LeafDescriptor
-    h_prime_mask: int  # the roots of h' = h + p, over the root index
     exception: str | None = None
+    checks: dict | None = None
 
     @property
-    def hprime_closed(self) -> bool:
-        """h' = h + p closed under root addition.
+    def spec(self) -> str:
+        return self.flag.pd.spec
 
-        The flag's :class:`Structure` proved it for its own h' mask; any other
-        mask is tested by the mask closure.
-        """
-        if self.h_prime_mask == _structure(self.flag).hp:
-            return True
-        return _closure_gap(self.flag.rs, self.h_prime_mask) is None
+    @property
+    def family(self) -> str:
+        return self.flag.rs.family
+
+    @property
+    def rank(self) -> int:
+        return self.flag.rs.rank
+
+    @property
+    def painted(self) -> tuple[int, ...]:
+        return tuple(sorted(self.flag.pd.painted))
+
+    @property
+    def dim_g(self) -> int:
+        rs = self.flag.rs
+        return len(rs.roots) + rs.rank
+
+    @property
+    def symmetric(self) -> bool:
+        return self.flag.is_symmetric_coset()
+
+    def to_json(self) -> dict:
+        leaf = self.leaf
+        return {
+            "family": self.family,
+            "rank": self.rank,
+            "painted": list(self.painted),
+            "dim_g": self.dim_g,
+            "dim_M": self.flag.dim_m,
+            "symmetric": self.symmetric,
+            "exception": self.exception,
+            "index": self.index,
+            "coindex": self.coindex,
+            "leaf": {
+                "u": leaf.u_type,
+                "k_factors": list(leaf.k_semisimple_type),
+                "k_center_dim": leaf.k_center_dim,
+                "name": leaf.name,
+            },
+            "checks": dict(self.checks or {}),
+        }
 
 
 def symmetry_roots(flag: FlagData) -> frozenset:
@@ -468,6 +503,5 @@ def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport
         index=index,
         coindex=coindex,
         leaf=leaf_pair(flag),
-        h_prime_mask=h_prime(flag),
         exception=exception,
     )

@@ -5,7 +5,7 @@ transvection oracles on the whole Kahler cone, so these helpers moved here
 from ``FlagData`` and ``flagsym.oracle``: the root sets R_h, R_m and R_m+
 built from coordinates, independent of the masks, the value of a root at a
 Kahler parameter, the sign epsilon of a tangent root, the T-root modules and
-the pairing r(d) of the Levi-Civita equations.
+the pairing r(d) of the cyclic sums of the Nomizu map.
 """
 
 from fractions import Fraction

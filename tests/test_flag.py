@@ -195,6 +195,11 @@ def test_kahler_param_validation():
         kahler_param(f, [0.1, 2])
     with pytest.raises(ValueError, match="node 3"):
         KahlerParam({2: 1, 3: 2.0})
+    # no bools: True is the int 1, but a flag where a coefficient belongs
+    with pytest.raises(ValueError, match="node 2"):
+        KahlerParam({2: True, 3: 1})
+    with pytest.raises(ValueError, match="node 2"):
+        kahler_param(f, [True, 2])
     xi = kahler_param(f, [1, "1/3"])
     assert xi == kahler_param(f, [Fraction(1), Fraction(1, 3)]) == KahlerParam({2: 1, 3: "1/3"})
 

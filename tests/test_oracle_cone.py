@@ -117,7 +117,7 @@ def mutated(table, changes):
 def full_painting_entry(monkeypatch, family, rank, table):
     monkeypatch.setattr(cli, "chevalley_table", lambda f, r: table)
     rs = build_root_system(family, rank)
-    return cli._painting(make_flag(PaintedDiagram(rs, frozenset(range(1, rank + 1)))))[0]
+    return cli._painting(make_flag(PaintedDiagram(rs, frozenset(range(1, rank + 1)))))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
@@ -157,7 +157,7 @@ def test_corrupted_constant_fails_the_oracle_check_on_a_partial_painting(
     table = chevalley_table(family, rank)
     monkeypatch.setattr(cli, "chevalley_table", lambda f, r: table)
     flag = make_flag(PaintedDiagram(table.rs, frozenset(range(2, rank + 1))))
-    assert cli._painting(flag)[0].checks["oracle_agree"]
+    assert cli._painting(flag).checks["oracle_agree"]
     theta, r_m = table.rs.highest, table.rs.roots_of(flag.m_mask)
     pairs = [
         (x, y)
@@ -167,7 +167,7 @@ def test_corrupted_constant_fails_the_oracle_check_on_a_partial_painting(
     assert pairs
     for pair in pairs:
         monkeypatch.setattr(cli, "chevalley_table", lambda f, r: mutated(table, {pair: change}))
-        assert cli._painting(flag)[0].checks["oracle_agree"] is False, pair
+        assert cli._painting(flag).checks["oracle_agree"] is False, pair
 
 
 def test_corrupted_constant_fails_the_oracle_check_through_analyze(monkeypatch, capsys):

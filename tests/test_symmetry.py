@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 
@@ -22,7 +21,7 @@ from flagsym import (
     parse_painted,
     symmetry_roots,
 )
-from flagsym import symmetry
+from flagsym import cli, symmetry
 from flagsym.cli import simple_types
 from flagsym.flag import split_painted
 from flagsym.rootsystem import bits, rneg, root_str
@@ -168,19 +167,6 @@ def test_h_prime_symmetric_is_everything():
     assert f.rs.roots_of(h_prime(f)) == root_set(f.rs)
 
 
-def test_hprime_closed_is_the_mask_closure():
-    rep = build_report(make_flag(parse_painted("A3:{2,3}")))
-    assert rep.hprime_closed is True
-    rs = rep.flag.rs
-    # {a1, a2} misses a1 + a2, so it is not closed under root addition
-    broken = dataclasses.replace(rep, h_prime_mask=rs.mask_of({(1, 0, 0), (0, 1, 0)}))
-    assert broken.hprime_closed is False
-    assert rs.roots_of(broken.h_prime_mask) == {(1, 0, 0), (0, 1, 0)}
-    # a mask other than the proved one is closed by the mask closure
-    other = dataclasses.replace(rep, h_prime_mask=rs.mask_of({(1, 0, 0), (-1, 0, 0)}))
-    assert other.hprime_closed is True
-
-
 def test_closure_gap_walks_the_given_rows():
     rs = build_root_system("A", 2)
     i, j = sorted((rs.index[(1, 0)], rs.index[(0, 1)]))
@@ -233,14 +219,13 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
         monkeypatch.setattr(symmetry, name, counted(name))
     rs = RootSystem("E", 7)  # its own memos, empty
     f = make_flag(PaintedDiagram(rs, frozenset({2, 5})))
-    rep = build_report(f)
-    assert k_prime_check(f) and rep.hprime_closed
-    assert h_prime(f) == rep.h_prime_mask
+    build_report(f)
     record = _structure(f)
+    assert k_prime_check(f) and h_prime(f) == record.hp
     full = (1 << len(rs.roots)) - 1
     # [p, p] once; h' on the rows of p, whose closure first decides, once per
     # root system, that the table is sound by closing the zero set of each
-    # node; then the leaf on the rows of k only; none for hprime_closed
+    # node; then the leaf on the rows of k only; none for h_prime
     assert calls == {
         "_r_k": [(record.plus,)],
         "_closure_gap": [(record.hp, record.rp)]
@@ -257,7 +242,7 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
     rep = build_report(g)
     other = _structure(g)
     assert other[:4] == record[:4] and rep.leaf is leaf_pair(f)
-    assert k_prime_check(g) and rep.hprime_closed
+    assert k_prime_check(g) and h_prime(g) == other.hp
     assert calls == {"_r_k": [], "_closure_gap": [(other.hp, other.rp)]}
 
 
@@ -326,6 +311,11 @@ def test_planted_gap_between_p_and_h_raises_the_full_walk_witness(spec, rows):
         build_report(f)
     assert str(exc.value) == hprime_message(f, hp)
     assert f._structure is None
+    # no record of the painting can say hprime_closed over an open h'
+    with pytest.raises(InternalConsistencyError) as exc:
+        cli._painting(f)
+    assert str(exc.value) == hprime_message(f, hp)
+    assert f._structure is None
 
 
 @pytest.mark.parametrize("spec", GAP_PAINTINGS)
@@ -379,7 +369,7 @@ def test_report_invariants_exhaustive(family, rank):
                 assert radd(a, b) not in root_set(rs)
         # h' is closed and contains the isotropy roots
         r_h = rs.roots_of(f.h_mask)
-        assert r_h <= rs.roots_of(rep.h_prime_mask)
+        assert r_h <= rs.roots_of(h_prime(f))
         assert k_prime_check(f)
         # leaf sanity: r_k inside r_h, rank equality
         leaf = rep.leaf
