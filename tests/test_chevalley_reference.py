@@ -9,6 +9,7 @@ those of the Fraction reference; its audit prunes the triples and must report
 the same violations, on clean tables and on tables with seeded faults.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -417,6 +418,52 @@ def test_verdict_triple_counts_of_e6_to_e8():
         candidates = sums_of_triples(rs, _jacobi_candidates(rs))
         counts[rank] = (len(kept_triples(rs, canonical)), len(candidates))
     assert counts == {6: (810, 876), 7: (3780, 3970), 8: (22680, 23331)}
+
+
+# the sha256 of the repr of the verdict's triples (p, q, r), in the order it
+# evaluates them: the first failing triple, and so the verdict's work on a
+# faulty table, depends on that order, not only on the set of triples
+VERDICT_WALK_ORDER = {
+    "A1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "A2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "A3": "f78504ec38fe746370577bc997d59638a0ecf3bdcf38a215ac1fc1bc2d43ccc1",
+    "A4": "0342538eb7f86e4f37c2ec8e6a0f1f916cc84a4cc1623756bfeb2938643ebdbe",
+    "A5": "7311c8cd132bffddd3268e12557353d599ac92e8d26f54173ea07b484a7b6e15",
+    "A6": "32afb6cb38f09ad1e0eab200d3bb26fe079a50a96840ae0d5bb17637e33acb1b",
+    "A7": "a41a0ab0ea62187956c8e4ae650845d2ca1f1db5744f52b88874b01fd04b38a0",
+    "A8": "90950648df35d41420c86ec758686fb3402dd2bd8d07048f81a1e1ad0cce6a27",
+    "B2": "8537b5e60dd6e484e8f795c3365d33ecf210de917458ea6342045b5cf59e2ec9",
+    "B3": "9fd2682f2e7a2af347bdddb3983f4ff4461658c2b9e580adf8374538211e4a94",
+    "B4": "9ce3c5758141a6d451e3f0b0276f81218d9a38b67d3c4ca1da89809cb9f02b3f",
+    "B5": "f64f69d87e6cd0facb6ff29d0458298e0dbd8ab08ea2b9702c661149e28de561",
+    "B6": "b5a08d439a9ee04842c2d161f9b993fc2cd1f2990244299a3afb20849c0c6aaf",
+    "B7": "293e6b65865cc0ab61b210d44a039acc7eaa97e2cbb32028c14ae704289d5043",
+    "B8": "8a4dd33f17984d765b48c3cdf41667a468ae6b8aa1fc24d755a73e69bcac8896",
+    "C3": "1227134ecd85bf912765d9f50d4886ce03d991b902539c63011036a97277e366",
+    "C4": "3487cb763f3d9b49dc4de1dfcd0daef99406a821a2466a5f06c451d64b6f54e6",
+    "C5": "85a0d92f953bded585bfca1aaa606708e3dddb54dde20867ad915b8e691401ad",
+    "C6": "c11e2e51afd7ad1d193b8ca95fc672d75e8aa4ef3d29a88f4268dc6570431716",
+    "C7": "667ff4909cc221b6c044bd5a94b6929412fbdf2d15131545864ad3ab7f781dea",
+    "C8": "9e26a900f158a156a85ba12ca5228d4542ea8b0b289726df00044f3e33008712",
+    "D4": "6be9342b813e74fcb5f27626666a9b98a2d0bc3328ffb36204f5d1f2f431c550",
+    "D5": "1ff60f460a547bb4f3c86b2a79f8a1dc98f555b331a2ccf8ebd8a2604fcf8a17",
+    "D6": "f8d47df82b9320d0179038008cdd04b545f3fd4d66ae52ebae436a1e3c200631",
+    "D7": "65d5f1f249e41011bcde647153c6f8ec3c33cb0473449ec03090c627e3362b90",
+    "D8": "8342057de288d299b8a5d61035c23b452316ffcd0b1c07b93dedc625ee7f77f7",
+    "E6": "2c9e5400dda674d38af49ddbe0c4495acc3d462ddc08078a6e8e1ddc4bb9659c",
+    "E7": "e323462d69dc576d4b4f030712e680db731d2a212205c4f51c97f6c67c104c87",
+    "E8": "307f7e33b464021a4831a497bb260e9917dab7b2259cb1e7f247ac735d18164c",
+    "F4": "f007e562e21a4312b729c086bd71cecb2e0108c9b8388b9e3ac3a73e95d991a9",
+    "G2": "2abbb2a9d709651c0152b5135958cfe168e44589748e59ec5bc3077d00e6dcdf",
+}
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_verdict_walk_order_is_pinned(family, rank):
+    rs = build_root_system(family, rank)
+    order = [(p, q, r) for p, q, third in _jacobi_candidates(rs) for r in bits(third)]
+    got = hashlib.sha256(repr(order).encode()).hexdigest()
+    assert got == VERDICT_WALK_ORDER[f"{family}{rank}"]
 
 
 def pair_orbits(table):
