@@ -44,22 +44,37 @@ def _string_down(rs, a, base):
     return walk(rs.add[rs.neg[rs.index[a]]], rs.index[base])
 
 
+def jacobi_pairs(rs, canonical=False):
+    """The (p, q, third) of ``_jacobi_pairs``; with ``canonical`` only its
+    triples with at least two positive roots: p is positive, and r is positive
+    when q is not."""
+    half, positive = len(rs.positive_roots), rs.positive_mask
+    for p, q, third in _jacobi_pairs(rs):
+        if canonical:
+            if p >= half:
+                return  # p ascends
+            if q >= half:
+                third &= positive
+        if third:
+            yield p, q, third
+
+
 def _jacobi_triples(rs, canonical=False):
     """Sorted index triples (x, y, z) whose Jacobi defect can be nonzero, each once."""
-    for p, q, third in _jacobi_pairs(rs, canonical):
+    for p, q, third in jacobi_pairs(rs, canonical):
         for r in bits(third):
             yield (r, p, q) if r < p else (p, r, q) if r < q else (p, q, r)
 
 
 def jacobi_walk(rs, canonical=False):
-    """The candidate triples of ``_jacobi_pairs`` as (p, q, generic, special).
+    """The candidate triples of :func:`jacobi_pairs` as (p, q, generic, special).
 
     ``special`` holds the third roots r that make an opposite pair (q = -p, or
     r = -p or -q) or a zero sum (r = -(p + q)); ``generic`` holds the others,
     for which p + q + r is a root and no two of the roots are opposite.
     """
     neg, add = rs.neg, rs.add
-    for p, q, third in _jacobi_pairs(rs, canonical):
+    for p, q, third in jacobi_pairs(rs, canonical):
         if q == neg[p]:
             yield p, q, 0, third
         else:
