@@ -44,10 +44,11 @@ The audit (:func:`convention_violations`) reads the stored array, so a table
 changed after construction is audited as it stands.  It has two tiers.  The
 verdict, :func:`sign_convention_check`, checks each identity once per orbit
 and stops at the first fault.  Only when it fails does the witness tier run:
-the pair and cyclic checks on every pair, in index order, then the Jacobi
-check on every triple that can fail, so the witnesses and their order are
-those of the exhaustive enumeration.  The verdict passes exactly when the
-witness tier reports nothing, by the arguments below.
+the pair and cyclic checks on every pair, then the zero check on every
+other pair, in index order, then the Jacobi check on every triple that can
+fail, so the witnesses and their order are those of the exhaustive
+enumeration.  The verdict passes exactly when the witness tier reports
+nothing, by the arguments below.
 
 - Pairs.  The antisymmetry, negation and |n| = p+1 checks of a pair read
   only the entries of its orbit.  The verdict visits each orbit once, from
@@ -65,6 +66,9 @@ witness tier reports nothing, by the arguments below.
   negating the roots does too by the negation rule.  So once the pair checks
   are clean the twelve hold together.  One triple of each class {T, -T} has
   two positive roots i < j, and the verdict checks the identity there.
+- Zeros.  n is zero where a + b is no root.  Once |n| = p + 1 >= 1 holds on
+  every sum pair, that is so exactly when ``n_dense`` has as many nonzero
+  entries as the ``sums`` masks have bits, and the verdict counts them.
 
 The exhaustive Jacobi check visits only the triples that can fail, and this
 pruning is exact.  Each term of
@@ -178,7 +182,6 @@ import hashlib
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain, islice
 
 from .rootsystem import (
@@ -190,7 +193,6 @@ from .rootsystem import (
 )
 
 
-@dataclass(eq=False)
 class ChevalleyTable:
     """Structure constants n for one root system.
 
@@ -202,12 +204,13 @@ class ChevalleyTable:
     table's digest equals the pin of an audited build, None on a table it
     did not build (a changed copy).  :func:`flagsym.oracle.oracle_check`
     reads the oracles' verdict off the certificate, and audits an
-    uncertified table.
+    uncertified table.  Two tables are equal only when they are one object.
     """
 
-    rs: RootSystem
-    n_dense: array
-    certified: str | None = None
+    __slots__ = ("rs", "n_dense", "certified")
+
+    def __init__(self, rs: RootSystem, n_dense: array, certified: str | None = None):
+        self.rs, self.n_dense, self.certified = rs, n_dense, certified
 
     def n_of(self, a: Root, b: Root) -> int:
         """n(a, b); zero when a + b is not a root."""
@@ -423,8 +426,9 @@ def _jacobi_candidates(rs: RootSystem):
 
 def _witnesses(table: ChevalleyTable):
     """Every witness of the audit: the pair checks on each pair, then the
-    weighted cyclic identity on each pair, in index order, then the Jacobi
-    check on each candidate triple, in the order of the walk."""
+    weighted cyclic identity on each pair, then each nonzero n off the sum
+    pairs, in index order, then the Jacobi check on each candidate triple,
+    in the order of the walk."""
     rs = table.rs
     roots, neg, add, sums, b = rs.roots, rs.neg, rs.add, rs.sums, rs.weights
     count = len(roots)
@@ -448,6 +452,10 @@ def _witnesses(table: ChevalleyTable):
             lhs = n[i * count + j] * b[k]
             if lhs != n[j * count + k] * b[i] or lhs != n[k * count + i] * b[j]:
                 yield f"weighted cyclic identity fails on ({roots[i]}, {roots[j]}, {roots[k]})"
+    for i in range(count):
+        for j in range(count):
+            if n[i * count + j] and not sums[i] >> j & 1:
+                yield f"n nonzero off the sum pairs at ({roots[i]}, {roots[j]})"
 
     def defective(x: int, y: int, z: int) -> bool:
         """Whether [[E_x,E_y],E_z] + [[E_y,E_z],E_x] + [[E_z,E_x],E_y] != 0."""
@@ -484,10 +492,10 @@ def convention_violations(table: ChevalleyTable, *, limit: int | None = None) ->
     """Audit the table; returns human-readable witnesses (empty = clean).
 
     Checks antisymmetry, the negation rule, |n| = p+1, the weighted cyclic
-    identity on every zero-sum triple, and the Jacobi identity on every
-    triple that can fail.  A table that passes the verdict
-    (:func:`sign_convention_check`) has no witness; any other gets the
-    witness tier, each check on each pair and candidate triple in index
+    identity on every zero-sum triple, n = 0 where a + b is no root, and the
+    Jacobi identity on every triple that can fail.  A table that passes the
+    verdict (:func:`sign_convention_check`) has no witness; any other gets
+    the witness tier, each check on each pair and candidate triple in index
     order.  With ``limit`` the audit stops after that many witnesses.
     """
     if limit is not None and limit < 1:
@@ -523,6 +531,9 @@ def sign_convention_check(table: ChevalleyTable) -> bool:
                 lhs = v * b[k]
                 if lhs != n[j * count + k] * b[i] or lhs != n[k * count + i] * b[j]:
                     return False
+    # |n| >= 1 on every sum pair, so a count tells that n is zero off them
+    if count * count - table.n_dense.tobytes().count(0) != sum(map(int.bit_count, sums)):
+        return False
     for p, q, third in _jacobi_candidates(rs):
         # the pair checks hold, so the defect of (p, q, r) is that of the
         # sorted triple up to sign: the terms of E_{p+q+r}, in any order

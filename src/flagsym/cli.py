@@ -24,7 +24,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -156,10 +156,13 @@ def _claim_coverage(report: EnumerationReport) -> str:
     )
 
 
-@dataclass
-class EnumerationReport:
-    entries: list[SymmetryReport]
-    summary: dict = field(default_factory=dict)
+class EnumerationReport(namedtuple("EnumerationReport", "entries summary")):
+    """The records of a sweep, and its summary: a fresh dict unless one is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: list[SymmetryReport], summary: dict | None = None):
+        return super().__new__(cls, entries, {} if summary is None else summary)
 
     def to_json(self) -> dict:
         return {
@@ -289,15 +292,10 @@ def _print_analysis(record: dict) -> None:
         f"leaf: u = {leaf['u']}, k = {kpart} + {leaf['k_center_dim']}-dim center, "
         f"name = {leaf['name']}"
     )
-    checks = record["checks"]
-    state = lambda ok: "ok" if ok else "FAIL"
+    state = {name: "ok" if ok else "FAIL" for name, ok in record["checks"].items()}
     print(
-        "checks: oracle {} | diagram {} | h' closed {} | [k',p]=0 {}".format(
-            state(checks["oracle_agree"]),
-            state(checks["diagram_agree"]),
-            state(checks["hprime_closed"]),
-            state(checks["kprime_commutes"]),
-        )
+        f"checks: oracle {state['oracle_agree']} | diagram {state['diagram_agree']} | "
+        f"h' closed {state['hprime_closed']} | [k',p]=0 {state['kprime_commutes']}"
     )
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .rootsystem import (
     Diagram,
@@ -30,17 +29,18 @@ def painting_spec(type_name: str, painted) -> str:
     return f"{type_name}:{{{','.join(map(str, sorted(painted)))}}}"
 
 
-@dataclass(frozen=True)
-class PaintedDiagram:
-    rs: RootSystem
-    painted: frozenset[int]
+class PaintedDiagram(namedtuple("PaintedDiagram", "rs painted")):
+    """A root system and a nonempty frozenset of its nodes, painted."""
 
-    def __post_init__(self):
-        if not self.painted:
+    __slots__ = ()
+
+    def __new__(cls, rs: RootSystem, painted: frozenset[int]):
+        if not painted:
             raise ValueError("painted set must be nonempty (empty would give H = G)")
-        bad = [i for i in self.painted if not 1 <= i <= self.rs.rank]
+        bad = [i for i in painted if not 1 <= i <= rs.rank]
         if bad:
-            raise ValueError(f"painted nodes out of range for {self.rs.name}: {bad}")
+            raise ValueError(f"painted nodes out of range for {rs.name}: {bad}")
+        return super().__new__(cls, rs, painted)
 
     @property
     def spec(self) -> str:
@@ -77,6 +77,7 @@ class KahlerParam:
     or bools (flags, though ``True`` is the int 1)."""
 
     def __init__(self, coeffs: dict[int, Fraction]):
+        from fractions import Fraction  # not on the CLI path: no command builds a xi
         for i, v in coeffs.items():
             if isinstance(v, (bool, float)):
                 raise ValueError(
@@ -108,7 +109,7 @@ class FlagData:
 
     def __init__(self, pd: PaintedDiagram):
         self.pd = pd
-        rs = pd.rs
+        self.rs = rs = pd.rs
         # R_m: the roots with a nonzero coefficient on a painted node; R_h: the rest
         m_mask = 0
         for i in pd.painted:
@@ -121,10 +122,6 @@ class FlagData:
         # filled once by flagsym.symmetry: the symmetry roots and the masks
         # of p, [p, p] and h' (a symmetry.Structure)
         self._structure = None
-
-    @property
-    def rs(self) -> RootSystem:
-        return self.pd.rs
 
     def is_symmetric_coset(self) -> bool:
         """True iff no two roots of R_m+ sum to a root ([m, m] inside h)."""
@@ -154,6 +151,7 @@ def kahler_param(flag: FlagData, values) -> KahlerParam:
 
 def random_kahler_param(flag: FlagData, seed) -> KahlerParam:
     """Deterministic pseudo-random parameter with coefficients in (0, 10]."""
+    from fractions import Fraction
     rng = random.Random(str(seed))
     coeffs = {}
     for i in sorted(flag.pd.painted):

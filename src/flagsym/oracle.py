@@ -100,7 +100,6 @@ order of ``RootSystem.splittings``, mixed-sign pairs first.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -179,6 +178,7 @@ def _nonzero_terms(flag: FlagData, coefficients, a: int, at: list[int]):
 
 
 def _violations(flag: FlagData, xi: KahlerParam, coefficients, a: Root) -> list:
+    from fractions import Fraction  # not on the CLI path: no command builds a xi
     index = flag.rs.index.get(a)
     if index is None or not flag.m_plus_mask >> index & 1:
         raise ValueError("transvection candidates live in R_m+")

@@ -50,10 +50,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import add, mul
 
 Root = tuple[int, ...]
@@ -132,8 +130,7 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
         c[i][i] = 2
 
     def join(i: int, j: int) -> None:
-        c[i][j] = -1
-        c[j][i] = -1
+        c[i][j] = c[j][i] = -1
 
     if family in ("A", "B", "C"):
         for i in range(n - 1):
@@ -163,23 +160,24 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-def _length_halves(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
-    """Half squared lengths d_i = (a_i,a_i)/2, normalised so long roots get d = 1."""
+def _length_halves(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Half squared lengths d_i = (a_i,a_i)/2 as the integer symmetriser of
+    the Cartan matrix, c_ij d_j = c_ji d_i (Kac, *Infinite-dimensional Lie
+    algebras*, §2.3): 1 on the shortest simple roots, 2 or 3 on long ones."""
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d = [6] + [0] * (n - 1)  # 6 on node 1: each d_j is 6 times 1, 2, 3, 1/2 or 1/3
     queue = [0]
     while queue:
         i = queue.pop()
         for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
+            if i != j and cartan[i][j] != 0 and not d[j]:
                 # symmetry (a_i,a_j) = c_ij d_j = c_ji d_i fixes the ratio
-                d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
+                d[j] = d[i] * cartan[j][i] // cartan[i][j]
                 queue.append(j)
-    if None in d:
+    if 0 in d:
         raise InternalConsistencyError("Cartan matrix of a disconnected diagram")
-    top = max(d)  # type: ignore[type-var]
-    return tuple(x / top for x in d)  # type: ignore[union-attr]
+    low = min(d)
+    return tuple(x // low for x in d)
 
 
 def _positive_roots(
@@ -232,8 +230,7 @@ def walk(row, k: int) -> int:
     return steps
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(namedtuple("Diagram", "nodes edges")):
     """Dynkin diagram (possibly extended): node 0, when present, is the affine
     node carrying the lowest root -theta.
 
@@ -243,22 +240,19 @@ class Diagram:
 
     Sets of nodes are node masks: bit k stands for ``nodes[k]``, the node in
     place k (on the plain and the extended diagram of a root system, place
-    and label agree).
+    and label agree).  ``adjacency[k]``, derived at construction and kept
+    outside the tuple, is the node mask of the neighbours of ``nodes[k]``.
     """
 
-    nodes: tuple
-    edges: tuple
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """adjacency[k]: the node mask of the neighbours of ``nodes[k]``.
-        Built on first use."""
-        place = dict(zip(self.nodes, range(len(self.nodes))))
-        adjacency = [0] * len(self.nodes)
-        for a, b, _, _ in self.edges:
+    def __new__(cls, nodes: tuple, edges: tuple):
+        self = super().__new__(cls, nodes, edges)
+        place = dict(zip(nodes, range(len(nodes))))
+        adjacency = [0] * len(nodes)
+        for a, b, _, _ in edges:
             adjacency[place[a]] |= 1 << place[b]
             adjacency[place[b]] |= 1 << place[a]
-        return tuple(adjacency)
+        self.adjacency: tuple[int, ...] = tuple(adjacency)
+        return self
 
     def component(self, start: int, within: int = -1) -> int:
         """Node mask of the component of the node in place ``start`` in the
@@ -378,7 +372,7 @@ class RootSystem:
         self.cartan = cartan_matrix(family, rank)
         self.family = family
         self.rank = rank
-        d = _length_halves(self.cartan)
+        halves = _length_halves(self.cartan)
         pos, pairings = _positive_roots(self.cartan)
         half, count = len(pos), 2 * len(pos)
         self.positive_roots: tuple[Root, ...] = tuple(pos)
@@ -389,18 +383,16 @@ class RootSystem:
         self.highest: Root = pos[-1]
         if len(pos) > 1 and height(pos[-2]) == height(self.highest):
             raise InternalConsistencyError("highest root is not unique")
-        # (r, r) = sum_i r_i <r, a_i^v> (a_i, a_i) / 2, here times scale, the
-        # common denominator of the d_i (so the halves d_i scale are ints), and
-        # b(r) = 2/(r, r) = 2 scale / square
-        scale = lcm(*(x.denominator for x in d))
-        halves = [x.numerator * (scale // x.denominator) for x in d]
+        # square = sum_i r_i <r, a_i^v> d_i is (r, r) in units where a long root
+        # has 2 scale, scale = max d_i; so b(r) = 2/(r, r) = 2 scale / square
+        scale = max(halves)
         weights = []
         for r, pairing in zip(pos, pairings):
             square = sum(map(mul, r, map(mul, pairing, halves)))
             w, rem = divmod(2 * scale, square)
             if rem:
                 raise InternalConsistencyError(
-                    f"non-integral pairing weight b = 2/({Fraction(square, scale)}) at {r}"
+                    f"non-integral pairing weight b = {2 * scale}/{square} at {r}"
                 )
             weights.append(w)
         # b(-r) = b(r)

@@ -50,8 +50,8 @@ key and root system, in a memo on the ``RootSystem``:
 
   * [p, p] and the leaf (the closure of u, the classification of u and k,
     the two ranks, the k-highest test and the name) depend only on the mask
-    of R_p+.  :func:`leaf_pair` keeps the frozen :class:`LeafDescriptor`
-    itself in ``RootSystem.leaf_memo`` under that mask (the rank-8 sweep has
+    of R_p+.  :func:`leaf_pair` keeps the :class:`LeafDescriptor`, a named
+    tuple, in ``RootSystem.leaf_memo`` under that mask (the rank-8 sweep has
     305 masks among 2455 paintings), and :func:`_structure` reads [p, p]
     back from its ``k_mask``; it computes [p, p] only for a mask that has no
     entry yet.  A descriptor holds masks and labels only, nothing that refers
@@ -96,7 +96,6 @@ components that :func:`~flagsym.rootsystem.classify_connected` labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -116,8 +115,9 @@ class ClassificationError(InternalConsistencyError):
     """The leaf pair failed to match an irreducible Hermitian symmetric pair."""
 
 
-@dataclass(frozen=True)
-class LeafDescriptor:
+class LeafDescriptor(NamedTuple):
+    """The leaf pair (u, k) of a painting, by :func:`leaf_pair`."""
+
     u_type: str
     k_semisimple_type: tuple[str, ...]
     k_center_dim: int

@@ -32,7 +32,6 @@ from math import lcm
 from flagsym.rootsystem import (
     Diagram,
     InternalConsistencyError,
-    _length_halves,
     bits,
     height,
     rneg,
@@ -53,11 +52,27 @@ def root_set(rs) -> frozenset:
     return frozenset(rs.roots)
 
 
+def ref_length_halves(cartan) -> tuple[Fraction, ...]:
+    """Half squared lengths d_i = (a_i, a_i)/2 as Fractions, long roots d = 1,
+    from the symmetry (a_i, a_j) = c_ij d_j = c_ji d_i along the edges."""
+    d = [None] * len(cartan)
+    d[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j, c in enumerate(cartan[i]):
+            if i != j and c and d[j] is None:
+                d[j] = d[i] * Fraction(cartan[j][i], c)
+                queue.append(j)
+    top = max(d)
+    return tuple(x / top for x in d)
+
+
 @lru_cache(maxsize=None)
 def gram_form(cartan):
     """(gram, scale): the integer Gram matrix, (a_i, a_j) = gram[i][j] / scale."""
     rank = len(cartan)
-    d = _length_halves(cartan)
+    d = ref_length_halves(cartan)
     scale = lcm(*(x.denominator for x in d))
     gram = tuple(
         tuple(int(cartan[i][j] * d[j] * scale) for j in range(rank)) for i in range(rank)

@@ -29,7 +29,7 @@ from flagsym import (
 )
 from flagsym.chevalley import _jacobi_candidates
 from flagsym.rootsystem import InternalConsistencyError, bits, height
-from root_helpers import ref_weights, root_set, rsub, sum_index, sum_root
+from root_helpers import radd, ref_weights, root_set, rsub, sum_index
 from table_helpers import _jacobi_triples, jacobi_walk, table_constants, with_constants
 
 # The pure per-type reference helpers, shared by every test of the module:
@@ -127,42 +127,40 @@ def test_build_matches_reference_through_e8(family, rank):
     assert all(type(w) is int for w in rs.weights)
 
 
-def ref_jacobi_defect(table, rs, x, y, z):
-    """Coefficients of [[E_x,E_y],E_z] + [[E_y,E_z],E_x] + [[E_z,E_x],E_y]."""
+def ref_jacobi_defect(n, sums, rs, x, y, z):
+    """Coefficients of [[E_x,E_y],E_z] + [[E_y,E_z],E_x] + [[E_z,E_x],E_y],
+    with n(a, b) read from ``n`` and a + b from ``sums``, both keyed by
+    coordinate tuples (``table_constants`` and ``sum_index``)."""
     roots = {}
-    cart = [Fraction(0)] * rs.rank
-
-    def add_term(a, b, c):
+    cart = [0] * rs.rank  # ints stay exact beside the Fraction coroot terms
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         if a == rneg(b):
             coef = cartan_int(rs, c, a)
             if coef:
-                roots[c] = roots.get(c, Fraction(0)) + coef
-            return
-        s = sum_root(rs, a, b)
+                roots[c] = roots.get(c, 0) + coef
+            continue
+        s = sums.get((a, b))
         if s is None:
-            return
-        m = table.n_of(a, b)
+            continue
+        m = n[(a, b)]
         if s == rneg(c):
             for i, v in enumerate(coroot(rs, s)):
                 cart[i] += m * v
-            return
-        u = sum_root(rs, s, c)
+            continue
+        u = sums.get((s, c))
         if u is not None:
-            coef = m * table.n_of(s, c)
+            coef = m * n[(s, c)]
             if coef:
-                roots[u] = roots.get(u, Fraction(0)) + coef
-
-    add_term(x, y, z)
-    add_term(y, z, x)
-    add_term(z, x, y)
+                roots[u] = roots.get(u, 0) + coef
     return {r: c for r, c in roots.items() if c}, cart
 
 
 def ref_violations(table):
     rs = table.rs
     b = ref_weights(rs.cartan)
+    n, sums, roots = table_constants(table), sum_index(rs), root_set(rs)
     out = []
-    for (x, y), v in table_constants(table).items():
+    for (x, y), v in n.items():
         if v != -table.n_of(y, x):
             out.append(f"antisymmetry fails at ({x}, {y})")
         if v != -table.n_of(rneg(x), rneg(y)):
@@ -170,14 +168,19 @@ def ref_violations(table):
         p = ref_string_down(rs, x, y)
         if abs(v) != p + 1:
             out.append(f"|n| != p+1 at ({x}, {y}): {v} vs {p + 1}")
-    for (x, y), s in sum_index(rs).items():
+    for (x, y), s in sums.items():
         z = rneg(s)
         lhs = table.n_of(x, y) * b[z]
         if lhs != table.n_of(y, z) * b[x] or lhs != table.n_of(z, x) * b[y]:
             out.append(f"weighted cyclic identity fails on ({x}, {y}, {z})")
+    count = len(rs.roots)
+    for k in [k for k, v in enumerate(table.n_dense) if v]:  # in index order
+        x, y = rs.roots[k // count], rs.roots[k % count]
+        if radd(x, y) not in roots:
+            out.append(f"n nonzero off the sum pairs at ({x}, {y})")
     for x, y, z in itertools.combinations(rs.roots, 3):
-        roots, cart = ref_jacobi_defect(table, rs, x, y, z)
-        if roots or any(cart):
+        defect, cart = ref_jacobi_defect(n, sums, rs, x, y, z)
+        if defect or any(cart):
             out.append(f"Jacobi fails on ({x}, {y}, {z})")
     return out
 
@@ -357,8 +360,9 @@ def decided(rs, triple):
 
 def assert_zero_defect(table, triples):
     rs = table.rs
+    n, sums = table_constants(table), sum_index(rs)
     for t in triples:
-        roots, cart = ref_jacobi_defect(table, rs, *(rs.roots[i] for i in t))
+        roots, cart = ref_jacobi_defect(n, sums, rs, *(rs.roots[i] for i in t))
         assert not roots and not any(cart), (rs.name, t)
 
 
@@ -539,3 +543,30 @@ def test_flipped_zero_sum_orbit_keeps_the_left_out_triples_at_zero(name, clean_t
         bad = with_constants(table, flips)
         assert all(m.startswith("Jacobi") for m in convention_violations(bad)), orbit
         assert_zero_defect(bad, special)
+
+
+def test_constant_off_the_sum_pairs_fails_the_audit():
+    # a1 + a3 and a1 - a3 are no roots of A3, so n(a3, a1) must be zero; an
+    # antisymmetric pair planted there reads only entries that no pair,
+    # cyclic or Jacobi check reads
+    table = build_constants(build_root_system("A", 3), verify=True)
+    a1, a3 = (1, 0, 0), (0, 0, 1)
+    bad = with_constants(table, {(a3, a1): 1, (a1, a3): -1})
+    want = [  # in index order: a3 comes first, (0, 0, 1) < (1, 0, 0)
+        f"n nonzero off the sum pairs at ({a3}, {a1})",
+        f"n nonzero off the sum pairs at ({a1}, {a3})",
+    ]
+    assert not sign_convention_check(bad)
+    assert convention_violations(bad) == ref_violations(bad) == want
+    assert bad.n_of(a3, a1) == 1
+
+
+@pytest.mark.parametrize("name", [f"{f}{r}" for f, r in simple_types(5)])
+def test_planted_entry_off_the_sum_pairs_gives_the_reference_witness(name, clean_tables):
+    table = clean_tables[name]
+    rs, rng = table.rs, random.Random(name)
+    x, y = rng.choice([(x, y) for x in rs.roots for y in rs.roots if radd(x, y) not in root_set(rs)])
+    bad = with_constants(table, {(x, y): rng.choice((-3, -2, -1, 1, 2, 3))})
+    want = [f"n nonzero off the sum pairs at ({x}, {y})"]
+    assert not sign_convention_check(bad), (name, x, y)
+    assert convention_violations(bad) == ref_violations(bad) == want, (name, x, y)

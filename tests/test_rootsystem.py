@@ -19,6 +19,7 @@ from flagsym.rootsystem import (
     InternalConsistencyError,
     _length_halves,
     bits,
+    cartan_matrix,
     height,
     rneg,
     walk,
@@ -31,6 +32,7 @@ from root_helpers import (
     ref_diagram_components,
     ref_dynkin_diagram,
     ref_extended_diagram,
+    ref_length_halves,
     ref_root_tables,
     root_set,
     root_string,
@@ -125,6 +127,17 @@ def test_disconnected_cartan_matrix_is_an_internal_error():
     with pytest.raises(InternalConsistencyError, match="disconnected"):
         _length_halves(((2, 0), (0, 2)))
     assert _length_halves(((2, -1), (-1, 2))) == (1, 1)
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_length_halves_are_the_integer_symmetriser(family, rank):
+    # c_ij d_j = c_ji d_i in ints, 1 on the shortest simple roots, and the
+    # ratios of the reference's Fraction lengths (long roots 1 there)
+    cartan = cartan_matrix(family, rank)
+    d = _length_halves(cartan)
+    assert all(type(x) is int for x in d) and min(d) == 1
+    assert all(cartan[i][j] * d[j] == cartan[j][i] * d[i] for i in range(rank) for j in range(rank))
+    assert [x * max(d) for x in ref_length_halves(cartan)] == list(d)
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TYPES)

@@ -1,6 +1,6 @@
 """Static checks on the package source and on the imports of the test
-modules, and one check of the package's module-level state across a sweep,
-with the standard library only."""
+modules, one check of the package's module-level state across a sweep, and
+one of the modules the CLI's start-up loads, with the standard library only."""
 
 import argparse
 import ast
@@ -392,3 +392,31 @@ def test_growing_module_level_memo_is_found(tmp_path):
         "def run(x):\n    _memo[x] = cached(x)\n"
     )
     assert grown_module_containers("pkg", "pkg.work.run(3)", tmp_path) == ["pkg.work._memo"]
+
+
+# modules the CLI's start-up must not load: dataclasses loads inspect, and
+# fractions loads decimal, about 11 ms of every command together
+SLOW_IMPORTS = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def slow_imports(module: str, path: Path) -> list[str]:
+    """The SLOW_IMPORTS in ``sys.modules`` after ``import module`` in a fresh
+    interpreter with ``path`` on sys.path; without the site module (-S), whose
+    start-up files may import anything."""
+    code = f"import sys, {module}\nprint(*[m for m in {SLOW_IMPORTS!r} if m in sys.modules])"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(path)), capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+def test_cli_start_up_loads_no_slow_module():
+    assert slow_imports("json", SRC.parent) == []  # a bare interpreter loads none
+    assert slow_imports("flagsym.cli", SRC.parent) == []
+
+
+def test_slow_import_is_found(tmp_path):
+    (tmp_path / "m.py").write_text("from fractions import Fraction\n\nFraction(1)\n")
+    assert slow_imports("m", tmp_path) == ["fractions", "decimal"]

@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 
 import pytest
 
@@ -418,6 +419,51 @@ def test_symmetric_coset_names():
         assert rep.leaf.name == name, spec
 
 
+# each kind of leaf name: its pattern, and the real dimension dim G - dim K of
+# the Hermitian symmetric space G/K it names, from the numbers in the name
+LEAF_KINDS = [
+    ("CP^n", r"CP\^(\d+)", lambda n: 2 * n),
+    ("Q_n", r"Q_(\d+)", lambda n: 2 * n),
+    ("Gr", r"Gr_(\d+)\(C\^(\d+)\)", lambda k, n: 2 * k * (n - k)),
+    ("Sp", r"Sp\((\d+)\)/U\((\d+)\)", lambda n, k: n * (2 * n + 1) - k * k),
+    ("SO", r"SO\((\d+)\)/U\((\d+)\)", lambda m, k: m * (m - 1) // 2 - k * k),
+    ("E III", r"E III", lambda: 78 - 46),  # E6 / Spin(10) U(1)
+    ("E VII", r"E VII", lambda: 133 - 79),  # E7 / E6 U(1)
+]
+
+
+def leaf_kind_and_dimension(name: str) -> tuple[str, int]:
+    """The kind and the real dimension of the leaf named ``name``;
+    ValueError on a name of no known kind."""
+    for kind, pattern, dimension in LEAF_KINDS:
+        match = re.fullmatch(pattern, name)
+        if match:
+            return kind, dimension(*map(int, match.groups()))
+    raise ValueError(f"no leaf kind reads {name!r}")
+
+
+def test_leaf_names_are_read():
+    assert leaf_kind_and_dimension("Gr_2(C^5)") == ("Gr", 12)
+    assert leaf_kind_and_dimension("SO(10)/U(5)") == ("SO", 20)
+    assert leaf_kind_and_dimension("Sp(3)/U(3)") == ("Sp", 12)
+    for name in ("CP^x", "Q_6 ", "E VI", "Gr_2(C^5"):
+        with pytest.raises(ValueError, match="no leaf kind"):
+            leaf_kind_and_dimension(name)
+
+
+def test_leaf_name_agrees_with_the_index_through_rank_8():
+    # the index is the real dimension of the leaf, and the leaf's name fixes
+    # it, so a name that misnames the leaf shows here
+    kinds = Counter()
+    for entry in cli.enumerate_flags(max_rank=8).entries:
+        kind, dimension = leaf_kind_and_dimension(entry.leaf.name)
+        assert dimension == entry.index, (entry.spec, entry.leaf.name)
+        kinds[kind] += 1
+    assert kinds == {
+        "CP^n": 1954, "Q_n": 205, "Gr": 120, "Sp": 120, "SO": 53, "E III": 2, "E VII": 1
+    }
+
+
 def test_hermitian_table_rejects_non_hermitian():
     with pytest.raises(ClassificationError):
         _hermitian_name(("G", 2), [("A", 1)])
@@ -447,7 +493,7 @@ def test_leaf_memo_is_keyed_by_the_symmetry_roots(monkeypatch):
     assert leaf_pair(two) is leaf and leaf.name == "CP^1"
     assert rs.leaf_memo == {plus: leaf} and isinstance(leaf, LeafDescriptor)
     # masks and labels only: a memo entry refers to nothing that refers to rs
-    assert all(isinstance(x, (str, int, tuple)) for x in vars(leaf).values())
+    assert all(isinstance(x, (str, int, tuple)) for x in leaf)
     assert all(isinstance(x, str) for x in leaf.k_semisimple_type)
 
 

@@ -23,7 +23,6 @@ coordinate addition, the ``sum_index`` test helper and ``rneg`` for every
 simple type of rank <= 8.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -371,6 +370,6 @@ def test_affine_component_is_classified_once_per_component(family, rank, monkeyp
         label = "%s%d" % classify_connected(refs[pd])
         leaf = leaves[pd]
         assert diagrams_agree(pd, leaf) == (label == leaf.u_type), pd.spec
-        assert diagrams_agree(pd, dataclasses.replace(leaf, u_type=label)), pd.spec
-        assert not diagrams_agree(pd, dataclasses.replace(leaf, u_type=f"{label}'")), pd.spec
+        assert diagrams_agree(pd, leaf._replace(u_type=label)), pd.spec
+        assert not diagrams_agree(pd, leaf._replace(u_type=f"{label}'")), pd.spec
     assert sorted(classified) == sorted({ref.nodes for ref in refs.values()})
