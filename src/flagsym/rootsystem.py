@@ -362,9 +362,12 @@ def classify_connected(d: Diagram) -> tuple[str, int]:
 
 
 class RootSystem:
-    """Immutable root system of one simple type; all queries are exact.
+    """The root system of one simple type on a dense root index; all queries are exact.
 
-    Construction is single threaded; instances are safe for concurrent reads.
+    The root data are set at construction and not changed after, but nothing
+    enforces it: the rows of ``add`` are mutable ``array('H')``.  Three memos
+    are filled as the instance is used: ``leaf_memo``, ``component_memo`` and
+    ``sound`` (see :mod:`flagsym.symmetry`).  Construction is single threaded.
     Use :func:`build_root_system` (cached) rather than the constructor.
     """
 

@@ -340,6 +340,34 @@ def test_verdict_agrees_with_the_witness_tier_past_rank_4(name):
         assert sign_convention_check(bad) == clean, (name, values)
 
 
+# (zero-sum orbits with no +-simple root, those whose flip breaks Jacobi)
+AWAY_ORBITS = {
+    "A1": (0, 0), "A2": (0, 0), "A3": (0, 0), "A4": (1, 1), "A5": (4, 4),
+    "B2": (0, 0), "B3": (2, 2), "B4": (10, 10), "B5": (28, 28),
+    "C3": (2, 2), "C4": (10, 10), "C5": (28, 28), "D4": (3, 3), "D5": (14, 14),
+    "F4": (37, 37), "G2": (1, 1), "E6": (65, 65),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AWAY_ORBITS))
+def test_flipped_orbit_away_from_the_simple_roots_meets_the_witness_tier(name):
+    # the verdict evaluates no triple of a class without a simple root, so
+    # only the derivation argument catches a fault confined to such classes:
+    # flip each zero-sum orbit none of whose roots is +-simple, and the
+    # verdict must pass exactly when the witness tier finds nothing
+    table = build_constants(build_root_system(name[0], int(name[1:])))
+    rs, n = table.rs, table_constants(table)
+    simple = {r for a in rs.simple_roots for r in (a, rneg(a))}
+    orbits = [orbit for orbit in zero_sum_orbits(rs) if not simple & orbit[0]]
+    caught = 0
+    for orbit in orbits:
+        bad = with_constants(table, {(x, y): -n[(x, y)] for t in orbit for x in t for y in t if x != y})
+        clean = next(chevalley._witnesses(bad), None) is None
+        assert sign_convention_check(bad) == clean, (name, orbit)
+        caught += not clean
+    assert (len(orbits), caught) == AWAY_ORBITS[name]
+
+
 def half_walk_classes(rs):
     """The canonical triples as (generic, special): the verdict draws its
     candidates from the first and leaves the second out."""
@@ -408,50 +436,39 @@ def quadruple_class(rs, triple, t):
     return min(tuple(q), tuple(sorted(neg[i] for i in q)))
 
 
-def kept_triples(rs, sums):
-    """The canonical triples of ``sums`` that the representative rule keeps:
-    three positive roots; a sum t in -T; or two positive roots x, y, one
-    negative z and t positive with the largest index of {x, y, -z, t}."""
-    half, neg = len(rs.positive_roots), rs.neg
-    kept = set()
-    for triple, t in sums.items():
-        positive = [i for i in triple if i < half]
-        if len(positive) == 3 or len(positive) == 2 and neg[t] in triple:
-            kept.add(triple)
-        elif len(positive) == 2 and t < half:
-            z = next(i for i in triple if i >= half)
-            if t > max(*positive, neg[z]):
-                kept.add(triple)
-    return kept
+def simple_classes(rs, sums):
+    """The classes {Q, -Q} of the triples of ``sums`` whose quadruple Q has four
+    distinct roots and whose union holds a simple root."""
+    simple = {i for a in range(rs.rank) for i in (a, rs.neg[a])}
+    classes = {quadruple_class(rs, t, s) for t, s in sums.items()}
+    return {c for c in classes if len(set(c)) == 4 and simple & set(c)}
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_verdict_candidates_meet_every_quadruple_class(family, rank):
-    # a clean verdict needs one triple of each class {Q, -Q} with a root
-    # pairing: the generic triples of the full walk are the triples of those
-    # classes, each class with all its triples
+    # a clean verdict needs one triple of each class {Q, -Q} with a simple
+    # root (the derivation argument): the candidates are generic triples of
+    # the full walk, and they meet every such class and no other
     rs = build_root_system(family, rank)
-    half = len(rs.positive_roots)
     generic = sums_of_triples(rs, ((p, q, g) for p, q, g, _ in jacobi_walk(rs)))
     candidates = sums_of_triples(rs, _jacobi_candidates(rs))
     assert candidates.items() <= generic.items()
-    assert all(sum(i < half for i in t) >= 2 for t in candidates)
-    assert kept_triples(rs, generic) <= candidates.keys()
-    classes = {quadruple_class(rs, t, s) for t, s in generic.items()}
-    assert {quadruple_class(rs, t, s) for t, s in candidates.items()} == classes
+    met = {quadruple_class(rs, t, s) for t, s in candidates.items()}
+    assert met == simple_classes(rs, generic)
 
 
 def test_verdict_triple_counts_of_e6_to_e8():
-    # (kept by the representative rule, candidates of the height masks), one
-    # triple per class in these simply-laced types; the half walk evaluated
-    # 3240, 15120 and 90720
+    # (classes with a simple root, triples the verdict evaluates): one per
+    # class, and one more for each class with a second simple root met at
+    # the higher one
     counts = {}
     for rank in (6, 7, 8):
         rs = build_root_system("E", rank)
-        canonical = sums_of_triples(rs, ((p, q, g) for p, q, g, _ in jacobi_walk(rs, True)))
-        candidates = sums_of_triples(rs, _jacobi_candidates(rs))
-        counts[rank] = (len(kept_triples(rs, canonical)), len(candidates))
-    assert counts == {6: (810, 876), 7: (3780, 3970), 8: (22680, 23331)}
+        generic = sums_of_triples(rs, ((p, q, g) for p, q, g, _ in jacobi_walk(rs)))
+        walk = [(a, y, z) for a, y, third in _jacobi_candidates(rs) for z in bits(third)]
+        assert len(set(map(frozenset, walk))) == len(walk)
+        counts[rank] = (len(simple_classes(rs, generic)), len(walk))
+    assert counts == {6: (440, 495), 7: (1476, 1590), 8: (5614, 5859)}
 
 
 # the sha256 of the repr of the verdict's triples (p, q, r), in the order it
@@ -460,35 +477,35 @@ def test_verdict_triple_counts_of_e6_to_e8():
 VERDICT_WALK_ORDER = {
     "A1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "A2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    "A3": "f78504ec38fe746370577bc997d59638a0ecf3bdcf38a215ac1fc1bc2d43ccc1",
-    "A4": "0342538eb7f86e4f37c2ec8e6a0f1f916cc84a4cc1623756bfeb2938643ebdbe",
-    "A5": "7311c8cd132bffddd3268e12557353d599ac92e8d26f54173ea07b484a7b6e15",
-    "A6": "32afb6cb38f09ad1e0eab200d3bb26fe079a50a96840ae0d5bb17637e33acb1b",
-    "A7": "a41a0ab0ea62187956c8e4ae650845d2ca1f1db5744f52b88874b01fd04b38a0",
-    "A8": "90950648df35d41420c86ec758686fb3402dd2bd8d07048f81a1e1ad0cce6a27",
-    "B2": "8537b5e60dd6e484e8f795c3365d33ecf210de917458ea6342045b5cf59e2ec9",
-    "B3": "9fd2682f2e7a2af347bdddb3983f4ff4461658c2b9e580adf8374538211e4a94",
-    "B4": "9ce3c5758141a6d451e3f0b0276f81218d9a38b67d3c4ca1da89809cb9f02b3f",
-    "B5": "f64f69d87e6cd0facb6ff29d0458298e0dbd8ab08ea2b9702c661149e28de561",
-    "B6": "b5a08d439a9ee04842c2d161f9b993fc2cd1f2990244299a3afb20849c0c6aaf",
-    "B7": "293e6b65865cc0ab61b210d44a039acc7eaa97e2cbb32028c14ae704289d5043",
-    "B8": "8a4dd33f17984d765b48c3cdf41667a468ae6b8aa1fc24d755a73e69bcac8896",
-    "C3": "1227134ecd85bf912765d9f50d4886ce03d991b902539c63011036a97277e366",
-    "C4": "3487cb763f3d9b49dc4de1dfcd0daef99406a821a2466a5f06c451d64b6f54e6",
-    "C5": "85a0d92f953bded585bfca1aaa606708e3dddb54dde20867ad915b8e691401ad",
-    "C6": "c11e2e51afd7ad1d193b8ca95fc672d75e8aa4ef3d29a88f4268dc6570431716",
-    "C7": "667ff4909cc221b6c044bd5a94b6929412fbdf2d15131545864ad3ab7f781dea",
-    "C8": "9e26a900f158a156a85ba12ca5228d4542ea8b0b289726df00044f3e33008712",
-    "D4": "6be9342b813e74fcb5f27626666a9b98a2d0bc3328ffb36204f5d1f2f431c550",
-    "D5": "1ff60f460a547bb4f3c86b2a79f8a1dc98f555b331a2ccf8ebd8a2604fcf8a17",
-    "D6": "f8d47df82b9320d0179038008cdd04b545f3fd4d66ae52ebae436a1e3c200631",
-    "D7": "65d5f1f249e41011bcde647153c6f8ec3c33cb0473449ec03090c627e3362b90",
-    "D8": "8342057de288d299b8a5d61035c23b452316ffcd0b1c07b93dedc625ee7f77f7",
-    "E6": "2c9e5400dda674d38af49ddbe0c4495acc3d462ddc08078a6e8e1ddc4bb9659c",
-    "E7": "e323462d69dc576d4b4f030712e680db731d2a212205c4f51c97f6c67c104c87",
-    "E8": "307f7e33b464021a4831a497bb260e9917dab7b2259cb1e7f247ac735d18164c",
-    "F4": "f007e562e21a4312b729c086bd71cecb2e0108c9b8388b9e3ac3a73e95d991a9",
-    "G2": "2abbb2a9d709651c0152b5135958cfe168e44589748e59ec5bc3077d00e6dcdf",
+    "A3": "74be1c79613adaa2e520a020a03022df22d8902a80dc386fd013b797e41ab11f",
+    "A4": "2bf5454872843ba8b5fc2033e748f3605970749e568356b64f944a83d96e2be4",
+    "A5": "91123bf58511853861dc69ca630de244248f566e534c082c3df402393d662cfd",
+    "A6": "de4a77906b116178c17e6f02c8aa76427fcf9eddcb09a8565b37caa0905e8ce6",
+    "A7": "fbc9fa8ba808bd0f654c44ed6377d72d678aeddc60d5be48ea1397a4cfca465f",
+    "A8": "e2b70bec5c559730ce3e0d285773821e58a3359be8fcde3a41b9881d4cb87cfa",
+    "B2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "B3": "81a85868710971a177a859a2c3d95fcfe70fd1c7d966d12bcb248f9efef4d383",
+    "B4": "e323f3a5630cf8818e705f2b98384b1218209437e16632cf7bfb1cc35a390ef6",
+    "B5": "78b3602b1e2c7450ff6f1e67dff127d9a3c0018a14bd30fe23c1c10036cd7a3e",
+    "B6": "6f282c6c49dc5e1478c45747572721c2cfb0e8c447e930ff87b4d6f1e709b693",
+    "B7": "96f97ccae3e4606017a8aadd8b6d309bf48df47129509fc766597e6eb8cfe88e",
+    "B8": "69049dcdde975877e6494dde995a7392d599c8712e0244fd540216b6229e5b1d",
+    "C3": "588c0a5a786b3dabec46ff4116af736d4fdc46086aa4e72542efda1487a9ff1c",
+    "C4": "884a9bcc1fcbe56f45eac7ffc56351e8fa93f00c4f685a42e71f6e5d53530923",
+    "C5": "f164ed9adcc14ad4ddc1f46dba285273fcb7b6cf216414a0f95f0621272cbf51",
+    "C6": "59a72569532b21085228deb6e61a0ea2ad59a56c167f8112b00bff89f93e05f1",
+    "C7": "b98f760f7e854f7f7992d3b536cdeccea427fd8783cd3fd3999f6ffda42517e3",
+    "C8": "4d840e4211da95129f1c549d34d782ddffc779f82ef19e00ae66d675fec609de",
+    "D4": "fc4f5426062542f8a968e51f1b61dfce9741557f2b356aebff06974a923470ef",
+    "D5": "c3dab72ad519108d0f44aec9c78ac400b85732f044a85d89a9d7cce463288585",
+    "D6": "9dacce35bd91b47a4bda94486c4ddca798438d22edb36deaf826358a72d4956c",
+    "D7": "fb82a100e3cc92a04eee0b44c37e6c4c7b050c2704a0606f31a00a0c64c31125",
+    "D8": "dcfaadf883b45b698a0b4c2b898b752a50c8c8d4576ebcad1f2b5faa4a40f17e",
+    "E6": "8723996b0c548bd9b88f229992d6c9d436552a6b8d510a6c709945173b97f77a",
+    "E7": "689f782f14403a4938dfff566450e879c6e5c15fbe6bb385e3a757328bde0446",
+    "E8": "9781ca54c42ec81d7ca816211ea5980cfb57f76e43172dde6b7122d8dfcf0b86",
+    "F4": "aa6140c2dbacaa7e46341ceb7e4b95c4bf02db7f904f8c762f247f2dd05662f6",
+    "G2": "c51d01970d7fca9f1f9580eff411625fbc909097473a0f795397efe2922bdef5",
 }
 
 
