@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -137,6 +138,35 @@ def test_exhaustive_audit_of_every_type_through_e8():
         bare = build_constants(table.rs)
         assert ref.cyclic_multiple_breaks(bare) is None, (family, rank)
 
+
+
+# the sha256 of n_dense for each A-D type of rank 9-12, which has no pin in
+# AUDITED_DIGESTS and so is audited exhaustively at every build
+N_DENSE_PAST_E8 = {
+    "A9": "fb395cd845c2a5380c0ea62e839b3737cb36810bd862df8e2cef5da8d8a6a8ae",
+    "A10": "3204ae1707635c14347dd8f4ce76803376a372009be8462f6b2817739da4cda3",
+    "A11": "4e977205d4ad629128b3464ac3238ff1e51adcc92ad0490e834cdff5534dfa64",
+    "A12": "d8b399ddc25ebd308b11bc888b4c3787bf5f8f91a3156289920615f22ba14e7f",
+    "B9": "4586af2e964a7942076f34f2497e6ad9cbfa7015ded78b368b5518e6ca06abfb",
+    "B10": "38717a2f160390eaae0e3db735dce23c15254f08bf58c9c20411c4fd298a5b93",
+    "B11": "6ca57b3a973f93ef7d35edf8b32428f89da5ca08b802e867fd30448b57ff6032",
+    "B12": "53018500c4b6b52060c3593fc26b9bebd9bdc8b3260fcd20fe2af50e174db8d5",
+    "C9": "594f3435cd14c5ede081a933b8da415faa54905aeeb838a6c69a348d1a771ea2",
+    "C10": "61db607ed2a74c32fb37b77a404d0e1c4ca120d5edd043ff83158ed8a74418cd",
+    "C11": "2734bf68b0f3ce9740e60a9b6a8f8850281d20ef2649f8cd01e4b8716ce06438",
+    "C12": "b46b25b0131ac0ae683b20e69076eb1450a0602c8e21032caf6fbd4e7212279e",
+    "D9": "a17459c4bf857a9d0ae34f29d405113b888bfb683299129ebb6effe664e57793",
+    "D10": "9136aa987015b7039f7e558383fa3a95acefe8b7be8e933c1981d34a29c5d077",
+    "D11": "f1ff3dd9ff47b1f6e0fa9924d0014f002926683b9e7e3a911935fd4b4c915e53",
+    "D12": "f81cf45013d4cb899a5dec2d44d587c29ae4e25b5020fc356a26985b789bb5e1",
+}
+
+
+def test_build_past_e8_is_pinned():
+    for name, want in N_DENSE_PAST_E8.items():
+        table = build_constants(build_root_system(name[0], int(name[1:])))
+        assert table.certified == "audit", name
+        assert hashlib.sha256(table.n_dense).hexdigest() == want, name
 
 @pytest.fixture
 def audits(monkeypatch):
