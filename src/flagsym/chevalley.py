@@ -22,23 +22,38 @@ positive roots are the indices 0..N-1 in (height, coordinates) order, so the
 order of the convention is the index order.  The decompositions gamma =
 alpha + beta of a positive root are read from ``sums[gamma]``: alpha is the
 negative of a negative partner x of gamma and beta = ``add[gamma][x]``.  Every
-weight b(d) is the int 1, 2 or 3, and each constant of the Jacobi step is one
-exact integer quotient over a common denominator with its remainder checked.
-The table stores n as ``n_dense``, an int8 array with n(roots[i], roots[j]) at
-``i * C + j`` (C = 2N, zero where the sum is no root).
+weight b(d) is the int 1, 2 or 3.  The table stores n as ``n_dense``, an int8
+array with n(roots[i], roots[j]) at ``i * C + j`` (C = 2N, zero where the sum
+is no root).
 
 Orbits.  Antisymmetry n(b, a) = -n(a, b) and the negation rule n(-a, -b) =
 -n(a, b) tie the four pairs {(a, b), (b, a), (-a, -b), (-b, -a)} of an orbit
-to one value, and the build writes each orbit at once.  A mixed-sign constant
-comes from the same-sign constant of its zero-sum triple (x, y, z) through
-the weighted cyclic identity, once per orbit: for x positive, y negative and
-x < -y.  The index order is the (height, coordinates) order, so ht(x) <=
-ht(-y), the root x + y has height ht(x) - ht(-y) <= 0 and is negative, and
-z = -(x + y) is positive: the identity reads n(x, y) off the same-sign
-n(z, x).  Each other member of the orbit gets its quotient from the same
-triple or its negation, with the numerator negated or not and the same
-denominator b(z), so it divides exactly when this one does, and the build
-raises for an orbit exactly when it would for any one member.
+to one value.  A zero-sum class {T, -T}, T = (a, b, c) with a + b + c = 0,
+holds three orbits, those of (a, b), (b, c) and (c, a), and the weighted
+cyclic identity ties their values.  A sum pair (a, b) lies in the one class
+closed by c = -(a + b), so the classes part the sum pairs, twelve to a
+class.  The build writes each class once, from its member with two positive
+roots, (alpha, beta, -gamma) with alpha < beta: the member at which the
+verdict checks the cyclic identity.  Given x = n(alpha, beta), the identity
+gives n(beta, -gamma) = x b(gamma) / b(alpha) and n(-gamma, alpha) = x
+b(gamma) / b(beta), each an exact integer quotient with its remainder
+checked.
+
+The build is one pass over the non-simple positive roots gamma in index
+order, and over the decompositions of each with alpha ascending.  The
+extraspecial pair (eps, eta), the first, gets x = p + 1.  Every other pair
+takes x from the E_beta coefficient of the Jacobi identity on (E_{-alpha},
+E_eps, E_eta), which reads, with top = n(eps, eta) = p + 1,
+
+    top n(-alpha, gamma) = n(-alpha, eps) n(eps - alpha, eta)
+                           + n(eta, -alpha) n(eta - alpha, eps),
+
+each term zero where eps - alpha or eta - alpha is no root; the cyclic
+identity on (alpha, beta, -gamma) makes n(alpha, beta) = n(-alpha, gamma)
+b(beta) / b(gamma).  That quotient is exact, and |x| is p + 1, or the build
+raises.  The four constants on the right lie in the classes of alpha = eps +
+(alpha - eps), eta = (alpha - eps) + beta and beta = (beta - eps) + eps, all
+of lower height than gamma, so they were written before gamma was reached.
 
 The audit (:func:`convention_violations`) reads the stored array, so a table
 changed after construction is audited as it stands.  It has two tiers.  The
@@ -316,51 +331,39 @@ def build_constants(rs: RootSystem, verify: bool = False) -> ChevalleyTable:
             raise InternalConsistencyError(f"no decomposition for {roots[gamma]}")
         eps, eta = pairs[0]  # the extraspecial pair: minimal first summand
         x = top = walk(add[neg[eps]], eta) + 1
+        ng = neg[gamma]
         for al, be in pairs:
+            na = neg[al]
             if al != eps:
-                # Jacobi on (E_{-al}, E_eps, E_eta) with every mixed-sign
-                # constant eliminated through the weighted cyclic identity
-                # leaves one unknown, n(al, be) = -(t_nu / b(nu) + t_mu /
-                # b(mu)) / (top b(gamma)), here over the common denominator
-                # b(nu) b(mu) top b(gamma)
-                t_nu = t_mu = 0
-                d_nu = d_mu = 1
-                nu = add[al][neg[eps]]  # al - eps
-                if nu < half:
-                    t_nu = n[eps * count + nu] * n[be * count + nu] * b[al] * b[eta]
-                    d_nu = b[nu]
-                mu = add[eta][neg[al]]  # eta - al
-                if mu < half:
-                    t_mu = n[al * count + mu] * n[mu * count + eps] * b[eta] * b[be]
-                    d_mu = b[mu]
-                num, den = -(t_nu * d_mu + t_mu * d_nu), d_nu * d_mu * top * b[gamma]
+                # Jacobi on (E_{-al}, E_eps, E_eta) at E_be: top n(-al, gamma)
+                # = num, a term zero where eps - al or eta - al is no root; the
+                # cyclic identity on (al, be, -gamma) gives n(al, be) =
+                # n(-al, gamma) b(be) / b(gamma) (module docstring)
+                u, w = add[na][eps], add[eta][na]  # eps - al, eta - al
+                num = (n[na * count + eps] * n[u * count + eta] if u < count else 0) + (
+                    n[eta * count + na] * n[w * count + eps] if w < count else 0
+                )
+                num, den = num * b[be], top * b[gamma]
                 x, rem = divmod(num, den)
-                expected = walk(add[neg[al]], be) + 1
+                expected = walk(add[na], be) + 1
                 if rem or abs(x) != expected:
                     raise InternalConsistencyError(
                         f"constant for ({roots[al]}, {roots[be]}) came out "
                         f"{f'{num}/{den}' if rem else x}, |.| != {expected}"
                     )
-            # n(al, be) = x and the rest of its orbit, by antisymmetry and the
-            # negation rule
-            na, nb = neg[al], neg[be]
-            n[al * count + be] = n[nb * count + na] = x
-            n[be * count + al] = n[na * count + nb] = -x
-
-    for x in range(half):
-        row, nx = add[x], neg[x]
-        # one mixed-sign pair per orbit: x positive, y negative with x < -y
-        for y in bits(sums[x] >> (half + x + 1) << (half + x + 1)):
-            # close the zero-sum triple (x, y, z); z is positive (module docstring)
-            z = neg[row[y]]
-            v, rem = divmod(n[z * count + x] * b[y], b[z])
-            if rem:
-                raise InternalConsistencyError(
-                    f"non-integral constant for ({roots[x]}, {roots[y]})"
-                )
-            ny = neg[y]
-            n[x * count + y] = n[ny * count + nx] = v
-            n[y * count + x] = n[nx * count + ny] = -v
+            # the three orbits of the class {(al, be, -gamma), its negation}:
+            # n(p, q) b(r) = x b(-gamma) on each rotation (p, q, r), and each
+            # orbit is filled by antisymmetry and the negation rule
+            k = x * b[ng]
+            for p, q, r in ((al, be, ng), (be, ng, al), (ng, al, be)):
+                v, rem = divmod(k, b[r])
+                if rem:
+                    raise InternalConsistencyError(
+                        f"non-integral constant for ({roots[p]}, {roots[q]})"
+                    )
+                np, nq = neg[p], neg[q]
+                n[p * count + q] = n[nq * count + np] = v
+                n[q * count + p] = n[np * count + nq] = -v
 
     table = ChevalleyTable(rs, n)
     if not verify and AUDITED_DIGESTS.get(rs.name) == digest(table):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import re
 from collections import namedtuple
+from numbers import Rational
 
 from .rootsystem import (
     Diagram,
@@ -76,7 +77,7 @@ class KahlerParam:
     Fractions or strings such as "1/3", never floats (binary approximations)
     or bools (flags, though ``True`` is the int 1)."""
 
-    def __init__(self, coeffs: dict[int, Fraction]):
+    def __init__(self, coeffs: dict[int, Rational | str]):
         from fractions import Fraction  # not on the CLI path: no command builds a xi
         for i, v in coeffs.items():
             if isinstance(v, (bool, float)):

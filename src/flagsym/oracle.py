@@ -101,6 +101,7 @@ order of ``RootSystem.splittings``, mixed-sign pairs first.
 from __future__ import annotations
 
 from math import lcm
+from numbers import Rational
 from operator import mul
 
 from .chevalley import ChevalleyTable, sign_convention_check
@@ -202,14 +203,14 @@ def _xi_set(flag: FlagData, xi: KahlerParam, coefficients) -> frozenset:
 
 def transvection_violations(
     flag: FlagData, xi: KahlerParam, table: ChevalleyTable, a: Root
-) -> list[tuple[Root, Root, Fraction]]:
+) -> list[tuple[Root, Root, Rational]]:
     """Witnessing (beta, gamma, sum) tuples where the cyclic sum is nonzero."""
     return _violations(flag, xi, _cyclic_on(flag, table), a)
 
 
 def shortcut_violations(
     flag: FlagData, xi: KahlerParam, a: Root
-) -> list[tuple[Root, Root, Fraction]]:
+) -> list[tuple[Root, Root, Rational]]:
     """Nonzero evaluations of ((1+eps_g) g + (1+eps_b) b)(xi) over decompositions."""
     return _violations(flag, xi, _shortcut(flag.rs), a)
 

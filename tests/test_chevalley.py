@@ -14,7 +14,7 @@ from flagsym import (
     simple_types,
 )
 from flagsym.chevalley import AUDITED_DIGESTS, digest
-from flagsym.rootsystem import rneg
+from flagsym.rootsystem import RootSystem, rneg
 import oracle_helpers as ref
 from root_helpers import radd, sum_index
 from table_helpers import _string_down, b_of, table_constants, with_constants
@@ -210,6 +210,40 @@ def test_a_failed_audit_at_build_raises(monkeypatch):
     with pytest.raises(InternalConsistencyError, match="A3: constant table fails the audit"):
         build_constants(build_root_system("A", 3))
 
+
+
+# A3's positive roots in index order: a3, a2, a1, a2+a3, a1+a2, a1+a2+a3
+
+
+def test_build_raises_for_a_root_without_a_decomposition():
+    rs = RootSystem("A", 3)  # fresh: build_root_system's is shared
+    sums = list(rs.sums)
+    sums[3] &= rs.positive_mask  # a2+a3 loses its summands
+    rs.sums = tuple(sums)
+    with pytest.raises(InternalConsistencyError) as info:
+        build_constants(rs)
+    assert str(info.value) == "no decomposition for (0, 1, 1)"
+
+
+@pytest.mark.parametrize(
+    "index,weight,message",
+    [
+        # a1+a2+a3 = a3 + (a1+a2), the extraspecial pair, = a1 + (a2+a3),
+        # whose Jacobi step multiplies by b(a2+a3) and divides by b(a1+a2+a3)
+        (3, 3, "constant for ((1, 0, 0), (0, 1, 1)) came out -3, |.| != 1"),
+        (5, 2, "constant for ((1, 0, 0), (0, 1, 1)) came out -1/2, |.| != 1"),
+        # a2+a3 = a3 + a2: n(a2, -(a2+a3)) = n(a3, a2) b(a2+a3) / b(a3)
+        (0, 2, "non-integral constant for ((0, 1, 0), (0, -1, -1))"),
+    ],
+)
+def test_build_raises_on_a_planted_weight(index, weight, message):
+    rs = RootSystem("A", 3)
+    weights = list(rs.weights)
+    weights[index] = weight
+    rs.weights = tuple(weights)
+    with pytest.raises(InternalConsistencyError) as info:
+        build_constants(rs)
+    assert str(info.value) == message
 
 def test_a_changed_copy_is_never_certified(tables):
     for table in tables.values():

@@ -8,9 +8,12 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -393,6 +396,60 @@ def test_growing_module_level_memo_is_found(tmp_path):
     )
     assert grown_module_containers("pkg", "pkg.work.run(3)", tmp_path) == ["pkg.work._memo"]
 
+
+
+def unresolved_annotations(package: str) -> list[str]:
+    """The functions and methods defined in ``package`` and its modules whose
+    annotations ``typing.get_type_hints`` cannot resolve, with the error."""
+    root = importlib.import_module(package)
+    modules = [root] + [
+        importlib.import_module(f"{package}.{m.name}")
+        for m in pkgutil.iter_modules(root.__path__)
+        if m.name != "__main__"
+    ]
+    out = []
+    for module in modules:
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue  # imported from elsewhere
+            for member in vars(value).values() if isinstance(value, type) else [value]:
+                # the function of a staticmethod, classmethod or property
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                # defined in the module's source: not a generated NamedTuple.__new__
+                if (
+                    isinstance(member, types.FunctionType)
+                    and member.__code__.co_filename == module.__file__
+                ):
+                    try:
+                        typing.get_type_hints(member)
+                    except Exception as exc:  # any failure to resolve is the finding
+                        out.append(f"{module.__name__}.{member.__qualname__}: {exc}")
+    return sorted(out)
+
+
+def test_every_annotation_resolves():
+    # annotations are evaluated lazily (from __future__ import annotations), so
+    # a name imported inside a function body resolves nowhere
+    assert unresolved_annotations("flagsym") == []
+
+
+def test_unresolved_annotation_is_found(tmp_path, monkeypatch):
+    package = tmp_path / "hinted"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text("raise SystemExit(2)\n")  # never imported
+    (package / "m.py").write_text(
+        "from __future__ import annotations\n\n"
+        "def ok(x: int) -> list[int]:\n    return [x]\n\n"
+        "class C:\n"
+        "    @property\n    def p(self) -> Missing:\n        return 1\n\n"
+        "    @staticmethod\n    def s(x: Gone) -> int:\n        return x\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert unresolved_annotations("hinted") == [
+        "hinted.m.C.p: name 'Missing' is not defined",
+        "hinted.m.C.s: name 'Gone' is not defined",
+    ]
 
 # modules the CLI's start-up must not load: dataclasses loads inspect, and
 # fractions loads decimal, about 11 ms of every command together
