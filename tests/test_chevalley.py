@@ -139,7 +139,6 @@ def test_exhaustive_audit_of_every_type_through_e8():
         assert ref.cyclic_multiple_breaks(bare) is None, (family, rank)
 
 
-
 # the sha256 of n_dense for each A-D type of rank 9-12, which has no pin in
 # AUDITED_DIGESTS and so is audited exhaustively at every build
 N_DENSE_PAST_E8 = {
@@ -167,6 +166,7 @@ def test_build_past_e8_is_pinned():
         table = build_constants(build_root_system(name[0], int(name[1:])))
         assert table.certified == "audit", name
         assert hashlib.sha256(table.n_dense).hexdigest() == want, name
+
 
 @pytest.fixture
 def audits(monkeypatch):
@@ -211,12 +211,10 @@ def test_a_failed_audit_at_build_raises(monkeypatch):
         build_constants(build_root_system("A", 3))
 
 
-
-# A3's positive roots in index order: a3, a2, a1, a2+a3, a1+a2, a1+a2+a3
-
-
+# planted faults on a fresh A3 (build_root_system's is shared), whose positive
+# roots in index order are a3, a2, a1, a2+a3, a1+a2, a1+a2+a3
 def test_build_raises_for_a_root_without_a_decomposition():
-    rs = RootSystem("A", 3)  # fresh: build_root_system's is shared
+    rs = RootSystem("A", 3)
     sums = list(rs.sums)
     sums[3] &= rs.positive_mask  # a2+a3 loses its summands
     rs.sums = tuple(sums)
@@ -244,6 +242,7 @@ def test_build_raises_on_a_planted_weight(index, weight, message):
     with pytest.raises(InternalConsistencyError) as info:
         build_constants(rs)
     assert str(info.value) == message
+
 
 def test_a_changed_copy_is_never_certified(tables):
     for table in tables.values():

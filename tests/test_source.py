@@ -397,7 +397,6 @@ def test_growing_module_level_memo_is_found(tmp_path):
     assert grown_module_containers("pkg", "pkg.work.run(3)", tmp_path) == ["pkg.work._memo"]
 
 
-
 def unresolved_annotations(package: str) -> list[str]:
     """The functions and methods defined in ``package`` and its modules whose
     annotations ``typing.get_type_hints`` cannot resolve, with the error."""
@@ -450,6 +449,7 @@ def test_unresolved_annotation_is_found(tmp_path, monkeypatch):
         "hinted.m.C.p: name 'Missing' is not defined",
         "hinted.m.C.s: name 'Gone' is not defined",
     ]
+
 
 # modules the CLI's start-up must not load: dataclasses loads inspect, and
 # fractions loads decimal, about 11 ms of every command together
