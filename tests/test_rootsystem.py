@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -119,6 +121,96 @@ def test_root_index_build_matches_the_reference(family, rank):
     assert all(type(w) is int for w in rs.weights)
     assert rs.sums == sums
     assert rs.add == add
+
+
+PAST_E8 = [(f, r) for f in "ABCD" for r in range(9, 13)]
+
+
+# the sha256 of add (rows little-endian) and of sums (each mask little-endian
+# in (|R| + 7) // 8 bytes) for each A-D type of rank 9-12, as built by the
+# pair loop that looked up a sum and a difference per ordered pair
+ADD_SUMS_PAST_E8 = {
+    "A9": (
+        "aff4553e7ded0dc733cd9f52685dd79606bf6fe0458f72cfc2f532a991976765",
+        "3c6422d44c48eaf5a352ac4f8f77e652e31824e9efc9adbee0e97db957e0a98f",
+    ),
+    "A10": (
+        "18bde6a55cc894ef34da8118cf8b4a48b35a0727303b54ea3a65234d01d9a819",
+        "70c5b0e3e4fd39146daec14cef590e5993fb3b8f56c2b97d55f4c44ea45664a4",
+    ),
+    "A11": (
+        "eba60aa4e350e9e42f3b0a511a0dadea3c651af8cfbb5a7207ed2171ba214d80",
+        "10347b35c2743f2abfafcd38b38f36a852773b973a6ecc8bf744f11ff73184df",
+    ),
+    "A12": (
+        "7328611dc64510efd7e83331a6866bed571305ab636a3f40d304e4ed45c14ad8",
+        "68418304efeba904adb6ed9e652ac2d90e5ca0d964c6aef38b1266b7e0655dc8",
+    ),
+    "B9": (
+        "66cd18912fb282dfdeb7497d9172b0f90142d3322dab25c4aae7903622d8a35f",
+        "015c07ae9ae5d9e0416a2e335d03c894b61a464d71c956d809aad30d08278f0f",
+    ),
+    "B10": (
+        "5a0f9c7647c6726fd6d519b0cb2b1f36b699761852b326cda8789c0573c513bb",
+        "b72d871e4788862423a0be9e26453bb80e7e9016856de765bfc612a8859d024e",
+    ),
+    "B11": (
+        "b4c6fc9674fee12d9c0494c21568b020808b2cf041c1ed71750cd93b605d9ffd",
+        "1f31158af764227ef7d7000a838845fcad9d3bfae1b6a3355a117975f46c0ee0",
+    ),
+    "B12": (
+        "9697dc875b086c73973f6b58692eb33a5eedfff112e8bd896fa60cb6d47eddab",
+        "7948e0428a9bf0329582b3d4f0df415b46b8b770a902e51be60797140de7438c",
+    ),
+    "C9": (
+        "749b103c8168a93b417804e9554a26e26366389fb873be0b7610ca5884d63260",
+        "2b3f640147bdfffed5529f34e5bc4f7d50ba9c3096a74f72de6a8cca52b63e91",
+    ),
+    "C10": (
+        "0c27211403e1e4da0964c5c3d7efd46181e3ff28cfe50fc4fa3bce5df4e3cb0c",
+        "9f525db8396149bc77e8ec4e321b28e22e3f063675b6a023634ca3d79d75926b",
+    ),
+    "C11": (
+        "3af8d844e59b46592397156071d3afa3d64582fbab51049775543e3f94044446",
+        "22cc0126dde2521901c1a985396c6fb76c50241be8876a62a992a907210851d9",
+    ),
+    "C12": (
+        "69c582b4a897bb1fb6dc77435eb20c7054952124fc61adf63cdac0cef3ee5f92",
+        "340a405b1ca133f82e9b72ada3f386c48550d63e417cae45f74e888583432b73",
+    ),
+    "D9": (
+        "4aae3d9506e346217406852c77d9867c7cbe6f2c43433b68debbbe13b129efb3",
+        "d2be763e890f40373994c2aea128e13a2e3f8998f756f281e0720caf2e52b15d",
+    ),
+    "D10": (
+        "3e6add49e410d28b9ddfcd00536717fdd910c61cd08723795a0ed4bedf45a55b",
+        "89a881d3d46a9ff2e9b22caec4ce3a60ee698aad433868d2f6654a29a7fe9ab6",
+    ),
+    "D11": (
+        "526e704930b3c3ba484ebd46c21e043cf5e8e69f8517d36d0f830c5fc36a40c9",
+        "1ba5d7818d7510f511cabe406310c99e77f646feb25d008048641646f74b6e4e",
+    ),
+    "D12": (
+        "f62e1c0971c51d8efbc9023bc3213332e2359c3a3d439d83462fb43d429f619b",
+        "66cee757001f4c6fa9c4fabd504f17372cbead11c27ddac2d6bd2d93e1a5de68",
+    ),
+}
+
+
+def add_sums_digests(rs) -> tuple[str, str]:
+    wide = array("H")
+    wide.frombytes(b"".join(rs.add))
+    if sys.byteorder == "big":
+        wide.byteswap()
+    width = (len(rs.roots) + 7) // 8
+    masks = b"".join(s.to_bytes(width, "little") for s in rs.sums)
+    return hashlib.sha256(wide).hexdigest(), hashlib.sha256(masks).hexdigest()
+
+
+def test_root_index_past_e8_is_pinned():
+    assert set(ADD_SUMS_PAST_E8) == {f"{f}{r}" for f, r in PAST_E8}
+    for name, want in ADD_SUMS_PAST_E8.items():
+        assert add_sums_digests(build_root_system(name[0], int(name[1:]))) == want, name
 
 
 def test_disconnected_cartan_matrix_is_an_internal_error():
