@@ -20,8 +20,10 @@ cyclic identities.  The construction is deterministic and reproducible.
 Table and build live on the dense root index of :class:`RootSystem`.  The
 positive roots are the indices 0..N-1 in (height, coordinates) order, so the
 order of the convention is the index order.  The decompositions gamma =
-alpha + beta of a positive root are read from ``sums[gamma]``: alpha is the
-negative of a negative partner x of gamma and beta = ``add[gamma][x]``.  Every
+alpha + beta of a positive root, alpha < beta, alpha ascending, are
+``rs.decompositions[gamma]``, listed when the root index is built; the audit
+never reads them, so a wrong list gives a table whose digest misses its pin
+and that is then judged against ``sums`` and ``add``.  Every
 weight b(d) is the int 1, 2 or 3.  The table stores n as ``n_dense``, an int8
 array with n(roots[i], roots[j]) at ``i * C + j`` (C = 2N, zero where the sum
 is no root).
@@ -65,6 +67,10 @@ fail, so the witnesses and their order are those of the exhaustive
 enumeration.  The verdict passes exactly when the witness tier reports
 nothing, by the arguments below.
 
+- Weights.  The verdict first requires b(-r) = b(r) on every root, and the
+  witness tier first names each positive root r where it fails.  The cycle
+  argument below needs it: the three weights of a negated triple are those
+  of the triple.
 - Pairs.  The antisymmetry, negation and |n| = p+1 checks of a pair read
   only the entries of its orbit.  The verdict visits each orbit once, from
   its member (i, j) with i positive and j > i (j positive) or -j > i (j
@@ -315,18 +321,13 @@ def build_constants(rs: RootSystem, verify: bool = False) -> ChevalleyTable:
     exhaustive audit on any other, True always runs the audit.  A failed
     audit raises InternalConsistencyError.
     """
-    roots, neg, add, sums = rs.roots, rs.neg, rs.add, rs.sums
+    roots, neg, add = rs.roots, rs.neg, rs.add
     count, half = len(roots), len(rs.positive_roots)
-    negative = rs.positive_mask << half
     b = rs.weights
     n = array("b", bytes(count * count))
 
     for gamma in range(rs.rank, half):  # the simple roots 0..rank-1 do not split
-        row = add[gamma]
-        # gamma = al + be with al < be positive, al ascending
-        pairs = [
-            (neg[x], row[x]) for x in bits(sums[gamma] & negative) if neg[x] < row[x] < half
-        ]
+        pairs = rs.decompositions[gamma]  # gamma = al + be, al < be, al ascending
         if not pairs:
             raise InternalConsistencyError(f"no decomposition for {roots[gamma]}")
         eps, eta = pairs[0]  # the extraspecial pair: minimal first summand
@@ -421,16 +422,19 @@ def _jacobi_candidates(rs: RootSystem):
 
 
 def _witnesses(table: ChevalleyTable):
-    """Every witness of the audit: the pair checks on each pair, then the
-    weighted cyclic identity on each pair, then each nonzero n off the sum
-    pairs, in index order, then the Jacobi check on each candidate triple,
-    in the order of the walk."""
+    """Every witness of the audit: b(-r) = b(r) on each positive root r,
+    then the pair checks on each pair, then the weighted cyclic identity on
+    each pair, then each nonzero n off the sum pairs, in index order, then
+    the Jacobi check on each candidate triple, in the order of the walk."""
     rs = table.rs
     roots, neg, add, sums, b = rs.roots, rs.neg, rs.add, rs.sums, rs.weights
     count = len(roots)
     # the stored constants as they stand now, as a list: CPython indexes a
     # list faster than an array, and the Jacobi loop reads one entry per term
     n = table.n_dense.tolist()
+    for i in range(count // 2):
+        if b[neg[i]] != b[i]:
+            yield f"b(-r) != b(r) at r = {roots[i]}: {b[neg[i]]} vs {b[i]}"
     for i in range(count):
         for j in bits(sums[i]):
             v = n[i * count + j]
@@ -487,12 +491,12 @@ def _witnesses(table: ChevalleyTable):
 def convention_violations(table: ChevalleyTable, *, limit: int | None = None) -> list[str]:
     """Audit the table; returns human-readable witnesses (empty = clean).
 
-    Checks antisymmetry, the negation rule, |n| = p+1, the weighted cyclic
-    identity on every zero-sum triple, n = 0 where a + b is no root, and the
-    Jacobi identity on every triple that can fail.  A table that passes the
-    verdict (:func:`sign_convention_check`) has no witness; any other gets
-    the witness tier, each check on each pair and candidate triple in index
-    order.  With ``limit`` the audit stops after that many witnesses.
+    Checks b(-r) = b(r), antisymmetry, the negation rule, |n| = p+1, the
+    weighted cyclic identity on every zero-sum triple, n = 0 where a + b is
+    no root, and the Jacobi identity on every triple that can fail.  A
+    table that passes the verdict (:func:`sign_convention_check`) has no
+    witness; any other gets the witness tier, each check on each pair and
+    candidate triple in index order.  With ``limit`` the audit stops after that many witnesses.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -502,7 +506,7 @@ def convention_violations(table: ChevalleyTable, *, limit: int | None = None) ->
 
 
 def sign_convention_check(table: ChevalleyTable) -> bool:
-    """True iff the pair, weighted cyclic and Jacobi audits pass.
+    """True iff b(-r) = b(r) and the pair, weighted cyclic and Jacobi audits pass.
 
     This is the verdict of :func:`convention_violations`, which checks each
     identity once per orbit (module docstring) and stops at the first fault.
@@ -511,6 +515,8 @@ def sign_convention_check(table: ChevalleyTable) -> bool:
     neg, add, sums = rs.neg, rs.add, rs.sums
     count, half = len(rs.roots), len(rs.positive_roots)
     n, b = table.n_dense.tolist(), rs.weights
+    if b[half:] != b[:half]:  # b(-r) = b(r), which the one cyclic check per class needs
+        return False
     positive, every = rs.positive_mask, (1 << count) - 1
     for i in range(half):
         ni = neg[i]

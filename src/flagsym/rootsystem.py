@@ -34,8 +34,11 @@ time from root strings, each with its Cartan pairings <r, a_i^v>, and the
 squared lengths follow from those pairings, and from them ``weights[i]`` =
 b(roots[i]): the one copy of the weights, which the Chevalley build, its
 audit and the oracles read.  ``sums`` and ``add`` come from integer keys of
-the coordinates; the table is symmetric and odd under negation, so one
-ordered pair of roots in four is looked up.
+the coordinates, one zero-sum class {a, b, -(a + b)} at a time: each class
+is found once, at its two positive roots, and all twelve of its ``add``
+entries are written together.  The same walk lists ``decompositions[s]``, the
+pairs of positive roots that sum to the positive root s, which the Chevalley
+build reads.
 
 Every Dynkin diagram, the plain and the extended one and that of the simple
 roots of a subsystem, comes from one builder on the index,
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import add, mul
@@ -364,6 +368,12 @@ def classify_connected(d: Diagram) -> tuple[str, int]:
 class RootSystem:
     """The root system of one simple type on a dense root index; all queries are exact.
 
+    The index (module docstring): ``roots``, ``positive_roots`` and
+    ``simple_roots`` as coordinate tuples, ``index`` (root to index), ``neg``,
+    ``weights``, ``positive_mask``, ``support``, ``sums``, ``add`` and, for
+    each positive root s, ``decompositions[s]``: the index pairs (i, y), i < y
+    positive, with roots[i] + roots[y] = roots[s], i ascending.
+
     The root data are set at construction and not changed after, but nothing
     enforces it: the rows of ``add`` are mutable ``array('H')``.  Three memos
     are filled as the instance is used: ``leaf_memo``, ``component_memo`` and
@@ -411,43 +421,51 @@ class RootSystem:
                     support[node] |= 1 << i
         self.support: tuple[int, ...] = tuple(s | s << half for s in support)
         # sums[i]: mask of the j with roots[i] + roots[j] a root; add[i][j]: the
-        # index of that sum, or ``count`` (a bit no root mask has) when it is none.
-        # The sums are found on integer keys: the coordinates as signed digits in
-        # base 4M + 1, M the largest coefficient, so key(a) + key(b) = key(a + b),
-        # and two vectors with entries of size <= 2M (a sum of two roots and a
-        # root) have the same key only when they are equal.  The table is
-        # symmetric, add[i][j] = add[j][i], and odd, add[-i][-j] = -add[i][j],
-        # so one ordered pair in four is looked up: a positive i with x > i and
-        # j = x or j = -x, x positive (i + i and i - i are never roots).  The
-        # rows of the negative roots have the negated masks.
-        base = 4 * max(self.highest) + 1
+        # index of that sum, or ``count`` (a bit no root mask has) when it is none;
+        # decompositions[s]: the pairs i < y of positive roots that sum to roots[s].
+        # A sum pair lies in one zero-sum class {a, b, -(a + b)} with its
+        # negation, and the class is found once, at its two positive roots
+        # i < y: heights add, so y runs over the roots of height at most
+        # ht(theta) - ht(i), and the sum is looked up on integer keys, the
+        # coordinates as digits in base 2M + 1, M the largest coefficient, so
+        # key(a) + key(b) = key(a + b), and two vectors with entries in 0..2M
+        # have the same key only when they are equal.  A hit s = i + y writes
+        # the class's twelve ``add`` entries (the table is symmetric, and odd
+        # under negation) and its six bits in the rows of the positive roots;
+        # the rows of the negative roots have the negated masks.  i ascends, so
+        # each list of decompositions is in the order of the Chevalley build.
+        base = 2 * max(self.highest) + 1
         powers = [base**n for n in range(rank)]
         keys = [sum(map(mul, r, powers)) for r in pos]
-        by_key = dict(zip(keys, range(half)))
-        by_key.update(zip([-k for k in keys], range(half, count)))
-        get, neg = by_key.get, self.neg
+        get = dict(zip(keys, range(half))).get
+        heights = list(map(height, pos))
+        top = heights[-1]
         add_rows = [array("H", [count]) * count for _ in range(count)]
         sums = [0] * half
+        decompositions: list[list[tuple[int, int]]] = [[] for _ in range(half)]
         for i, ka in enumerate(keys):
-            row, ni = add_rows[i], neg[i]
-            row_ni, mask = add_rows[ni], sums[i]
-            for x in range(i + 1, half):
-                kx, nx = keys[x], x + half
-                s = get(ka + kx)  # roots[i] + roots[x]
-                if s is not None:
-                    row[x] = add_rows[x][i] = s
-                    row_ni[nx] = add_rows[nx][ni] = neg[s]
-                    mask |= 1 << x
-                    sums[x] |= 1 << i
-                s = get(ka - kx)  # roots[i] - roots[x]
-                if s is not None:
-                    row[nx] = add_rows[nx][i] = s
-                    row_ni[x] = add_rows[x][ni] = neg[s]
-                    mask |= 1 << nx
-                    sums[x] |= 1 << ni
-            sums[i] = mask
+            ni, row, row_ni = i + half, add_rows[i], add_rows[i + half]
+            for y in range(i + 1, bisect_right(heights, top - heights[i])):
+                s = get(ka + keys[y])
+                if s is None:
+                    continue
+                ny, ns = y + half, s + half
+                row_y, row_ny, row_s, row_ns = add_rows[y], add_rows[ny], add_rows[s], add_rows[ns]
+                row[y] = row_y[i] = s  # i + y = s
+                row_ni[ny] = row_ny[ni] = ns  # -i - y = -s
+                row[ns] = row_ns[i] = ny  # i - s = -y
+                row_ni[s] = row_s[ni] = y  # s - i = y
+                row_y[ns] = row_ns[y] = ni  # y - s = -i
+                row_ny[s] = row_s[ny] = i  # s - y = i
+                sums[i] |= 1 << y | 1 << ns
+                sums[y] |= 1 << i | 1 << ns
+                sums[s] |= 1 << ni | 1 << ny
+                decompositions[s].append((i, y))
         self.sums: tuple[int, ...] = tuple(sums) + tuple(map(self.neg_mask, sums))
         self.add: tuple[array, ...] = tuple(add_rows)
+        self.decompositions: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            map(tuple, decompositions)
+        )
         self._extended: Diagram | None = None
         # filled by flagsym.symmetry: the LeafDescriptor by symmetry-root mask
         # (masks and labels only, no reference back to this root system), the

@@ -24,8 +24,8 @@ k-highest test and the simple roots of a subsystem each test one row
 nilradical scan maps the whole row over R_m+; the others filter the row's
 sum partners ``partners[i]`` (the set bits of ``sums[i]``) by a set, which
 costs the length of the row instead of the width of the mask, and only a
-row that fails a closure is walked again for its first witness.  [p, p],
-the abelian-centre test and [k', p] = 0 are short loops over set bits.
+row that fails a closure is walked again for its first witness.  [p, p]
+and [k', p] = 0 are short loops over set bits.
 Roots become coordinate tuples only where a caller reads them: the symmetry
 roots of a report.
 
@@ -35,8 +35,8 @@ its FlagData, by :func:`_structure`, whichever entry point comes first:
   * the symmetry roots, by two independent scans that are cross-checked: one
     tests membership of a + b in R through ``sums``, the other membership in
     R_m+ through ``add``;
-  * the tests that the highest root is a symmetry root and that the centre is
-    abelian (no two symmetry roots sum to a root);
+  * the test that the highest root is a symmetry root (the centre is abelian
+    by construction: see :func:`_structure`);
   * the masks of p = R_p+ and its negatives and of [p, p], with the test
     that [p, p] lies in the isotropy roots;
   * the mask of h' = h + p, proved closed under root addition on the rows
@@ -220,7 +220,11 @@ def center_of_nilradical(flag: FlagData) -> frozenset:
 
 def _structure(flag: FlagData) -> Structure:
     """The flag's :class:`Structure`, built and tested once per flag in the
-    order of the module doc; a failure raises and leaves the slot empty."""
+    order of the module doc; a failure raises and leaves the slot empty.
+
+    The centre is abelian with no test: a symmetry root i has ``sums[i]`` &
+    R_m+ empty, and the symmetry roots lie in R_m+, so no two sum to a root.
+    """
     if flag._structure is None:
         rs = flag.rs
         via_r = symmetry_roots(flag)
@@ -230,9 +234,7 @@ def _structure(flag: FlagData) -> Structure:
             )
         if rs.highest not in via_r:
             raise InternalConsistencyError(f"{flag.pd.spec}: highest root not a symmetry root")
-        plus, sums = rs.mask_of(via_r), rs.sums
-        if any(sums[i] & plus for i in bits(plus)):
-            raise InternalConsistencyError(f"{flag.pd.spec}: centre not abelian")
+        plus = rs.mask_of(via_r)
         rp = plus | rs.neg_mask(plus)
         leaf = rs.leaf_memo.get(plus)
         rk = _r_k(rs, plus) if leaf is None else leaf.k_mask
@@ -493,9 +495,14 @@ def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport
     rp_plus = _structure(flag).r_p_plus
     index = 2 * len(rp_plus)
     coindex = flag.dim_m - index
-    if (coindex == 0) != flag.is_symmetric_coset():
+    # the coindex is 0 exactly when R_m+ is abelian, G/H a Hermitian
+    # symmetric space, and that is when one node is painted and its
+    # coefficient in the highest root is 1: a test that reads no scan
+    painted = flag.pd.painted
+    symmetric = len(painted) == 1 and flag.rs.highest[min(painted) - 1] == 1
+    if (coindex == 0) != symmetric:
         raise InternalConsistencyError(
-            f"{flag.pd.spec}: coindex {coindex} vs symmetric-coset test"
+            f"{flag.pd.spec}: coindex {coindex} vs the painted coefficients of the highest root"
         )
     return SymmetryReport(
         flag=flag,

@@ -215,12 +215,49 @@ def test_a_failed_audit_at_build_raises(monkeypatch):
 # roots in index order are a3, a2, a1, a2+a3, a1+a2, a1+a2+a3
 def test_build_raises_for_a_root_without_a_decomposition():
     rs = RootSystem("A", 3)
-    sums = list(rs.sums)
-    sums[3] &= rs.positive_mask  # a2+a3 loses its summands
-    rs.sums = tuple(sums)
+    decompositions = list(rs.decompositions)
+    decompositions[3] = ()  # a2+a3 loses its summands
+    rs.decompositions = tuple(decompositions)
     with pytest.raises(InternalConsistencyError) as info:
         build_constants(rs)
     assert str(info.value) == "no decomposition for (0, 1, 1)"
+
+
+def test_a_fault_in_sums_fails_the_audit_at_build():
+    # the build reads the decompositions, not sums; the certificate still
+    # guards sums: the digest misses its pin and the audit judges the table
+    rs = RootSystem("A", 3)
+    sums = list(rs.sums)
+    sums[3] &= rs.positive_mask  # a2+a3 loses its negative partners
+    rs.sums = tuple(sums)
+    with pytest.raises(InternalConsistencyError, match="A3: constant table fails the audit"):
+        build_constants(rs)
+
+
+@pytest.mark.parametrize(
+    "family,rank,index,message",
+    [
+        # -a3: the build never reads the weight of a negative simple root
+        ("A", 3, 6, "b(-r) != b(r) at r = (0, 0, 1): 2 vs 1"),
+        # A1 has no sum pair, so no other check reads a weight
+        ("A", 1, 1, "b(-r) != b(r) at r = (1,): 2 vs 1"),
+    ],
+)
+def test_the_audit_reads_the_weights_of_the_negative_roots(family, rank, index, message):
+    def planted(rs):
+        weights = list(rs.weights)
+        weights[index] = 2
+        rs.weights = tuple(weights)
+        return rs
+
+    with pytest.raises(InternalConsistencyError, match=f"{family}{rank}: constant table fails"):
+        build_constants(planted(RootSystem(family, rank)))
+    # a table built on the sound weights, judged on the planted ones: the
+    # verdict fails and the witness tier names the root first
+    table = build_constants(RootSystem(family, rank))
+    planted(table.rs)
+    assert not sign_convention_check(table)
+    assert convention_violations(table)[0] == message
 
 
 @pytest.mark.parametrize(

@@ -182,6 +182,20 @@ def test_is_symmetric_coset():
     assert not make_flag(parse_painted("A2:{1,2}")).is_symmetric_coset()
 
 
+def test_symmetric_exactly_when_one_painted_node_has_coefficient_one():
+    # the test build_report holds the coindex to, against the sums scan, on
+    # all 2455 paintings through rank 8
+    symmetric = 0
+    for family, rank in simple_types(8):
+        theta = build_root_system(family, rank).highest
+        for f in all_paintings(family, rank):
+            painted = sorted(f.pd.painted)
+            mark_one = len(painted) == 1 and theta[painted[0] - 1] == 1
+            assert f.is_symmetric_coset() == mark_one, f.pd.spec
+            symmetric += mark_one
+    assert symmetric == 67
+
+
 def test_kahler_param_validation():
     f = make_flag(parse_painted("A3:{2,3}"))
     with pytest.raises(ValueError):

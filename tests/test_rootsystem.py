@@ -123,7 +123,26 @@ def test_root_index_build_matches_the_reference(family, rank):
     assert rs.add == add
 
 
+def old_decompositions(rs, gamma):
+    """The pairs (al, be), al < be positive, al ascending, with al + be =
+    gamma, read off ``sums[gamma]`` as the Chevalley build once did."""
+    neg, row, half = rs.neg, rs.add[gamma], len(rs.positive_roots)
+    negative = rs.positive_mask << half
+    return [(neg[x], row[x]) for x in bits(rs.sums[gamma] & negative) if neg[x] < row[x] < half]
+
+
 PAST_E8 = [(f, r) for f in "ABCD" for r in range(9, 13)]
+
+
+@pytest.mark.parametrize("family,rank", simple_types(8) + PAST_E8)
+def test_decompositions_are_the_pairs_read_off_sums(family, rank):
+    rs = build_root_system(family, rank)
+    assert len(rs.decompositions) == len(rs.positive_roots)
+    assert all(type(pairs) is tuple for pairs in rs.decompositions)
+    for gamma, pairs in enumerate(rs.decompositions):
+        assert list(pairs) == old_decompositions(rs, gamma), (family, rank, gamma)
+    # each zero-sum class once: twelve sum pairs to a class
+    assert 12 * sum(map(len, rs.decompositions)) == sum(map(int.bit_count, rs.sums))
 
 
 # the sha256 of add (rows little-endian) and of sums (each mask little-endian

@@ -173,6 +173,44 @@ def test_unread_public_definition_is_found(tmp_path):
     assert unread_public_definitions(paths) == ["a.Dead", "a.dead"]
 
 
+def functions_naming(path: Path, functions, name: str) -> list[str]:
+    """The module-level ``functions`` of ``path`` whose bodies, nested
+    functions included, read ``name`` as a variable or an attribute."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, FUNCTIONS) and node.name in functions:
+            if any(
+                isinstance(sub, ast.Name) and sub.id == name
+                or isinstance(sub, ast.Attribute) and sub.attr == name
+                for sub in ast.walk(node)
+            ):
+                found.append(node.name)
+    return found
+
+
+# the audit reads only the arrays that the digest covers; the build's list of
+# decompositions is not one of them, so a wrong list cannot pass unjudged
+AUDIT_FUNCTIONS = ("sign_convention_check", "_witnesses", "_jacobi_candidates")
+
+
+def test_the_audit_never_reads_the_decompositions():
+    path = SRC / "chevalley.py"
+    defined = {n.name for n in ast.parse(path.read_text()).body if isinstance(n, FUNCTIONS)}
+    assert set(AUDIT_FUNCTIONS) <= defined
+    assert functions_naming(path, AUDIT_FUNCTIONS, "decompositions") == []
+
+
+def test_a_function_naming_the_decompositions_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def reads(rs):\n    return rs.decompositions\n\n"
+        "def nested(rs):\n    def inner():\n        return decompositions\n    return inner\n\n"
+        "def clean(rs):\n    return rs.sums\n\n"
+        "def unlisted(rs):\n    return rs.decompositions\n"
+    )
+    functions = ("reads", "nested", "clean")
+    assert functions_naming(tmp_path / "a.py", functions, "decompositions") == ["reads", "nested"]
+
+
 ROLE = re.compile(r":(func|meth|class|attr|mod):(`~?([^`]*)`)?")
 
 

@@ -177,18 +177,22 @@ def test_closure_gap_walks_the_given_rows():
     assert _closure_gap(rs, pair, 0) is None
 
 
-def test_non_abelian_centre_raises_before_any_leaf_is_classified(monkeypatch):
-    rs = RootSystem("A", 2)  # its own leaf memo, empty
-    f = make_flag(PaintedDiagram(rs, frozenset({1, 2})))
-    # both scans give a1, a2 and the highest root a1 + a2: a1 + a2 is a root
-    centre = frozenset({(1, 0), (0, 1), (1, 1)})
-    monkeypatch.setattr(symmetry, "symmetry_roots", lambda flag: centre)
-    monkeypatch.setattr(symmetry, "center_of_nilradical", lambda flag: centre)
-    monkeypatch.setattr(symmetry, "_leaf_descriptor", None)  # a classification fails
-    for entry in (build_report, leaf_pair, h_prime, k_prime_check):
-        with pytest.raises(InternalConsistencyError, match=re.escape("A2:{1,2}: centre not abelian")):
-            entry(f)
-    assert f._structure is None and rs.leaf_memo == {}
+@pytest.mark.parametrize(
+    "spec,dim_m,coindex",
+    [
+        ("A3:{2}", 10, 2),  # symmetric: one painted node of coefficient 1
+        ("A3:{2,3}", 4, 0),  # two painted nodes: never symmetric
+        ("B3:{2}", 2, 0),  # the coefficient of node 2 in theta is 2
+    ],
+)
+def test_a_coindex_against_the_highest_root_raises(spec, dim_m, coindex):
+    f = make_flag(parse_painted(spec))
+    f.dim_m = dim_m  # a planted tangent dimension moves the coindex only
+    with pytest.raises(InternalConsistencyError) as info:
+        build_report(f)
+    assert str(info.value) == (
+        f"{spec}: coindex {coindex} vs the painted coefficients of the highest root"
+    )
 
 
 def test_p_p_escaping_the_isotropy_roots_raises_from_every_entry_point(monkeypatch):
