@@ -204,9 +204,9 @@ Certificates.  The verdict is a function of the arrays it reads: the roots
 in index order (the heights and the count), ``rs.neg``, ``rs.weights``,
 ``sums``, ``add`` and ``n_dense``.  :func:`digest` is the sha256 of exactly
 these, in a byte order that does not depend on the host (``add`` rows are
-native-endian ``array('H')``, and are hashed little-endian).  Two tables with
-the same digest have the same arrays, so the verdict on one is the verdict on
-the other.  ``AUDITED_DIGESTS`` pins one digest per type through rank 8, and
+read-only views of native-endian ``array('H')``, and are hashed
+little-endian).  Two tables with the same digest have the same arrays, so the
+verdict on one is the verdict on the other.  ``AUDITED_DIGESTS`` pins one digest per type through rank 8, and
 the tests build every one of those types with the audit and require its
 digest to equal the pin, so a pin names only a build that passed the audit.
 :func:`build_constants` therefore certifies a table whose digest equals its

@@ -15,12 +15,7 @@ import re
 from collections import namedtuple
 from numbers import Rational
 
-from .rootsystem import (
-    Diagram,
-    RootSystem,
-    bits,
-    build_root_system,
-)
+from .rootsystem import Diagram, RootSystem, build_root_system
 
 _PAINTED_RE = re.compile(r"\s*([A-G])\s*([0-9]+)\s*:\s*\{([0-9,\s]*)\}\s*\Z")
 
@@ -103,9 +98,8 @@ class FlagData:
 
     The root sets are masks over the root index of ``rs``: ``h_mask``,
     ``m_mask`` and ``m_plus_mask``.  What it describes is fixed at
-    construction; the symmetric-coset verdict and the one record that
-    :mod:`flagsym.symmetry` keeps here only ever take one value, so
-    concurrent reads are safe.
+    construction; the one record that :mod:`flagsym.symmetry` keeps here only
+    ever takes one value, so concurrent reads are safe.
     """
 
     def __init__(self, pd: PaintedDiagram):
@@ -119,17 +113,15 @@ class FlagData:
         self.h_mask = ((1 << len(rs.roots)) - 1) & ~m_mask
         self.m_plus_mask = m_mask & rs.positive_mask
         self.dim_m = m_mask.bit_count()
-        self._symmetric: bool | None = None
         # filled once by flagsym.symmetry: the symmetry roots and the masks
         # of p, [p, p] and h' (a symmetry.Structure)
         self._structure = None
 
     def is_symmetric_coset(self) -> bool:
-        """True iff no two roots of R_m+ sum to a root ([m, m] inside h)."""
-        if self._symmetric is None:
-            sums, plus = self.rs.sums, self.m_plus_mask
-            self._symmetric = not any(sums[i] & plus for i in bits(plus))
-        return self._symmetric
+        """True iff no two roots of R_m+ sum to a root ([m, m] inside h), that
+        is iff one node is painted and its coefficient in the highest root is 1."""
+        painted = self.pd.painted
+        return len(painted) == 1 and self.rs.highest[min(painted) - 1] == 1
 
     def __repr__(self) -> str:
         return f"FlagData({self.pd.spec})"

@@ -374,9 +374,11 @@ class RootSystem:
     each positive root s, ``decompositions[s]``: the index pairs (i, y), i < y
     positive, with roots[i] + roots[y] = roots[s], i ascending.
 
-    The root data are set at construction and not changed after, but nothing
-    enforces it: the rows of ``add`` are mutable ``array('H')``.  Three memos
-    are filled as the instance is used: ``leaf_memo``, ``component_memo`` and
+    The root data are set at construction and not changed after: each row
+    of ``add`` is a read-only view of an ``array('H')``, so a write into it
+    raises TypeError, and no package code outside the constructor rebinds a
+    root-data attribute (a source check of the tests).  Three memos are
+    filled as the instance is used: ``leaf_memo``, ``component_memo`` and
     ``sound`` (see :mod:`flagsym.symmetry`).  Construction is single threaded.
     Use :func:`build_root_system` (cached) rather than the constructor.
     """
@@ -462,7 +464,7 @@ class RootSystem:
                 sums[s] |= 1 << ni | 1 << ny
                 decompositions[s].append((i, y))
         self.sums: tuple[int, ...] = tuple(sums) + tuple(map(self.neg_mask, sums))
-        self.add: tuple[array, ...] = tuple(add_rows)
+        self.add: tuple[memoryview, ...] = tuple(memoryview(row).toreadonly() for row in add_rows)
         self.decompositions: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             map(tuple, decompositions)
         )
@@ -470,7 +472,7 @@ class RootSystem:
         # filled by flagsym.symmetry: the LeafDescriptor by symmetry-root mask
         # (masks and labels only, no reference back to this root system), the
         # label of the affine node's component by its node mask, and whether
-        # ``add`` is sound for the closures that walk some rows only
+        # the index is sound, as the closures that walk some rows only need
         self.leaf_memo: dict = {}
         self.component_memo: dict[int, str] = {}
         self.sound: bool | None = None

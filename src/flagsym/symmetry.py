@@ -32,6 +32,7 @@ roots of a report.
 The masks of each painting are built once, in a :class:`Structure` kept on
 its FlagData, by :func:`_structure`, whichever entry point comes first:
 
+  * the verdict that the root index is sound (below), once per root system;
   * the symmetry roots, by two independent scans that are cross-checked: one
     tests membership of a + b in R through ``sums``, the other membership in
     R_m+ through ``add``;
@@ -64,28 +65,26 @@ key and root system, in a memo on the ``RootSystem``:
     :func:`leaf_via_diagram` restricts the extended diagram to the same mask.
 
 Two closures walk some rows of their set only, the closure of u = k + p the
-rows of k and that of h' = h + p the rows of p, and each decides the same
-as a walk over every row of its set on a sound table: ``add`` and ``sums``
-symmetric on the sum partners, and the zero set Z_n of every node n (the
-roots with coefficient 0 at n) closed under ``add``.  On such a table a pair
-with a member in the walked rows is found in that member's row, and every
-other pair sums inside the set:
+rows of k and that of h' = h + p the rows of p.  Each decides as a walk over
+every row of its set would on a sound index: ``add`` and ``sums`` symmetric
+on the sum partners, and the zero set Z_n of every node n (the roots with
+coefficient 0 at n) closed under ``add``.  There a pair with a member in the
+walked rows is found in that member's row, and every other pair sums inside
+the set:
 
   * two roots of p of one sign, a + b or -a - b with a, b in R_p+, never sum
-    to a root, because the centre is abelian, which :func:`_structure` tests
-    before either closure;
+    to a root, because the centre is abelian by construction: a symmetry
+    root a has ``sums[a]`` & R_m+ empty, and R_p+ lies in R_m+;
   * a mixed pair of p that sums to a root sums into [p, p] = k, by the
     definition of :func:`_r_k`, and k lies in h, as the escape test checks;
   * two roots of h sum into h, because h is the intersection of the Z_n over
     the painted nodes.
 
 :func:`_sound` decides soundness once per root system, in
-``RootSystem.sound``, and :func:`_closure_gap` walks every row of its set on
-a table that is not sound, so each verdict is that of the full walk on every
-table; an "h' not closed" error names the full walk's first witness.  The
-verdict is taken on the root system's first closure of some rows: a table
-changed after that is not judged again, as a root system is not changed
-once built.
+``RootSystem.sound``, and :func:`_structure` raises on an unsound index
+before it reads the index for a painting: an unsound index fails closed, with
+no record and no memo entry.  The verdict holds for the life of the root
+system, whose ``add`` rows are read-only.
 
 u and k are classified from their simple roots by index:
 :meth:`RootSystem.diagram`, the builder of the extended diagram too, reads
@@ -227,6 +226,8 @@ def _structure(flag: FlagData) -> Structure:
     """
     if flag._structure is None:
         rs = flag.rs
+        if not _sound(rs):
+            raise InternalConsistencyError(f"{rs.name}: root index not sound")
         via_r = symmetry_roots(flag)
         if via_r != center_of_nilradical(flag):
             raise InternalConsistencyError(
@@ -241,9 +242,9 @@ def _structure(flag: FlagData) -> Structure:
         if rk & ~flag.h_mask:
             raise InternalConsistencyError(f"{flag.pd.spec}: [p,p] escapes the isotropy roots")
         hp = flag.h_mask | rp
-        # the rows of p decide; the full walk names the witness
-        if _closure_gap(rs, hp, rp) is not None:
-            a, b = (root_str(rs.roots[i]) for i in _closure_gap(rs, hp))
+        gap = _closure_gap(rs, hp, rp)  # the rows of p decide, see the module doc
+        if gap is not None:
+            a, b = (root_str(rs.roots[i]) for i in gap)
             raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
         flag._structure = Structure(via_r, plus, rp, rk, hp)
     return flag._structure
@@ -282,16 +283,14 @@ def _r_k(rs: RootSystem, plus: int) -> int:
 
 
 def _closure_gap(rs: RootSystem, mask: int, rows: int | None = None) -> tuple[int, int] | None:
-    """The first pair (i, j), i in ``rows`` and j in ``mask``, whose sum is a
-    root outside ``mask``, else None.
+    """The first pair (i, j), i in ``rows`` (by default every row of
+    ``mask``) and j in ``mask``, whose sum is a root outside ``mask``, else None.
 
-    ``rows`` is read only when ``add`` is sound (:func:`_sound`); by default,
-    or on any other table, every row of ``mask`` is walked.  One set test per
-    row; only a row that fails is walked for its first j.
+    One set test per row; only a row that fails is walked for its first j.
     """
     add, partners = rs.add, rs.partners
     inside = set(bits(mask))
-    for i in bits(mask if rows is None or not _sound(rs) else rows):
+    for i in bits(mask if rows is None else rows):
         row = add[i]
         within = filter(inside.__contains__, partners[i])
         if not inside.issuperset(map(row.__getitem__, within)):
@@ -300,7 +299,7 @@ def _closure_gap(rs: RootSystem, mask: int, rows: int | None = None) -> tuple[in
 
 
 def _sound(rs: RootSystem) -> bool:
-    """Whether ``add`` is sound for the closures of some rows (module doc):
+    """Whether the index is sound for the closures of some rows (module doc):
     ``add`` and ``sums`` symmetric on the sum partners, and the zero set Z_n
     of every node closed under ``add``.  Decided on the first call, in
     ``rs.sound``."""
@@ -495,12 +494,9 @@ def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport
     rp_plus = _structure(flag).r_p_plus
     index = 2 * len(rp_plus)
     coindex = flag.dim_m - index
-    # the coindex is 0 exactly when R_m+ is abelian, G/H a Hermitian
-    # symmetric space, and that is when one node is painted and its
-    # coefficient in the highest root is 1: a test that reads no scan
-    painted = flag.pd.painted
-    symmetric = len(painted) == 1 and flag.rs.highest[min(painted) - 1] == 1
-    if (coindex == 0) != symmetric:
+    # the coindex is 0 exactly when G/H is a Hermitian symmetric space, which
+    # is_symmetric_coset reads off the highest root, not off a scan
+    if (coindex == 0) != flag.is_symmetric_coset():
         raise InternalConsistencyError(
             f"{flag.pd.spec}: coindex {coindex} vs the painted coefficients of the highest root"
         )

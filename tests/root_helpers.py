@@ -21,6 +21,9 @@ subsystem classifier and the integer coroots are checked against.
 reference the diagram classifier is checked against, and
 :func:`ref_diagram_components` is the search over edge lists that the
 component split on node masks replaced.
+
+:func:`writable_add` is how a test plants a fault in a root index, whose
+``add`` rows are read-only: it rebinds ``add`` to writable copies.
 """
 
 import itertools
@@ -36,6 +39,16 @@ from flagsym.rootsystem import (
     height,
     rneg,
 )
+
+
+# the A-D types past E8 whose root index the tests pin and judge sound
+PAST_E8 = [(f, r) for f in "ABCD" for r in range(9, 13)]
+
+
+def writable_add(rs) -> tuple[array, ...]:
+    """Rebind ``rs.add`` to writable copies of its rows, and return them."""
+    rs.add = tuple(array("H", row) for row in rs.add)
+    return rs.add
 
 
 def radd(a, b):

@@ -16,7 +16,7 @@ from flagsym import (
     simple_types,
     to_dot,
 )
-from flagsym.rootsystem import rneg
+from flagsym.rootsystem import bits, rneg
 
 from flag_helpers import epsilon, eval_root, ref_r_h, ref_r_m, ref_r_m_plus, t_modules
 from root_helpers import inner_product, radd, root_set
@@ -183,16 +183,16 @@ def test_is_symmetric_coset():
 
 
 def test_symmetric_exactly_when_one_painted_node_has_coefficient_one():
-    # the test build_report holds the coindex to, against the sums scan, on
-    # all 2455 paintings through rank 8
+    # is_symmetric_coset, the highest-root test build_report holds the
+    # coindex to, against the definition as a sums scan (no two roots of
+    # R_m+ sum to a root), on all 2455 paintings through rank 8
     symmetric = 0
     for family, rank in simple_types(8):
-        theta = build_root_system(family, rank).highest
         for f in all_paintings(family, rank):
-            painted = sorted(f.pd.painted)
-            mark_one = len(painted) == 1 and theta[painted[0] - 1] == 1
-            assert f.is_symmetric_coset() == mark_one, f.pd.spec
-            symmetric += mark_one
+            sums, plus = f.rs.sums, f.m_plus_mask
+            scan = not any(sums[i] & plus for i in bits(plus))
+            assert f.is_symmetric_coset() == scan, f.pd.spec
+            symmetric += scan
     assert symmetric == 67
 
 

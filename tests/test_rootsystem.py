@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from flagsym import (
     Diagram,
+    RootSystem,
     build_root_system,
     classify_connected,
     diagram_components,
@@ -27,6 +28,7 @@ from flagsym.rootsystem import (
     walk,
 )
 from root_helpers import (
+    PAST_E8,
     cartan_int,
     diagram_isomorphic,
     inner_product,
@@ -123,15 +125,23 @@ def test_root_index_build_matches_the_reference(family, rank):
     assert rs.add == add
 
 
+@pytest.mark.parametrize("family,rank", simple_types(8))
+def test_a_write_into_add_raises(family, rank):
+    # the rows are read-only views: a verdict on the index, or a digest of
+    # its table, cannot be outlived by a write
+    rs = RootSystem(family, rank)
+    count = len(rs.roots)
+    for i, row in enumerate(rs.add):
+        with pytest.raises(TypeError):
+            row[i] = count
+        assert row[i] == count  # i + i is never a root
+
 def old_decompositions(rs, gamma):
     """The pairs (al, be), al < be positive, al ascending, with al + be =
     gamma, read off ``sums[gamma]`` as the Chevalley build once did."""
     neg, row, half = rs.neg, rs.add[gamma], len(rs.positive_roots)
     negative = rs.positive_mask << half
     return [(neg[x], row[x]) for x in bits(rs.sums[gamma] & negative) if neg[x] < row[x] < half]
-
-
-PAST_E8 = [(f, r) for f in "ABCD" for r in range(9, 13)]
 
 
 @pytest.mark.parametrize("family,rank", simple_types(8) + PAST_E8)

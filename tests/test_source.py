@@ -211,6 +211,67 @@ def test_a_function_naming_the_decompositions_is_found(tmp_path):
     assert functions_naming(tmp_path / "a.py", functions, "decompositions") == ["reads", "nested"]
 
 
+# the memos a RootSystem fills as it is used; every other attribute its
+# constructor sets is root data, which a verdict or a digest covers
+ROOT_MEMOS = {"leaf_memo", "component_memo", "sound", "_extended"}
+
+
+def root_data_writes(paths) -> tuple[set[str], list[str]]:
+    """The root-data attributes that ``RootSystem.__init__`` in ``paths``
+    sets, and the assignments or deletions of an attribute of one of those
+    names anywhere else in ``paths``, as ``module:line name``."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    constructor = next(
+        fn
+        for tree in trees.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "RootSystem"
+        for fn in cls.body
+        if isinstance(fn, FUNCTIONS) and fn.name == "__init__"
+    )
+
+    def written(tree):
+        return (
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+        )
+
+    data = {node.attr for node in written(constructor)} - ROOT_MEMOS
+    inside = set(map(id, ast.walk(constructor)))
+    writes = [
+        f"{module}:{node.lineno} {node.attr}"
+        for module, tree in trees.items()
+        for node in written(tree)
+        if node.attr in data and id(node) not in inside
+    ]
+    return data, writes
+
+
+def test_no_package_code_rebinds_root_data():
+    # the rows of add are read-only, which stops a write in place; this stops
+    # rebinding, so a soundness verdict or a digest holds for the root system
+    data, writes = root_data_writes(sorted(SRC.glob("*.py")))
+    assert {"roots", "sums", "add", "support"} <= data
+    assert writes == []
+
+
+def test_a_rebound_root_data_attribute_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class RootSystem:\n"
+        "    def __init__(self):\n"
+        "        self.add = ()\n"
+        "        self.sums, self.sound = (), None\n\n"
+        "def plant(rs):\n"
+        "    rs.add = tuple(rs.add)\n"
+        "    rs.sound = rs.leaf_memo = None\n"
+        "    del rs.sums\n"
+    )
+    (tmp_path / "b.py").write_text("def grow(rs):\n    rs.add += ()\n    rs.add[0][1] = 3\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert root_data_writes(paths) == ({"add", "sums"}, ["a:7 add", "a:9 sums", "b:2 add"])
+
+
 ROLE = re.compile(r":(func|meth|class|attr|mod):(`~?([^`]*)`)?")
 
 

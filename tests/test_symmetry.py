@@ -36,7 +36,7 @@ from flagsym.symmetry import (
     _symmetric,
 )
 
-from root_helpers import diagram_isomorphic, radd, root_set
+from root_helpers import diagram_isomorphic, radd, root_set, writable_add
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -209,7 +209,7 @@ def test_p_p_escaping_the_isotropy_roots_raises_from_every_entry_point(monkeypat
 
 
 def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
-    calls = {"_r_k": [], "_closure_gap": []}
+    calls = {"_sound": [], "_r_k": [], "_closure_gap": []}
 
     def counted(name):
         original = getattr(symmetry, name)
@@ -228,19 +228,20 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
     record = _structure(f)
     assert k_prime_check(f) and h_prime(f) == record.hp
     full = (1 << len(rs.roots)) - 1
-    # [p, p] once; h' on the rows of p, whose closure first decides, once per
-    # root system, that the table is sound by closing the zero set of each
-    # node; then the leaf on the rows of k only; none for h_prime
+    # the index judged sound once per root system, by closing the zero set of
+    # each node; [p, p] once; h' once, on the rows of p; the leaf on the rows
+    # of k only; none for h_prime
     assert calls == {
+        "_sound": [()],
         "_r_k": [(record.plus,)],
-        "_closure_gap": [(record.hp, record.rp)]
-        + [(full & ~zero,) for zero in rs.support]
-        + [(record.rk | record.rp, record.rk)],
+        "_closure_gap": [(full & ~zero,) for zero in rs.support]
+        + [(record.hp, record.rp), (record.rk | record.rp, record.rk)],
     }
     assert rs.sound is True
 
     # E7:{2,5,6} has the same symmetry roots: [p, p] and the leaf come from the
-    # memo, the node verdict from the root system, and only h' is closed again
+    # memo, the soundness verdict from the root system, and only h' is closed
+    # again
     for name in calls:
         calls[name].clear()
     g = make_flag(PaintedDiagram(rs, frozenset({2, 5, 6})))
@@ -248,7 +249,7 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
     other = _structure(g)
     assert other[:4] == record[:4] and rep.leaf is leaf_pair(f)
     assert k_prime_check(g) and h_prime(g) == other.hp
-    assert calls == {"_r_k": [], "_closure_gap": [(other.hp, other.rp)]}
+    assert calls == {"_sound": [()], "_r_k": [], "_closure_gap": [(other.hp, other.rp)]}
 
 
 def ref_closure_gap(rs, mask):
@@ -294,33 +295,53 @@ def hprime_message(flag, hp):
     return f"{flag.pd.spec}: h' not closed ({a} + {b})"
 
 
+def kept_by_zero_sets(rs, i, j):
+    """Mask of the roots in every zero set that holds roots i and j: a sum of
+    i and j planted there leaves every zero set closed."""
+    keep = (1 << len(rs.roots)) - 1
+    for support in rs.support:
+        if not (support >> i | support >> j) & 1:
+            keep &= ~support
+    return keep
+
+
 @pytest.mark.parametrize("rows", ["p and h", "p", "h"])
 @pytest.mark.parametrize("spec", GAP_PAINTINGS)
 def test_planted_gap_between_p_and_h_raises_the_full_walk_witness(spec, rows):
     f, hp, rp = fresh_flag(spec)
     rs = f.rs
-    # the sum of a root of p and a root of h, sent outside h' in the row of
-    # p, in the row of h or in both
-    i = next(i for i in bits(rp) if rs.sums[i] & hp & ~rp)
-    j = next(bits(rs.sums[i] & hp & ~rp))
-    outside = next(bits(f.m_mask & ~rp))
+    # the sum of a root i of p and a root j > i of h, sent outside h', to a
+    # root of every zero set that holds i and j, in the row of p, in the row
+    # of h or in both
+    i, j, outside = next(
+        (i, j, o)
+        for i in bits(rp)
+        for j in bits(rs.sums[i] & hp & ~rp)
+        if j > i
+        for o in bits(f.m_mask & ~rp & kept_by_zero_sets(rs, i, j))
+    )
+    add = writable_add(rs)
     if rows != "h":
-        rs.add[i][j] = outside
+        add[i][j] = outside
     if rows != "p":
-        rs.add[j][i] = outside
-    # a gap in the row of h alone escapes the rows of p, but the table is no
-    # longer symmetric, so not sound, and every row of h' is walked
-    assert _symmetric(rs) == (rows == "p and h")
-    assert _closure_gap(rs, hp, rp) is not None
-    with pytest.raises(InternalConsistencyError) as exc:
-        build_report(f)
-    assert str(exc.value) == hprime_message(f, hp)
-    assert f._structure is None
+        add[j][i] = outside
+    # a gap in the row of h alone escapes the rows of p
+    assert (_closure_gap(rs, hp, rp) is None) == (rows == "h")
+    if rows == "p and h":
+        # the index stays sound, and the rows of p find the gap at (i, j),
+        # the first witness of the walk over every row of h' too
+        assert _sound(rs) and ref_closure_gap(rs, hp) == (i, j)
+        message = hprime_message(f, hp)
+    else:
+        # add is no longer symmetric: the index fails closed
+        assert not _symmetric(rs)
+        message = f"{rs.name}: root index not sound"
     # no record of the painting can say hprime_closed over an open h'
-    with pytest.raises(InternalConsistencyError) as exc:
-        cli._painting(f)
-    assert str(exc.value) == hprime_message(f, hp)
-    assert f._structure is None
+    for entry in (build_report, cli._painting):
+        with pytest.raises(InternalConsistencyError) as exc:
+            entry(f)
+        assert str(exc.value) == message
+        assert f._structure is None
 
 
 @pytest.mark.parametrize("spec", GAP_PAINTINGS)
@@ -329,28 +350,50 @@ def test_sum_inside_h_sent_outside_fails_the_node_verdict(spec):
     rs, h = f.rs, f.h_mask
     i = next(i for i in bits(h) if rs.sums[i] & h)
     j = next(bits(rs.sums[i] & h))
-    rs.add[i][j] = rs.add[j][i] = next(bits(f.m_mask & ~rp))
-    # the rows of p would miss the gap; a painted zero set is not closed, so
-    # the table is not sound and every row of h' is walked
-    assert not _sound(rs)
-    assert _closure_gap(rs, hp, rp) == ref_closure_gap(rs, hp)
+    add = writable_add(rs)
+    add[i][j] = add[j][i] = next(bits(f.m_mask & ~rp))
     with pytest.raises(InternalConsistencyError) as exc:
         build_report(f)
-    assert str(exc.value) == hprime_message(f, hp)
-    assert f._structure is None
+    assert str(exc.value) == f"{rs.name}: root index not sound"
+    assert f._structure is None and rs.sound is False
+    # add is still symmetric, but a painted zero set is not closed; the rows
+    # of p miss the gap that the walk over every row of h' finds
+    assert _symmetric(rs)
+    assert _closure_gap(rs, hp, rp) is None and ref_closure_gap(rs, hp) is not None
 
 
 def test_gap_in_one_row_of_the_leaf_raises_from_the_leaf_closure():
     rs = RootSystem("A", 5)  # planted before first use
     f = make_flag(PaintedDiagram(rs, frozenset({1, 3})))
     record = _structure(make_flag(PaintedDiagram(build_root_system("A", 5), f.pd.painted)))
-    # 11 is a root of p and 1 one of k; 3 is a root of h outside u = k + p
-    assert record.rp >> 11 & 1 and record.rk >> 1 & 1
+    # 0 is a root of k and 13 one of p, with their sum in p; 3 is a root of h
+    # outside u = k + p, in every zero set that holds 0 and 13
+    assert record.rk >> 0 & 1 and record.rp >> 13 & 1 and rs.sums[0] >> 13 & 1
     assert f.h_mask >> 3 & 1 and not (record.rk | record.rp) >> 3 & 1
-    rs.add[11][1] = 3  # only in the row of p: the rows of k miss the gap
+    assert kept_by_zero_sets(rs, 0, 13) >> 3 & 1
+    add = writable_add(rs)
+    add[0][13] = add[13][0] = 3  # the index stays sound, and h' closed
     with pytest.raises(InternalConsistencyError, match=re.escape("A5:{1,3}: leaf root set not closed")):
         leaf_pair(f)
-    assert rs.sound is False and rs.leaf_memo == {}
+    assert rs.sound is True and f._structure.hp == record.hp and rs.leaf_memo == {}
+
+
+def test_unsound_index_raises_from_every_entry_point():
+    rs = RootSystem("A", 5)  # its own memos, empty
+    f = make_flag(PaintedDiagram(rs, frozenset({1, 3})))
+    record = _structure(make_flag(PaintedDiagram(build_root_system("A", 5), f.pd.painted)))
+    # 11 is a root of p and 1 one of k; 3 is a root of h outside u = k + p.
+    # Written only in the row of p, the gap escapes the rows of k, and add is
+    # no longer symmetric
+    assert record.rp >> 11 & 1 and record.rk >> 1 & 1
+    assert f.h_mask >> 3 & 1 and not (record.rk | record.rp) >> 3 & 1
+    writable_add(rs)[11][1] = 3
+    assert _closure_gap(rs, record.rk | record.rp, record.rk) is None
+    for entry in (build_report, leaf_pair, h_prime, k_prime_check, cli._painting):
+        with pytest.raises(InternalConsistencyError) as exc:
+            entry(f)
+        assert str(exc.value) == "A5: root index not sound"
+    assert f._structure is None and rs.leaf_memo == {} and rs.sound is False
 
 
 def test_k_prime_examples():

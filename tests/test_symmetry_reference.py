@@ -13,7 +13,8 @@ positive system; it reads each Cartan integer it needs once.  The closure of
 the leaf on the rows of k alone must give the verdict of the full closure on
 every symmetry-root mask through rank 8, and the closure of h' on the rows of
 p alone that of the full closure on every painting through rank 8, with the
-zero set of every node closed on every type.  The affine node's component, found
+root index sound (the zero set of every node closed) on every type through
+rank 8 and on the A-D types of rank 9-12.  The affine node's component, found
 on node masks, must be the diagram of the component split it replaced (the
 edge-list search of ``root_helpers``, which the reference classifier splits
 its diagrams with too), with the same label, on every painting through rank
@@ -60,6 +61,7 @@ from flagsym.symmetry import (
 )
 from flag_helpers import ref_r_h, ref_r_m_plus
 from root_helpers import (
+    PAST_E8,
     diagram_from_vectors,
     radd,
     ref_diagram_components,
@@ -331,7 +333,7 @@ def test_hprime_closure_on_the_rows_of_p_gives_the_full_verdict():
     assert count == 2455
 
 
-@pytest.mark.parametrize("family,rank", simple_types(8))
+@pytest.mark.parametrize("family,rank", simple_types(8) + PAST_E8)
 def test_every_zero_set_is_closed(family, rank):
     rs = RootSystem(family, rank)  # its own verdict, not yet decided
     assert _symmetric(rs)
