@@ -217,18 +217,24 @@ ROOT_MEMOS = {"leaf_memo", "component_memo", "sound", "_extended"}
 
 
 def root_data_writes(paths) -> tuple[set[str], list[str]]:
-    """The root-data attributes that ``RootSystem.__init__`` in ``paths``
-    sets, and the assignments or deletions of an attribute of one of those
-    names anywhere else in ``paths``, as ``module:line name``."""
+    """The root-data attributes of ``RootSystem`` in ``paths``, those its
+    ``__init__`` sets and its cached properties, and the assignments or
+    deletions of an attribute of one of those names anywhere else in
+    ``paths``, as ``module:line name``."""
     trees = {path.stem: ast.parse(path.read_text()) for path in paths}
-    constructor = next(
-        fn
+    cls = next(
+        node
         for tree in trees.values()
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and cls.name == "RootSystem"
-        for fn in cls.body
-        if isinstance(fn, FUNCTIONS) and fn.name == "__init__"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "RootSystem"
     )
+    constructor = next(fn for fn in cls.body if isinstance(fn, FUNCTIONS) and fn.name == "__init__")
+    cached = {
+        fn.name
+        for fn in cls.body
+        if isinstance(fn, FUNCTIONS)
+        and any(ast.unparse(d).endswith("cached_property") for d in fn.decorator_list)
+    }
 
     def written(tree):
         return (
@@ -237,7 +243,7 @@ def root_data_writes(paths) -> tuple[set[str], list[str]]:
             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
         )
 
-    data = {node.attr for node in written(constructor)} - ROOT_MEMOS
+    data = ({node.attr for node in written(constructor)} | cached) - ROOT_MEMOS
     inside = set(map(id, ast.walk(constructor)))
     writes = [
         f"{module}:{node.lineno} {node.attr}"
@@ -252,24 +258,31 @@ def test_no_package_code_rebinds_root_data():
     # the rows of add are read-only, which stops a write in place; this stops
     # rebinding, so a soundness verdict or a digest holds for the root system
     data, writes = root_data_writes(sorted(SRC.glob("*.py")))
-    assert {"roots", "sums", "add", "support"} <= data
+    assert {"roots", "sums", "add", "support", "partners"} <= data
     assert writes == []
 
 
 def test_a_rebound_root_data_attribute_is_found(tmp_path):
     (tmp_path / "a.py").write_text(
+        "from functools import cached_property\n\n"
         "class RootSystem:\n"
         "    def __init__(self):\n"
         "        self.add = ()\n"
         "        self.sums, self.sound = (), None\n\n"
+        "    @cached_property\n    def partners(self):\n        return ()\n\n"
+        "    @property\n    def name(self):\n        return ''\n\n"
         "def plant(rs):\n"
         "    rs.add = tuple(rs.add)\n"
-        "    rs.sound = rs.leaf_memo = None\n"
+        "    rs.sound = rs.leaf_memo = rs.name = None\n"
         "    del rs.sums\n"
     )
-    (tmp_path / "b.py").write_text("def grow(rs):\n    rs.add += ()\n    rs.add[0][1] = 3\n")
+    (tmp_path / "b.py").write_text(
+        "def grow(rs):\n    rs.add += ()\n    rs.add[0][1] = 3\n    rs.partners = ()\n"
+    )
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
-    assert root_data_writes(paths) == ({"add", "sums"}, ["a:7 add", "a:9 sums", "b:2 add"])
+    assert root_data_writes(paths) == (
+        {"add", "sums", "partners"}, ["a:17 add", "a:19 sums", "b:2 add", "b:4 partners"]
+    )
 
 
 ROLE = re.compile(r":(func|meth|class|attr|mod):(`~?([^`]*)`)?")
