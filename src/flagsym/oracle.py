@@ -84,7 +84,9 @@ breaks Jacobi fails too.
 
 The per-xi functions (:func:`transvection_set`, :func:`shortcut_set` and the
 ``*_violations`` ones) are library and test API: no CLI command calls them,
-since the verdict already holds for every xi.  Per painting they walk
+since the verdict already holds for every xi.  The two sets are root masks
+(bit i for ``rs.roots[i]``), as the scans of :mod:`flagsym.symmetry` return;
+a candidate and a witness are coordinate tuples.  Per painting they walk
 ``RootSystem.splittings`` of each -a, keep the splittings with both members
 in R_m, and evaluate c . xi = p a(xi) + q beta(xi) + r gamma(xi), with
 (p, q, r) the coefficients of the cyclic sum (:func:`_cyclic`, read from
@@ -191,11 +193,10 @@ def _violations(flag: FlagData, xi: KahlerParam, coefficients, a: Root) -> list:
     ]
 
 
-def _xi_set(flag: FlagData, xi: KahlerParam, coefficients) -> frozenset:
-    roots = flag.rs.roots
+def _xi_set(flag: FlagData, xi: KahlerParam, coefficients) -> int:
     _, at = _scaled_values(flag, xi)
-    return frozenset(
-        roots[a]
+    return sum(
+        1 << a
         for a in bits(flag.m_plus_mask)
         if next(_nonzero_terms(flag, coefficients, a, at), None) is None
     )
@@ -215,13 +216,11 @@ def shortcut_violations(
     return _violations(flag, xi, _shortcut(flag.rs), a)
 
 
-def transvection_set(
-    flag: FlagData, xi: KahlerParam, table: ChevalleyTable
-) -> frozenset:
-    """All transvection roots for one Kahler parameter (structure constants)."""
+def transvection_set(flag: FlagData, xi: KahlerParam, table: ChevalleyTable) -> int:
+    """Mask of all transvection roots for one Kahler parameter (structure constants)."""
     return _xi_set(flag, xi, _cyclic_on(flag, table))
 
 
-def shortcut_set(flag: FlagData, xi: KahlerParam) -> frozenset:
-    """All transvection roots by the scalar condition (no structure constants)."""
+def shortcut_set(flag: FlagData, xi: KahlerParam) -> int:
+    """Mask of all transvection roots by the scalar condition (no structure constants)."""
     return _xi_set(flag, xi, _shortcut(flag.rs))

@@ -57,6 +57,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import add, mul
+from types import MappingProxyType
 
 Root = tuple[int, ...]
 
@@ -375,9 +376,10 @@ class RootSystem:
     positive, with roots[i] + roots[y] = roots[s], i ascending.
 
     The root data are set at construction and not changed after: each row
-    of ``add`` is a read-only view of an ``array('H')``, so a write into it
-    raises TypeError, and no package code outside the constructor rebinds a
-    root-data attribute (a source check of the tests).  Three memos are
+    of ``add`` is a read-only view of an ``array('H')`` and ``index`` a
+    ``types.MappingProxyType``, so a write into either raises TypeError, and
+    no package code outside the constructor rebinds a root-data attribute (a
+    source check of the tests).  Three memos are
     filled as the instance is used: ``leaf_memo``, ``component_memo`` and
     ``sound`` (see :mod:`flagsym.symmetry`).  Construction is single threaded.
     Use :func:`build_root_system` (cached) rather than the constructor.
@@ -412,7 +414,7 @@ class RootSystem:
             weights.append(w)
         # b(-r) = b(r)
         self.weights: tuple[int, ...] = tuple(weights) * 2
-        self.index: dict[Root, int] = dict(zip(self.roots, range(count)))
+        self.index = MappingProxyType(dict(zip(self.roots, range(count))))
         self.neg: tuple[int, ...] = tuple(range(half, count)) + tuple(range(half))
         self.positive_mask = (1 << half) - 1
         # support[n]: mask of the roots with a nonzero coefficient at node n + 1

@@ -26,8 +26,8 @@ sum partners ``partners[i]`` (the set bits of ``sums[i]``) by a set, which
 costs the length of the row instead of the width of the mask, and only a
 row that fails a closure is walked again for its first witness.  [p, p]
 and [k', p] = 0 are short loops over set bits.
-Roots become coordinate tuples only where a caller reads them: the symmetry
-roots of a report.
+The scans, :func:`h_prime` and the leaf return masks too; roots become
+coordinate tuples only where a caller reads them, in ``SymmetryReport.r_p_plus``.
 
 The masks of each painting are built once, in a :class:`Structure` kept on
 its FlagData, by :func:`_structure`, whichever entry point comes first:
@@ -129,8 +129,7 @@ class LeafDescriptor(NamedTuple):
 class Structure(NamedTuple):
     """The symmetry roots of one painting and the masks built on them."""
 
-    r_p_plus: frozenset  # R_p+, the symmetry roots
-    plus: int  # the mask of R_p+
+    plus: int  # R_p+, the symmetry roots
     rp: int  # p: R_p+ and its negatives
     rk: int  # k = [p, p], inside the isotropy roots
     hp: int  # h' = h + p, proved closed under root addition
@@ -195,26 +194,24 @@ class SymmetryReport(NamedTuple):
         }
 
 
-def symmetry_roots(flag: FlagData) -> frozenset:
-    """{a in R_m+ : (a + R_m+) n R = empty} -- one AND with the sum mask of a."""
-    roots, sums = flag.rs.roots, flag.rs.sums
+def symmetry_roots(flag: FlagData) -> int:
+    """Mask of {a in R_m+ : (a + R_m+) n R = empty} -- one AND with the sum mask of a."""
+    sums = flag.rs.sums
     plus = flag.m_plus_mask
-    return frozenset(roots[i] for i in bits(plus) if not sums[i] & plus)
+    return sum(1 << i for i in bits(plus) if not sums[i] & plus)
 
 
-def center_of_nilradical(flag: FlagData) -> frozenset:
-    """Root support of the centre of m^{1,0} -- scan against the nilradical.
+def center_of_nilradical(flag: FlagData) -> int:
+    """Mask of the root support of the centre of m^{1,0}: a scan of the nilradical.
 
     Independent of :func:`symmetry_roots`: it looks each sum a + b up in the
     ``add`` table and tests membership in R_m+ (closed under root sums of its
     own members) instead of in R; the two must agree.
     """
-    roots, add = flag.rs.roots, flag.rs.add
+    add = flag.rs.add
     members = list(bits(flag.m_plus_mask))
     inside = set(members)
-    return frozenset(
-        roots[i] for i in members if inside.isdisjoint(map(add[i].__getitem__, members))
-    )
+    return sum(1 << i for i in members if inside.isdisjoint(map(add[i].__getitem__, members)))
 
 
 def _structure(flag: FlagData) -> Structure:
@@ -228,14 +225,13 @@ def _structure(flag: FlagData) -> Structure:
         rs = flag.rs
         if not _sound(rs):
             raise InternalConsistencyError(f"{rs.name}: root index not sound")
-        via_r = symmetry_roots(flag)
-        if via_r != center_of_nilradical(flag):
+        plus = symmetry_roots(flag)
+        if plus != center_of_nilradical(flag):
             raise InternalConsistencyError(
                 f"{flag.pd.spec}: root-list and nilradical scans disagree"
             )
-        if rs.highest not in via_r:
+        if not plus >> (len(rs.positive_roots) - 1) & 1:  # theta, the last positive root
             raise InternalConsistencyError(f"{flag.pd.spec}: highest root not a symmetry root")
-        plus = rs.mask_of(via_r)
         rp = plus | rs.neg_mask(plus)
         leaf = rs.leaf_memo.get(plus)
         rk = _r_k(rs, plus) if leaf is None else leaf.k_mask
@@ -246,7 +242,7 @@ def _structure(flag: FlagData) -> Structure:
         if gap is not None:
             a, b = (root_str(rs.roots[i]) for i in gap)
             raise InternalConsistencyError(f"{flag.pd.spec}: h' not closed ({a} + {b})")
-        flag._structure = Structure(via_r, plus, rp, rk, hp)
+        flag._structure = Structure(plus, rp, rk, hp)
     return flag._structure
 
 
@@ -472,7 +468,7 @@ def diagrams_agree(pd: PaintedDiagram, leaf: LeafDescriptor) -> bool:
     comp = _affine_component(pd)
     label = rs.component_memo.get(comp)
     if label is None:
-        fam, rank = classify_connected(leaf_via_diagram(pd))
+        fam, rank = classify_connected(rs.extended_diagram().restrict(comp))
         label = rs.component_memo[comp] = f"{fam}{rank}"
     return label == leaf.u_type
 
@@ -491,8 +487,8 @@ def k_prime_check(flag: FlagData) -> bool:
 
 def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport:
     """Full symmetry report for one painted diagram (cross-checked)."""
-    rp_plus = _structure(flag).r_p_plus
-    index = 2 * len(rp_plus)
+    plus = _structure(flag).plus
+    index = 2 * plus.bit_count()
     coindex = flag.dim_m - index
     # the coindex is 0 exactly when G/H is a Hermitian symmetric space, which
     # is_symmetric_coset reads off the highest root, not off a scan
@@ -502,7 +498,7 @@ def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport
         )
     return SymmetryReport(
         flag=flag,
-        r_p_plus=rp_plus,
+        r_p_plus=flag.rs.roots_of(plus),
         index=index,
         coindex=coindex,
         leaf=leaf_pair(flag),

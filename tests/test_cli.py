@@ -412,7 +412,8 @@ def test_analyze_json_is_the_enumerate_entry_plus_symmetry_roots(capsys):
         roots = record.pop("symmetry_roots")
         assert record == entry.to_json(), entry.spec
         flag = make_flag(parse_painted(entry.spec))
-        assert roots == [root_str(a) for a in sorted(symmetry_roots(flag))], entry.spec
+        plus = flag.rs.roots_of(symmetry_roots(flag))
+        assert roots == [root_str(a) for a in sorted(plus)], entry.spec
 
 
 def test_analyze_json_schema(capsys):

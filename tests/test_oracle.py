@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flagsym import (
     PaintedDiagram,
     build_root_system,
+    center_of_nilradical,
     chevalley_table,
     kahler_param,
     make_flag,
@@ -107,8 +108,8 @@ def test_transvection_set_examples(a3_setup):
     expected = {(1, 1, 1), (0, 1, 1)}
     for coeffs in [(1, 1), (1, 2), (7, 3)]:
         xi = kahler_param(f, coeffs)
-        assert transvection_set(f, xi, t) == expected
-        assert shortcut_set(f, xi) == expected
+        assert f.rs.roots_of(transvection_set(f, xi, t)) == expected
+        assert f.rs.roots_of(shortcut_set(f, xi)) == expected
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("A", 2)])
@@ -129,14 +130,14 @@ def test_transvection_set_g2(g2_setup):
     f, _, t = g2_setup
     for seed in range(20):
         xi = random_kahler_param(f, seed)
-        assert transvection_set(f, xi, t) == {(2, 3)}
+        assert f.rs.roots_of(transvection_set(f, xi, t)) == {(2, 3)}
 
 
 def test_transvection_set_symmetric_coset():
     f = make_flag(parse_painted("A3:{2}"))
     t = chevalley_table("A", 3)
     xi = kahler_param(f, [2])
-    assert transvection_set(f, xi, t) == f.rs.roots_of(f.m_plus_mask)
+    assert transvection_set(f, xi, t) == f.m_plus_mask
 
 
 def test_g2_weighted_cancellation(g2_setup):
@@ -191,6 +192,9 @@ def test_oracle_equals_symmetry_roots(family, rank):
         for seed in range(3):
             xi = random_kahler_param(f, seed)
             assert transvection_set(f, xi, t) == expected, f.pd.spec
+        # each of the four returns a root mask, inside R_m+
+        masks = (expected, center_of_nilradical(f), transvection_set(f, xi, t), shortcut_set(f, xi))
+        assert all(type(m) is int and m & f.m_plus_mask == m for m in masks), f.pd.spec
 
 
 @settings(max_examples=30, deadline=None)

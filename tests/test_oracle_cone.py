@@ -76,7 +76,7 @@ def test_cone_sets_are_the_symmetry_roots(family, rank):
     table = chevalley_table(family, rank)
     flags = paintings(family, rank) if rank <= 6 else sample(family, rank, 4)
     for flag in flags:
-        expected = (symmetry_roots(flag), frozenset())
+        expected = (flag.rs.roots_of(symmetry_roots(flag)), frozenset())
         assert cone_sets(flag, table) == (expected, expected), flag.pd.spec
 
 
@@ -101,8 +101,8 @@ def test_per_xi_sets_equal_the_cone_sets(family, rank):
         (cyclic, _), (scalar, _) = cone_sets(flag, table)
         for seed in range(5):
             xi = random_kahler_param(flag, f"cone|{flag.pd.spec}|{seed}")
-            assert transvection_set(flag, xi, table) == cyclic, flag.pd.spec
-            assert shortcut_set(flag, xi) == scalar, flag.pd.spec
+            assert flag.rs.roots_of(transvection_set(flag, xi, table)) == cyclic, flag.pd.spec
+            assert flag.rs.roots_of(shortcut_set(flag, xi)) == scalar, flag.pd.spec
 
 
 def mutated(table, changes):
@@ -197,7 +197,8 @@ def test_flipped_constant_fails_closed(family, rank):
 
     def walk_agrees(t, flags=flags):
         return all(
-            ref.cone_set(flag, ref.cyclic_kernel(flag, t)) == (symmetry_roots(flag), frozenset())
+            ref.cone_set(flag, ref.cyclic_kernel(flag, t))
+            == (flag.rs.roots_of(symmetry_roots(flag)), frozenset())
             for flag in flags
         )
 
@@ -301,7 +302,7 @@ def test_undecided_root_outside_the_symmetry_roots_fails_closed(monkeypatch):
     )
     flag = make_flag(parse_painted("A3:{1,2,3}"))
     proved, left_open = ref.cone_set(flag, ref.cyclic_kernel(flag, bad))
-    assert proved == symmetry_roots(flag) == {(1, 1, 1)}
+    assert proved == flag.rs.roots_of(symmetry_roots(flag)) == {(1, 1, 1)}
     assert left_open == {(1, 0, 0)}
     entry = full_painting_entry(monkeypatch, "A", 3, bad)
     assert entry.checks["oracle_agree"] is False

@@ -127,14 +127,18 @@ def test_root_index_build_matches_the_reference(family, rank):
 
 @pytest.mark.parametrize("family,rank", simple_types(8))
 def test_a_write_into_add_raises(family, rank):
-    # the rows are read-only views: a verdict on the index, or a digest of
-    # its table, cannot be outlived by a write
+    # the rows are read-only views, and so is the index of the roots: a
+    # verdict on the index, or a digest of its table, cannot be outlived by a
+    # write
     rs = RootSystem(family, rank)
     count = len(rs.roots)
     for i, row in enumerate(rs.add):
         with pytest.raises(TypeError):
             row[i] = count
         assert row[i] == count  # i + i is never a root
+    with pytest.raises(TypeError):
+        rs.index[rs.highest] = 0
+    assert rs.index[rs.highest] == len(rs.positive_roots) - 1
 
 def old_decompositions(rs, gamma):
     """The pairs (al, be), al < be positive, al ascending, with al + be =

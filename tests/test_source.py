@@ -200,6 +200,23 @@ def test_the_audit_never_reads_the_decompositions():
     assert functions_naming(path, AUDIT_FUNCTIONS, "decompositions") == []
 
 
+# the symmetry scans and the per-xi oracles hand root sets on as masks; a
+# coordinate tuple, or a lookup by one, has no place on their way
+MASK_FUNCTIONS = {
+    "symmetry.py": ("_structure", "symmetry_roots", "center_of_nilradical"),
+    "oracle.py": ("_xi_set",),
+}
+
+
+def test_the_scans_never_convert_a_root_mask():
+    for module, functions in MASK_FUNCTIONS.items():
+        path = SRC / module
+        defined = {n.name for n in ast.parse(path.read_text()).body if isinstance(n, FUNCTIONS)}
+        assert set(functions) <= defined
+        for name in ("mask_of", "roots_of", "index"):
+            assert functions_naming(path, functions, name) == [], (module, name)
+
+
 def test_a_function_naming_the_decompositions_is_found(tmp_path):
     (tmp_path / "a.py").write_text(
         "def reads(rs):\n    return rs.decompositions\n\n"

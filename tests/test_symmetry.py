@@ -56,26 +56,27 @@ def all_flags(types):
 
 def test_symmetry_roots_a3_23():
     f = make_flag(parse_painted("A3:{2,3}"))
-    assert symmetry_roots(f) == {(1, 1, 1), (0, 1, 1)}
+    assert f.rs.roots_of(symmetry_roots(f)) == {(1, 1, 1), (0, 1, 1)}
 
 
 def test_symmetry_roots_g2_twistor():
     f = make_flag(parse_painted("G2:{1}"))
-    assert symmetry_roots(f) == {(2, 3)}
+    assert f.rs.roots_of(symmetry_roots(f)) == {(2, 3)}
 
 
 def test_symmetry_roots_symmetric_coset_is_everything():
     f = make_flag(parse_painted("A3:{2}"))
-    assert symmetry_roots(f) == f.rs.roots_of(f.m_plus_mask)
+    assert symmetry_roots(f) == f.m_plus_mask
 
 
 def test_center_examples():
-    assert center_of_nilradical(make_flag(parse_painted("A3:{1,3}"))) == {(1, 1, 1)}
-    assert center_of_nilradical(make_flag(parse_painted("A3:{2,3}"))) == {
-        (1, 1, 1),
-        (0, 1, 1),
-    }
-    assert center_of_nilradical(make_flag(parse_painted("A2:{1,2}"))) == {(1, 1)}
+    for spec, center in [
+        ("A3:{1,3}", {(1, 1, 1)}),
+        ("A3:{2,3}", {(1, 1, 1), (0, 1, 1)}),
+        ("A2:{1,2}", {(1, 1)}),
+    ]:
+        f = make_flag(parse_painted(spec))
+        assert f.rs.roots_of(center_of_nilradical(f)) == center, spec
 
 
 @pytest.mark.parametrize("family,rank", RANK_LE_4)
@@ -114,7 +115,7 @@ def test_leaf_pair_symmetric_coset_is_m_itself():
 def test_leaf_pair_b3_3():
     # so(7)/u(3): three symmetry roots, leaf CP^3 (as A3/A2 data)
     f = make_flag(parse_painted("B3:{3}"))
-    assert symmetry_roots(f) == {(0, 1, 2), (1, 1, 2), (1, 2, 2)}
+    assert f.rs.roots_of(symmetry_roots(f)) == {(0, 1, 2), (1, 1, 2), (1, 2, 2)}
     leaf = leaf_pair(f)
     assert leaf.u_type == "A3"
     assert leaf.k_semisimple_type == ("A2",)
@@ -247,7 +248,7 @@ def test_derived_masks_and_closures_run_once_per_flag(monkeypatch):
     g = make_flag(PaintedDiagram(rs, frozenset({2, 5, 6})))
     rep = build_report(g)
     other = _structure(g)
-    assert other[:4] == record[:4] and rep.leaf is leaf_pair(f)
+    assert other[:3] == record[:3] and rep.leaf is leaf_pair(f)
     assert k_prime_check(g) and h_prime(g) == other.hp
     assert calls == {"_sound": [()], "_r_k": [], "_closure_gap": [(other.hp, other.rp)]}
 
