@@ -379,10 +379,10 @@ class RootSystem:
     of ``add`` is a read-only view of an ``array('H')`` and ``index`` a
     ``types.MappingProxyType``, so a write into either raises TypeError, and
     no package code outside the constructor rebinds a root-data attribute (a
-    source check of the tests).  Three memos are
-    filled as the instance is used: ``leaf_memo``, ``component_memo`` and
-    ``sound`` (see :mod:`flagsym.symmetry`).  Construction is single threaded.
-    Use :func:`build_root_system` (cached) rather than the constructor.
+    source check of the tests).  Three memos are filled as the instance is
+    used: ``leaf_memo``, ``component_memo`` and ``sound`` (see
+    :mod:`flagsym.symmetry`).  Construction is single threaded.  Use
+    :func:`build_root_system` (cached) rather than the constructor.
     """
 
     def __init__(self, family: str, rank: int):
