@@ -27,7 +27,7 @@ costs the length of the row instead of the width of the mask, and only a
 row that fails a closure is walked again for its first witness.  [p, p]
 and [k', p] = 0 are short loops over set bits.
 The scans, :func:`h_prime` and the leaf return masks too; roots become
-coordinate tuples only where a caller reads them, in ``SymmetryReport.r_p_plus``.
+coordinate tuples only when ``SymmetryReport.r_p_plus`` is read.
 
 The masks of each painting are built once, in a :class:`Structure` kept on
 its FlagData, by :func:`_structure`, whichever entry point comes first:
@@ -98,7 +98,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .flag import FlagData, PaintedDiagram
+from .flag import FlagData, PaintedDiagram, painting_spec
 from .rootsystem import (
     Diagram,
     InternalConsistencyError,
@@ -136,11 +136,15 @@ class Structure(NamedTuple):
 
 
 class SymmetryReport(NamedTuple):
-    """The one record of a painting, from :func:`build_report`; the sweep
-    adds the consistency checks, and ``to_json`` is its ``enumerate`` entry."""
+    """The one record of a painting, from :func:`build_report`: its values and
+    the shared root system, never its FlagData; the sweep adds the consistency
+    checks, and ``to_json`` is its ``enumerate`` entry."""
 
-    flag: FlagData
-    r_p_plus: frozenset
+    rs: RootSystem
+    painted: tuple[int, ...]  # ascending
+    dim_m: int
+    symmetric: bool
+    plus: int  # the mask of R_p+
     index: int
     coindex: int
     leaf: LeafDescriptor
@@ -149,28 +153,24 @@ class SymmetryReport(NamedTuple):
 
     @property
     def spec(self) -> str:
-        return self.flag.pd.spec
+        return painting_spec(self.rs.name, self.painted)
 
     @property
     def family(self) -> str:
-        return self.flag.rs.family
+        return self.rs.family
 
     @property
     def rank(self) -> int:
-        return self.flag.rs.rank
-
-    @property
-    def painted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.flag.pd.painted))
+        return self.rs.rank
 
     @property
     def dim_g(self) -> int:
-        rs = self.flag.rs
-        return len(rs.roots) + rs.rank
+        return len(self.rs.roots) + self.rs.rank
 
     @property
-    def symmetric(self) -> bool:
-        return self.flag.is_symmetric_coset()
+    def r_p_plus(self) -> frozenset:
+        """The symmetry roots as coordinate tuples, built when read."""
+        return self.rs.roots_of(self.plus)
 
     def to_json(self) -> dict:
         leaf = self.leaf
@@ -179,7 +179,7 @@ class SymmetryReport(NamedTuple):
             "rank": self.rank,
             "painted": list(self.painted),
             "dim_g": self.dim_g,
-            "dim_M": self.flag.dim_m,
+            "dim_M": self.dim_m,
             "symmetric": self.symmetric,
             "exception": self.exception,
             "index": self.index,
@@ -486,21 +486,25 @@ def k_prime_check(flag: FlagData) -> bool:
 
 
 def build_report(flag: FlagData, exception: str | None = None) -> SymmetryReport:
-    """Full symmetry report for one painted diagram (cross-checked)."""
+    """Full symmetry report for one painted diagram (cross-checked), its values read off the flag."""
     plus = _structure(flag).plus
-    index = 2 * plus.bit_count()
-    coindex = flag.dim_m - index
+    symmetric = flag.is_symmetric_coset()
+    dim_p = 2 * plus.bit_count()  # the index
+    coindex = flag.dim_m - dim_p
     # the coindex is 0 exactly when G/H is a Hermitian symmetric space, which
     # is_symmetric_coset reads off the highest root, not off a scan
-    if (coindex == 0) != flag.is_symmetric_coset():
+    if (coindex == 0) != symmetric:
         raise InternalConsistencyError(
             f"{flag.pd.spec}: coindex {coindex} vs the painted coefficients of the highest root"
         )
     return SymmetryReport(
-        flag=flag,
-        r_p_plus=flag.rs.roots_of(plus),
-        index=index,
-        coindex=coindex,
-        leaf=leaf_pair(flag),
-        exception=exception,
+        flag.rs,
+        tuple(sorted(flag.pd.painted)),
+        flag.dim_m,
+        symmetric,
+        plus,
+        dim_p,
+        coindex,
+        leaf_pair(flag),
+        exception,
     )

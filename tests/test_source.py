@@ -200,10 +200,10 @@ def test_the_audit_never_reads_the_decompositions():
     assert functions_naming(path, AUDIT_FUNCTIONS, "decompositions") == []
 
 
-# the symmetry scans and the per-xi oracles hand root sets on as masks; a
-# coordinate tuple, or a lookup by one, has no place on their way
+# the symmetry scans, the record builder and the per-xi oracles hand root sets
+# on as masks; a coordinate tuple, or a lookup by one, has no place on their way
 MASK_FUNCTIONS = {
-    "symmetry.py": ("_structure", "symmetry_roots", "center_of_nilradical"),
+    "symmetry.py": ("_structure", "symmetry_roots", "center_of_nilradical", "build_report"),
     "oracle.py": ("_xi_set",),
 }
 

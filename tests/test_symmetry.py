@@ -1,5 +1,7 @@
+import gc
 import itertools
 import re
+import weakref
 from collections import Counter
 
 import pytest
@@ -429,6 +431,25 @@ def test_report_invariants_exhaustive(family, rank):
         }
         assert leaf.k_center_dim == 1
         assert int(leaf.u_type[1:]) == leaf.toral_rank
+
+
+@pytest.mark.parametrize("spec", ["A2:{1,2}", "B2:{1,2}", "A3:{2,3}", "B3:{3}", "E8:{1,2,3,4}"])
+def test_records_of_one_painting_are_equal(spec):
+    flag, other = make_flag(parse_painted(spec)), make_flag(parse_painted(spec))
+    rep = build_report(flag)
+    assert rep == build_report(other)
+    assert rep.r_p_plus == flag.rs.roots_of(symmetry_roots(flag))
+
+
+@pytest.mark.parametrize("spec", ["A2:{1,2}", "E8:{1,2,3,4}"])
+def test_a_record_keeps_no_flag_alive(spec):
+    flag = make_flag(parse_painted(spec))
+    alive = weakref.ref(flag)
+    rep = cli._painting(flag)
+    del flag
+    gc.collect()
+    assert alive() is None
+    assert rep.spec == spec and rep.checks["kprime_commutes"]
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
